@@ -2,33 +2,41 @@
 
 :class:`StreamingDataset` presents a shard directory written by
 :mod:`repro.data.sharding` as a random-access sequence of featured
-:class:`~repro.graph.graph.Graph` objects while keeping at most
-``max_cached_shards`` shards decoded at any moment.  Three pieces make
-that fast *and* deterministic:
+:class:`~repro.graph.graph.Graph` objects without holding the corpus.
+Every read returns bitwise the graph the in-memory loader returns; the
+pieces below only decide how often a shard is decoded:
 
-- **LRU shard window.**  ``dataset[i]`` decodes at most one shard; a
-  small ``OrderedDict`` keeps the hottest shards resident and evicts
-  the least-recently-used one beyond the window.  Peak RSS is bounded
-  by ``(max_cached_shards + prefetch_depth) · shard_size`` graphs, not
-  by corpus size — the invariant ``benchmarks/test_streaming_memory.py``
-  gates in CI.
-- **Background double-buffering.**  :meth:`plan_epoch` tells the
-  dataset the shard visit order the caller is about to follow; while
-  the trainer consumes one shard, a
+- **Planned reads: a graph window.**  :meth:`plan_epoch` announces the
+  order the caller is about to read (``fit`` announces its flat
+  ``rng.permutation``), and the dataset simulates the window over it
+  once — an exact load schedule.  A planned read the window holds
+  costs no load; any other planned read loads its shard, and the
+  window keeps that shard's upcoming reads, nearest first, while it
+  holds at most ``H - 1`` graphs, dropping the farthest.  ``H =
+  max_cached_shards · shard_size`` is the memory budget.  A flat order
+  over ``N`` graphs then loads each shard about ``⌈N / H⌉`` times
+  instead of about once per read.
+- **Off-plan reads: an LRU shard window.**  ``dataset[i]`` with no
+  plan, or a read other than the next planned one, goes through a
+  small ``OrderedDict`` of at most ``max_cached_shards`` decoded
+  shards and leaves the plan as it is.
+- **Background prefetch.**  A
   :class:`~repro.parallel.prefetch.BackgroundPrefetcher` decodes the
-  next ``prefetch_depth`` planned shards.  The prefetcher only warms a
-  cache — *which* graphs come back for an index never depends on
-  worker timing, prefetch depth, or cache state.
+  next ``prefetch_depth`` shards of the load schedule while the
+  trainer computes.  It only warms loads — *which* graph comes back
+  for an index never depends on worker timing, prefetch depth, or
+  window size.
 - **Shard-aware deterministic shuffling.**  :meth:`shuffled_order`
   derives a permutation from ``SeedSequence([seed, _SHUFFLE_STREAM])``
   in two levels — shard visit order, then an intra-shard permutation
   per shard keyed by shard id — so an epoch at any corpus scale loads
   every shard exactly once, and the order is a pure function of the
   seed: identical regardless of ``n_workers``, prefetch depth or
-  ``max_cached_shards``.  (A flat permutation over all indices would
-  revisit every shard ~``shard_size`` times per epoch once the corpus
-  outgrows the window.)
+  ``max_cached_shards``.
 
+A planned epoch holds fewer than ``H`` decoded graphs, plus the shard
+being decoded and at most ``prefetch_depth`` shards in flight — the
+bound ``benchmarks/test_streaming_memory.py`` gates in CI.
 ``subset(indices)`` gives the zero-copy fold view
 ``cross_validate_classification`` hands each worker: folds share one
 shard directory on disk instead of rebuilding whole datasets per
@@ -37,8 +45,9 @@ process.  See ``docs/streaming.md`` for the full contract.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -47,6 +56,7 @@ import numpy as np
 from repro.data.cache import attach_dataset_features, encoding_dim
 from repro.data.sharding import ShardManifest, load_manifest, read_shard
 from repro.graph.graph import Graph
+from repro.observe.metrics import get_registry
 from repro.parallel.prefetch import BackgroundPrefetcher
 
 #: entropy tag mixed into the user seed for epoch shuffling
@@ -83,6 +93,69 @@ def _fetch_featured_shard(key: tuple) -> list[Graph]:
     return featured
 
 
+def _bounds(groups: np.ndarray, count: int) -> np.ndarray:
+    """Start offsets of each group id in a stable argsort of ``groups``."""
+    sizes = np.bincount(groups, minlength=count)
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+class _EpochPlan:
+    """An announced read order compiled into an exact load schedule.
+
+    Position ``p`` reads global index ``order[p]``; ``offsets`` holds
+    each shard's first global index.  The window holds positions: a
+    read it holds is a hit, any other read is a *load* of its shard,
+    after which the window keeps the ``capacity`` nearest upcoming
+    positions among the ones it held and the loaded shard's next reads.
+    Simulating that once gives every load in advance: ``loads`` is the
+    shard of each load in order (what the prefetcher fetches) and
+    ``served_by(j)`` the positions load ``j`` serves, its own first.
+    """
+
+    def __init__(self, order: np.ndarray, offsets: np.ndarray, capacity: int):
+        shards = np.searchsorted(offsets, order, side="right")
+        shards -= 1
+        by_shard = np.argsort(shards, kind="stable")
+        bounds = _bounds(shards, len(offsets) - 1)
+        #: for every position, the load that serves it
+        source = np.full(len(order), -1)
+        starts: list[int] = []
+        window = np.empty(0, dtype=int)  # held upcoming positions, ascending
+        position = 0
+        while position < len(order):  # the window misses ``position``
+            load = len(starts)
+            starts.append(position)
+            source[position] = load
+            shard = shards[position]
+            reads = by_shard[bounds[shard] : bounds[shard + 1]]
+            fresh = reads[np.searchsorted(reads, position, side="right") :]
+            fresh = fresh[:capacity]
+            fresh = fresh[source[fresh] < 0]  # not held already
+            held = window
+            window = np.sort(np.concatenate((held, fresh)))[:capacity]
+            if len(window):
+                source[held[held > window[-1]]] = -1
+                source[fresh[fresh <= window[-1]]] = load
+            # the positions right after this one that the window holds
+            # are hits; the first one it does not hold is the next load
+            ahead = np.arange(position + 1, position + 1 + len(window))
+            gaps = np.flatnonzero(window != ahead)
+            hits = int(gaps[0]) if len(gaps) else len(window)
+            window = window[hits:]
+            position += 1 + hits
+        self.order = order
+        self.loads = shards[starts]
+        del shards, by_shard  # bound the plan's peak memory
+        self._served = np.argsort(source, kind="stable")
+        self._bounds = _bounds(source, len(starts))
+        #: next position to read / next load to make
+        self.cursor = 0
+        self.next_load = 0
+
+    def served_by(self, load: int) -> np.ndarray:
+        return self._served[self._bounds[load] : self._bounds[load + 1]]
+
+
 class StreamingDataset(Sequence):
     """Random-access view over a shard directory with bounded residency.
 
@@ -93,9 +166,12 @@ class StreamingDataset(Sequence):
         by :func:`repro.data.sharding.write_shards` or
         :func:`~repro.data.sharding.shard_dataset`).
     max_cached_shards:
-        Size of the decoded-shard LRU window (>= 1).
+        Memory budget in shards (>= 1): the LRU window holds this many
+        decoded shards, the planned-read window fewer than this many
+        shards' worth of graphs.
     prefetch_depth:
-        How many planned shards the background worker may run ahead.
+        How many scheduled shard loads the background worker may run
+        ahead.
     prefetch_mode:
         ``"thread"`` (default; decompression releases the GIL),
         ``"process"`` (spawn-context worker, full parallelism), or
@@ -136,7 +212,9 @@ class StreamingDataset(Sequence):
             ([0], np.cumsum(self.manifest.counts))
         ).astype(int)
         self._cache: OrderedDict[int, list[Graph]] = OrderedDict()
-        self._plan: deque[int] = deque()
+        self._plan: _EpochPlan | None = None
+        #: planned graphs the window holds, keyed by plan position
+        self._held: dict[int, Graph] = {}
         self._prefetcher: BackgroundPrefetcher | None = None
 
     # -- metadata (no shard loads) ----------------------------------------
@@ -181,7 +259,7 @@ class StreamingDataset(Sequence):
         """Which shard holds global ``index``."""
         return bisect_right(self._offsets, index) - 1
 
-    # -- shard window ------------------------------------------------------
+    # -- shard loads -------------------------------------------------------
 
     def _ensure_prefetcher(self) -> BackgroundPrefetcher | None:
         if self.prefetch_mode == "off" or self.prefetch_depth < 1:
@@ -197,52 +275,68 @@ class StreamingDataset(Sequence):
     def _shard_key(self, shard: int) -> tuple:
         return (self.shard_dir, shard, self.verify)
 
+    def _load(self, shard: int) -> list[Graph]:
+        """Decode one shard, taking it from the prefetcher if requested."""
+        registry = get_registry()
+        prefetcher = self._ensure_prefetcher()
+        key = self._shard_key(shard)
+        start = time.perf_counter()
+        if prefetcher is not None and key in prefetcher.pending:
+            graphs = prefetcher.take(key)
+            registry.counter("streaming/prefetch_hit").inc()
+        else:
+            graphs = _fetch_featured_shard(key)
+        waited = time.perf_counter() - start
+        registry.counter("streaming/load_wait_s").inc(waited)
+        registry.counter("streaming/shard_loads").inc()
+        return graphs
+
     def _shard(self, shard: int) -> list[Graph]:
         """The decoded, featured graphs of one shard (LRU-cached)."""
-        from repro.observe.metrics import get_registry
-
         registry = get_registry()
         cached = self._cache.get(shard)
         if cached is not None:
             registry.counter("streaming/cache_hit").inc()
             self._cache.move_to_end(shard)
-        else:
-            prefetcher = self._ensure_prefetcher()
-            key = self._shard_key(shard)
-            if prefetcher is not None and key in prefetcher.pending:
-                cached = prefetcher.take(key)
-                registry.counter("streaming/prefetch_hit").inc()
-            else:
-                cached = _fetch_featured_shard(key)
-            registry.counter("streaming/shard_loads").inc()
-            self._cache[shard] = cached
-            while len(self._cache) > self.max_cached_shards:
-                self._cache.popitem(last=False)
-                registry.counter("streaming/evictions").inc()
-        if self._plan and self._plan[0] == shard:
-            self._plan.popleft()
-        self._request_lookahead()
+            return cached
+        cached = self._load(shard)
+        self._cache[shard] = cached
+        while len(self._cache) > self.max_cached_shards:
+            self._cache.popitem(last=False)
+            registry.counter("streaming/evictions").inc()
         return cached
 
+    def _planned_read(self, plan: _EpochPlan) -> Graph:
+        """Serve the plan's next position from the window or its load."""
+        position = plan.cursor
+        plan.cursor += 1
+        graph = self._held.pop(position, None)
+        if graph is not None:
+            get_registry().counter("streaming/cache_hit").inc()
+            return graph
+        shard = int(plan.loads[plan.next_load])
+        served = plan.served_by(plan.next_load)
+        plan.next_load += 1
+        graphs = self._load(shard)
+        first = self._offsets[shard]
+        for later in served[1:].tolist():
+            self._held[later] = graphs[plan.order[later] - first]
+        self._request_lookahead()
+        return graphs[plan.order[position] - first]
+
     def _request_lookahead(self) -> None:
-        """Warm the next planned shards that are neither cached nor
-        already in flight."""
+        """Ask the prefetcher for the next scheduled loads not in flight."""
         prefetcher = self._ensure_prefetcher()
-        if prefetcher is None or not self._plan:
+        if prefetcher is None or self._plan is None:
             return
-        pending = prefetcher.pending
-        budget = self.prefetch_depth - len(pending)
-        requested: set[int] = set()
-        for shard in self._plan:
-            if budget <= 0:
-                break
-            if shard in self._cache or shard in requested:
-                continue
-            if any(key[1] == shard for key in pending):
+        plan = self._plan
+        pending = {key[1] for key in prefetcher.pending}
+        upcoming = plan.loads[plan.next_load :][: self.prefetch_depth]
+        for shard in upcoming.tolist():
+            if shard in pending:
                 continue
             if prefetcher.request(self._shard_key(shard)):
-                requested.add(shard)
-                budget -= 1
+                pending.add(shard)
 
     def __getitem__(self, index: int) -> Graph:
         index = int(index)
@@ -252,25 +346,39 @@ class StreamingDataset(Sequence):
             raise IndexError(
                 f"index {index} out of range for {len(self)} graphs"
             )
+        plan = self._plan
+        if (
+            plan is not None
+            and plan.cursor < len(plan.order)
+            and plan.order[plan.cursor] == index
+        ):
+            return self._planned_read(plan)
         shard = self.shard_of(index)
         return self._shard(shard)[index - self._offsets[shard]]
 
     # -- epoch planning and iteration --------------------------------------
 
     def plan_epoch(self, order: Sequence[int]) -> None:
-        """Declare the global-index visit order the caller will follow.
+        """Declare the global-index read order the caller will follow.
 
-        The dataset reduces it to a shard sequence (consecutive
-        duplicates collapsed) that drives background lookahead.  A plan
-        is advisory: accesses off-plan still work, they just load
-        synchronously.
+        Replaces any earlier plan and drops every graph held for it (and
+        the LRU window), then schedules the loads of the new order and
+        starts prefetching them.  Reads that follow the plan are served
+        by the graph window; a read that departs from it still works,
+        through the LRU window, and leaves the plan as it is.
         """
-        plan: deque[int] = deque()
-        for index in np.asarray(order, dtype=int):
-            shard = self.shard_of(int(index))
-            if not plan or plan[-1] != shard:
-                plan.append(shard)
-        self._plan = plan
+        order = np.asarray(order, dtype=int)
+        if len(order) and not (0 <= order.min() and order.max() < len(self)):
+            raise IndexError(
+                f"plan indices out of range for {len(self)} graphs"
+            )
+        self._held.clear()
+        self._cache.clear()
+        self._plan = _EpochPlan(
+            order,
+            self._offsets,
+            self.max_cached_shards * self.manifest.shard_size - 1,
+        )
         self._request_lookahead()
 
     def shuffled_order(self, seed: int) -> np.ndarray:
@@ -280,7 +388,7 @@ class StreamingDataset(Sequence):
         ``SeedSequence([seed, _SHUFFLE_STREAM])`` and each shard's
         internal order from that sequence's spawned child keyed by
         shard id.  Every shard appears exactly once (single load per
-        epoch through the LRU window) and the result is a pure function
+        epoch through either window) and the result is a pure function
         of ``seed`` and the manifest — independent of workers, prefetch
         depth, and cache state.
         """
@@ -304,8 +412,8 @@ class StreamingDataset(Sequence):
 
     def __iter__(self) -> Iterator[Graph]:
         self.plan_epoch(np.arange(len(self)))
-        for shard in range(self.num_shards):
-            yield from self._shard(shard)
+        for index in range(len(self)):
+            yield self[index]
 
     def subset(self, indices: Sequence[int]) -> "StreamingView":
         """A lazy fold view over a subset of global indices."""
@@ -314,12 +422,13 @@ class StreamingDataset(Sequence):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the prefetch worker and drop the shard window."""
+        """Stop the prefetch worker and drop both windows and the plan."""
         if self._prefetcher is not None:
             self._prefetcher.close()
             self._prefetcher = None
         self._cache.clear()
-        self._plan.clear()
+        self._held.clear()
+        self._plan = None
 
     def __enter__(self) -> "StreamingDataset":
         return self
@@ -331,7 +440,8 @@ class StreamingDataset(Sequence):
         """Pickle only the configuration — workers reopen the shards."""
         state = self.__dict__.copy()
         state["_cache"] = OrderedDict()
-        state["_plan"] = deque()
+        state["_plan"] = None
+        state["_held"] = {}
         state["_prefetcher"] = None
         return state
 
@@ -339,10 +449,10 @@ class StreamingDataset(Sequence):
 class StreamingView(Sequence):
     """Subset of a :class:`StreamingDataset` by global indices.
 
-    The fold-task unit: ``view[i]`` maps through to the parent's shard
-    window, ``plan_epoch`` translates local orders to global ones, and
+    The fold-task unit: ``view[i]`` maps through to the parent's
+    windows, ``plan_epoch`` translates local orders to global ones, and
     nothing is materialised — two views over one dataset share its
-    cache and prefetcher.
+    windows and prefetcher.
     """
 
     def __init__(self, parent: StreamingDataset, indices: Sequence[int]):
@@ -369,7 +479,7 @@ class StreamingView(Sequence):
             yield self.parent[int(global_index)]
 
     def plan_epoch(self, order: Sequence[int]) -> None:
-        """Translate a local visit order into the parent's shard plan."""
+        """Translate a local read order into the parent's plan."""
         self.parent.plan_epoch(self._indices[np.asarray(order, dtype=int)])
 
     @property

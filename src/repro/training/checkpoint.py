@@ -157,15 +157,18 @@ def save_checkpoint(
 def read_checkpoint_header(path: str | Path) -> dict:
     """Parse and validate only the JSON header of a checkpoint."""
     path = Path(path)
+    header = None
     try:
         with np.load(path) as archive:
-            if _HEADER_KEY not in archive:
-                raise ValueError(f"{path} is not a repro checkpoint archive")
-            header = json.loads(bytes(archive[_HEADER_KEY]).decode("utf-8"))
-    except ValueError:
-        raise
+            if _HEADER_KEY in archive:
+                header = json.loads(bytes(archive[_HEADER_KEY]).decode("utf-8"))
     except Exception as exc:  # zipfile/np.load raise a zoo of types
+        # ValueError included: a file cut to its first few bytes no
+        # longer starts with the zip magic, and np.load then refuses it
+        # as pickled data
         raise _corrupt(path, exc) from exc
+    if header is None:
+        raise ValueError(f"{path} is not a repro checkpoint archive")
     if header.get("schema") != SCHEMA:
         raise ValueError(
             f"unsupported checkpoint schema {header.get('schema')!r} "

@@ -61,9 +61,12 @@ class TrainConfig:
     #: example source discipline (docs/streaming.md): ``"memory"`` treats
     #: ``examples`` as a plain in-RAM sequence; ``"streaming"`` expects an
     #: out-of-core view (``StreamingDataset``/``StreamingView``) and
-    #: announces each epoch's shuffled visit order via ``plan_epoch`` so
-    #: the loader's background prefetch follows the trainer.  Both modes
-    #: index ``examples`` identically, so results are bitwise equal.
+    #: announces each epoch's shuffled visit order via ``plan_epoch``.
+    #: The loader turns that order into an exact shard-load schedule: its
+    #: graph window keeps a loaded shard's graphs that upcoming batches
+    #: read, and its background prefetch runs the scheduled loads ahead
+    #: of the trainer.  Both modes index ``examples`` in the same order,
+    #: so results are bitwise equal.
     data: str = "memory"
     #: write ``repro.ckpt/v1`` checkpoints under this directory
     #: (docs/checkpointing.md); None disables checkpointing

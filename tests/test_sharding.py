@@ -14,12 +14,18 @@ Locks down the ``repro.shard/v1`` contract of docs/streaming.md:
 - :class:`StreamingDataset` serves graphs bitwise-identical to the
   in-memory loader while holding at most ``max_cached_shards`` decoded
   shards, and its shard-aware shuffle is a pure function of the seed
-  that loads every shard exactly once per epoch.
+  that loads every shard exactly once per epoch;
+- a planned epoch (``plan_epoch``) loads exactly the shards a short
+  reference model of the graph window predicts while holding fewer
+  than ``max_cached_shards · shard_size`` decoded graphs, and a flat
+  permutation never loads more than the LRU window would (hypothesis
+  property tests).
 """
 
 from __future__ import annotations
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -503,6 +509,226 @@ class TestStreamingDataset:
             StreamingDataset(shard_dir, prefetch_mode="turbo")
         with pytest.raises(FileNotFoundError):
             StreamingDataset(shard_dir / "nope")
+
+
+# ---------------------------------------------------------------------------
+# planned-read window: exact load schedule, bounded residency
+# ---------------------------------------------------------------------------
+
+def _window_loads(shards: list[int], budget: int) -> int:
+    """Reference model of the planned-read window.
+
+    A read the window holds is free; any other read loads its shard,
+    and the window then keeps the ``budget - 1`` nearest upcoming
+    positions among the ones it held and that shard's later reads.
+    """
+    held: set[int] = set()
+    loads = 0
+    for position, shard in enumerate(shards):
+        if position in held:
+            held.discard(position)
+            continue
+        loads += 1
+        later = {q for q in range(position + 1, len(shards)) if shards[q] == shard}
+        held = set(sorted(held | later)[: budget - 1])
+    return loads
+
+
+def _lru_loads(shards: list[int], window: int) -> int:
+    """Loads of a plain LRU window of ``window`` whole shards."""
+    cache: list[int] = []
+    loads = 0
+    for shard in shards:
+        if shard in cache:
+            cache.remove(shard)
+        else:
+            loads += 1
+            if len(cache) == window:
+                cache.pop(0)
+        cache.append(shard)
+    return loads
+
+
+def _resident(stream: StreamingDataset) -> int:
+    """Decoded graphs the dataset holds in either window."""
+    return len(stream._held) + sum(len(g) for g in stream._cache.values())
+
+
+def _shard_loads(registry: MetricsRegistry) -> float:
+    return registry.snapshot()["counters"].get("streaming/shard_loads", 0.0)
+
+
+class TestPlannedWindow:
+    """``plan_epoch`` turns an order into an exact, bounded load schedule."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_graphs=st.integers(min_value=1, max_value=40),
+        shard_size=st.integers(min_value=1, max_value=9),
+        max_cached_shards=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        prefetch_mode=st.sampled_from(["off", "thread"]),
+    )
+    def test_flat_epoch_is_exact_bitwise_and_bounded(
+        self, tmp_path_factory, num_graphs, shard_size, max_cached_shards,
+        seed, prefetch_mode,
+    ):
+        tmp = tmp_path_factory.mktemp("window")
+        clear_manifest_memo()
+        shard_dataset(NAME, num_graphs, SEED, tmp, shard_size)
+        reference, _, _ = load_dataset_cached(NAME, num_graphs, SEED)
+        budget = max_cached_shards * shard_size
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            stream = StreamingDataset(
+                tmp, max_cached_shards=max_cached_shards,
+                prefetch_mode=prefetch_mode,
+            )
+            order = np.random.default_rng(seed).permutation(num_graphs)
+            stream.plan_epoch(order)
+            for index in order:
+                graph = stream[int(index)]
+                assert _graph_fingerprint(graph) == _graph_fingerprint(
+                    reference[index]
+                )
+                assert _resident(stream) < budget
+            stream.close()
+        finally:
+            set_registry(previous)
+        shards = (order // shard_size).tolist()
+        loads = _shard_loads(registry)
+        assert loads == _window_loads(shards, budget)
+        assert loads <= _lru_loads(shards, max_cached_shards)
+
+    def test_flat_epoch_loads_far_fewer_shards_than_the_lru_window(
+        self, tmp_path, fresh_registry
+    ):
+        # fit's layout in miniature: a flat permutation over 8 shards
+        clear_manifest_memo()
+        shard_dataset(NAME, 48, SEED, tmp_path / "sh", shard_size=6)
+        stream = StreamingDataset(
+            tmp_path / "sh", max_cached_shards=2, prefetch_mode="off"
+        )
+        order = np.random.default_rng(0).permutation(48)
+        stream.plan_epoch(order)
+        for index in order:
+            stream[int(index)]
+        shards = (order // 6).tolist()
+        assert _shard_loads(fresh_registry) == _window_loads(shards, 12)
+        assert _shard_loads(fresh_registry) < _lru_loads(shards, 2) / 2
+
+    def test_view_plan_with_repeated_indices(self, shard_dir, fresh_registry):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(
+            shard_dir, max_cached_shards=1, prefetch_mode="off"
+        )
+        picks = np.array([3, 3, 9, 20, 3, 9, 0, 20, 20])
+        view = stream.subset(picks)
+        local = np.array([0, 1, 4, 2, 5, 3, 7, 8, 6, 0, 0])
+        view.plan_epoch(local)
+        got = [_graph_fingerprint(view[int(i)]) for i in local]
+        assert got == [_graph_fingerprint(reference[picks[i]]) for i in local]
+        shards = (picks[local] // SHARD).tolist()
+        assert _shard_loads(fresh_registry) == _window_loads(shards, SHARD)
+        assert _resident(stream) == 0
+
+    def test_off_plan_read_mid_epoch_leaves_the_plan_intact(
+        self, shard_dir, fresh_registry
+    ):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(
+            shard_dir, max_cached_shards=2, prefetch_mode="off"
+        )
+        order = np.random.default_rng(4).permutation(N)
+        stream.plan_epoch(order)
+        for index in order[:10]:
+            stream[int(index)]
+        held = dict(stream._held)
+        stray = int(order[3])  # already read: not the next planned index
+        assert _graph_fingerprint(stream[stray]) == _graph_fingerprint(
+            reference[stray]
+        )
+        assert stream._held == held
+        assert len(stream._cache) == 1
+        got = [_graph_fingerprint(stream[int(i)]) for i in order[10:]]
+        assert got == [_graph_fingerprint(reference[i]) for i in order[10:]]
+        shards = (order // SHARD).tolist()
+        assert _shard_loads(fresh_registry) == _window_loads(shards, 2 * SHARD) + 1
+
+    def test_second_plan_mid_epoch_drops_the_old_residency(
+        self, shard_dir, fresh_registry
+    ):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(
+            shard_dir, max_cached_shards=2, prefetch_mode="off"
+        )
+        first = np.random.default_rng(5).permutation(N)
+        stream.plan_epoch(first)
+        for index in first[:5]:
+            stream[int(index)]
+        stream[int(first[0])]  # an off-plan read fills the LRU window
+        assert stream._held and stream._cache
+        loads_before = _shard_loads(fresh_registry)
+        second = np.random.default_rng(6).permutation(N)
+        stream.plan_epoch(second)
+        assert _resident(stream) == 0
+        got = [_graph_fingerprint(stream[int(i)]) for i in second]
+        assert got == [_graph_fingerprint(reference[i]) for i in second]
+        shards = (second // SHARD).tolist()
+        assert _shard_loads(fresh_registry) - loads_before == _window_loads(
+            shards, 2 * SHARD
+        )
+
+    def test_pickles_mid_epoch_with_no_resident_graphs(self, shard_dir):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(shard_dir, prefetch_mode="thread")
+        order = np.random.default_rng(7).permutation(N)
+        stream.plan_epoch(order)
+        for index in order[:6]:
+            stream[int(index)]
+        assert stream._held
+        clone = pickle.loads(pickle.dumps(stream))
+        stream.close()
+        assert _resident(clone) == 0 and clone._plan is None
+        assert [_graph_fingerprint(clone[int(i)]) for i in order] == [
+            _graph_fingerprint(reference[i]) for i in order
+        ]
+        clone.close()
+
+    def test_iteration_shares_the_planned_path(self, shard_dir):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(
+            shard_dir, max_cached_shards=1, prefetch_mode="off"
+        )
+        iterator = iter(stream)
+        head = [next(iterator) for _ in range(3)]
+        assert stream._plan.cursor == 3
+        rest = list(iterator)
+        assert [_graph_fingerprint(g) for g in head + rest] == [
+            _graph_fingerprint(g) for g in reference
+        ]
+
+    @pytest.mark.parametrize("prefetch_mode", ["off", "thread"])
+    def test_load_wait_counts_blocked_seconds(
+        self, shard_dir, fresh_registry, prefetch_mode
+    ):
+        stream = StreamingDataset(shard_dir, prefetch_mode=prefetch_mode)
+        start = time.perf_counter()
+        for _ in stream.iter_shuffled(2):
+            pass
+        elapsed = time.perf_counter() - start
+        stream.close()
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["streaming/shard_loads"] == 4
+        assert 0.0 <= counters["streaming/load_wait_s"] <= elapsed
+        if prefetch_mode == "off":  # every load blocks the reader
+            assert counters["streaming/load_wait_s"] > 0.0
+
+    def test_plan_outside_the_corpus_is_rejected(self, shard_dir):
+        stream = StreamingDataset(shard_dir, prefetch_mode="off")
+        with pytest.raises(IndexError, match="plan"):
+            stream.plan_epoch([0, N])
 
 
 class TestMaterializeLint:

@@ -4,7 +4,10 @@ The headline guarantee of docs/streaming.md: training on a
 :class:`~repro.data.streaming.StreamingDataset` is **bitwise
 identical** to training on the same graphs as an in-RAM list — final
 parameters, loss/metric history and JSONL run logs (up to wall-clock
-fields) — for every shard layout {1, 7, 64} and worker count {1, 2}.
+fields) — for every shard layout {1, 3, 7, 64} and worker count {1, 2}.
+At 3 graphs per shard the 24-graph corpus spans 8 shards against a
+2-shard window, so shards reload mid-epoch through the planned-read
+window.
 Shard size, prefetch depth, LRU window and worker scheduling are pure
 performance knobs; results are a function of the config alone.
 
@@ -90,7 +93,7 @@ def reference(tmp_path_factory):
 
 
 class TestTrainingEquivalence:
-    @pytest.mark.parametrize("shard_size", [1, 7, 64])
+    @pytest.mark.parametrize("shard_size", [1, 3, 7, 64])
     @pytest.mark.parametrize("prefetch_mode", ["off", "thread"])
     def test_streamed_run_is_bitwise_identical(
         self, tmp_path, reference, shard_size, prefetch_mode
@@ -205,9 +208,9 @@ class TestStreamingResume:
         )
         return model, history
 
-    def test_crash_between_shards_resumes_bitwise(self, tmp_path):
+    def _crash_and_resume(self, tmp_path, shard_size):
         clear_manifest_memo()
-        shard_dataset(NAME, N, DATA_SEED, tmp_path / "sh", 7)
+        shard_dataset(NAME, N, DATA_SEED, tmp_path / "sh", shard_size)
         _, dim, num_classes = load_dataset_cached(NAME, N, DATA_SEED)
 
         stream = StreamingDataset(tmp_path / "sh", prefetch_mode="off")
@@ -216,8 +219,8 @@ class TestStreamingResume:
             tmp_path / "ckpt_ref",
         )
 
-        # batch_size=4 over 7-graph shards: step 8 lands mid-epoch with
-        # the shuffled cursor part-way through the shard sequence
+        # batch_size=4 over 24 graphs: step 8 lands mid-epoch with the
+        # shuffled cursor part-way through the shard sequence
         with pytest.raises(InjectedFault):
             self._run(
                 stream, dim, num_classes, tmp_path / "crash.jsonl",
@@ -236,6 +239,14 @@ class TestStreamingResume:
         )
         assert res_history.losses == ref_history.losses
         assert res_history.val_metrics == ref_history.val_metrics
+
+    def test_crash_between_shards_resumes_bitwise(self, tmp_path):
+        self._crash_and_resume(tmp_path, 7)
+
+    def test_crash_resumes_bitwise_with_mid_epoch_reloads(self, tmp_path):
+        """8 shards of 3 against a 2-shard window: the resumed epoch
+        reloads shards through the planned-read window."""
+        self._crash_and_resume(tmp_path, 3)
 
 
 class TestStreamingFaults:

@@ -15,7 +15,10 @@
 #                 streaming (sharded out-of-core pipeline equivalence),
 #                 molecular (edge-conditioned forward equivalence +
 #                 regression workload)
-#   bench-compare tools/bench_gate.py vs results/bench_baseline.json
+#   bench-compare tools/bench_gate.py vs results/bench_baseline.json, then
+#                 the repository benchmark's self-tests (bench/test_bench.py:
+#                 quick runs of every workload through bench/run.py's
+#                 output checks)
 #
 # Usage: tools/ci.sh            (run everything)
 #        tools/ci.sh lint tier-1   (run selected stages)
@@ -61,6 +64,7 @@ fi
 if runs bench-compare; then
     stage bench-compare
     python tools/bench_gate.py
+    python -m pytest bench -q
 fi
 
 echo
