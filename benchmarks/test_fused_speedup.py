@@ -3,7 +3,7 @@
 Times one warm HAP training step (forward + backward on the bench-gate
 sparse workload, 2000 nodes) through the current fused path — fused
 ``masked_softmax_mean`` / ``matmul_tn`` / ``coarsen_chain`` /
-``sym_normalize`` kernels, scipy-backed ``spmm``, gradient buffer pool
+``gcn_propagate`` kernels, scipy-backed ``spmm``, gradient buffer pool
 — and through an in-process emulation of the pre-fusion path: the
 fusion sites monkeypatched back to their unfused op compositions, CSR
 scipy handles disabled (forcing the ``np.add.at`` scatter reference
@@ -34,6 +34,7 @@ from repro.tensor import (
     BufferPool,
     CSRMatrix,
     Tensor,
+    as_tensor,
     bmm,
     buffer_pool,
     masked_softmax,
@@ -88,13 +89,17 @@ def _unfused_sym_normalize(adjacency, eps=1e-8):
     )
 
 
+def _unfused_gcn_propagate(adjacency, x, eps=1e-8):
+    return _unfused_sym_normalize(as_tensor(adjacency), eps) @ x
+
+
 def _emulate_pre_fusion(monkeypatch):
     """Swap the fusion sites back to unfused compositions, scipy off."""
     monkeypatch.setattr(moa_mod, "masked_softmax_mean", _unfused_masked_softmax_mean)
     monkeypatch.setattr(moa_mod, "matmul_tn", _unfused_matmul_tn)
     monkeypatch.setattr(coarsen_mod, "coarsen_chain", _unfused_coarsen_chain)
     monkeypatch.setattr(coarsen_mod, "matmul_tn", _unfused_matmul_tn)
-    monkeypatch.setattr(layers_mod, "sym_normalize", _unfused_sym_normalize)
+    monkeypatch.setattr(layers_mod, "gcn_propagate", _unfused_gcn_propagate)
     # pre-fusion spmm scattered with np.add.at; returning None from the
     # scipy-handle accessors routes it back onto that reference path
     monkeypatch.setattr(CSRMatrix, "scipy_csr", lambda self: None)

@@ -7,12 +7,7 @@ numpy array (fixed graph) or as a :class:`repro.tensor.Tensor` (the
 differentiable coarsened adjacency produced by graph coarsening).
 """
 
-from repro.gnn.layers import (
-    GCNLayer,
-    GATLayer,
-    normalize_adjacency,
-    normalize_adjacency_batched,
-)
+from repro.gnn.layers import GCNLayer, GATLayer, normalize_adjacency
 from repro.gnn.edges import EdgeGate
 from repro.gnn.extra_layers import GINLayer, SAGELayer
 from repro.gnn.encoder import GNNEncoder
@@ -25,5 +20,4 @@ __all__ = [
     "SAGELayer",
     "GNNEncoder",
     "normalize_adjacency",
-    "normalize_adjacency_batched",
 ]

@@ -19,6 +19,7 @@ from repro.tensor import (
     CSRMatrix,
     Tensor,
     as_tensor,
+    gcn_propagate,
     leaky_relu,
     power,
     relu,
@@ -31,19 +32,17 @@ from repro.tensor import (
 )
 
 
-def _adjacency_tensor(adjacency) -> Tensor:
-    """Coerce adjacency to a Tensor without copying when already one."""
-    return adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
-
-
 def normalize_adjacency(adjacency, eps: float = 1e-8) -> Tensor:
     """Symmetric normalisation ``D̃^{-1/2} Ã D̃^{-1/2}`` with self-loops.
 
     Differentiable when ``adjacency`` is a Tensor.  Runs as the fused
     :func:`repro.tensor.ops.sym_normalize` kernel — one tape node
     instead of the six-op chain, same forward values bit for bit.
+    The layers never build this matrix (they call
+    :func:`repro.tensor.ops.gcn_propagate`); this materialises it for
+    callers and tests that need the operator itself.
     """
-    adj = _adjacency_tensor(adjacency)
+    adj = as_tensor(adjacency)
     if adj.ndim != 2:
         raise ValueError(f"expected (N, N) adjacency, got shape {adj.shape}")
     return sym_normalize(adj, eps)
@@ -74,23 +73,6 @@ def normalize_adjacency_sparse(adjacency: CSRMatrix, eps: float = 1e-8) -> CSRMa
         )
 
     return adjacency.cached(("sym_norm", eps), build)
-
-
-def normalize_adjacency_batched(adjacency, eps: float = 1e-8) -> Tensor:
-    """Batched symmetric normalisation of a ``(B, N, N)`` adjacency stack.
-
-    Self-loops are added to *every* row, padding included, so padding
-    nodes have degree 1 instead of dividing by zero.  Because padding
-    rows/columns of the input adjacency are all-zero (the
-    :mod:`repro.data.batching` convention), the valid block of each
-    graph's normalised matrix equals the per-graph
-    :func:`normalize_adjacency` exactly; padding rows only talk to
-    themselves and are discarded by the masked readouts downstream.
-    """
-    adj = _adjacency_tensor(adjacency)
-    if adj.ndim != 3:
-        raise ValueError(f"expected (B, N, N) adjacency, got shape {adj.shape}")
-    return sym_normalize(adj, eps)
 
 
 def _self_loop_index_map(adj_tilde: CSRMatrix) -> np.ndarray:
@@ -148,11 +130,12 @@ class GCNLayer(Module):
         self.activation = activation
 
     def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
-        """Dispatch on input rank: ``(N, F)`` runs the single-graph
-        convolution, ``(B, N, F)`` the padded-batch one.  On the padded
-        path, padding rows produce ``act(bias)`` garbage that never
-        reaches valid rows (their normalised adjacency entries are
-        zero); downstream masked reductions discard it."""
+        """One fused :func:`~repro.tensor.ops.gcn_propagate` call for
+        every dense adjacency: ``(N, N)`` with ``(N, F)`` features or a
+        padded ``(B, N, N)`` stack with ``(B, N, F)`` features, constant
+        or differentiable.  On a padded batch, padding rows produce
+        garbage that never reaches valid rows (their adjacency rows and
+        columns are zero); downstream masked reductions discard it."""
         if edge_attr is not None:
             # Symmetric normalisation has no slot for per-edge attributes;
             # silently dropping them would be a modelling bug the lint rule
@@ -164,17 +147,13 @@ class GCNLayer(Module):
         h = as_tensor(h)
         if isinstance(adjacency, CSRMatrix):
             return self._forward_sparse(adjacency, h)
-        if h.ndim == 3:
-            normalized = normalize_adjacency_batched(adjacency)
-        else:
-            normalized = normalize_adjacency(adjacency)
-        out = normalized @ (h @ self.weight) + self.bias
+        out = gcn_propagate(adjacency, h @ self.weight) + self.bias
         return _activate(out, self.activation)
 
     def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor) -> Tensor:
         """Single-graph convolution over a constant CSR adjacency.
 
-        Identical arithmetic to the dense path — ``D̃^{-1/2} Ã D̃^{-1/2}``
+        The same normalisation as the dense path — ``D̃^{-1/2} Ã D̃^{-1/2}``
         applied edge-wise, then one :func:`~repro.tensor.ops.spmm` —
         so outputs and gradients match :meth:`forward` to float
         round-off (tests/test_sparse_equivalence.py).

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gnn.layers import _activate, normalize_adjacency
+from repro.gnn.layers import _activate
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, as_tensor
+from repro.tensor import Tensor, as_tensor, gcn_propagate
 
 
 class RGCNLayer(Module):
@@ -54,9 +54,8 @@ class RGCNLayer(Module):
             raise KeyError(f"missing relations in input: {sorted(missing)}")
         out = h @ self.weight_self + self.bias
         for relation in self.relations:
-            normalized = normalize_adjacency(adjacencies[relation])
             weight = getattr(self, f"weight_{relation}")
-            out = out + normalized @ (h @ weight)
+            out = out + gcn_propagate(adjacencies[relation], h @ weight)
         return _activate(out, self.activation)
 
 

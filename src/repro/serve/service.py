@@ -240,7 +240,16 @@ class InferenceService:
                     for _ in range(min(len(self._queue), self.max_batch_size))
                 ]
                 self._registry.gauge("serve/queue_depth").set(len(self._queue))
-            self._process(batch)
+            try:
+                self._process(batch)
+            except Exception as exc:
+                # A failure outside the per-request handlers (e.g. in
+                # module_fingerprint) must not kill the worker: every
+                # later submit would hang.  Fail what this batch left
+                # unanswered, with the cause, and keep serving.
+                for request in batch:
+                    if not request.future.done():
+                        request.future.set_exception(exc)
 
     def _process(self, batch: list[_Request]) -> None:
         self._batches += 1

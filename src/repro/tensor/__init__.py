@@ -23,8 +23,9 @@ Functional ops
     (``segment_sum, scatter_gather, spmm, segment_softmax``) over a
     constant ``CSRMatrix`` back the sparse execution backend
     (docs/sparse.md); fused hot-path kernels (``masked_softmax_mean,
-    matmul_tn, coarsen_chain, sym_normalize``) collapse the profiled
-    MOA/coarsening chains into single tape nodes (docs/performance.md).
+    matmul_tn, coarsen_chain, sym_normalize, gcn_propagate``) collapse
+    the profiled MOA/coarsening/GCN chains into single tape nodes
+    (docs/performance.md).
 ``BufferPool`` / ``buffer_pool`` / ``get_buffer_pool``
     Step-to-step gradient buffer recycling for the backward pass
     (:mod:`repro.tensor.pool`).
@@ -53,6 +54,7 @@ from repro.tensor.ops import (
     dropout_mask,
     exp,
     gather_rows,
+    gcn_propagate,
     leaky_relu,
     log,
     log_softmax,
@@ -104,6 +106,7 @@ __all__ = [
     "dropout_mask",
     "exp",
     "gather_rows",
+    "gcn_propagate",
     "leaky_relu",
     "log",
     "log_softmax",

@@ -809,6 +809,67 @@ def sym_normalize(adjacency: Tensor, eps: float = 1e-8) -> Tensor:
     return Tensor._make(out_data, (adj,), backward)
 
 
+def gcn_propagate(adjacency, x: Tensor, eps: float = 1e-8) -> Tensor:
+    """Fused GCN propagation ``D̃^{-1/2} (A + I) D̃^{-1/2} x`` (Eq. 12).
+
+    Equals ``sym_normalize(adjacency, eps) @ x`` without building the
+    normalised ``(N, N)`` / ``(B, N, N)`` matrix: ``D̃^{-1/2}`` is
+    diagonal, so with ``d = (rowsum(A) + 1 + eps)^{-1/2}`` the kernel
+    scales the rows of ``x`` by ``d``, takes one product with ``A``
+    (the self-loop is the ``+ y`` term) and scales the rows again.
+    The only ``(N, N)``-sized arrays are ``A`` itself and, in the
+    backward pass when ``A`` requires grad, ``dA``.
+
+    ``adjacency`` is a dense ``(N, N)`` array/Tensor with ``(N, F)``
+    features or a ``(B, N, N)`` stack with ``(B, N, F)`` features.
+    Zero padding rows of a padded batch get degree ``1`` and come out as
+    ``x / (1 + eps)``; they never reach valid rows.
+
+    Backward, with ``y = d ⊙ x``, ``u = A y + y``, ``g' = d ⊙ G`` and
+    ``t = Aᵀ g' + g'``: ``dx = d ⊙ t`` and, only when the adjacency
+    requires grad (the coarsened levels), ``dA = g' yᵀ + c 1ᵀ`` with
+    ``c = -½ (rowsum(A) + 1 + eps)^{-3/2} ⊙ Σ_f (G ⊙ u + t ⊙ x)``.
+    """
+    adj, x = as_tensor(adjacency), as_tensor(x)
+    if adj.ndim not in (2, 3) or x.ndim != adj.ndim:
+        raise ValueError(
+            f"gcn_propagate expects a 2-D adjacency with 2-D features or a "
+            f"3-D stack with 3-D features, got {adj.ndim}-D and {x.ndim}-D"
+        )
+    if adj.shape[-1] != adj.shape[-2] or x.shape[:-1] != adj.shape[:-1]:
+        raise ValueError(
+            f"gcn_propagate shape mismatch: adjacency {adj.shape}, "
+            f"features {x.shape}"
+        )
+    a = adj.data
+    # Row sums as a BLAS product: np.sum over a short last axis took
+    # 1.2-3.7x as long on stacks of 4-106 nodes (x86, 2 vCPU).
+    degree = a @ np.ones(a.shape[-1]) + 1.0 + eps
+    # d repeated across the feature axis once, so the four row scalings
+    # are plain elementwise products: broadcasting a (..., N, 1) column
+    # over 16 features took 1.5-4.6x as long on the same host.
+    scale = np.repeat(degree ** -0.5, x.shape[-1]).reshape(x.shape)
+    y = scale * x.data
+    u = a @ y
+    u += y
+    out_data = scale * u
+
+    def backward(grad):
+        g = np.asarray(grad)
+        g_scaled = scale * g
+        t = np.swapaxes(a, -1, -2) @ g_scaled
+        t += g_scaled
+        grad_x = scale * t if x.requires_grad else None
+        grad_adj = None
+        if adj.requires_grad:
+            c = (-0.5 * degree ** -1.5) * (g * u + t * x.data).sum(axis=-1)
+            grad_adj = g_scaled @ np.swapaxes(y, -1, -2)
+            grad_adj += c[..., None]
+        return (grad_x, grad_adj)
+
+    return Tensor._make(out_data, (x, adj), backward)
+
+
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -978,6 +1039,7 @@ _INSTRUMENTED_OPS = (
     "matmul_tn",
     "coarsen_chain",
     "sym_normalize",
+    "gcn_propagate",
     "sum_along",
     "mean",
     "max_along",

@@ -2,16 +2,16 @@
 
 The ``pytest -m fused`` CI gate (docs/performance.md): every fused
 kernel in :mod:`repro.tensor.ops` — ``masked_softmax_mean``,
-``matmul_tn``, ``coarsen_chain``, ``sym_normalize`` — is pinned against
-the multi-node tape composition it replaced, on all three execution
-paths (dense single-graph, sparse CSR, padded batch):
+``matmul_tn``, ``coarsen_chain``, ``sym_normalize``, ``gcn_propagate``
+— is pinned against the multi-node tape composition it replaced, on all
+three execution paths (dense single-graph, sparse CSR, padded batch):
 
 - forward values bitwise where the kernel preserves arithmetic order,
   and always within 1e-6;
 - backward values within 1e-6 of the unfused tape (they agree to
   round-off), plus finite-difference gradchecks for every kernel;
 - the model-level fusion sites (MOA attention, the coarsening chain,
-  GCN normalisation) produce the same losses and parameter gradients
+  GCN propagation) produce the same losses and parameter gradients
   as the pre-fusion compositions.
 
 The gradient buffer pool rides the same gate: pooled backward must be
@@ -31,6 +31,7 @@ from repro.tensor import (
     buffer_pool,
     check_gradients,
     coarsen_chain,
+    gcn_propagate,
     masked_softmax,
     masked_softmax_mean,
     matmul_tn,
@@ -283,6 +284,116 @@ class TestSymNormalize:
         rng = _rng(20)
         adj = Tensor(rng.random(shape), requires_grad=True)
         check_gradients(lambda: (sym_normalize(adj) ** 2.0).sum(), [adj])
+
+
+class TestGCNPropagate:
+    """``gcn_propagate(A, x)`` is ``sym_normalize(A) @ x`` without the
+    normalised matrix: forward and both gradients to 1e-12."""
+
+    EXACT = 1e-12
+
+    @staticmethod
+    def _pair(rng, adj_shape, feat_shape):
+        adj = rng.random(adj_shape)
+        feats = rng.normal(size=feat_shape)
+        return (
+            Tensor(adj, requires_grad=True), Tensor(feats, requires_grad=True),
+            Tensor(adj.copy(), requires_grad=True),
+            Tensor(feats.copy(), requires_grad=True),
+        )
+
+    @pytest.mark.parametrize(
+        "adj_shape,feat_shape", [((7, 7), (7, 3)), ((3, 6, 6), (3, 6, 4))]
+    )
+    def test_matches_sym_normalize_matmul(self, adj_shape, feat_shape):
+        rng = _rng(22)
+        a1, x1, a2, x2 = self._pair(rng, adj_shape, feat_shape)
+        fused = gcn_propagate(a1, x1)
+        oracle = sym_normalize(a2) @ x2
+        np.testing.assert_allclose(fused.data, oracle.data, atol=self.EXACT, rtol=0)
+        grad = rng.normal(size=feat_shape)
+        fused.backward(grad)
+        oracle.backward(grad)
+        np.testing.assert_allclose(x1.grad, x2.grad, atol=self.EXACT, rtol=0)
+        np.testing.assert_allclose(a1.grad, a2.grad, atol=self.EXACT, rtol=0)
+
+    @pytest.mark.parametrize(
+        "adj_shape,feat_shape", [((5, 5), (5, 3)), ((2, 4, 4), (2, 4, 3))]
+    )
+    def test_gradcheck(self, adj_shape, feat_shape):
+        rng = _rng(23)
+        adj = Tensor(rng.random(adj_shape), requires_grad=True)
+        feats = Tensor(rng.normal(size=feat_shape), requires_grad=True)
+        check_gradients(
+            lambda: (gcn_propagate(adj, feats) ** 2.0).sum(), [adj, feats]
+        )
+
+    @pytest.mark.parametrize("as_tensor", [False, True])
+    def test_constant_adjacency_gets_no_gradient(self, as_tensor):
+        rng = _rng(24)
+        dense = rng.random((3, 5, 5))
+        adj = Tensor(dense) if as_tensor else dense  # level 0 passes numpy
+        feats = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+        out = gcn_propagate(adj, feats)
+        grad = rng.normal(size=(3, 5, 2))
+        grad_x, grad_adj = out._backward(grad)
+        assert grad_adj is None  # dA is skipped, not computed and dropped
+        oracle_x = Tensor(feats.data.copy(), requires_grad=True)
+        (sym_normalize(Tensor(dense)) @ oracle_x).backward(grad)
+        np.testing.assert_allclose(grad_x, oracle_x.grad, atol=self.EXACT, rtol=0)
+        out.backward(grad)
+        if as_tensor:
+            assert adj.grad is None
+
+    def test_edgeless_graph(self):
+        rng = _rng(25)
+        feats = rng.normal(size=(4, 3))
+        adj = Tensor(np.zeros((4, 4)), requires_grad=True)
+        x = Tensor(feats, requires_grad=True)
+        out = gcn_propagate(adj, x)
+        # only the self-loop: degree 1, so every row is x / (1 + eps)
+        d = (1.0 + 1e-8) ** -0.5
+        assert np.array_equal(out.data, d * (d * feats))
+        np.testing.assert_allclose(
+            out.data, (sym_normalize(Tensor(np.zeros((4, 4)))) @ Tensor(feats)).data,
+            atol=self.EXACT, rtol=0,
+        )
+        out.backward(np.ones((4, 3)))
+        assert np.all(np.isfinite(adj.grad)) and np.all(np.isfinite(x.grad))
+
+    def test_zero_padded_batch(self):
+        rng = _rng(26)
+        eps = 1e-8
+        sizes, n_max, feat = (3, 5), 6, 2
+        adj = np.zeros((len(sizes), n_max, n_max))
+        feats = rng.normal(size=(len(sizes), n_max, feat))
+        for b, n in enumerate(sizes):
+            dense = np.triu((rng.random((n, n)) < 0.6).astype(np.float64), 1)
+            adj[b, :n, :n] = dense + dense.T
+        out = gcn_propagate(Tensor(adj), Tensor(feats), eps)
+        d_pad = (1.0 + eps) ** -0.5
+        for b, n in enumerate(sizes):
+            single = gcn_propagate(Tensor(adj[b, :n, :n]), Tensor(feats[b, :n]), eps)
+            np.testing.assert_allclose(
+                out.data[b, :n], single.data, atol=self.EXACT, rtol=0
+            )
+            # zero rows and columns: padding nodes see only their self-loop
+            assert np.array_equal(out.data[b, n:], d_pad * (d_pad * feats[b, n:]))
+
+    @pytest.mark.parametrize(
+        "adj_shape,feat_shape",
+        [
+            ((4, 4), (2, 4, 3)),   # rank mismatch
+            ((2, 4, 4), (4, 3)),   # rank mismatch
+            ((4,), (4,)),          # 1-D
+            ((4, 5), (4, 3)),      # non-square adjacency
+            ((4, 4), (5, 3)),      # node count mismatch
+            ((2, 4, 4), (3, 4, 3)),  # batch mismatch
+        ],
+    )
+    def test_shape_errors(self, adj_shape, feat_shape):
+        with pytest.raises(ValueError):
+            gcn_propagate(Tensor(np.zeros(adj_shape)), Tensor(np.zeros(feat_shape)))
 
 
 class TestModelLevelFusion:

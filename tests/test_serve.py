@@ -220,6 +220,29 @@ class TestErrorHandling:
         service.close()  # must answer everything already queued
         assert [f.result(0) for f in futures] == [model.predict(g) for g in graphs[:4]]
 
+    def test_worker_failure_fails_the_batch_and_keeps_serving(
+        self, registry, model, corpus, monkeypatch
+    ):
+        import repro.serve.service as service_mod
+
+        graphs = corpus[0]
+        real_fingerprint = service_mod.module_fingerprint
+        calls = []
+
+        def fingerprint_failing_once(module):
+            calls.append(module)
+            if len(calls) == 1:
+                raise RuntimeError("injected fingerprint failure")
+            return real_fingerprint(module)
+
+        monkeypatch.setattr(service_mod, "module_fingerprint", fingerprint_failing_once)
+        with InferenceService(model, max_wait_s=0.0) as service:
+            first = service.submit("classify", graphs[0])
+            with pytest.raises(RuntimeError, match="injected fingerprint failure"):
+                first.result(timeout=1.0)
+            # the worker survived: the next request is answered
+            assert service.classify(graphs[1], timeout=1.0) == model.predict(graphs[1])
+
     def test_constructor_validation(self, model):
         with pytest.raises(ValueError, match="max_batch_size"):
             InferenceService(model, max_batch_size=0)
