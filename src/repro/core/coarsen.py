@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.gcont import GCont
 from repro.core.moa import MOA
-from repro.nn.module import Module, Parameter, warn_deprecated
+from repro.nn.module import Module, Parameter
 from repro.observe.tracing import span
 from repro.tensor import (
     CSRMatrix,
@@ -103,10 +103,9 @@ class GraphCoarsening(Module):
             self.edge_proj = None
 
     def attention(self, h: Tensor, mask=None) -> Tensor:
-        """The normalised MOA assignment M for node features ``h``.
-
-        Dispatches on rank: ``(N, F)`` single graph, ``(B, N, F)``
-        padded batch (``mask`` defaults to all-valid).
+        """The normalised MOA assignment M for node features ``h``:
+        ``(N, F)`` for one graph or ``(B, N, F)`` for a padded batch
+        (``mask=None`` means every row is valid).
         """
         return self.moa(self.gcont(h), mask)
 
@@ -138,20 +137,21 @@ class GraphCoarsening(Module):
         """Coarsen ``(A, H)`` to ``(A', H')``; also returns M.
 
         Follows Algorithm 1 line by line; the returned adjacency has
-        been soft-sampled (Eq. 19) unless ``soft_sampling=False``.
-        Dispatches on rank — padded ``(B, N, ·)`` inputs run
-        :meth:`_coarsen_padded`.
+        been soft-sampled (Eq. 19) unless ``soft_sampling=False``.  One
+        graph ``(N, ·)`` or a padded batch ``(B, N, ·)`` with a
+        ``(B, N)`` validity mask run the same body.  ``M``'s padding
+        rows are exactly zero, so Eq. 17-18 contract only over each
+        graph's real nodes and a padded batch matches the per-graph
+        results; the coarsened ``(B, N', ...)`` outputs carry no
+        padding, since every graph now owns exactly N' cluster nodes.
         """
-        sparse = isinstance(adjacency, CSRMatrix)
-        if not sparse:
+        if not isinstance(adjacency, CSRMatrix):
             adjacency = as_tensor(adjacency)
         h = as_tensor(h)
         with span("coarsen"):
-            if h.ndim == 3:
-                return self._coarsen_padded(adjacency, h, mask, edge_attr)
             assignment = self.attention(
-                self._edge_conditioned(adjacency, h, edge_attr)
-            )  # (N, N')
+                self._edge_conditioned(adjacency, h, edge_attr), mask
+            )  # (..., N, N')
             h_coarse = matmul_tn(assignment, h)  # Eq. 17
             # Eq. 18 as the fused chain M^T (A M): the A M product runs
             # first so the wide (N', N) intermediate is never formed;
@@ -172,54 +172,7 @@ class GraphCoarsening(Module):
         ``(A, H, mask) -> (A', H', mask')`` where the new mask is
         all-ones — coarsened graphs are dense in the batch.
         """
-        h = as_tensor(h)
-        if h.ndim == 3:
-            adj_coarse, h_coarse, _ = self.coarsen(adjacency, h, mask, edge_attr)
-            new_mask = np.ones(h_coarse.shape[:2])
-            return adj_coarse, h_coarse, new_mask
-        adj_coarse, h_coarse, _ = self.coarsen(adjacency, h, edge_attr=edge_attr)
+        adj_coarse, h_coarse, _ = self.coarsen(adjacency, h, mask, edge_attr)
+        if h_coarse.ndim == 3:
+            return adj_coarse, h_coarse, np.ones(h_coarse.shape[:2])
         return adj_coarse, h_coarse
-
-    # ------------------------------------------------------------------
-    # Padded execution path (docs/batching.md)
-    # ------------------------------------------------------------------
-    def _coarsen_padded(
-        self, adjacency, h: Tensor, mask, edge_attr=None
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Batched Algorithm 1 on a padded batch; returns ``(A', H', M)``.
-
-        ``M``'s padding rows are exactly zero, so Eq. 17-18 contract only
-        over each graph's real nodes and the coarsened ``(B, N', ...)``
-        outputs match the per-graph loop.  The coarsened batch has no
-        padding: every graph now owns exactly N' cluster nodes.
-        """
-        if mask is None:
-            mask = np.ones(h.shape[:2], dtype=np.float64)
-        assignment = self.attention(
-            self._edge_conditioned(adjacency, h, edge_attr), mask
-        )  # (B, N, N')
-        h_coarse = matmul_tn(assignment, h)  # Eq. 17
-        adj_coarse = coarsen_chain(assignment, adjacency)  # Eq. 18
-        if self.soft_sampling:
-            noise_rng = self.rng if self.training else None
-            adj_coarse = gumbel_soft_sample(adj_coarse, self.tau, noise_rng)
-        return adj_coarse, h_coarse, assignment
-
-    def attention_batched(self, h: Tensor, mask) -> Tensor:
-        """Deprecated alias — ``attention`` now dispatches on rank."""
-        warn_deprecated("GraphCoarsening.attention_batched", "GraphCoarsening.attention")
-        return self.attention(h, mask)
-
-    def coarsen_batched(
-        self, adjacency, h: Tensor, mask
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Deprecated alias — ``coarsen`` now dispatches on rank."""
-        warn_deprecated("GraphCoarsening.coarsen_batched", "GraphCoarsening.coarsen")
-        return self.coarsen(adjacency, h, mask)
-
-    def forward_batched(
-        self, adjacency, h: Tensor, mask
-    ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Deprecated alias — ``forward`` now dispatches on rank."""
-        warn_deprecated("GraphCoarsening.forward_batched", "GraphCoarsening.__call__")
-        return self.forward(adjacency, h, mask)

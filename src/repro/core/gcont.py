@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.init import glorot_uniform
-from repro.nn.module import Module, Parameter, warn_deprecated
+from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, as_tensor
 
 
@@ -37,8 +37,7 @@ class GCont(Module):
         ``(B, N, F) -> (B, N, N')``.
 
         T is applied row-wise, so padded batches pass through unmasked;
-        MOA's padded path masks padding rows before any cross-node
-        reduction.
+        MOA masks padding rows before any cross-node reduction.
         """
         h = as_tensor(h)
         if h.ndim not in (2, 3) or h.shape[-1] != self.in_features:
@@ -47,8 +46,3 @@ class GCont(Module):
                 f"got shape {h.shape}"
             )
         return h @ self.transform
-
-    def forward_batched(self, h: Tensor) -> Tensor:
-        """Deprecated alias — ``forward`` now handles both ranks."""
-        warn_deprecated("GCont.forward_batched", "GCont.__call__")
-        return self.forward(h)

@@ -16,9 +16,9 @@ import numpy as np
 from repro.core.coarsen import GraphCoarsening
 from repro.data.batching import PaddedBatch
 from repro.gnn.encoder import GNNEncoder
-from repro.nn.module import Module, warn_deprecated
+from repro.nn.module import Module
 from repro.pooling.base import Coarsening
-from repro.tensor import CSRMatrix, Tensor, as_tensor, masked_mean
+from repro.tensor import CSRMatrix, Tensor, as_tensor
 
 
 class HAPPooling(Coarsening):
@@ -40,11 +40,6 @@ class HAPPooling(Coarsening):
     def coarsen_padded(self, adjacency, h: Tensor, mask, edge_attr=None):
         """Padded-batch coarsening; returns ``(A', H', mask')``."""
         return self.coarsening(adjacency, h, mask, edge_attr=edge_attr)
-
-    def coarsen_batched(self, adjacency, h: Tensor, mask):
-        """Deprecated alias — call the operator with 3-D input instead."""
-        warn_deprecated("HAPPooling.coarsen_batched", "HAPPooling.__call__")
-        return self.coarsen_padded(adjacency, h, mask)
 
 
 class HierarchicalEmbedder(Module):
@@ -79,18 +74,16 @@ class HierarchicalEmbedder(Module):
     ) -> list[Tensor]:
         """Graph-level representation after every coarsening level.
 
-        Dispatches on input type:
-
-        - single graph — 2-D ``(N, N)`` adjacency and ``(N, F)``
-          features; each level representation is the mean over that
-          level's cluster nodes;
-        - padded batch — either a :class:`~repro.data.batching.PaddedBatch`
-          as the sole positional argument or explicit 3-D
-          ``(B, N, N)`` / ``(B, N, F)`` arrays plus a ``(B, N)`` mask;
-          each level readout is the masked mean over valid nodes,
-          matching the per-graph path exactly.  Only coarsening
-          operators with ``supports_padded`` (HAP's) run here; the
-          Table-5 baseline poolings stay loop-only.
+        Takes one graph — 2-D ``(N, N)`` adjacency and ``(N, F)``
+        features — or a padded batch — a
+        :class:`~repro.data.batching.PaddedBatch` as the sole positional
+        argument, or explicit 3-D ``(B, N, N)`` / ``(B, N, F)`` arrays
+        plus a ``(B, N)`` mask.  Both run the same loop.  Only level 0
+        carries padding: after coarsening every graph owns exactly N'
+        clusters, so each level readout is the plain mean over them and
+        a padded batch matches the per-graph results.  Only coarsening
+        operators with ``supports_padded`` (HAP's) take a batch; the
+        Table-5 baseline poolings stay loop-only.
 
         ``edge_attr`` (per-edge attributes in the layout matching the
         adjacency, docs/molecular.md) conditions level 0 only — the
@@ -108,23 +101,13 @@ class HierarchicalEmbedder(Module):
             adjacency = as_tensor(adjacency)
         h = as_tensor(h)
         levels: list[Tensor] = []
-        if h.ndim == 3:
-            if mask is None:
-                mask = np.ones(h.shape[:2], dtype=np.float64)
-            mask = np.asarray(mask, dtype=np.float64)
-            for encoder, coarsening in zip(self.encoders, self.coarsenings):
-                h = encoder(adjacency, h, mask, edge_attr=edge_attr)
-                adjacency, h, mask = self._coarsen(
-                    coarsening, adjacency, h, mask, edge_attr
-                )
-                edge_attr = None  # coarsened levels carry no edge identity
-                levels.append(masked_mean(h, mask[:, :, None], axis=1))
-            return levels
         for encoder, coarsening in zip(self.encoders, self.coarsenings):
-            h = encoder(adjacency, h, edge_attr=edge_attr)
-            adjacency, h = self._coarsen(coarsening, adjacency, h, None, edge_attr)
-            edge_attr = None
-            levels.append(h.mean(axis=0))
+            h = encoder(adjacency, h, mask, edge_attr=edge_attr)
+            adjacency, h, *_ = self._coarsen(
+                coarsening, adjacency, h, mask, edge_attr
+            )
+            mask = edge_attr = None  # coarsened levels: no padding, no bonds
+            levels.append(h.mean(axis=-2))
         return levels
 
     @staticmethod
@@ -154,24 +137,6 @@ class HierarchicalEmbedder(Module):
         from repro.models.common import embedding_result, level_sum_vector
 
         return embedding_result(self, graph, level_sum_vector(self, graph, backend))
-
-    # ------------------------------------------------------------------
-    # Deprecated batched aliases (docs/batching.md)
-    # ------------------------------------------------------------------
-    def embed_levels_batched(self, adjacency, h: Tensor, mask) -> list[Tensor]:
-        """Deprecated alias — ``embed_levels`` now dispatches on rank."""
-        warn_deprecated(
-            "HierarchicalEmbedder.embed_levels_batched",
-            "HierarchicalEmbedder.embed_levels",
-        )
-        return self.embed_levels(adjacency, h, mask)
-
-    def forward_batched(self, adjacency, h: Tensor, mask) -> Tensor:
-        """Deprecated alias — ``forward`` now dispatches on rank."""
-        warn_deprecated(
-            "HierarchicalEmbedder.forward_batched", "HierarchicalEmbedder.__call__"
-        )
-        return self.forward(adjacency, h, mask)
 
     def auxiliary_loss(self) -> Tensor | None:
         """Sum of the coarsening operators' auxiliary losses, if any."""

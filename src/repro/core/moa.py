@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.init import glorot_uniform
-from repro.nn.module import Module, Parameter, warn_deprecated
+from repro.nn.module import Module, Parameter
 from repro.observe.tracing import span
 from repro.tensor import (
     Tensor,
@@ -36,7 +36,6 @@ from repro.tensor import (
     leaky_relu,
     masked_softmax_mean,
     matmul_tn,
-    pad2d,
     transpose,
 )
 
@@ -83,140 +82,76 @@ class MOA(Module):
         )
 
     # ------------------------------------------------------------------
-    def _relaxed_columns(self, content: Tensor) -> Tensor:
-        """ψ applied to every column: returns an (N', N') matrix whose
-        j-th row is ψ(C_{(·,j)})."""
-        n, n_prime = content.shape
+    def _relaxed_columns(self, content: Tensor, mask=None) -> Tensor:
+        """ψ applied to every column: ``(..., N, N')`` content gives an
+        ``(..., N', N')`` block whose j-th row is ψ(C_{(·,j)}).
+
+        A ``(..., N)`` validity mask zeroes padding rows first and makes
+        'project' divide by each graph's true node count, so a padded
+        graph gets the ψ of its unpadded self.  For 'pad', the zeroed
+        rows make slicing the first N' rows both the zero-pad (N < N')
+        and the truncation (N >= N') of the single-graph case.
+        """
+        n, n_prime = content.shape[-2:]
+        if mask is not None:
+            content = content * Tensor(mask[..., None])
         if self.relaxation == "project":
-            return matmul_tn(content, content) * (1.0 / n)
+            if mask is None:
+                scale = 1.0 / n
+            else:
+                inv = 1.0 / np.maximum(mask.sum(axis=-1), 1.0)
+                scale = Tensor(inv[..., None, None])
+            return matmul_tn(content, content) * scale
         # 'pad': zero-pad columns when N < N', truncate when N > N'.
         if n < n_prime:
-            padded = pad2d(content, rows_after=n_prime - n)
-            return padded.T
-        return content[:n_prime, :].T
-
-    def logits(self, content: Tensor, head: int = 0) -> Tensor:
-        """Unnormalised attention matrix M (Eq. 14) for one head."""
-        content = as_tensor(content)
-        n, n_prime = content.shape
-        if n_prime != self.num_clusters:
-            raise ValueError(
-                f"content has {n_prime} clusters, MOA expects {self.num_clusters}"
-            )
-        row_score = content @ self.att_row[head]  # (N,)
-        relaxed = self._relaxed_columns(content)  # (N', N')
-        col_score = relaxed @ self.att_col[head]  # (N',)
-        return leaky_relu(
-            row_score.reshape(n, 1) + col_score.reshape(1, n_prime),
-            self.negative_slope,
-        )
+            zeros = Tensor(np.zeros(content.shape[:-2] + (n_prime - n, n_prime)))
+            content = concat([content, zeros], axis=-2)
+        else:
+            content = content[..., :n_prime, :]
+        axes = tuple(range(content.ndim - 2)) + (content.ndim - 1, content.ndim - 2)
+        return transpose(content, axes)
 
     def forward(self, content: Tensor, mask=None) -> Tensor:
         """Row-softmax-normalised attention assignment (Eq. 15).
 
-        Dispatches on input rank: ``(N, N')`` content runs the
-        single-graph path below; ``(B, N, N')`` content (with an
-        optional ``(B, N)`` validity mask, defaulting to all-valid)
-        runs the padded-batch path.
+        ``(N, N')`` content of one graph or ``(B, N, N')`` content of a
+        padded batch run the same body, which broadcasts over the
+        leading batch axis.  An optional ``(B, N)`` validity mask marks
+        the real rows; ``None`` means every row is valid.  Padding rows
+        receive *exactly* zero attention mass (the masked softmax zeroes
+        them rather than approximating with large negatives), so they
+        contribute nothing to the pooled content downstream, and valid
+        rows equal the single-graph assignment.
 
         All heads are scored in one vectorised pass: the per-head logits
-        are stacked into an ``(N, N', H)`` block, row-softmaxed along the
-        cluster axis with a single call, and averaged over the head axis
-        (a convex combination of row-stochastic matrices, so Eq. 15's
-        normalisation is preserved).
+        are stacked into an ``(..., N, N', H)`` block, row-softmaxed
+        along the cluster axis with a single call, and averaged over the
+        head axis (a convex combination of row-stochastic matrices, so
+        Eq. 15's normalisation is preserved).
         """
         content = as_tensor(content)
         with span("moa"):
-            if content.ndim == 3:
-                if mask is None:
-                    mask = np.ones(content.shape[:2], dtype=np.float64)
-                return self._forward_padded(content, mask)
-            n, n_prime = content.shape
+            lead, (n, n_prime) = content.shape[:-2], content.shape[-2:]
             if n_prime != self.num_clusters:
                 raise ValueError(
                     f"content has {n_prime} clusters, MOA expects {self.num_clusters}"
                 )
-            relaxed = self._relaxed_columns(content)  # (N', N')
-            row_scores = content @ self.att_row.T  # (N, H)
-            col_scores = relaxed @ self.att_col.T  # (N', H)
+            if mask is not None:
+                mask = np.asarray(mask, dtype=np.float64)
+                if mask.shape != content.shape[:-1]:
+                    raise ValueError(
+                        f"mask shape {mask.shape} does not match content "
+                        f"rows {content.shape[:-1]}"
+                    )
+            relaxed = self._relaxed_columns(content, mask)  # (..., N', N')
+            row_scores = content @ self.att_row.T  # (..., N, H)
+            col_scores = relaxed @ self.att_col.T  # (..., N', H)
             scores = leaky_relu(
-                row_scores.reshape(n, 1, self.num_heads)
-                + col_scores.reshape(1, n_prime, self.num_heads),
+                row_scores.reshape(*lead, n, 1, self.num_heads)
+                + col_scores.reshape(*lead, 1, n_prime, self.num_heads),
                 self.negative_slope,
             )
-            # Fused softmax+head-mean: one traversal, no (N, N', H)
+            # Fused softmax+head-mean: one traversal, no (..., N, N', H)
             # probability intermediate on the tape (docs/performance.md).
-            return masked_softmax_mean(scores, axis=1, mean_axis=2)
-
-    # ------------------------------------------------------------------
-    # Batched execution path (docs/batching.md)
-    # ------------------------------------------------------------------
-    def _relaxed_columns_batched(self, masked_content: Tensor, counts) -> Tensor:
-        """Batched ψ on zero-masked content: (B, N, N') -> (B, N', N').
-
-        ``counts`` holds each graph's true node count so the 'project'
-        relaxation divides by N (not the padded length).  For 'pad', the
-        masked rows are already zero, so slicing the first N' rows
-        reproduces both the zero-pad (N < N') and truncate (N >= N')
-        branches of the per-graph path.
-        """
-        batch, n, n_prime = masked_content.shape
-        if self.relaxation == "project":
-            inv = 1.0 / np.maximum(np.asarray(counts, dtype=np.float64), 1.0)
-            gram = matmul_tn(masked_content, masked_content)
-            return gram * Tensor(inv[:, None, None])
-        if n < n_prime:
-            zeros = Tensor(np.zeros((batch, n_prime - n, n_prime)))
-            masked_content = concat([masked_content, zeros], axis=1)
-        return transpose(masked_content[:, :n_prime, :], (0, 2, 1))
-
-    def forward_batched(self, content: Tensor, mask) -> Tensor:
-        """Deprecated alias — ``forward`` now dispatches on input rank."""
-        warn_deprecated("MOA.forward_batched", "MOA.__call__")
-        return self.forward(content, mask)
-
-    def _forward_padded(self, content: Tensor, mask) -> Tensor:
-        """Batched assignment for ``(B, N, N')`` content with a
-        ``(B, N)`` validity mask.
-
-        Valid rows equal the per-graph :meth:`forward` exactly; padding
-        rows receive *exactly* zero attention mass (the masked softmax
-        zeroes them rather than approximating with large negatives), so
-        they contribute nothing to the pooled content downstream.
-        """
-        content = as_tensor(content)
-        if content.ndim != 3:
-            raise ValueError(f"expected (B, N, N') content, got shape {content.shape}")
-        batch, n, n_prime = content.shape
-        if n_prime != self.num_clusters:
-            raise ValueError(
-                f"content has {n_prime} clusters, MOA expects {self.num_clusters}"
-            )
-        mask_arr = np.asarray(mask, dtype=np.float64)
-        if mask_arr.shape != (batch, n):
-            raise ValueError(
-                f"mask shape {mask_arr.shape} does not match batch ({batch}, {n})"
-            )
-        masked_content = content * Tensor(mask_arr[:, :, None])
-        counts = mask_arr.sum(axis=1)
-        relaxed = self._relaxed_columns_batched(masked_content, counts)
-        row_scores = content @ self.att_row.T  # (B, N, H)
-        col_scores = relaxed @ self.att_col.T  # (B, N', H)
-        scores = leaky_relu(
-            row_scores.reshape(batch, n, 1, self.num_heads)
-            + col_scores.reshape(batch, 1, n_prime, self.num_heads),
-            self.negative_slope,
-        )
-        return masked_softmax_mean(
-            scores, mask_arr[:, :, None, None], axis=2, mean_axis=3
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def concat_score(a: Tensor, row: Tensor, col: Tensor) -> Tensor:
-        """Reference scalar score ``LeakyReLU(a^T [row || col])``.
-
-        Used by the Claim-3 validity tests to compare padded and relaxed
-        parameterisations.
-        """
-        return leaky_relu(a @ concat([row, col], axis=0))
+            row_mask = None if mask is None else mask[..., None, None]
+            return masked_softmax_mean(scores, row_mask, axis=-2, mean_axis=-1)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.gnn.extra_layers import GINLayer, SAGELayer
 from repro.gnn.layers import GATLayer, GCNLayer
-from repro.nn.module import Module, warn_deprecated
+from repro.nn.module import Module
 from repro.observe.tracing import span
 from repro.tensor import Tensor
 
@@ -73,19 +73,15 @@ class GNNEncoder(Module):
         return self.layers[-1].out_features
 
     def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
-        """Run the stack; each layer dispatches on input rank, so a
-        padded ``(B, N, ·)`` batch works the same as a single graph.
+        """Run the stack; every layer broadcasts over a leading batch
+        axis, so a padded ``(B, N, ·)`` batch works the same as a single
+        graph.
         ``edge_attr`` reaches every layer — the stack shares one
         adjacency, so each hop may condition on the same bond types."""
         with span("encoder"):
             for layer in self.layers:
                 h = layer(adjacency, h, mask, edge_attr=edge_attr)
         return h
-
-    def forward_batched(self, adjacency, h: Tensor, mask=None) -> Tensor:
-        """Deprecated alias — ``forward`` now dispatches on input rank."""
-        warn_deprecated("GNNEncoder.forward_batched", "GNNEncoder.__call__")
-        return self.forward(adjacency, h, mask)
 
     def layer_outputs(self, adjacency, h: Tensor) -> list[Tensor]:
         """Node representations after every layer (GCN-concat readout)."""

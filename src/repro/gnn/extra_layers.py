@@ -23,7 +23,7 @@ import numpy as np
 from repro.gnn.edges import EdgeGate, check_edge_attr
 from repro.gnn.layers import _activate
 from repro.nn.init import glorot_uniform, zeros
-from repro.nn.module import Module, Parameter, warn_deprecated
+from repro.nn.module import Module, Parameter
 from repro.tensor import CSRMatrix, Tensor, as_tensor, concat, power, segment_sum, spmm
 
 
@@ -85,11 +85,6 @@ class GINLayer(Module):
         hidden = _activate(combined @ self.w1 + self.b1, self.activation)
         return _activate(hidden @ self.w2 + self.b2, self.activation)
 
-    def forward_batched(self, adjacency, h: Tensor, mask=None) -> Tensor:
-        """Deprecated alias — ``forward`` now handles both ranks."""
-        warn_deprecated("GINLayer.forward_batched", "GINLayer.__call__")
-        return self.forward(adjacency, h, mask)
-
 
 class SAGELayer(Module):
     """GraphSAGE layer with mean aggregation."""
@@ -112,9 +107,10 @@ class SAGELayer(Module):
         self.edge_gate = EdgeGate(edge_features, rng) if edge_features > 0 else None
 
     def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
-        """Dispatch on input rank: ``(N, F)`` single graph or
-        ``(B, N, F)`` padded batch.  With ``edge_attr`` the mean becomes
-        a gate-weighted mean (gated sum over gated degree)."""
+        """Single-graph ``(N, F)`` and padded-batch ``(B, N, F)`` inputs
+        share one body; padding rows aggregate nothing (their adjacency
+        rows are zero).  With ``edge_attr`` the mean becomes a
+        gate-weighted mean (gated sum over gated degree)."""
         h = as_tensor(h)
         if edge_attr is not None and self.edge_gate is None:
             raise ValueError(
@@ -126,16 +122,9 @@ class SAGELayer(Module):
         if edge_attr is not None:
             check_edge_attr(adjacency, edge_attr, self.edge_features)
             adj = self.edge_gate.gated_adjacency(adj, edge_attr)
-        if h.ndim == 3:
-            batch, n = h.shape[0], h.shape[1]
-            degree = adj.sum(axis=-1) + 1e-8  # (B, N)
-            neighbour_mean = (adj @ h) * power(degree, -1.0).reshape(batch, n, 1)
-            combined = concat([h, neighbour_mean], axis=-1)
-        else:
-            n = h.shape[0]
-            degree = adj.sum(axis=1) + 1e-8
-            neighbour_mean = (adj @ h) * power(degree, -1.0).reshape(n, 1)
-            combined = concat([h, neighbour_mean], axis=1)
+        degree = adj.sum(axis=-1) + 1e-8  # (..., N)
+        neighbour_mean = (adj @ h) * power(degree, -1.0).reshape(*degree.shape, 1)
+        combined = concat([h, neighbour_mean], axis=-1)
         return _activate(combined @ self.weight + self.bias, self.activation)
 
     def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor, edge_attr=None) -> Tensor:
@@ -156,8 +145,3 @@ class SAGELayer(Module):
             neighbour_mean = spmm(adjacency, h) * Tensor(inv_degree.reshape(n, 1))
         combined = concat([h, neighbour_mean], axis=1)
         return _activate(combined @ self.weight + self.bias, self.activation)
-
-    def forward_batched(self, adjacency, h: Tensor, mask=None) -> Tensor:
-        """Deprecated alias — ``forward`` now dispatches on input rank."""
-        warn_deprecated("SAGELayer.forward_batched", "SAGELayer.__call__")
-        return self.forward(adjacency, h, mask)

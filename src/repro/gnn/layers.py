@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.init import glorot_uniform, zeros
-from repro.nn.module import Module, Parameter, warn_deprecated
+from repro.nn.module import Module, Parameter
 from repro.tensor import (
     CSRMatrix,
     Tensor,
@@ -162,11 +162,6 @@ class GCNLayer(Module):
         out = spmm(normalized, h @ self.weight) + self.bias
         return _activate(out, self.activation)
 
-    def forward_batched(self, adjacency, h: Tensor, mask=None) -> Tensor:
-        """Deprecated alias — ``forward`` now dispatches on input rank."""
-        warn_deprecated("GCNLayer.forward_batched", "GCNLayer.__call__")
-        return self.forward(adjacency, h, mask)
-
 
 class GATLayer(Module):
     """Graph attention layer (Velickovic et al., paper Eq. 11).
@@ -227,38 +222,40 @@ class GATLayer(Module):
         return as_tensor(edge_attr) @ self.att_edge
 
     def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
-        """Dispatch on input rank: 2-D features run the single-graph
-        attention, 3-D the padded-batch one."""
+        """Single-graph ``(N, F)`` and padded-batch ``(B, N, F)`` inputs
+        share one body that broadcasts over the leading batch axis.
+
+        On a padded batch the neighbourhood mask keeps the per-graph
+        semantics: padding columns carry zero adjacency, so their
+        ``-1e9`` logits underflow to exactly zero attention and valid
+        rows match the single-graph result.  Padding rows attend only to
+        their own self-loop.
+        """
         h = as_tensor(h)
         if isinstance(adjacency, CSRMatrix):
             return self._forward_sparse(adjacency, h, edge_attr)
-        if h.ndim == 3:
-            return self._forward_padded(adjacency, h, edge_attr)
-        n = h.shape[0]
-        transformed = h @ self.weight  # (N, F')
-        score_src = transformed @ self.att_src  # (N,)
-        score_dst = transformed @ self.att_dst  # (N,)
-        raw = score_src.reshape(n, 1) + score_dst.reshape(1, n)
+        lead, n = h.shape[:-2], h.shape[-2]
+        transformed = h @ self.weight  # (..., N, F')
+        score_src = transformed @ self.att_src  # (..., N)
+        score_dst = transformed @ self.att_dst  # (..., N)
+        raw = score_src.reshape(*lead, n, 1) + score_dst.reshape(*lead, 1, n)
         edge_bias = self._edge_bias(adjacency, edge_attr)
         if edge_bias is not None:
-            raw = raw + edge_bias  # (N, N), zero on the diagonal
+            raw = raw + edge_bias  # (..., N, N), zero on diagonals and padding
         logits = leaky_relu(raw, self.negative_slope)
         adj_data = adjacency.data if isinstance(adjacency, Tensor) else adjacency
-        mask = (np.asarray(adj_data) != 0) | np.eye(n, dtype=bool)
-        masked = where(mask, logits, Tensor(np.full((n, n), -1e9)))
-        attention = softmax(masked, axis=1)
+        neighbours = (np.asarray(adj_data) != 0) | np.eye(n, dtype=bool)
+        masked = where(neighbours, logits, Tensor(np.full(logits.shape, -1e9)))
+        attention = softmax(masked, axis=-1)
         # Weight attention by the (possibly soft) adjacency so gradients
         # reach a differentiable coarsened adjacency as well.
         if isinstance(adjacency, Tensor) and adjacency.requires_grad:
             weighted = attention * (adjacency + Tensor(np.eye(n)))
-            attention = weighted * power(weighted.sum(axis=1) + 1e-8, -1.0).reshape(n, 1)
+            attention = weighted * power(
+                weighted.sum(axis=-1) + 1e-8, -1.0
+            ).reshape(*lead, n, 1)
         out = attention @ transformed + self.bias
         return _activate(out, self.activation)
-
-    def forward_batched(self, adjacency, h: Tensor, mask=None) -> Tensor:
-        """Deprecated alias — ``forward`` now dispatches on input rank."""
-        warn_deprecated("GATLayer.forward_batched", "GATLayer.__call__")
-        return self.forward(adjacency, h, mask)
 
     def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor, edge_attr=None) -> Tensor:
         """Single-graph attention over a constant CSR adjacency.
@@ -297,34 +294,4 @@ class GATLayer(Module):
         logits = leaky_relu(raw, self.negative_slope)
         attention = segment_softmax(logits, row, n)  # (E~,)
         out = spmm(adj_tilde, transformed, values=attention) + self.bias
-        return _activate(out, self.activation)
-
-    def _forward_padded(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Batched GAT on ``(B, N, N)`` adjacency and ``(B, N, F)`` features.
-
-        The neighbourhood mask keeps the per-graph semantics: padding
-        columns carry zero adjacency, so their ``-1e9`` logits underflow
-        to exactly zero attention and valid rows match the loop path.
-        Padding rows attend only to their own self-loop.
-        """
-        h = as_tensor(h)
-        batch, n = h.shape[0], h.shape[1]
-        transformed = h @ self.weight  # (B, N, F')
-        score_src = transformed @ self.att_src  # (B, N)
-        score_dst = transformed @ self.att_dst  # (B, N)
-        raw = score_src.reshape(batch, n, 1) + score_dst.reshape(batch, 1, n)
-        edge_bias = self._edge_bias(adjacency, edge_attr)
-        if edge_bias is not None:
-            raw = raw + edge_bias  # (B, N, N), zero on diagonals and padding
-        logits = leaky_relu(raw, self.negative_slope)
-        adj_data = adjacency.data if isinstance(adjacency, Tensor) else adjacency
-        neighbours = (np.asarray(adj_data) != 0) | np.eye(n, dtype=bool)[None, :, :]
-        masked = where(neighbours, logits, Tensor(np.full((batch, n, n), -1e9)))
-        attention = softmax(masked, axis=-1)
-        if isinstance(adjacency, Tensor) and adjacency.requires_grad:
-            weighted = attention * (adjacency + Tensor(np.eye(n)))
-            attention = weighted * power(
-                weighted.sum(axis=-1) + 1e-8, -1.0
-            ).reshape(batch, n, 1)
-        out = attention @ transformed + self.bias
         return _activate(out, self.activation)

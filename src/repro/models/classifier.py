@@ -23,7 +23,7 @@ from repro.models.common import (
 )
 from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy, cross_entropy_batched, mse_loss
-from repro.nn.module import Module, warn_deprecated
+from repro.nn.module import Module
 from repro.tensor import Tensor, concat, no_grad, relu, softmax
 
 
@@ -137,7 +137,7 @@ class GraphClassifier(Module):
         """Class logits ``(B, C)`` for a list of graphs or a
         :class:`~repro.data.batching.PaddedBatch`.
 
-        Matches :meth:`logits` row by row: the sum of per-level masked
+        Matches :meth:`logits` row by row: the sum of per-level
         readouts feeds the same two fully-connected layers.  On the
         sparse backend a list of graphs runs as a per-graph CSR loop —
         no ``(B, N_max, N_max)`` padding is ever materialised; an
@@ -169,31 +169,20 @@ class GraphClassifier(Module):
     def batch_loss(self, graphs) -> Tensor:
         """Mean task loss over the batch (equals the per-graph loop's
         mean of :meth:`loss`) plus any embedder auxiliary loss."""
-        if self.backend == "sparse" and not isinstance(graphs, PaddedBatch):
-            graphs = list(graphs)
-            if any(g.label is None for g in graphs):
-                raise ValueError("every graph in the batch needs a label")
-            outputs = self._logits_sparse(graphs)
-            if self.task == "regression":
-                targets = np.array(
-                    [float(g.label) for g in graphs], dtype=np.float64
-                )
-                loss = mse_loss(outputs.reshape(len(graphs)), targets)
-            else:
-                labels = np.array([int(g.label) for g in graphs], dtype=np.int64)
-                loss = cross_entropy_batched(outputs, labels)
+        if isinstance(graphs, PaddedBatch):
+            labels = graphs.labels
         else:
-            batch = self._as_batch(graphs)
-            if batch.labels is None:
-                raise ValueError("every graph in the batch needs a label")
-            outputs = self.logits_batched(batch)
-            if self.task == "regression":
-                loss = mse_loss(
-                    outputs.reshape(batch.batch_size),
-                    np.asarray(batch.labels, dtype=np.float64),
-                )
-            else:
-                loss = cross_entropy_batched(outputs, batch.labels)
+            graphs = list(graphs)
+            labels = [g.label for g in graphs]
+        if labels is None or any(label is None for label in labels):
+            raise ValueError("every graph in the batch needs a label")
+        outputs = self.logits_batched(graphs)
+        if self.task == "regression":
+            loss = mse_loss(
+                outputs.reshape(len(labels)), np.asarray(labels, dtype=np.float64)
+            )
+        else:
+            loss = cross_entropy_batched(outputs, np.asarray(labels, dtype=np.int64))
         aux = getattr(self.embedder, "auxiliary_loss", lambda: None)()
         if aux is not None:
             loss = loss + aux * 0.1
@@ -202,7 +191,18 @@ class GraphClassifier(Module):
     # ------------------------------------------------------------------
     # Unified prediction surface (docs/serving.md)
     # ------------------------------------------------------------------
-    def predict(self, inputs=None, **legacy):
+    def decode(self, outputs: np.ndarray):
+        """The task's decode rule, from head outputs to predictions: the
+        argmax class for classification, the scalar output for
+        regression.  One graph's ``(C,)`` outputs decode to a python
+        ``int``/``float``, a batch's ``(B, C)`` to a ``(B,)`` array."""
+        if self.task == "regression":
+            decoded = outputs[..., 0]
+        else:
+            decoded = np.argmax(outputs, axis=-1)
+        return decoded.item() if decoded.ndim == 0 else decoded
+
+    def predict(self, inputs):
         """Prediction(s) for ``Graph | list[Graph] | PaddedBatch``.
 
         The single entry point of the prediction surface: a bare
@@ -210,56 +210,22 @@ class GraphClassifier(Module):
         target under ``task="regression"``); a sequence of graphs or a
         :class:`~repro.data.batching.PaddedBatch` returns a ``(B,)``
         array computed through one batched forward (the padded path on
-        the dense backend, the per-graph CSR loop on the sparse one —
-        the dispatch callers previously hand-rolled via
-        ``predict_batch``/``backend=`` forks).
+        the dense backend, the per-graph CSR loop on the sparse one).
+        Both apply :meth:`decode`.
         """
-        if legacy:
-            unknown = set(legacy) - {"graph", "graphs"}
-            if unknown or inputs is not None or len(legacy) > 1:
-                raise TypeError(
-                    f"predict() got unexpected keyword arguments {sorted(legacy)}"
-                )
-            (name, inputs), = legacy.items()
-            warn_deprecated(
-                f"GraphClassifier.predict({name}=...)",
-                "positional GraphClassifier.predict(inputs)",
-            )
-        if inputs is None:
-            raise TypeError("predict() needs a Graph, list of Graphs or PaddedBatch")
-        regression = self.task == "regression"
         with no_grad():
             if isinstance(inputs, Graph):
-                out = self.logits(inputs).data
-                return float(out[0]) if regression else int(np.argmax(out))
+                return self.decode(self.logits(inputs).data)
             if not isinstance(inputs, PaddedBatch):
                 inputs = list(inputs)
             try:
-                out = self.logits_batched(inputs).data
-                if regression:
-                    return out.reshape(-1).copy()
-                return np.argmax(out, axis=-1)
+                return self.decode(self.logits_batched(inputs).data)
             except NotImplementedError:
                 # Loop-only embedders (the flat Table-3 baselines have no
                 # padded path); an explicit PaddedBatch cannot fall back.
                 if isinstance(inputs, PaddedBatch):
                     raise
-                if regression:
-                    return np.array(
-                        [float(self.logits(g).data[0]) for g in inputs],
-                        dtype=np.float64,
-                    )
-                return np.array(
-                    [int(np.argmax(self.logits(g).data)) for g in inputs],
-                    dtype=np.int64,
-                )
-
-    def predict_batch(self, graphs) -> np.ndarray:
-        """Deprecated alias — :meth:`predict` now accepts batches directly."""
-        warn_deprecated("GraphClassifier.predict_batch", "GraphClassifier.predict")
-        if not isinstance(graphs, PaddedBatch):
-            graphs = list(graphs)
-        return self.predict(graphs)
+                return self.decode(np.stack([self.logits(g).data for g in inputs]))
 
     def predict_proba(self, graph: Graph) -> np.ndarray:
         if self.task == "regression":

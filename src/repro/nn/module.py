@@ -8,27 +8,11 @@ toggle the training flag (used by dropout and Gumbel soft-sampling).
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator
 
 import numpy as np
 
 from repro.tensor import Tensor
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a renamed API surface.
-
-    Used by the ``forward_batched`` compatibility aliases left behind by
-    the unified single/batched dispatch (docs/api.md): modules now
-    dispatch on input rank inside ``forward``, so callers should go
-    through plain ``__call__``.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Parameter(Tensor):

@@ -13,8 +13,8 @@ through a fixed event sequence::
         on_checkpoint(epoch + 1, 0, global_step, path)      # epoch snapshot
     on_train_end(history)
 
-Ready-made callbacks: :class:`ConsoleLogger` (the old ``verbose``
-printing), :class:`MetricsLogger` (updates a
+Ready-made callbacks: :class:`ConsoleLogger` (one line per epoch),
+:class:`MetricsLogger` (updates a
 :class:`~repro.observe.metrics.MetricsRegistry`) and
 :class:`JSONLLogger` (structured run logs under ``results/``, schema
 ``repro.runlog/v1``, see :data:`RUN_LOG_SCHEMA`).
@@ -92,9 +92,6 @@ class CallbackList(Callback):
     def __init__(self, callbacks=None):
         self.callbacks: list[Callback] = list(callbacks or [])
 
-    def append(self, callback: Callback) -> None:
-        self.callbacks.append(callback)
-
     def on_train_start(self, model, config) -> None:
         for cb in self.callbacks:
             cb.on_train_start(model, config)
@@ -121,7 +118,7 @@ class CallbackList(Callback):
 
 
 class ConsoleLogger(Callback):
-    """Prints one line per epoch (the old ``TrainConfig.verbose`` format)."""
+    """Prints one line per epoch (what the CLI's ``--verbose`` installs)."""
 
     def __init__(self, stream=None):
         self.stream = stream

@@ -18,10 +18,11 @@ first one arrives — and executes the whole batch at once:
   the vectorized :class:`~repro.serve.index.EmbeddingIndex`.
 
 Classification consults the cache too: a cached embedding re-enters the
-head via ``logits_from_embedding`` (bit-for-bit the offline ``logits``),
-but classify *misses* never populate the cache — the padded batch's
-row embeddings match the per-graph path only to float round-off, and
-the cache's contract is exactness.
+head via ``logits_from_embedding`` (bit-for-bit the offline ``logits``)
+and the model's own ``decode`` rule, but classify *misses* never
+populate the cache — the padded batch's row embeddings match the
+per-graph path only to float round-off, and the cache's contract is
+exactness.
 
 Weight updates are detected by re-fingerprinting the model per batch
 (:func:`repro.nn.serialization.module_fingerprint`); a changed
@@ -70,7 +71,8 @@ class InferenceService:
     Parameters
     ----------
     model:
-        A trained model.  ``classify`` needs ``predict`` (the
+        A trained model.  ``classify`` needs ``predict``,
+        ``logits_from_embedding`` and ``decode`` (the
         :class:`~repro.models.classifier.GraphClassifier` surface);
         ``embed``/``top_k`` need the uniform ``embed`` contract.  The
         model is switched to ``eval()`` — serving must be deterministic
@@ -168,11 +170,14 @@ class InferenceService:
         self._registry.counter(f"serve/requests_{kind}").inc()
         return request.future
 
-    def classify(self, graph: Graph, timeout: float | None = 30.0) -> int:
-        """Blocking predicted class — identical to offline ``predict``."""
+    def classify(self, graph: Graph, timeout: float | None = 30.0) -> int | float:
+        """Blocking prediction — identical to offline ``predict``: the
+        class for a classifier, the target for a regression head."""
         return self.submit("classify", graph).result(timeout)
 
-    def classify_many(self, graphs, timeout: float | None = 30.0) -> list[int]:
+    def classify_many(
+        self, graphs, timeout: float | None = 30.0
+    ) -> list[int | float]:
         """Submit a burst of classify requests, then gather.
 
         Submitting everything before the first wait is what lets the
@@ -299,7 +304,7 @@ class InferenceService:
             else:
                 try:
                     logits = self.model.logits_from_embedding(vector)
-                    request.future.set_result(int(np.argmax(logits.data)))
+                    request.future.set_result(self.model.decode(logits.data))
                 except Exception as exc:
                     request.future.set_exception(exc)
         if not misses:
@@ -311,12 +316,12 @@ class InferenceService:
             # only fails its own future.
             for request in misses:
                 try:
-                    request.future.set_result(int(self.model.predict(request.graph)))
+                    request.future.set_result(self.model.predict(request.graph))
                 except Exception as exc:
                     request.future.set_exception(exc)
             return
         for request, predicted in zip(misses, predictions):
-            request.future.set_result(int(predicted))
+            request.future.set_result(predicted.item())
 
     def _serve_embedding(self, request: _Request, fingerprint: str) -> None:
         try:

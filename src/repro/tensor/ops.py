@@ -340,8 +340,9 @@ def stack(tensors, axis: int = 0) -> Tensor:
 def pad2d(a: Tensor, rows_after: int = 0, cols_after: int = 0) -> Tensor:
     """Zero-pad a 2-D tensor at the bottom/right edges.
 
-    Used by MOA's attention-parameter relaxation (paper Sec. 5.3) where
-    column vectors are zero-padded to a fixed dimension.
+    The literal zero-padding of the paper's attention-parameter
+    relaxation (Sec. 5.3, Claim 3), where column vectors are padded to a
+    fixed dimension.
     """
     a = as_tensor(a)
     if a.ndim != 2:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.optim import Adam
-from repro.observe.callbacks import Callback, CallbackList, ConsoleLogger
+from repro.observe.callbacks import Callback, CallbackList
 from repro.observe.tracing import span
 from repro.tensor.pool import BufferPool, buffer_pool
 from repro.training.checkpoint import CheckpointManager, load_checkpoint
@@ -41,8 +40,6 @@ class TrainConfig:
     lr: float = 0.01
     batch_size: int = 8
     patience: int | None = None  # early stopping on the validation metric
-    #: deprecated — pass ``callbacks=[ConsoleLogger()]`` to :func:`fit`
-    verbose: bool = False
     #: multiply the learning rate by ``lr_decay`` every ``lr_step`` epochs
     lr_decay: float = 1.0
     lr_step: int = 10
@@ -182,14 +179,6 @@ def fit(
     if loss_fn is None:
         loss_fn = lambda m, ex: m.loss(ex)  # noqa: E731 - tiny default
     events = CallbackList(callbacks)
-    if config.verbose:
-        warnings.warn(
-            "TrainConfig.verbose is deprecated; pass "
-            "callbacks=[ConsoleLogger()] to fit() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        events.append(ConsoleLogger())
     optimizer = Adam(model.parameters(), lr=config.lr)
     # One pool for the whole run so freed gradient buffers from step k
     # are reused by step k+1; activated around each step's

@@ -8,7 +8,9 @@ loop within 1e-6 (observed deviations are ~1e-12) for:
 - the GCN / GAT / GIN / SAGE encoders,
 - MOA (both relaxations, multi-head),
 - the full coarsening module (Eq. 17-19),
-- ``HierarchicalEmbedder`` level readouts and ``GraphClassifier`` loss.
+- ``HierarchicalEmbedder`` level readouts,
+- ``GraphClassifier`` loss and every parameter gradient, for each conv
+  under both the classification and the regression head.
 
 Also contains the multi-head vectorisation regression test: the
 single-pass MOA forward equals the old loop-of-softmaxes formulation.
@@ -24,6 +26,9 @@ from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.models.classifier import GraphClassifier
 from repro.tensor import Tensor, softmax
+from tests.moa_reference import moa_logits
+
+pytestmark = pytest.mark.equivalence
 
 TOL = 1e-6
 
@@ -46,9 +51,7 @@ class TestEncoderEquivalence:
         graphs = _ragged_batch(rng)
         encoder = GNNEncoder([6, 8, 8], np.random.default_rng(0), conv=conv)
         batch = pad_graphs(graphs)
-        out_b = encoder.forward_batched(
-            batch.adjacency, Tensor(batch.features), batch.mask
-        )
+        out_b = encoder(batch.adjacency, Tensor(batch.features), batch.mask)
         for i, g in enumerate(graphs):
             out = encoder(g.adjacency, Tensor(g.features))
             dev = np.abs(out.data - out_b.data[i, : g.num_nodes]).max()
@@ -74,7 +77,7 @@ class TestMOAEquivalence:
         for i, c in enumerate(contents):
             padded[i, : c.shape[0]] = c.data
             mask[i, : c.shape[0]] = 1.0
-        out_b = moa.forward_batched(Tensor(padded), mask)
+        out_b = moa(Tensor(padded), mask)
         for i, c in enumerate(contents):
             out = moa(c)
             n = c.shape[0]
@@ -93,7 +96,7 @@ class TestMOAEquivalence:
         vectorised = moa(content).data
         reference = None
         for head in range(moa.num_heads):
-            probs = softmax(moa.logits(content, head=head), axis=1)
+            probs = softmax(moa_logits(moa, content, head=head), axis=1)
             reference = probs if reference is None else reference + probs
         reference = reference.data / moa.num_heads
         np.testing.assert_allclose(vectorised, reference, rtol=0, atol=1e-12)
@@ -108,7 +111,7 @@ class TestCoarseningEquivalence:
         )
         module.eval()  # deterministic tempered softmax, no gumbel noise
         batch = pad_graphs(graphs)
-        adj_b, h_b, m_b = module.coarsen_batched(
+        adj_b, h_b, m_b = module.coarsen(
             batch.adjacency, Tensor(batch.features), batch.mask
         )
         assert adj_b.shape == (len(graphs), 3, 3)
@@ -121,10 +124,13 @@ class TestCoarseningEquivalence:
 
 
 class TestFullModelEquivalence:
-    def _models(self, seed, conv="gcn", **kwargs):
+    def _models(self, seed, conv="gcn", task="classification", **kwargs):
         emb = build_hap_embedder(6, 8, [4, 2], np.random.default_rng(seed),
                                  conv=conv, **kwargs)
-        return GraphClassifier(emb, 2, np.random.default_rng(seed + 1))
+        num_classes = 0 if task == "regression" else 2
+        return GraphClassifier(
+            emb, num_classes, np.random.default_rng(seed + 1), task=task
+        )
 
     @pytest.mark.parametrize("conv", ["gcn", "gat"])
     def test_embed_levels_match_loop(self, rng, conv):
@@ -132,7 +138,7 @@ class TestFullModelEquivalence:
         model = self._models(11, conv=conv)
         model.eval()
         batch = pad_graphs(graphs)
-        levels_b = model.embedder.embed_levels_batched(
+        levels_b = model.embedder.embed_levels(
             batch.adjacency, Tensor(batch.features), batch.mask
         )
         for i, g in enumerate(graphs):
@@ -141,10 +147,11 @@ class TestFullModelEquivalence:
                 dev = np.abs(lv.data - lv_b.data[i]).max()
                 assert dev < TOL, (conv, i, k, dev)
 
-    def test_loss_and_gradients_match_loop(self, rng):
-        graphs = [g.with_label(int(i % 2)) for i, g in enumerate(_ragged_batch(rng))]
-        loop_model = self._models(21)
-        batch_model = self._models(21)
+    def _assert_loss_and_gradients_match(self, graphs, seed, **kwargs):
+        """The padded ``batch_loss`` equals the mean of per-graph
+        ``loss`` calls, and so does every parameter gradient."""
+        loop_model = self._models(seed, **kwargs)
+        batch_model = self._models(seed, **kwargs)
         loop_model.eval()
         batch_model.eval()
 
@@ -165,6 +172,37 @@ class TestFullModelEquivalence:
             assert p_loop.grad is not None and p_batch.grad is not None, name
             dev = np.abs(p_loop.grad - p_batch.grad).max()
             assert dev < TOL, (name, dev)
+
+    def test_loss_and_gradients_match_loop(self, rng):
+        graphs = [g.with_label(int(i % 2)) for i, g in enumerate(_ragged_batch(rng))]
+        self._assert_loss_and_gradients_match(graphs, 21)
+
+    @pytest.mark.parametrize(
+        "conv, task, extra",
+        [
+            pytest.param(conv, task, {}, id=f"{conv}-{task}")
+            for conv in ("gcn", "gat", "gin", "sage")
+            for task in ("classification", "regression")
+        ]
+        + [
+            pytest.param(
+                "gcn",
+                "classification",
+                {"relaxation": "pad", "num_heads": 3},
+                id="gcn-classification-pad-3heads",
+            )
+        ],
+    )
+    def test_loss_and_gradients_match_loop_across_paths(self, rng, conv, task, extra):
+        graphs = _ragged_batch(rng)
+        if task == "regression":
+            targets = rng.normal(size=len(graphs))
+            graphs = [g.with_label(float(t)) for g, t in zip(graphs, targets)]
+        else:
+            graphs = [g.with_label(i % 2) for i, g in enumerate(graphs)]
+        self._assert_loss_and_gradients_match(
+            graphs, 51, conv=conv, task=task, **extra
+        )
 
     def test_multihead_pad_relaxation_end_to_end(self, rng):
         graphs = [g.with_label(int(i % 2)) for i, g in enumerate(_ragged_batch(rng))]
@@ -189,12 +227,13 @@ class TestFullModelEquivalence:
         np.testing.assert_array_equal(batched, loop)
 
     def test_predict_batch_is_a_deprecated_alias_of_predict(self, rng):
+        """The alias and the ``graphs=`` keyword are gone: ``predict``
+        takes the batch positionally."""
         graphs = [g.with_label(0) for g in _ragged_batch(rng)]
         model = self._models(41)
-        model.eval()
-        with pytest.warns(DeprecationWarning, match="predict_batch"):
-            batched = model.predict_batch(graphs)
-        np.testing.assert_array_equal(batched, model.predict(graphs))
+        assert not hasattr(model, "predict_batch")
+        with pytest.raises(TypeError):
+            model.predict(graphs=graphs)
 
     def test_iter_padded_batches_covers_dataset(self, rng):
         graphs = [attach_degree_features(g) for g in make_imdb_b_like(7, rng)]

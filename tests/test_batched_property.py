@@ -12,12 +12,15 @@ graph sizes, cluster counts and relaxations:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GraphCoarsening, MOA, build_hap_embedder
 from repro.data import pad_graphs
 from repro.graph import random_connected
 from repro.tensor import Tensor
+
+pytestmark = pytest.mark.equivalence
 
 seeds = st.integers(min_value=0, max_value=10_000)
 sizes = st.integers(min_value=2, max_value=10)
@@ -45,7 +48,7 @@ def test_padding_rows_get_exactly_zero_attention_mass(seed, n, n_prime, relaxati
     content[0, n:] = rng.normal(size=(pad, n_prime)) * 100.0
     mask = np.zeros((1, n + pad))
     mask[0, :n] = 1.0
-    assignment = moa.forward_batched(Tensor(content), mask).data
+    assignment = moa(Tensor(content), mask).data
     np.testing.assert_array_equal(assignment[0, n:], np.zeros((pad, n_prime)))
     np.testing.assert_allclose(assignment[0, :n].sum(axis=1), np.ones(n))
 
@@ -60,10 +63,10 @@ def test_pooled_features_invariant_to_padding_amount(seed, n, extra, relaxation)
     emb.eval()
     tight = pad_graphs([g])
     loose = pad_graphs([g], pad_to=n + extra)
-    levels_tight = emb.embed_levels_batched(
+    levels_tight = emb.embed_levels(
         tight.adjacency, Tensor(tight.features), tight.mask
     )
-    levels_loose = emb.embed_levels_batched(
+    levels_loose = emb.embed_levels(
         loose.adjacency, Tensor(loose.features), loose.mask
     )
     for lt, ll in zip(levels_tight, levels_loose):
@@ -84,10 +87,10 @@ def test_batched_coarsening_is_permutation_equivariant(seed, n, n_prime):
 
     batch = pad_graphs([g])
     batch_p = pad_graphs([pg])
-    adj, h, m = module.coarsen_batched(
+    adj, h, m = module.coarsen(
         batch.adjacency, Tensor(batch.features), batch.mask
     )
-    adj_p, h_p, m_p = module.coarsen_batched(
+    adj_p, h_p, m_p = module.coarsen(
         batch_p.adjacency, Tensor(batch_p.features), batch_p.mask
     )
     np.testing.assert_allclose(m_p.data[0], m.data[0][perm], atol=1e-8)
@@ -104,8 +107,6 @@ def test_batched_embedding_permutation_invariant(seed, n):
     perm = np.random.default_rng(seed + 2).permutation(n)
     pg = g.permute(perm)
     batch, batch_p = pad_graphs([g]), pad_graphs([pg])
-    out = emb.forward_batched(batch.adjacency, Tensor(batch.features), batch.mask)
-    out_p = emb.forward_batched(
-        batch_p.adjacency, Tensor(batch_p.features), batch_p.mask
-    )
+    out = emb(batch.adjacency, Tensor(batch.features), batch.mask)
+    out_p = emb(batch_p.adjacency, Tensor(batch_p.features), batch_p.mask)
     np.testing.assert_allclose(out_p.data, out.data, atol=1e-8)

@@ -12,10 +12,10 @@ from repro.core import (
     build_hap_embedder,
     gumbel_soft_sample,
 )
-from repro.core.moa import MOA as MOAClass
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.tensor import Tensor, concat, leaky_relu
+from tests.moa_reference import concat_score
 
 
 class TestGCont:
@@ -92,7 +92,7 @@ class TestMOA:
         a_full = rng.normal(size=n_prime + n_prime)
         # Pad col to N' with zeros: extra entries of `a` see only zeros.
         col_padded = Tensor(np.concatenate([col.data, np.zeros(n_prime - n)]))
-        score_padded = MOAClass.concat_score(Tensor(a_full), row, col_padded)
+        score_padded = concat_score(Tensor(a_full), row, col_padded)
         # Unpadded score with the matching prefix of `a`.
         a_prefix = np.concatenate([a_full[:n_prime], a_full[n_prime : n_prime + n]])
         score_raw = leaky_relu(

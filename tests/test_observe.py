@@ -284,9 +284,9 @@ class _Recorder(Callback):
 
 
 class TestCallbacks:
-    def _fit(self, callbacks, epochs=2, verbose=False):
+    def _fit(self, callbacks, epochs=2):
         model = _Quadratic()
-        config = TrainConfig(epochs=epochs, batch_size=2, verbose=verbose)
+        config = TrainConfig(epochs=epochs, batch_size=2)
         rng = np.random.default_rng(0)
         return fit(model, [1.0, 1.0, 1.0], rng, config, callbacks=callbacks)
 
@@ -317,8 +317,10 @@ class TestCallbacks:
         assert "val nan" in stream.getvalue()
 
     def test_verbose_flag_deprecated_but_still_prints(self, capsys):
-        with pytest.warns(DeprecationWarning, match="verbose is deprecated"):
-            self._fit(None, epochs=1, verbose=True)
+        """``TrainConfig.verbose`` is gone; ``ConsoleLogger`` prints."""
+        with pytest.raises(TypeError):
+            TrainConfig(verbose=True)
+        self._fit([ConsoleLogger()], epochs=1)
         assert "epoch   0" in capsys.readouterr().out
 
     def test_metrics_logger_updates_registry(self):

@@ -86,6 +86,31 @@ class TestFaithfulness:
         assert served == offline
         assert service.cache.hits > hits_before  # head ran from the cache
 
+    def test_regression_model_serves_its_offline_target(self, registry):
+        """A regression head serves ``predict``'s float target, not a
+        class index: exactly on one-graph misses and on cache hits, and
+        to float round-off on a coalesced padded batch."""
+        graphs, dim, _ = prepare_dataset("ESOL", 6, np.random.default_rng(5))
+        model = make_classifier(
+            "HAP", dim, 0, np.random.default_rng(3), hidden=8,
+            cluster_sizes=(4, 1), conv="gin", task="regression",
+            edge_features=max(g.num_edge_features for g in graphs),
+        )
+        model.eval()
+        offline = [model.predict(g) for g in graphs]
+        with InferenceService(model) as service:
+            coalesced = service.classify_many(graphs)
+            misses = [service.classify(g) for g in graphs]
+            for graph in graphs:
+                service.embed(graph)  # populate the cache
+            hits_before = service.cache.hits
+            hits = [service.classify(g) for g in graphs]
+        assert all(isinstance(value, float) for value in offline)
+        assert misses == offline
+        assert hits == offline
+        assert service.cache.hits - hits_before == len(graphs)
+        np.testing.assert_allclose(coalesced, offline, rtol=0, atol=1e-9)
+
     def test_weight_update_invalidates_served_embeddings(
         self, registry, model, corpus
     ):

@@ -1,12 +1,10 @@
-"""Unified rank-dispatch API: one ``forward`` per module serves both the
+"""Unified rank-generic API: one ``forward`` per module serves both the
 single-graph ``(N, F)`` path and the padded-batch ``(B, N, F)`` path.
 
-The old ``forward_batched`` / ``*_batched`` entry points survive only as
-deprecated aliases; these tests pin down that
+These tests pin down that
 
 - plain ``__call__`` on padded inputs reproduces the per-graph loop,
-- every alias still works, warns ``DeprecationWarning``, and returns
-  exactly what the unified entry point returns,
+- the old ``forward_batched`` / ``*_batched`` aliases are gone,
 - batch-shaped containers (``PaddedBatch``, plain graph lists) are
   accepted directly by the model-level APIs.
 """
@@ -14,13 +12,15 @@ deprecated aliases; these tests pin down that
 import numpy as np
 import pytest
 
-from repro.core import MOA, GraphCoarsening, build_hap_embedder
+from repro.core import MOA, GraphCoarsening, HAPPooling, build_hap_embedder
 from repro.data import pad_graphs
 from repro.core.gcont import GCont
 from repro.gnn import GATLayer, GCNLayer, GINLayer, GNNEncoder, SAGELayer
 from repro.graph import random_connected
 from repro.models.classifier import GraphClassifier
 from repro.tensor import Tensor
+
+pytestmark = pytest.mark.equivalence
 
 TOL = 1e-6
 SIZES = (4, 9, 6)
@@ -64,15 +64,10 @@ class TestLayerDispatch:
         )
 
     @pytest.mark.parametrize("conv", sorted(LAYERS))
-    def test_forward_batched_alias_warns_and_matches(self, rng, graphs, conv):
+    def test_forward_batched_alias_warns_and_matches(self, conv):
+        """The alias is gone; ``__call__`` is the only entry point."""
         layer = LAYERS[conv](np.random.default_rng(0))
-        batch = pad_graphs(graphs)
-        out = layer(batch.adjacency, Tensor(batch.features), batch.mask)
-        with pytest.warns(DeprecationWarning, match="forward_batched is deprecated"):
-            out_alias = layer.forward_batched(
-                batch.adjacency, Tensor(batch.features), batch.mask
-            )
-        np.testing.assert_array_equal(out.data, out_alias.data)
+        assert not hasattr(layer, "forward_batched")
 
 
 class TestEncoderDispatch:
@@ -86,11 +81,10 @@ class TestEncoderDispatch:
             out_b.data,
         )
 
-    def test_alias_warns(self, rng, graphs):
+    def test_alias_warns(self):
+        """The alias is gone; ``__call__`` is the only entry point."""
         encoder = GNNEncoder([F, 6], np.random.default_rng(0))
-        batch = pad_graphs(graphs)
-        with pytest.warns(DeprecationWarning):
-            encoder.forward_batched(batch.adjacency, Tensor(batch.features), batch.mask)
+        assert not hasattr(encoder, "forward_batched")
 
 
 class TestCoreModuleDispatch:
@@ -102,9 +96,6 @@ class TestCoreModuleDispatch:
         out_b = gcont(Tensor(stacked))
         assert out_b.shape == (2, 7, 3)
         np.testing.assert_allclose(out_s.data, out_b.data[0], atol=1e-12)
-        with pytest.warns(DeprecationWarning):
-            out_alias = gcont.forward_batched(Tensor(stacked))
-        np.testing.assert_array_equal(out_b.data, out_alias.data)
 
     def test_moa_defaults_full_mask_on_padded_input(self, rng):
         moa = MOA(4, np.random.default_rng(0))
@@ -112,9 +103,6 @@ class TestCoreModuleDispatch:
         out_default = moa(Tensor(content))
         out_explicit = moa(Tensor(content), np.ones((2, 6)))
         np.testing.assert_array_equal(out_default.data, out_explicit.data)
-        with pytest.warns(DeprecationWarning):
-            out_alias = moa.forward_batched(Tensor(content), np.ones((2, 6)))
-        np.testing.assert_array_equal(out_explicit.data, out_alias.data)
 
     def test_coarsening_returns_pair_or_triple_by_rank(self, rng, graphs):
         module = GraphCoarsening(F, 3, np.random.default_rng(0))
@@ -129,17 +117,23 @@ class TestCoreModuleDispatch:
         assert mask_b.shape == (len(graphs), 3)
         np.testing.assert_allclose(single[1].data, h_b.data[0], atol=TOL)
 
-    def test_coarsen_method_aliases(self, rng, graphs):
+    def test_coarsen_method_aliases(self):
+        """The core modules' batched aliases are gone: ``__call__``,
+        ``attention``, ``coarsen`` and ``embed_levels`` take 3-D input."""
         module = GraphCoarsening(F, 3, np.random.default_rng(0))
-        module.eval()
-        batch = pad_graphs(graphs)
-        direct = module.coarsen(batch.adjacency, Tensor(batch.features), batch.mask)
-        with pytest.warns(DeprecationWarning, match="coarsen_batched"):
-            alias = module.coarsen_batched(
-                batch.adjacency, Tensor(batch.features), batch.mask
-            )
-        for d, a in zip(direct, alias):
-            np.testing.assert_array_equal(d.data, a.data)
+        removed = [
+            (GCont(F, 3, np.random.default_rng(0)), ["forward_batched"]),
+            (MOA(3, np.random.default_rng(0)), ["forward_batched"]),
+            (module, ["attention_batched", "coarsen_batched", "forward_batched"]),
+            (HAPPooling(module), ["coarsen_batched"]),
+            (
+                build_hap_embedder(F, 6, [3, 2], np.random.default_rng(0)),
+                ["embed_levels_batched", "forward_batched"],
+            ),
+        ]
+        for owner, names in removed:
+            for name in names:
+                assert not hasattr(owner, name), (type(owner).__name__, name)
 
 
 class TestEmbedderDispatch:
@@ -171,16 +165,6 @@ class TestEmbedderDispatch:
         batch = pad_graphs(graphs)
         out = emb(batch.adjacency, Tensor(batch.features), batch.mask)
         assert out.shape == (len(graphs), 6)
-        with pytest.warns(DeprecationWarning, match="embed_levels_batched"):
-            levels_alias = emb.embed_levels_batched(
-                batch.adjacency, Tensor(batch.features), batch.mask
-            )
-        np.testing.assert_array_equal(out.data, levels_alias[-1].data)
-        with pytest.warns(DeprecationWarning, match="forward_batched"):
-            out_alias = emb.forward_batched(
-                batch.adjacency, Tensor(batch.features), batch.mask
-            )
-        np.testing.assert_array_equal(out.data, out_alias.data)
 
 
 class TestModelDispatch:

@@ -26,11 +26,12 @@ to design around:
   ``.todense()``, ``np.eye`` and square-shaped ``np.zeros/ones/full``
   allocations are flagged.  Tests and benchmarks are exempt — they
   densify deliberately to compare against the dense reference.
-- **no-deprecated-predict-batch** — ``predict_batch`` is a deprecation
-  shim for the unified ``predict()`` surface (docs/serving.md); library
-  code inside ``src/`` must call ``predict()`` directly so the shim can
-  eventually be deleted.  Tests are exempt — they exercise the shim's
-  warning on purpose.
+- **no-deprecated-predict-batch** — ``predict_batch`` was the
+  deprecation shim of the unified ``predict()`` surface and has been
+  deleted (docs/serving.md); a call to it inside ``src/`` names a
+  method that no longer exists and would only fail at run time, so
+  library code must call ``predict()`` with the batch directly.  Tests
+  are exempt — they check on purpose that the name is gone.
 - **no-unfused-attention** — the MOA/coarsening hot path runs through
   the fused kernels ``masked_softmax_mean`` / ``matmul_tn`` /
   ``coarsen_chain`` (docs/performance.md), which skip the materialised
@@ -148,8 +149,8 @@ class Linter(ast.NodeVisitor):
         self.path = path
         self.findings: list[tuple[int, str, str]] = []
         #: densification and deprecated-API rules are only policed in
-        #: library code; tests and benchmarks densify / call the shims
-        #: on purpose
+        #: library code; tests and benchmarks densify / name the removed
+        #: shims on purpose
         self.police_densify = "src" in path.parts
         self.police_deprecated = "src" in path.parts
         self.police_materialize = "src" in path.parts
@@ -265,7 +266,7 @@ class Linter(ast.NodeVisitor):
         ):
             self.report(
                 node, "no-deprecated-predict-batch",
-                "predict_batch() is a deprecation shim; call predict() "
+                "predict_batch() was removed; call predict() "
                 "with the batch directly (docs/serving.md)",
             )
         if (
