@@ -173,7 +173,8 @@ class StreamingDataset(Sequence):
         How many scheduled shard loads the background worker may run
         ahead.
     prefetch_mode:
-        ``"thread"`` (default; decompression releases the GIL),
+        ``"thread"`` (default; decode holds the GIL for most of its
+        ~2 ms per 32-graph shard, see :mod:`repro.parallel.prefetch`),
         ``"process"`` (spawn-context worker, full parallelism), or
         ``"off"`` (synchronous loads only — deterministic timing for
         fault-injection tests).

@@ -24,6 +24,15 @@ import numpy as np
 _CSR_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _symmetric(array: np.ndarray, transposed: np.ndarray) -> bool:
+    """``np.allclose(array, transposed)``, trying exact equality first.
+
+    Equal arrays are always close, so the answer is the same; symmetric
+    input (every real graph) just skips the slower tolerance check.
+    """
+    return np.array_equal(array, transposed) or np.allclose(array, transposed)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """An undirected (optionally weighted) graph.
@@ -56,7 +65,7 @@ class Graph:
         adj = np.asarray(self.adjacency, dtype=np.float64)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got {adj.shape}")
-        if not np.allclose(adj, adj.T):
+        if not _symmetric(adj, adj.T):
             raise ValueError("adjacency must be symmetric (undirected graphs)")
         if np.any(np.diag(adj) != 0):
             raise ValueError("adjacency must have zero diagonal (no self-loops)")
@@ -83,7 +92,7 @@ class Graph:
                     f"edge_features must be (N, N, Fe) with N={n}, "
                     f"got {efeats.shape}"
                 )
-            if not np.allclose(efeats, efeats.transpose(1, 0, 2)):
+            if not _symmetric(efeats, efeats.transpose(1, 0, 2)):
                 raise ValueError(
                     "edge_features must be symmetric in the node axes "
                     "(undirected graphs)"

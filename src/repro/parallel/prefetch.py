@@ -21,10 +21,15 @@ trainer's shuffled order decides what comes next, not the prefetcher):
 
 Two execution modes:
 
-- ``mode="thread"`` (default): one daemon worker thread.  Shard
-  decoding is dominated by ``zlib`` decompression and numpy array
-  construction, both of which release the GIL, so a thread already
-  buys real overlap — with none of the pickling constraints.
+- ``mode="thread"`` (default): one daemon worker thread, with none of
+  the pickling constraints.  Shard decoding is mostly Python-bound —
+  building and validating ``Graph`` objects, with ``zlib``
+  decompression a small part — so it holds the GIL for most of its
+  time and overlaps compute only partly.  It is short: a 32-graph
+  MUTAG-like shard takes 1.6–2.7 ms of thread CPU on a 2-vCPU host,
+  down from 7.6–13.9 ms when archives held one member per graph and
+  field (medians of four runs a side; docs/performance.md, "Shard
+  decode").
 - ``mode="process"``: one spawn-context worker process mirroring
   :mod:`repro.parallel.pool` (module-level ``fetch`` required, results
   shipped through queues, clean-shutdown discipline).  Buys full

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import Graph
 
@@ -50,6 +51,71 @@ class TestConstruction:
         g = Graph(adj)
         assert g.adjacency[0, 1] == 2.5
         np.testing.assert_allclose(g.degrees(), [2.5, 2.5])
+
+
+def _perturb(data, array: np.ndarray, positions: list[tuple]) -> None:
+    """Apply up to three drawn perturbations to ``array`` in place.
+
+    Each hits one of ``positions`` (never the diagonal) on one side of
+    the node axes: a shift by 0, 1e-12, 1e-6 or 1e-3, a NaN on one side
+    or both, or the same ±inf on both sides.
+    """
+    for _ in range(data.draw(st.integers(0, 3))):
+        index = data.draw(st.sampled_from(positions))
+        mirror = (index[1], index[0], *index[2:])
+        kind = data.draw(st.sampled_from(["shift", "nan", "nan-both", "inf-both"]))
+        if kind == "shift":
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            array[index] += sign * data.draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]))
+        elif kind == "nan":
+            array[index] = np.nan
+        elif kind == "nan-both":
+            array[index] = array[mirror] = np.nan
+        else:
+            array[index] = array[mirror] = data.draw(st.sampled_from([np.inf, -np.inf]))
+
+
+def _random_adjacency(n: int, rng: np.random.Generator) -> np.ndarray:
+    upper = np.triu(rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+    upper[0, 1] = 1.0  # at least one edge
+    return upper + upper.T
+
+
+class TestSymmetryCheckProperty:
+    """``Graph`` rejects input exactly when it is not ``np.allclose`` to its transpose."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_adjacency(self, data, n, seed):
+        adj = _random_adjacency(n, np.random.default_rng(seed))
+        _perturb(data, adj, [(i, j) for i in range(n) for j in range(n) if i != j])
+        if np.allclose(adj, adj.T):
+            Graph(adj)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                Graph(adj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 6),
+        width=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edge_features(self, data, n, width, seed):
+        rng = np.random.default_rng(seed)
+        adj = _random_adjacency(n, rng)
+        efeats = rng.normal(size=(n, n, width))
+        efeats = efeats + efeats.transpose(1, 0, 2)
+        efeats[adj == 0] = 0.0
+        rows, cols = np.nonzero(adj)
+        edges = [(i, j, k) for i, j in zip(rows, cols) for k in range(width)]
+        _perturb(data, efeats, edges)
+        if np.allclose(efeats, efeats.transpose(1, 0, 2)):
+            Graph(adj, edge_features=efeats)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                Graph(adj, edge_features=efeats)
 
 
 class TestAccessors:
