@@ -78,7 +78,7 @@ def test_ablation_soft_sampling(benchmark, profile):
             g = random_connected(20, 0.3, rng)
             module = GraphCoarsening(4, 6, rng, **kwargs)
             module.eval()
-            adj, _, _ = module.coarsen(g.adjacency, Tensor(rng.normal(size=(20, 4))))
+            adj, _, _ = module(g.adjacency, Tensor(rng.normal(size=(20, 4))))
             strong = (adj.data > adj.data.mean()).mean()
             rows[name]["density"] = float(strong)
         return rows

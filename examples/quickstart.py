@@ -58,10 +58,11 @@ def main() -> None:
     #    graph follows Eq. 17-18.
     example = test[0]
     adjacency, features = graph_inputs(example)
-    coarsening = embedder.coarsenings[0].coarsening
+    coarsening = embedder.coarsenings[0]
     with no_grad():
         h = embedder.encoders[0](adjacency, features)
-        adj_coarse, h_coarse, attention = coarsening.coarsen(adjacency, h)
+        adj_coarse, h_coarse, _ = coarsening(adjacency, h)
+        attention = coarsening.select(adjacency, h).s
     print(f"\ncoarsening a {example.num_nodes}-node molecule:")
     print(f"  MOA attention M: {attention.shape}  (rows sum to 1)")
     print(f"  coarsened features H': {h_coarse.shape}")

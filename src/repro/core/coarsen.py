@@ -17,22 +17,15 @@ which would break the undirectedness every other component assumes).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.gcont import GCont
 from repro.core.moa import MOA
-from repro.nn.module import Module, Parameter
-from repro.observe.tracing import span
-from repro.tensor import (
-    CSRMatrix,
-    Tensor,
-    as_tensor,
-    coarsen_chain,
-    log,
-    matmul_tn,
-    softmax,
-    transpose,
-)
+from repro.nn.module import Parameter
+from repro.pooling.base import Coarsening, Selection
+from repro.tensor import Tensor, as_tensor, log, softmax
 
 #: softmax temperature of Eq. 19 ("we set τ = 0.1").
 DEFAULT_TAU = 0.1
@@ -64,12 +57,23 @@ def gumbel_soft_sample(
         gumbel = -np.log(-np.log(uniform + eps) + eps)
         logits = logits + Tensor(gumbel)
     sampled = softmax(logits * (1.0 / tau), axis=-1)
-    axes = tuple(range(adjacency.ndim - 2)) + (adjacency.ndim - 1, adjacency.ndim - 2)
-    return (sampled + transpose(sampled, axes)) * 0.5
+    return (sampled + sampled.mT) * 0.5
 
 
-class GraphCoarsening(Module):
-    """One HAP coarsening module: GCont + MOA + formation + sampling."""
+class GraphCoarsening(Coarsening):
+    """One HAP coarsening module: GCont + MOA + formation + sampling.
+
+    Its :meth:`select` is GCont -> MOA (Eq. 13-15); the
+    :class:`~repro.pooling.base.Coarsening` template then forms the
+    clusters, ``H' = M^T H`` and ``A' = M^T (A M)`` (Eq. 17-18), and
+    soft-samples ``A'`` (Eq. 19) unless ``soft_sampling=False``.  One
+    graph ``(N, ·)``, a padded batch ``(B, N, ·)`` with a ``(B, N)``
+    validity mask, or a CSR adjacency run the same body.  ``M``'s
+    padding rows are exactly zero, so Eq. 17-18 contract only over each
+    graph's real nodes and a padded batch matches the per-graph
+    results; the coarsened outputs carry no padding (the output mask is
+    ``None``), since every graph now owns exactly N' cluster nodes.
+    """
 
     def __init__(
         self,
@@ -86,6 +90,7 @@ class GraphCoarsening(Module):
         self.in_features = in_features
         self.num_clusters = num_clusters
         self.edge_features = edge_features
+        self.supports_edge_attr = edge_features > 0
         self.tau = tau
         self.soft_sampling = soft_sampling
         self.rng = rng
@@ -102,13 +107,6 @@ class GraphCoarsening(Module):
         else:
             self.edge_proj = None
 
-    def attention(self, h: Tensor, mask=None) -> Tensor:
-        """The normalised MOA assignment M for node features ``h``:
-        ``(N, F)`` for one graph or ``(B, N, F)`` for a padded batch
-        (``mask=None`` means every row is valid).
-        """
-        return self.moa(self.gcont(h), mask)
-
     def _edge_conditioned(self, adjacency, h: Tensor, edge_attr) -> Tensor:
         """Features fed to the MOA attention, conditioned on edge types.
 
@@ -121,58 +119,22 @@ class GraphCoarsening(Module):
         """
         if edge_attr is None:
             return h
-        if self.edge_proj is None:
-            raise ValueError(
-                "GraphCoarsening got edge_attr but was built with "
-                "edge_features=0"
-            )
         from repro.gnn.edges import incident_edge_sums
 
         summary = incident_edge_sums(adjacency, edge_attr)
         return h + as_tensor(summary) @ self.edge_proj
 
-    def coarsen(
-        self, adjacency, h: Tensor, mask=None, edge_attr=None
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Coarsen ``(A, H)`` to ``(A', H')``; also returns M.
-
-        Follows Algorithm 1 line by line; the returned adjacency has
-        been soft-sampled (Eq. 19) unless ``soft_sampling=False``.  One
-        graph ``(N, ·)`` or a padded batch ``(B, N, ·)`` with a
-        ``(B, N)`` validity mask run the same body.  ``M``'s padding
-        rows are exactly zero, so Eq. 17-18 contract only over each
-        graph's real nodes and a padded batch matches the per-graph
-        results; the coarsened ``(B, N', ...)`` outputs carry no
-        padding, since every graph now owns exactly N' cluster nodes.
-        """
-        if not isinstance(adjacency, CSRMatrix):
-            adjacency = as_tensor(adjacency)
-        h = as_tensor(h)
-        with span("coarsen"):
-            assignment = self.attention(
-                self._edge_conditioned(adjacency, h, edge_attr), mask
-            )  # (..., N, N')
-            h_coarse = matmul_tn(assignment, h)  # Eq. 17
-            # Eq. 18 as the fused chain M^T (A M): the A M product runs
-            # first so the wide (N', N) intermediate is never formed;
-            # for CSR adjacencies it keeps peak memory at O(E·N')
-            # instead of the dense O(N²).  The coarsened (N', N')
-            # adjacency is small and stays dense so the Gumbel sampling
-            # and deeper levels are unchanged.
-            adj_coarse = coarsen_chain(assignment, adjacency)
-            if self.soft_sampling:
-                noise_rng = self.rng if self.training else None
-                adj_coarse = gumbel_soft_sample(adj_coarse, self.tau, noise_rng)
-            return adj_coarse, h_coarse, assignment
-
-    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None):
-        """Coarsen one level.
-
-        Single graph: ``(A, H) -> (A', H')``.  Padded batch:
-        ``(A, H, mask) -> (A', H', mask')`` where the new mask is
-        all-ones — coarsened graphs are dense in the batch.
-        """
-        adj_coarse, h_coarse, _ = self.coarsen(adjacency, h, mask, edge_attr)
-        if h_coarse.ndim == 3:
-            return adj_coarse, h_coarse, np.ones(h_coarse.shape[:2])
-        return adj_coarse, h_coarse
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
+        """M from GCont -> MOA on the edge-conditioned features; Eq. 19
+        as the post-Connect step.  The Gumbel noise is drawn only in
+        training mode."""
+        content = self.gcont(self._edge_conditioned(adjacency, h, edge_attr))
+        assignment = self.moa(content, mask)  # (..., N, N')
+        post = None
+        if self.soft_sampling:
+            post = partial(
+                gumbel_soft_sample,
+                tau=self.tau,
+                rng=self.rng if self.training else None,
+            )
+        return Selection(assignment, post=post)

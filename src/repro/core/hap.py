@@ -17,29 +17,8 @@ from repro.core.coarsen import GraphCoarsening
 from repro.data.batching import PaddedBatch
 from repro.gnn.encoder import GNNEncoder
 from repro.nn.module import Module
-from repro.pooling.base import Coarsening
+from repro.pooling.base import Coarsening, node_mean
 from repro.tensor import CSRMatrix, Tensor, as_tensor
-
-
-class HAPPooling(Coarsening):
-    """Adapter exposing :class:`GraphCoarsening` as a Coarsening op."""
-
-    supports_padded = True
-
-    def __init__(self, coarsening: GraphCoarsening):
-        super().__init__()
-        self.coarsening = coarsening
-        self.supports_edge_attr = coarsening.edge_features > 0
-
-    def coarsen(self, adjacency, h: Tensor, edge_attr=None) -> tuple[Tensor, Tensor]:
-        adj_coarse, h_coarse, _ = self.coarsening.coarsen(
-            adjacency, h, edge_attr=edge_attr
-        )
-        return adj_coarse, h_coarse
-
-    def coarsen_padded(self, adjacency, h: Tensor, mask, edge_attr=None):
-        """Padded-batch coarsening; returns ``(A', H', mask')``."""
-        return self.coarsening(adjacency, h, mask, edge_attr=edge_attr)
 
 
 class HierarchicalEmbedder(Module):
@@ -55,7 +34,7 @@ class HierarchicalEmbedder(Module):
         encoder k must match the input expectation of coarsening k.
     """
 
-    def __init__(self, encoders: list[GNNEncoder], coarsenings: list[Module]):
+    def __init__(self, encoders: list[GNNEncoder], coarsenings: list[Coarsening]):
         super().__init__()
         if len(encoders) != len(coarsenings):
             raise ValueError("need one encoder per coarsening level")
@@ -78,12 +57,13 @@ class HierarchicalEmbedder(Module):
         features — or a padded batch — a
         :class:`~repro.data.batching.PaddedBatch` as the sole positional
         argument, or explicit 3-D ``(B, N, N)`` / ``(B, N, F)`` arrays
-        plus a ``(B, N)`` mask.  Both run the same loop.  Only level 0
-        carries padding: after coarsening every graph owns exactly N'
-        clusters, so each level readout is the plain mean over them and
-        a padded batch matches the per-graph results.  Only coarsening
-        operators with ``supports_padded`` (HAP's) take a batch; the
-        Table-5 baseline poolings stay loop-only.
+        plus a ``(B, N)`` mask.  Both run the same loop.  Each level
+        hands its output mask to the next: it is ``None`` once every
+        graph owns the same number of clusters (HAP and the grouping
+        poolers after level 0), so the readout is the plain mean over
+        them, and a ``(B, K)`` mask after a Top-K level, whose readout
+        is the mean over each graph's kept nodes.  Either way a padded
+        batch matches the per-graph results.
 
         ``edge_attr`` (per-edge attributes in the layout matching the
         adjacency, docs/molecular.md) conditions level 0 only — the
@@ -102,22 +82,11 @@ class HierarchicalEmbedder(Module):
         h = as_tensor(h)
         levels: list[Tensor] = []
         for encoder, coarsening in zip(self.encoders, self.coarsenings):
-            h = encoder(adjacency, h, mask, edge_attr=edge_attr)
-            adjacency, h, *_ = self._coarsen(
-                coarsening, adjacency, h, mask, edge_attr
-            )
-            mask = edge_attr = None  # coarsened levels: no padding, no bonds
-            levels.append(h.mean(axis=-2))
+            h = encoder(adjacency, h, edge_attr=edge_attr)
+            adjacency, h, mask = coarsening(adjacency, h, mask, edge_attr=edge_attr)
+            edge_attr = None  # coarsened levels carry no bonds
+            levels.append(node_mean(h, mask))
         return levels
-
-    @staticmethod
-    def _coarsen(coarsening, adjacency, h, mask, edge_attr):
-        """One coarsening call, forwarding ``edge_attr`` only when set so
-        baseline poolings without the kwarg keep their signatures."""
-        args = (adjacency, h) if mask is None else (adjacency, h, mask)
-        if edge_attr is not None:
-            return coarsening(*args, edge_attr=edge_attr)
-        return coarsening(*args)
 
     def forward(
         self, adjacency, h: Tensor | None = None, mask=None, edge_attr=None
@@ -142,7 +111,7 @@ class HierarchicalEmbedder(Module):
         """Sum of the coarsening operators' auxiliary losses, if any."""
         total: Tensor | None = None
         for coarsening in self.coarsenings:
-            aux = getattr(coarsening, "auxiliary_loss", lambda: None)()
+            aux = coarsening.auxiliary_loss()
             if aux is not None:
                 total = aux if total is None else total + aux
         return total
@@ -174,7 +143,7 @@ def build_hap_embedder(
     if not cluster_sizes:
         raise ValueError("need at least one coarsening module")
     encoders: list[GNNEncoder] = []
-    coarsenings: list[Module] = []
+    coarsenings: list[Coarsening] = []
     feat = in_features
     for level, n_prime in enumerate(cluster_sizes):
         level_edge_features = edge_features if level == 0 else 0
@@ -183,17 +152,15 @@ def build_hap_embedder(
             GNNEncoder(sizes, rng, conv=conv, edge_features=level_edge_features)
         )
         coarsenings.append(
-            HAPPooling(
-                GraphCoarsening(
-                    hidden,
-                    n_prime,
-                    rng,
-                    tau=tau,
-                    soft_sampling=soft_sampling,
-                    relaxation=relaxation,
-                    num_heads=num_heads,
-                    edge_features=level_edge_features,
-                )
+            GraphCoarsening(
+                hidden,
+                n_prime,
+                rng,
+                tau=tau,
+                soft_sampling=soft_sampling,
+                relaxation=relaxation,
+                num_heads=num_heads,
+                edge_features=level_edge_features,
             )
         )
         feat = hidden

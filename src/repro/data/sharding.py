@@ -87,7 +87,7 @@ class ShardCorruptionError(RuntimeError):
         self.path = str(path)
         self.reason = reason
 
-    def __reduce__(self):  # picklable across prefetch worker processes
+    def __reduce__(self):  # custom __init__ args: unpickle with all three fields
         return (ShardCorruptionError, (self.shard, self.path, self.reason))
 
 

@@ -62,8 +62,8 @@ from repro.parallel.prefetch import BackgroundPrefetcher
 #: entropy tag mixed into the user seed for epoch shuffling
 _SHUFFLE_STREAM = 12
 
-#: process-local manifests keyed by shard dir, so prefetch worker
-#: processes parse manifest.json once instead of once per shard
+#: manifests keyed by shard dir, so the prefetch worker parses
+#: manifest.json once instead of once per shard
 _MANIFEST_MEMO: dict[str, ShardManifest] = {}
 
 
@@ -81,9 +81,9 @@ def clear_manifest_memo() -> None:
 
 
 def _fetch_featured_shard(key: tuple) -> list[Graph]:
-    """Load + feature-encode one shard; module-level so process-mode
-    prefetch workers can import it (the spawn discipline of
-    :mod:`repro.parallel.pool`)."""
+    """Load + feature-encode one shard: the prefetcher's ``fetch``, keyed
+    by ``(shard_dir, index, verify)`` so the worker holds no reference
+    to the dataset."""
     shard_dir, index, verify = key
     manifest = _cached_manifest(shard_dir)
     raw = read_shard(shard_dir, index, manifest=manifest, verify=verify)
@@ -173,11 +173,10 @@ class StreamingDataset(Sequence):
         How many scheduled shard loads the background worker may run
         ahead.
     prefetch_mode:
-        ``"thread"`` (default; decode holds the GIL for most of its
-        ~2 ms per 32-graph shard, see :mod:`repro.parallel.prefetch`),
-        ``"process"`` (spawn-context worker, full parallelism), or
-        ``"off"`` (synchronous loads only — deterministic timing for
-        fault-injection tests).
+        ``"thread"`` (default; one background thread, whose decode holds
+        the GIL for most of its ~2 ms per 32-graph shard, see
+        :mod:`repro.parallel.prefetch`) or ``"off"`` (synchronous loads
+        only — deterministic timing for fault-injection tests).
     verify:
         Check each shard's content checksum against the manifest on
         load (corruption surfaces as
@@ -197,10 +196,9 @@ class StreamingDataset(Sequence):
             raise ValueError(
                 f"max_cached_shards must be >= 1, got {max_cached_shards}"
             )
-        if prefetch_mode not in ("thread", "process", "off"):
+        if prefetch_mode not in ("thread", "off"):
             raise ValueError(
-                "prefetch_mode must be 'thread', 'process' or 'off', "
-                f"got {prefetch_mode!r}"
+                f"prefetch_mode must be 'thread' or 'off', got {prefetch_mode!r}"
             )
         self.shard_dir = str(shard_dir)
         self.manifest = load_manifest(shard_dir)
@@ -267,9 +265,7 @@ class StreamingDataset(Sequence):
             return None
         if self._prefetcher is None:
             self._prefetcher = BackgroundPrefetcher(
-                _fetch_featured_shard,
-                depth=self.prefetch_depth,
-                mode=self.prefetch_mode,
+                _fetch_featured_shard, depth=self.prefetch_depth
             )
         return self._prefetcher
 

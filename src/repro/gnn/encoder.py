@@ -72,7 +72,7 @@ class GNNEncoder(Module):
     def out_features(self) -> int:
         return self.layers[-1].out_features
 
-    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
+    def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """Run the stack; every layer broadcasts over a leading batch
         axis, so a padded ``(B, N, ·)`` batch works the same as a single
         graph.
@@ -80,7 +80,7 @@ class GNNEncoder(Module):
         adjacency, so each hop may condition on the same bond types."""
         with span("encoder"):
             for layer in self.layers:
-                h = layer(adjacency, h, mask, edge_attr=edge_attr)
+                h = layer(adjacency, h, edge_attr=edge_attr)
         return h
 
     def layer_outputs(self, adjacency, h: Tensor) -> list[Tensor]:

@@ -54,7 +54,7 @@ class GINLayer(Module):
         else:
             self.eps = None
 
-    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
+    def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """Single-graph and padded-batch inputs share one body: every op
         broadcasts over a leading batch axis, and padding rows aggregate
         nothing (their adjacency rows are zero).  With ``edge_attr`` the
@@ -106,7 +106,7 @@ class SAGELayer(Module):
         self.bias = Parameter(zeros(out_features))
         self.edge_gate = EdgeGate(edge_features, rng) if edge_features > 0 else None
 
-    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
+    def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """Single-graph ``(N, F)`` and padded-batch ``(B, N, F)`` inputs
         share one body; padding rows aggregate nothing (their adjacency
         rows are zero).  With ``edge_attr`` the mean becomes a

@@ -129,7 +129,7 @@ class GCNLayer(Module):
         self.bias = Parameter(zeros(out_features), name="bias")
         self.activation = activation
 
-    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
+    def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """One fused :func:`~repro.tensor.ops.gcn_propagate` call for
         every dense adjacency: ``(N, N)`` with ``(N, F)`` features or a
         padded ``(B, N, N)`` stack with ``(B, N, F)`` features, constant
@@ -221,7 +221,7 @@ class GATLayer(Module):
         check_edge_attr(adjacency, edge_attr, self.edge_features)
         return as_tensor(edge_attr) @ self.att_edge
 
-    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
+    def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """Single-graph ``(N, F)`` and padded-batch ``(B, N, F)`` inputs
         share one body that broadcasts over the leading batch axis.
 

@@ -7,7 +7,10 @@ relation's adjacency is then coarsened through the same assignment,
     H' = M^T H        A'_r = M^T A_r M   for every relation r,
 
 so the coarse graph remains heterogeneous and relation structure
-survives pooling.  Soft sampling (Eq. 19) is applied per relation.
+survives pooling.  Both run on the fused kernels the homogeneous
+coarsenings share (``matmul_tn`` and the ``M^T (A M)`` chain
+``coarsen_chain``), one chain per relation.  Soft sampling (Eq. 19) is
+applied per relation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.core.coarsen import DEFAULT_TAU, gumbel_soft_sample
 from repro.core.gcont import GCont
 from repro.core.moa import MOA
 from repro.nn.module import Module
-from repro.tensor import Tensor, as_tensor
+from repro.tensor import Tensor, as_tensor, coarsen_chain, matmul_tn
 
 
 class HeteroGraphCoarsening(Module):
@@ -47,11 +50,10 @@ class HeteroGraphCoarsening(Module):
     ) -> tuple[dict, Tensor, Tensor]:
         h = as_tensor(h)
         assignment = self.moa(self.gcont(h))  # (N, N')
-        h_coarse = assignment.T @ h
+        h_coarse = matmul_tn(assignment, h)
         coarse_adjacencies = {}
         for relation in self.relations:
-            adj = as_tensor(adjacencies[relation])
-            coarse = assignment.T @ adj @ assignment
+            coarse = coarsen_chain(assignment, as_tensor(adjacencies[relation]))
             if self.soft_sampling:
                 noise_rng = self.rng if self.training else None
                 coarse = gumbel_soft_sample(coarse, self.tau, noise_rng)

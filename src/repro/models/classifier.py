@@ -73,15 +73,6 @@ class GraphClassifier(Module):
         self.fc1 = Linear(dim, hidden, rng)
         self.fc2 = Linear(hidden, self.out_dim, rng)
 
-    def _embed_levels(self, adjacency, features, mask=None, edge_attr=None):
-        """Call the embedder, forwarding ``edge_attr`` only when present
-        so edge-free graphs keep working with loop-only flat embedders
-        whose ``embed_levels`` has no such parameter."""
-        args = (adjacency, features) if mask is None else (adjacency, features, mask)
-        if edge_attr is not None:
-            return self.embedder.embed_levels(*args, edge_attr=edge_attr)
-        return self.embedder.embed_levels(*args)
-
     def logits(self, graph: Graph) -> Tensor:
         """Head outputs for one graph: ``(C,)`` class logits, or the
         ``(1,)`` predicted target under ``task="regression"``.
@@ -94,13 +85,10 @@ class GraphClassifier(Module):
         single readout.
         """
         adjacency, features = graph_inputs(graph, self.backend)
-        levels = self._embed_levels(
+        levels = self.embedder.embed_levels(
             adjacency, features, edge_attr=graph_edge_attr(graph, self.backend)
         )
-        embedding = levels[0]
-        for level in levels[1:]:
-            embedding = embedding + level
-        return self.fc2(relu(self.fc1(embedding)))
+        return self.fc2(relu(self.fc1(sum(levels[1:], levels[0]))))
 
     def forward(self, graph) -> Tensor:
         """Class logits: ``(C,)`` for a single :class:`Graph`, ``(B, C)``
@@ -147,16 +135,13 @@ class GraphClassifier(Module):
         if self.backend == "sparse" and not isinstance(graphs, PaddedBatch):
             return self._logits_sparse(list(graphs))
         batch = self._as_batch(graphs)
-        levels = self._embed_levels(
+        levels = self.embedder.embed_levels(
             batch.adjacency,
             Tensor(batch.features),
             batch.mask,
             edge_attr=batch.edge_features,
         )
-        embedding = levels[0]
-        for level in levels[1:]:
-            embedding = embedding + level
-        return self.fc2(relu(self.fc1(embedding)))
+        return self.fc2(relu(self.fc1(sum(levels[1:], levels[0]))))
 
     def _logits_sparse(self, graphs: list) -> Tensor:
         """Per-graph CSR logits stacked into ``(B, C)`` — the sparse
@@ -218,14 +203,7 @@ class GraphClassifier(Module):
                 return self.decode(self.logits(inputs).data)
             if not isinstance(inputs, PaddedBatch):
                 inputs = list(inputs)
-            try:
-                return self.decode(self.logits_batched(inputs).data)
-            except NotImplementedError:
-                # Loop-only embedders (the flat Table-3 baselines have no
-                # padded path); an explicit PaddedBatch cannot fall back.
-                if isinstance(inputs, PaddedBatch):
-                    raise
-                return self.decode(np.stack([self.logits(g).data for g in inputs]))
+            return self.decode(self.logits_batched(inputs).data)
 
     def predict_proba(self, graph: Graph) -> np.ndarray:
         if self.task == "regression":

@@ -108,10 +108,7 @@ def level_sum_vector(embedder, graph: Graph, backend: str = "dense") -> np.ndarr
     adjacency, features = graph_inputs(graph, backend)
     edge_attr = graph_edge_attr(graph, backend)
     with no_grad():
-        if edge_attr is not None:
-            levels = embedder.embed_levels(adjacency, features, edge_attr=edge_attr)
-        else:
-            levels = embedder.embed_levels(adjacency, features)
+        levels = embedder.embed_levels(adjacency, features, edge_attr=edge_attr)
         total = levels[0].data.copy()
         for level in levels[1:]:
             total += level.data

@@ -2,9 +2,11 @@
 
 All embedders share one protocol:
 
-- ``embed_levels(adjacency, features)`` returns a list of graph-level
-  vectors, one per hierarchy level (flat embedders return a single
-  level), enabling the paper's hierarchical similarity measure;
+- ``embed_levels(adjacency, features, mask=None, edge_attr=None)``
+  returns a list of graph-level vectors, one per hierarchy level (flat
+  embedders return a single level), enabling the paper's hierarchical
+  similarity measure; one graph gives ``(F,)`` vectors, a padded batch
+  ``(B, F)`` rows;
 - calling the embedder returns the final level;
 - ``embed(graph)`` returns a versioned
   :class:`~repro.models.common.EmbeddingResult` (level-summed vector +
@@ -28,57 +30,32 @@ from repro.tensor import Tensor, as_tensor
 
 
 class FlatEmbedder(Module):
-    """GNN encoder followed by a flat readout."""
+    """GNN encoder followed by a flat readout.
 
-    def __init__(self, encoder: GNNEncoder, readout: Readout):
+    ``encoder=None`` applies the readout to the raw features: GCN-concat's
+    readout owns its encoder.
+    """
+
+    def __init__(self, encoder: GNNEncoder | None, readout: Readout):
         super().__init__()
         self.encoder = encoder
         self.readout = readout
         self.out_features = readout.out_features
 
-    def embed_levels(self, adjacency, features: Tensor, mask=None) -> list[Tensor]:
-        features = as_tensor(features)
-        if features.ndim == 3:
-            raise NotImplementedError(
-                "FlatEmbedder has no batched path; "
-                "run it through the per-graph loop instead"
+    def embed_levels(
+        self, adjacency, features: Tensor, mask=None, edge_attr=None
+    ) -> list[Tensor]:
+        h = as_tensor(features)
+        if self.encoder is not None:
+            h = self.encoder(adjacency, h, edge_attr=edge_attr)
+        elif edge_attr is not None:
+            raise ValueError(
+                f"{type(self.readout).__name__} cannot condition on edge_attr"
             )
-        h = self.encoder(adjacency, features)
-        return [self.readout(adjacency, h)]
+        return [self.readout(adjacency, h, mask)]
 
-    def forward(self, adjacency, features: Tensor) -> Tensor:
-        return self.embed_levels(adjacency, features)[-1]
-
-    def embed(self, graph: Graph) -> EmbeddingResult:
-        """Uniform single-graph embedding contract (docs/serving.md)."""
-        return embedding_result(self, graph, level_sum_vector(self, graph))
-
-    def auxiliary_loss(self) -> Tensor | None:
-        return None
-
-
-class RawReadoutEmbedder(Module):
-    """A readout applied directly to raw features (no encoder).
-
-    Used by GCN-concat, whose readout owns its encoder internally.
-    """
-
-    def __init__(self, readout: Readout):
-        super().__init__()
-        self.readout = readout
-        self.out_features = readout.out_features
-
-    def embed_levels(self, adjacency, features: Tensor, mask=None) -> list[Tensor]:
-        features = as_tensor(features)
-        if features.ndim == 3:
-            raise NotImplementedError(
-                "RawReadoutEmbedder has no batched path; "
-                "run it through the per-graph loop instead"
-            )
-        return [self.readout(adjacency, features)]
-
-    def forward(self, adjacency, features: Tensor) -> Tensor:
-        return self.embed_levels(adjacency, features)[-1]
+    def forward(self, adjacency, features: Tensor, mask=None, edge_attr=None) -> Tensor:
+        return self.embed_levels(adjacency, features, mask, edge_attr)[-1]
 
     def embed(self, graph: Graph) -> EmbeddingResult:
         """Uniform single-graph embedding contract (docs/serving.md)."""

@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.hap import HierarchicalEmbedder, build_hap_embedder
 from repro.gnn.encoder import GNNEncoder
 from repro.models.classifier import GraphClassifier
-from repro.models.embedders import FlatEmbedder, RawReadoutEmbedder
+from repro.models.embedders import FlatEmbedder
 from repro.models.gmn import GMN
 from repro.models.matcher import MatchingModel
 from repro.models.similarity import SimilarityModel
@@ -109,8 +109,8 @@ def make_embedder(
             in_features, hidden, list(cluster_sizes), rng, conv=conv, **hap_kwargs
         )
     if method == "GCN-concat":
-        return RawReadoutEmbedder(
-            GCNConcat(GNNEncoder([in_features, hidden, hidden], rng, conv="gcn"))
+        return FlatEmbedder(
+            None, GCNConcat(GNNEncoder([in_features, hidden, hidden], rng, conv="gcn"))
         )
     if method in _FLAT_READOUTS:
         encoder = GNNEncoder([in_features, hidden, hidden], rng, conv=conv)

@@ -15,10 +15,12 @@ as in its related-work taxonomy:
 Two interfaces (see :mod:`repro.pooling.base`): a *readout* maps
 ``(A, H)`` to a graph-level vector; a *coarsening* maps ``(A, H)`` to a
 smaller ``(A', H')`` and is what HAP's ablation (Table 5) swaps in for
-the graph coarsening module.
+the graph coarsening module.  A coarsening implements only ``select``,
+returning the assignment S in a :class:`Selection`; the shared Reduce
+and Connect do the rest.
 """
 
-from repro.pooling.base import Coarsening, Readout, coarsening_readout
+from repro.pooling.base import Coarsening, Readout, Selection, coarsening_readout
 from repro.pooling.universal import (
     GCNConcat,
     GatedAttPool,
@@ -41,6 +43,7 @@ from repro.pooling.spectral import SpectralPool, normalized_laplacian, spectral_
 __all__ = [
     "Coarsening",
     "Readout",
+    "Selection",
     "coarsening_readout",
     "SumPool",
     "MeanPool",

@@ -1,166 +1,211 @@
 """Pooling interfaces shared by every operator.
 
-``Readout`` collapses a graph to a single vector (flat pooling);
+``Readout`` collapses each graph to a single vector (flat pooling);
 ``Coarsening`` maps a graph to a smaller graph (hierarchical pooling).
-Any coarsening doubles as a readout by coarsening to its target size
-and mean-aggregating the surviving clusters.
+
+Every coarsening is Select -> Reduce -> Connect.  A subclass implements
+only :meth:`Coarsening.select`, which returns the assignment S; the base
+``forward`` then runs the two steps every operator shares:
+
+- Reduce, the pooled features ``H' = Sᵀ H`` (:func:`reduce`);
+- Connect, the pooled adjacency ``A' = Sᵀ A S`` as the fused chain
+  ``Sᵀ(A S)``, which never forms the wide ``(K, N)`` product and, for
+  a CSR adjacency, keeps peak memory at O(E·K).
 
 Uniform contract (enforced here, conformance-tested by
 ``tests/test_pooling_contract.py``):
 
-- Inputs: ``adjacency`` is ``None`` (allowed for operators that ignore
-  structure), a numpy array, or a ``Tensor`` — always 2-D square
-  ``(N, N)`` matching ``h``'s ``(N, F)`` rows.  ``h`` may be a numpy
-  array or ``Tensor``; it is coerced to ``Tensor``.
-- ``Readout.__call__(adjacency, h) -> Tensor`` of shape
-  ``(out_features,)``.
-- ``Coarsening.__call__(adjacency, h) -> (A', H')`` with 2-D ``A'``
-  (square) and ``H'``.  Operators with a padded-batch implementation
-  set ``supports_padded = True`` and implement ``coarsen_padded``;
-  ``__call__(adjacency, h, mask)`` on 3-D input then returns
-  ``(A', H', mask')``.  The rest raise ``NotImplementedError`` on 3-D
-  input instead of silently mis-broadcasting.
-
-Subclasses implement the ``readout`` / ``coarsen`` hooks; ``forward``
-is the validating template and should not be overridden.
+- Inputs: one graph — ``(N, N)`` adjacency and ``(N, F)`` features —
+  or a padded batch — ``(B, N, N)`` and ``(B, N, F)`` plus an optional
+  ``(B, N)`` validity mask (``None`` means every row is real).  The
+  adjacency is a numpy array, a ``Tensor``, a single-graph
+  :class:`~repro.tensor.sparse.CSRMatrix` (coarsenings) or ``None``
+  (readouts that ignore structure).
+- ``Readout(adjacency, h, mask=None) -> (..., out_features)``.
+- ``Coarsening(adjacency, h, mask=None, edge_attr=None) -> (A', H',
+  mask')`` with ``A'`` of shape ``(..., K, K)`` and ``H'`` of shape
+  ``(..., K, F)``.  ``mask'`` is ``None`` unless K differs from graph
+  to graph (Top-K poolers on a padded batch); padding rows and columns
+  of ``A'`` and ``H'`` are then exactly zero.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.nn.module import Module
-from repro.tensor import Tensor, as_tensor
+from repro.observe.tracing import span
+from repro.tensor import CSRMatrix, Tensor, as_tensor, coarsen_chain, matmul_tn
 
 
-def prepare_graph_inputs(adjacency, h) -> tuple[object, Tensor]:
-    """Validate and coerce one operator input pair.
+def prepare_graph_inputs(adjacency, h, mask=None) -> tuple[object, Tensor, object]:
+    """Validate and coerce one operator's inputs.
 
-    ``h`` becomes a 2-D ``Tensor``; ``adjacency`` passes through
-    unchanged (``None`` stays ``None`` — structure-free operators like
-    ``SumPool`` accept it) after a shape check against ``h``.
+    ``h`` becomes a 2-D or 3-D ``Tensor``; a dense ``adjacency`` becomes
+    a ``Tensor`` (``None`` and CSR pass through) after a shape check
+    against ``h``; ``mask`` becomes a float array shaped like ``h``'s
+    rows.
     """
     h = as_tensor(h)
-    if h.ndim != 2:
-        raise ValueError(f"expected (N, F) node features, got shape {h.shape}")
+    if h.ndim not in (2, 3):
+        raise ValueError(
+            f"expected (N, F) or padded (B, N, F) node features, got shape {h.shape}"
+        )
     if adjacency is not None:
-        shape = adjacency.shape if isinstance(adjacency, Tensor) else np.shape(adjacency)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"expected square (N, N) adjacency, got shape {shape}")
-        if shape[0] != h.shape[0]:
+        if not isinstance(adjacency, CSRMatrix):
+            adjacency = as_tensor(adjacency)
+        shape = tuple(adjacency.shape)
+        if len(shape) != h.ndim or shape[-1] != shape[-2]:
             raise ValueError(
-                f"adjacency is for {shape[0]} nodes but features have {h.shape[0]} rows"
+                f"expected square (N, N) or (B, N, N) adjacency, got shape {shape}"
             )
-    return adjacency, h
+        if shape[:-1] != h.shape[:-1]:
+            raise ValueError(
+                f"adjacency of shape {shape} does not match the "
+                f"{h.shape[-2]} nodes of features {h.shape}"
+            )
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != h.shape[:-1]:
+            raise ValueError(
+                f"mask shape {mask.shape} does not match feature rows {h.shape[:-1]}"
+            )
+    return adjacency, h, mask
+
+
+def masked_rows(h: Tensor, mask) -> Tensor:
+    """``h`` with its padding rows zeroed (``h`` itself when ``mask`` is None)."""
+    return h if mask is None else h * Tensor(mask[..., None])
+
+
+def node_mean(h: Tensor, mask=None) -> Tensor:
+    """Mean over each graph's real nodes: ``(..., N, F) -> (..., F)``."""
+    if mask is None:
+        return h.mean(axis=-2)
+    return masked_rows(h, mask).sum(axis=-2) * Tensor(1.0 / mask.sum(axis=-1, keepdims=True))
+
+
+def node_counts(h: Tensor, mask=None):
+    """Each graph's real node count: ``N`` for unmasked input, else ``(B,)``."""
+    return h.shape[-2] if mask is None else mask.sum(axis=-1)
+
+
+class Selection(NamedTuple):
+    """What :meth:`Coarsening.select` returns.
+
+    ``s`` is the assignment ``(..., N, K)``; its padding rows must be
+    exactly zero.  The other fields are set only by the operators that
+    need them:
+
+    - ``gate``: a ``(..., K, 1)`` multiplier on ``H'`` (Top-K scores,
+      ASAP fitness);
+    - ``h``: the features Reduce contracts instead of the input ``h``
+      (DiffPool's embedding GNN, ASAP's transformed features);
+    - ``aux``: the auxiliary loss, or a function of the Connect output
+      ``Sᵀ A S`` returning it (MinCut's cut term);
+    - ``post``: a step applied to ``Sᵀ A S`` after ``aux`` has read it
+      (HAP's Eq. 19 sampling, MinCut's diagonal reset, the zero
+      adjacency of the N -> 1 ablations);
+    - ``mask``: the ``(B, K)`` output mask, when K differs from graph to
+      graph.
+    """
+
+    s: Tensor
+    gate: Tensor | None = None
+    h: Tensor | None = None
+    aux: Tensor | Callable[[Tensor], Tensor] | None = None
+    post: Callable[[Tensor], Tensor] | None = None
+    mask: np.ndarray | None = None
+
+
+def reduce(selection: Selection, h: Tensor) -> Tensor:
+    """Reduce: the pooled features ``H' = Sᵀ H``, gated when asked."""
+    pooled = matmul_tn(selection.s, h if selection.h is None else selection.h)
+    return pooled if selection.gate is None else pooled * selection.gate
 
 
 class Readout(Module):
-    """Maps ``(adjacency, node_features)`` to a 1-D graph embedding.
+    """Maps ``(adjacency, node_features, mask)`` to graph embeddings.
 
-    Subclasses implement :meth:`readout`; the base ``forward`` validates
-    the contract on the way in (2-D features, square adjacency or
-    ``None``) and out (a 1-D vector of ``out_features``).
+    Subclasses implement :meth:`readout` as a reduction over the node
+    axis that ignores padding rows; the base ``forward`` validates the
+    inputs and the ``(..., out_features)`` output.
     """
 
     #: output embedding dimension; set by subclasses.
     out_features: int
 
-    def forward(self, adjacency, h: Tensor) -> Tensor:
-        h = as_tensor(h)
-        if h.ndim == 3:
-            raise NotImplementedError(
-                f"{type(self).__name__} has no padded-batch path; "
-                "run it through the per-graph loop instead"
-            )
-        adjacency, h = prepare_graph_inputs(adjacency, h)
-        out = self.readout(adjacency, h)
-        if out.ndim != 1 or out.shape[0] != self.out_features:
+    def forward(self, adjacency, h: Tensor, mask=None) -> Tensor:
+        adjacency, h, mask = prepare_graph_inputs(adjacency, h, mask)
+        out = self.readout(adjacency, h, mask)
+        expected = h.shape[:-2] + (self.out_features,)
+        if out.shape != expected:
             raise AssertionError(
                 f"{type(self).__name__}.readout returned shape {out.shape}, "
-                f"expected ({self.out_features},)"
+                f"expected {expected}"
             )
         return out
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
         raise NotImplementedError
 
 
 class Coarsening(Module):
-    """Maps ``(adjacency, node_features)`` to a coarser ``(A', H')``.
+    """Maps ``(adjacency, node_features)`` to a coarser ``(A', H', mask')``.
 
-    Subclasses implement :meth:`coarsen` and document how their output
-    size is determined (a fixed cluster count, a keep-ratio, or 1 for
-    global pools).  Operators with a vectorised padded-batch
-    implementation set ``supports_padded = True`` and implement
-    :meth:`coarsen_padded`.
+    Subclasses implement :meth:`select` and document how their cluster
+    count K is determined (a fixed count, a keep-ratio, or 1 for global
+    pools).  ``forward`` is the template and is not overridden.
     """
 
-    #: whether :meth:`coarsen_padded` exists (3-D dispatch target).
-    supports_padded: bool = False
-
     #: whether the operator conditions on per-edge attributes; operators
-    #: without the hook reject ``edge_attr`` loudly rather than dropping
-    #: bond types on the floor (docs/molecular.md).
+    #: without it reject ``edge_attr`` loudly rather than dropping bond
+    #: types on the floor (docs/molecular.md).
     supports_edge_attr: bool = False
 
+    _aux: Tensor | None = None
+
     def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None):
-        h = as_tensor(h)
+        adjacency, h, mask = prepare_graph_inputs(adjacency, h, mask)
+        if adjacency is None:
+            raise ValueError(f"{type(self).__name__} needs an adjacency")
         if edge_attr is not None and not self.supports_edge_attr:
             raise NotImplementedError(
                 f"{type(self).__name__} does not condition on edge_attr; "
                 "use HAP coarsening built with edge_features > 0"
             )
-        if h.ndim == 3:
-            if not self.supports_padded:
-                raise NotImplementedError(
-                    f"{type(self).__name__} has no batched path; "
-                    "run it through the per-graph loop instead"
+        with span("coarsen"):
+            selection = self.select(adjacency, h, mask, edge_attr)
+            s = selection.s
+            if s.shape[:-1] != h.shape[:-1]:
+                raise AssertionError(
+                    f"{type(self).__name__}.select returned an assignment of "
+                    f"shape {s.shape} for features of shape {h.shape}"
                 )
-            if edge_attr is not None:
-                return self.coarsen_padded(adjacency, h, mask, edge_attr=edge_attr)
-            return self.coarsen_padded(adjacency, h, mask)
-        adjacency, h = prepare_graph_inputs(adjacency, h)
-        if edge_attr is not None:
-            adj_coarse, h_coarse = self.coarsen(adjacency, h, edge_attr=edge_attr)
-        else:
-            adj_coarse, h_coarse = self.coarsen(adjacency, h)
-        if h_coarse.ndim != 2:
-            raise AssertionError(
-                f"{type(self).__name__}.coarsen returned {h_coarse.ndim}-D "
-                "features, expected (N', F)"
-            )
-        k = h_coarse.shape[0]
-        if adj_coarse.ndim != 2 or adj_coarse.shape != (k, k):
-            raise AssertionError(
-                f"{type(self).__name__}.coarsen returned adjacency shape "
-                f"{adj_coarse.shape} for {k} clusters, expected ({k}, {k})"
-            )
-        return adj_coarse, h_coarse
+            h_coarse = reduce(selection, h)
+            adj_coarse = coarsen_chain(s, adjacency)  # Connect
+            aux = selection.aux
+            self._aux = aux(adj_coarse) if callable(aux) else aux
+            if selection.post is not None:
+                adj_coarse = selection.post(adj_coarse)
+        return adj_coarse, h_coarse, selection.mask
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
         raise NotImplementedError
 
-    def coarsen_padded(self, adjacency, h: Tensor, mask):
-        """Padded-batch coarsening ``(A, H, mask) -> (A', H', mask')``.
-
-        Only meaningful when ``supports_padded`` is true.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batched path; "
-            "run it through the per-graph loop instead"
-        )
-
     def auxiliary_loss(self) -> Tensor | None:
-        """Regularisation term recorded by the last ``coarsen`` call.
+        """Auxiliary loss of the last call, averaged over a batch's graphs.
 
         DiffPool's link-prediction/entropy losses and MinCutPool's
-        cut/orthogonality losses are exposed through this hook; operators
-        without auxiliary objectives return None.
+        cut/orthogonality losses arrive through :class:`Selection`;
+        operators without auxiliary objectives return None.
         """
-        return None
+        return self._aux
 
 
 def coarsening_readout(coarsening: Coarsening, adjacency, h: Tensor) -> Tensor:
     """Use a coarsening operator as a readout: coarsen then mean-pool."""
-    _, h_coarse = coarsening(adjacency, h)
-    return h_coarse.mean(axis=0)
+    _, h_coarse, mask = coarsening(adjacency, h)
+    return node_mean(h_coarse, mask)

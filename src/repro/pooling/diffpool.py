@@ -5,7 +5,7 @@ An assignment GNN produces a dense soft-assignment matrix
 coarsened graph is ``H' = S^T Z`` and ``A' = S^T A S``.  The auxiliary
 link-prediction loss ``||A - S S^T||_F`` and the assignment-entropy
 regulariser from the original paper are exposed through
-:meth:`auxiliary_loss`.
+:meth:`auxiliary_loss`, averaged over a padded batch's graphs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gnn.layers import GCNLayer
-from repro.pooling.base import Coarsening
-from repro.tensor import Tensor, as_tensor, log, softmax
+from repro.pooling.base import Coarsening, Selection, masked_rows, node_counts
+from repro.tensor import Tensor, log, softmax
 
 
 class DiffPool(Coarsening):
@@ -35,24 +35,18 @@ class DiffPool(Coarsening):
         self.embed_gnn = (
             GCNLayer(in_features, in_features, rng) if use_embed_gnn else None
         )
-        self._aux: Tensor | None = None
 
-    def assignment(self, adjacency, h: Tensor) -> Tensor:
-        """Soft assignment matrix S of shape (N, num_clusters)."""
-        return softmax(self.assign_gnn(adjacency, h), axis=1)
+    def assignment(self, adjacency, h: Tensor, mask=None) -> Tensor:
+        """Soft assignment matrix S of shape (..., N, num_clusters)."""
+        return masked_rows(softmax(self.assign_gnn(adjacency, h), axis=-1), mask)
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
-        adj = as_tensor(adjacency)
-        s = self.assignment(adjacency, h)
-        z = self.embed_gnn(adjacency, h) if self.embed_gnn is not None else h
-        h_coarse = s.T @ z
-        adj_coarse = s.T @ adj @ s
-        # Auxiliary objectives from the original paper.
-        link_residual = adj - s @ s.T
-        link_loss = (link_residual * link_residual).mean()
-        entropy = -(s * log(s + 1e-12)).sum(axis=1).mean()
-        self._aux = link_loss + entropy * 0.1
-        return adj_coarse, h_coarse
-
-    def auxiliary_loss(self) -> Tensor | None:
-        return self._aux
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
+        s = self.assignment(adjacency, h, mask)
+        z = self.embed_gnn(adjacency, h) if self.embed_gnn is not None else None
+        # Auxiliary objectives from the original paper, per graph; S and
+        # A are zero on padding, so the sums cover only real nodes.
+        n = np.asarray(node_counts(h, mask), dtype=np.float64)
+        link_residual = adjacency - s @ s.mT
+        link_loss = (link_residual * link_residual).sum(axis=(-2, -1)) * Tensor(n**-2.0)
+        entropy = -(s * log(s + 1e-12)).sum(axis=(-2, -1)) * Tensor(1.0 / n)
+        return Selection(s, h=z, aux=(link_loss + entropy * 0.1).mean())

@@ -6,8 +6,11 @@ A continuous relaxation of normalised minCUT: cluster assignments
     L_cut   = -Tr(S^T A S) / Tr(S^T D S)
     L_ortho = || S^T S / ||S^T S||_F  -  I / sqrt(k) ||_F
 
-exposed via :meth:`auxiliary_loss`.  Coarsening follows the grouping
-recipe with the usual diagonal reset of A'.
+exposed via :meth:`auxiliary_loss` (averaged over a padded batch's
+graphs).  ``L_cut`` reads the Connect output ``S^T A S`` before the
+usual diagonal reset of A'.  The degree matrix D is built from the
+adjacency's values as a constant, so no gradient reaches a
+differentiable adjacency through the denominator.
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Linear
-from repro.pooling.base import Coarsening
-from repro.tensor import Tensor, as_tensor, softmax, sqrt
-
-
-def _trace(matrix: Tensor) -> Tensor:
-    n = matrix.shape[0]
-    idx = np.arange(n)
-    return matrix[idx, idx].sum()
+from repro.pooling.base import Coarsening, Selection, masked_rows
+from repro.tensor import Tensor, softmax, sqrt
 
 
 class MinCutPool(Coarsening):
@@ -34,35 +31,26 @@ class MinCutPool(Coarsening):
             raise ValueError("need at least one cluster")
         self.num_clusters = num_clusters
         self.assign = Linear(in_features, num_clusters, rng)
-        self._aux: Tensor | None = None
 
-    def assignment(self, adjacency, h: Tensor) -> Tensor:
-        return softmax(self.assign(h), axis=1)
+    def assignment(self, adjacency, h: Tensor, mask=None) -> Tensor:
+        return masked_rows(softmax(self.assign(h), axis=-1), mask)
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
-        adj = as_tensor(adjacency)
-        n = h.shape[0]
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
         k = self.num_clusters
-        s = self.assignment(adjacency, h)
-        degree = Tensor(np.diag(np.asarray(adj.data).sum(axis=1)))
+        s = self.assignment(adjacency, h, mask)
+        degree = Tensor(np.asarray(adjacency.data).sum(axis=-1))
+        off_diagonal = Tensor(1.0 - np.eye(k))
 
-        cut_num = _trace(s.T @ adj @ s)
-        cut_den = _trace(s.T @ degree @ s) + 1e-9
-        cut_loss = -(cut_num / cut_den)
+        def aux(adj_coarse: Tensor) -> Tensor:
+            # Tr(S^T A S) from the Connect output; Tr(S^T D S) = Σ_i d_i |s_i|².
+            cut_num = (adj_coarse * Tensor(np.eye(k))).sum(axis=(-2, -1))
+            cut_den = ((s * s).sum(axis=-1) * degree).sum(axis=-1) + 1e-9
+            cut_loss = -(cut_num / cut_den)
+            sts = s.mT @ s
+            fro = sqrt((sts * sts).sum(axis=(-2, -1)) + 1e-12)
+            residual = sts / fro.reshape(*fro.shape, 1, 1) - Tensor(np.eye(k) / np.sqrt(k))
+            ortho_loss = sqrt((residual * residual).sum(axis=(-2, -1)) + 1e-12)
+            return (cut_loss + ortho_loss).mean()
 
-        sts = s.T @ s
-        fro = sqrt((sts * sts).sum() + 1e-12)
-        identity = Tensor(np.eye(k) / np.sqrt(k))
-        residual = sts / fro - identity
-        ortho_loss = sqrt((residual * residual).sum() + 1e-12)
-        self._aux = cut_loss + ortho_loss
-
-        h_coarse = s.T @ h
-        adj_coarse = s.T @ adj @ s
         # Zero the coarsened diagonal as in the original formulation.
-        mask = 1.0 - np.eye(k)
-        adj_coarse = adj_coarse * Tensor(mask)
-        return adj_coarse, h_coarse
-
-    def auxiliary_loss(self) -> Tensor | None:
-        return self._aux
+        return Selection(s, aux=aux, post=lambda adj_coarse: adj_coarse * off_diagonal)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import LSTMCell
-from repro.pooling.base import Readout
-from repro.tensor import Tensor, concat, softmax
+from repro.pooling.base import Readout, Selection, reduce
+from repro.tensor import Tensor, concat, masked_softmax, softmax
 
 
 class Set2Set(Readout):
@@ -27,17 +27,20 @@ class Set2Set(Readout):
         self.out_features = 2 * in_features
         self.lstm = LSTMCell(2 * in_features, in_features, rng)
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        n, f = h.shape
-        q_star = Tensor(np.zeros(2 * f))
-        state = self.lstm.initial_state()
-        readout = Tensor(np.zeros(f))
-        query = state[0]
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        lead, (n, f) = h.shape[:-2], h.shape[-2:]
+        q_star = Tensor(np.zeros(lead + (2 * f,)))
+        state = (Tensor(np.zeros(lead + (f,))), Tensor(np.zeros(lead + (f,))))
         for _ in range(self.steps):
             query, cell = self.lstm(q_star, state)
             state = (query, cell)
-            energies = h @ query  # (N,)
-            attention = softmax(energies, axis=0)
-            readout = (attention.reshape(1, n) @ h).reshape(f)
-            q_star = concat([query, readout], axis=0)
+            energies = (h @ query.reshape(*lead, f, 1)).reshape(*lead, n)
+            if mask is None:
+                attention = softmax(energies, axis=-1)
+            else:
+                attention = masked_softmax(energies, mask, axis=-1)
+            readout = reduce(
+                Selection(attention.reshape(*lead, n, 1)), h
+            ).reshape(*lead, f)
+            q_star = concat([query, readout], axis=-1)
         return q_star

@@ -2,16 +2,17 @@
 
 Treats the last feature channel as a continuous WL colour, sorts nodes
 by it in descending order, keeps the top ``k`` (zero-padding smaller
-graphs) and flattens the result into a fixed-size vector.  The sort is
-a constant re-indexing, so gradients flow to the selected nodes.
+graphs) and flattens the result into a fixed-size vector.  The sort is a
+constant one-hot selection S fed to the shared Reduce ``S^T H``, so
+gradients flow to the selected nodes; padding nodes sort last.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.pooling.base import Readout
-from repro.tensor import Tensor, concat, gather_rows
+from repro.pooling.base import Readout, Selection, node_counts, reduce
+from repro.tensor import Tensor
 
 
 class SortPooling(Readout):
@@ -25,12 +26,14 @@ class SortPooling(Readout):
         self.in_features = in_features
         self.out_features = k * in_features
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        n, f = h.shape
-        order = np.argsort(-h.data[:, -1], kind="stable")[: self.k]
-        selected = gather_rows(h, order)
-        kept = min(self.k, n)
-        flat = selected.reshape(kept * f)
-        if kept < self.k:
-            flat = concat([flat, Tensor(np.zeros((self.k - kept) * f))], axis=0)
-        return flat
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        lead, (n, f) = h.shape[:-2], h.shape[-2:]
+        colour = h.data[..., -1] if mask is None else np.where(mask > 0, h.data[..., -1], -np.inf)
+        order = np.argsort(-colour, axis=-1, kind="stable")[..., : self.k]
+        counts = np.broadcast_to(node_counts(h, mask), lead)
+        s = np.zeros(lead + (n, self.k))
+        for index in np.ndindex(*lead):
+            kept = min(self.k, int(counts[index]))
+            s[index][order[index][:kept], np.arange(kept)] = 1.0
+        # Graphs with fewer than k nodes leave zero columns: zero rows.
+        return reduce(Selection(Tensor(s)), h).reshape(*lead, self.k * f)

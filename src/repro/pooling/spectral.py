@@ -3,8 +3,8 @@
 A classical, training-free grouping baseline beyond the paper's table:
 nodes are embedded with the first ``num_clusters`` eigenvectors of the
 symmetric normalised Laplacian and soft-assigned to clusters by a
-(learnable) linear map over that spectral embedding.  Grouping then
-follows the usual recipe H' = S^T H, A' = S^T A S.
+(learnable) linear map over that spectral embedding.  The shared
+Reduce and Connect then group as usual, H' = S^T H, A' = S^T A S.
 
 The spectral decomposition itself is treated as a constant (no gradient
 flows through the eigensolver), matching how spectral methods are used
@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Linear
-from repro.pooling.base import Coarsening
-from repro.tensor import Tensor, as_tensor, concat, softmax
+from repro.pooling.base import Coarsening, Selection, masked_rows, node_counts
+from repro.tensor import Tensor, concat, softmax
 
 
 def normalized_laplacian(adjacency: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -61,13 +61,19 @@ class SpectralPool(Coarsening):
         # Assignment sees [features || spectral coordinates].
         self.assign = Linear(in_features + num_clusters, num_clusters, rng)
 
-    def assignment(self, adjacency, h: Tensor) -> Tensor:
-        adj_data = adjacency.data if isinstance(adjacency, Tensor) else adjacency
-        coords = Tensor(spectral_embedding(np.asarray(adj_data), self.num_clusters))
-        joint = concat([as_tensor(h), coords], axis=1)
-        return softmax(self.assign(joint), axis=1)
+    def assignment(self, adjacency, h: Tensor, mask=None) -> Tensor:
+        """Soft assignment ``(..., N, num_clusters)``; each graph of a
+        padded batch is embedded from its own real nodes."""
+        adj_data = np.asarray(adjacency.data if isinstance(adjacency, Tensor) else adjacency)
+        counts = np.broadcast_to(node_counts(h, mask), adj_data.shape[:-2])
+        coords = np.zeros(h.shape[:-1] + (self.num_clusters,))
+        for index in np.ndindex(*counts.shape):
+            n = int(counts[index])
+            coords[index][:n] = spectral_embedding(
+                adj_data[index][:n, :n], self.num_clusters
+            )
+        joint = concat([h, Tensor(coords)], axis=-1)
+        return masked_rows(softmax(self.assign(joint), axis=-1), mask)
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
-        adj = as_tensor(adjacency)
-        s = self.assignment(adjacency, h)
-        return s.T @ adj @ s, s.T @ as_tensor(h)
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
+        return Selection(self.assignment(adjacency, h, mask))

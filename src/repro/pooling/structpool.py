@@ -9,8 +9,10 @@ of its neighbours.  We run the standard mean-field approximation:
 
 where U = H W_unary are unary potentials, Â is the (row-normalised)
 adjacency and W_pair is a learnable cluster-compatibility matrix.  The
-fixed point minimises the (relaxed) Gibbs energy; coarsening then
-follows the grouping recipe H' = Q^T H, A' = Q^T A Q.
+fixed point minimises the (relaxed) Gibbs energy; Q is the assignment
+the shared Reduce and Connect use, H' = Q^T H, A' = Q^T A Q.  Padding
+rows of a padded batch have zero adjacency, so they send no message,
+and their marginals are zeroed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from repro.nn.init import glorot_uniform
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
-from repro.pooling.base import Coarsening
+from repro.pooling.base import Coarsening, Selection, masked_rows
 from repro.tensor import Tensor, as_tensor, power, softmax
 
 
@@ -46,22 +48,17 @@ class StructPool(Coarsening):
             glorot_uniform(rng, num_clusters, num_clusters), name="pairwise"
         )
 
-    def assignment(self, adjacency, h: Tensor) -> Tensor:
-        """Mean-field marginals Q of shape (N, num_clusters)."""
+    def assignment(self, adjacency, h: Tensor, mask=None) -> Tensor:
+        """Mean-field marginals Q of shape (..., N, num_clusters)."""
         adj = as_tensor(adjacency)
-        n = h.shape[0]
-        row_sums = adj.sum(axis=1) + 1e-8
-        adj_norm = adj * power(row_sums, -1.0).reshape(n, 1)
+        row_sums = adj.sum(axis=-1) + 1e-8
+        adj_norm = adj * power(row_sums, -1.0).reshape(*row_sums.shape, 1)
         unary = self.unary(h)
-        q = softmax(unary, axis=1)
+        q = softmax(unary, axis=-1)
         for _ in range(self.iterations):
             pairwise_message = adj_norm @ q @ self.pairwise
-            q = softmax(unary + pairwise_message, axis=1)
-        return q
+            q = softmax(unary + pairwise_message, axis=-1)
+        return masked_rows(q, mask)
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
-        adj = as_tensor(adjacency)
-        q = self.assignment(adjacency, h)
-        h_coarse = q.T @ h
-        adj_coarse = q.T @ adj @ q
-        return adj_coarse, h_coarse
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
+        return Selection(self.assignment(adjacency, h, mask))

@@ -11,6 +11,10 @@
 - ``MeanPoolCoarsening`` / ``MeanAttPoolCoarsening``: the same
   aggregators cast as N -> 1 coarsening operators for the Table 5
   ablation (HAP-MeanPool, HAP-MeanAttPool).
+
+Every readout reduces over the node axis of one graph ``(N, F)`` or of
+a padded batch ``(B, N, F)``, ignoring the rows its mask marks as
+padding.
 """
 
 from __future__ import annotations
@@ -21,8 +25,30 @@ from repro.gnn.encoder import GNNEncoder
 from repro.nn.init import glorot_uniform
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
-from repro.pooling.base import Coarsening, Readout
-from repro.tensor import Tensor, concat, sigmoid, tanh
+from repro.pooling.base import (
+    Coarsening,
+    Readout,
+    Selection,
+    masked_rows,
+    node_counts,
+    node_mean,
+    reduce,
+)
+from repro.tensor import Tensor, concat, sigmoid, tanh, where
+
+
+def _weighted_sum(weights: Tensor, h: Tensor, mask) -> Tensor:
+    """``Σ_i w_i h_i`` over each graph's real nodes, through the one
+    Reduce: ``(..., N)`` weights and ``(..., N, F)`` rows -> ``(..., F)``."""
+    lead, (n, f) = h.shape[:-2], h.shape[-2:]
+    s = masked_rows(weights.reshape(*lead, n, 1), mask)
+    return reduce(Selection(s), h).reshape(*lead, f)
+
+
+def _zero_adjacency(adj_coarse: Tensor) -> Tensor:
+    """The N -> 1 ablations' post-Connect step: a single cluster has no
+    edges, so ``A'`` is a constant zero."""
+    return Tensor(np.zeros(adj_coarse.shape))
 
 
 class SumPool(Readout):
@@ -32,8 +58,8 @@ class SumPool(Readout):
         super().__init__()
         self.out_features = in_features
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        return h.sum(axis=0)
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        return masked_rows(h, mask).sum(axis=-2)
 
 
 class MeanPool(Readout):
@@ -43,8 +69,8 @@ class MeanPool(Readout):
         super().__init__()
         self.out_features = in_features
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        return h.mean(axis=0)
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        return node_mean(h, mask)
 
 
 class MaxPool(Readout):
@@ -54,8 +80,10 @@ class MaxPool(Readout):
         super().__init__()
         self.out_features = in_features
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        return h.max(axis=0)
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        if mask is not None:
+            h = where(mask[..., None] > 0, h, Tensor(np.full((1, 1), -np.inf)))
+        return h.max(axis=-2)
 
 
 class GCNConcat(Readout):
@@ -66,9 +94,9 @@ class GCNConcat(Readout):
         self.encoder = encoder
         self.out_features = sum(layer.out_features for layer in encoder.layers)
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
         outputs = self.encoder.layer_outputs(adjacency, h)
-        return concat(outputs, axis=1).mean(axis=0)
+        return node_mean(concat(outputs, axis=-1), mask)
 
 
 class MeanAttPool(Readout):
@@ -84,14 +112,15 @@ class MeanAttPool(Readout):
             glorot_uniform(rng, in_features, in_features), name="weight"
         )
 
-    def attention(self, h: Tensor) -> Tensor:
-        context = h.mean(axis=0) @ self.weight  # (F,)
-        return sigmoid(h @ context)  # (N,)
+    def attention(self, h: Tensor, mask=None) -> Tensor:
+        """Per-node scores ``(..., N)``; padding rows' scores are not
+        masked here (the weighted sums mask them)."""
+        lead, (n, f) = h.shape[:-2], h.shape[-2:]
+        context = node_mean(h, mask) @ self.weight  # (..., F)
+        return sigmoid(h @ context.reshape(*lead, f, 1)).reshape(*lead, n)
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        scores = self.attention(h)
-        n = h.shape[0]
-        return (scores.reshape(1, n) @ h).reshape(h.shape[1])
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        return _weighted_sum(self.attention(h, mask), h, mask)
 
 
 class GatedAttPool(Readout):
@@ -103,20 +132,18 @@ class GatedAttPool(Readout):
         self.gate = Linear(in_features, 1, rng)
         self.project = Linear(in_features, in_features, rng)
 
-    def readout(self, adjacency, h: Tensor) -> Tensor:
-        n = h.shape[0]
-        gates = sigmoid(self.gate(h)).reshape(1, n)
-        projected = tanh(self.project(h))
-        return (gates @ projected).reshape(self.out_features)
+    def readout(self, adjacency, h: Tensor, mask) -> Tensor:
+        gates = sigmoid(self.gate(h)).reshape(*h.shape[:-1])
+        return _weighted_sum(gates, tanh(self.project(h)), mask)
 
 
 class MeanPoolCoarsening(Coarsening):
     """N -> 1 coarsening by mean aggregation (HAP-MeanPool ablation)."""
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
-        h_coarse = h.mean(axis=0).reshape(1, h.shape[1])
-        adj_coarse = Tensor(np.zeros((1, 1)))
-        return adj_coarse, h_coarse
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
+        counts = np.asarray(node_counts(h, mask), dtype=np.float64)
+        s = np.ones(h.shape[:-1] + (1,)) / counts[..., None, None]
+        return Selection(masked_rows(Tensor(s), mask), post=_zero_adjacency)
 
 
 class MeanAttPoolCoarsening(Coarsening):
@@ -126,7 +153,7 @@ class MeanAttPoolCoarsening(Coarsening):
         super().__init__()
         self.readout = MeanAttPool(in_features, rng)
 
-    def coarsen(self, adjacency, h: Tensor) -> tuple[Tensor, Tensor]:
-        h_coarse = self.readout(adjacency, h).reshape(1, h.shape[1])
-        adj_coarse = Tensor(np.zeros((1, 1)))
-        return adj_coarse, h_coarse
+    def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
+        scores = self.readout.attention(h, mask)
+        s = masked_rows(scores.reshape(*h.shape[:-1], 1), mask)
+        return Selection(s, post=_zero_adjacency)

@@ -117,6 +117,12 @@ class Tensor:
     def T(self) -> "Tensor":
         return _OPS.transpose(self)
 
+    @property
+    def mT(self) -> "Tensor":
+        """Transpose of the last two axes, as numpy's ``ndarray.mT``."""
+        lead = tuple(range(self.ndim - 2))
+        return _OPS.transpose(self, lead + (self.ndim - 1, self.ndim - 2))
+
     def __len__(self) -> int:
         return len(self.data)
 

@@ -8,9 +8,13 @@ loop within 1e-6 (observed deviations are ~1e-12) for:
 - the GCN / GAT / GIN / SAGE encoders,
 - MOA (both relaxations, multi-head),
 - the full coarsening module (Eq. 17-19),
-- ``HierarchicalEmbedder`` level readouts,
+- ``HierarchicalEmbedder`` level readouts, on ragged random graphs and
+  on the matching (pair graphs) and similarity (AIDS-like molecules)
+  regimes,
 - ``GraphClassifier`` loss and every parameter gradient, for each conv
-  under both the classification and the regression head.
+  under both the classification and the regression head, and for every
+  method of the model zoo (in train mode too, except HAP, whose Gumbel
+  draws depend on the execution path).
 
 Also contains the multi-head vectorisation regression test: the
 single-pass MOA forward equals the old loop-of-softmaxes formulation.
@@ -20,12 +24,22 @@ import numpy as np
 import pytest
 
 from repro.core import GraphCoarsening, MOA, build_hap_embedder
-from repro.data import attach_degree_features, make_imdb_b_like, pad_graphs
+from repro.data import (
+    attach_degree_features,
+    attach_label_features,
+    make_aids_like,
+    make_imdb_b_like,
+    make_matching_dataset,
+    pad_graphs,
+)
 from repro.data.batching import iter_padded_batches
+from repro.data.datasets import NUM_ATOM_TYPES
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.models.classifier import GraphClassifier
+from repro.models.zoo import ABLATION_METHODS, CLASSIFICATION_METHODS, make_classifier
 from repro.tensor import Tensor, softmax
+from repro.training import TrainConfig, fit
 from tests.moa_reference import moa_logits
 
 pytestmark = pytest.mark.equivalence
@@ -35,6 +49,37 @@ TOL = 1e-6
 #: deliberately ragged node counts, including one graph smaller than the
 #: cluster count used below (exercises the pad relaxation's zero-pad arm)
 RAGGED_SIZES = (3, 7, 12, 5, 9)
+
+#: every method ``make_embedder`` builds: the Table 3 and Table 5 rows
+#: plus the MaxPool, MinCutPool and SpectralPool extensions
+ZOO_METHODS = sorted(
+    set(CLASSIFICATION_METHODS) | set(ABLATION_METHODS)
+    | {"MaxPool", "MinCutPool", "SpectralPool"}
+)
+
+
+def _assert_batch_loss_matches_loop(loop_model, batch_model, graphs):
+    """Two identical models: ``batch_loss`` of one equals the mean of the
+    other's per-graph ``loss`` calls, and so does every parameter
+    gradient (a parameter no loss reaches has none on either path)."""
+    total = None
+    for g in graphs:
+        loss = loop_model.loss(g)
+        total = loss if total is None else total + loss
+    total = total * (1.0 / len(graphs))
+    total.backward()
+
+    batched = batch_model.batch_loss(graphs)
+    batched.backward()
+
+    assert abs(float(total.data) - float(batched.data)) < TOL
+    for (name, p_loop), (_, p_batch) in zip(
+        loop_model.named_parameters(), batch_model.named_parameters()
+    ):
+        assert (p_loop.grad is None) == (p_batch.grad is None), name
+        if p_loop.grad is not None:
+            dev = np.abs(p_loop.grad - p_batch.grad).max()
+            assert dev < TOL, (name, dev)
 
 
 def _ragged_batch(rng, feat_dim=6, sizes=RAGGED_SIZES):
@@ -51,7 +96,7 @@ class TestEncoderEquivalence:
         graphs = _ragged_batch(rng)
         encoder = GNNEncoder([6, 8, 8], np.random.default_rng(0), conv=conv)
         batch = pad_graphs(graphs)
-        out_b = encoder(batch.adjacency, Tensor(batch.features), batch.mask)
+        out_b = encoder(batch.adjacency, Tensor(batch.features))
         for i, g in enumerate(graphs):
             out = encoder(g.adjacency, Tensor(g.features))
             dev = np.abs(out.data - out_b.data[i, : g.num_nodes]).max()
@@ -111,13 +156,14 @@ class TestCoarseningEquivalence:
         )
         module.eval()  # deterministic tempered softmax, no gumbel noise
         batch = pad_graphs(graphs)
-        adj_b, h_b, m_b = module.coarsen(
-            batch.adjacency, Tensor(batch.features), batch.mask
-        )
+        inputs = (batch.adjacency, Tensor(batch.features), batch.mask)
+        adj_b, h_b, _ = module(*inputs)
+        m_b = module.select(*inputs).s
         assert adj_b.shape == (len(graphs), 3, 3)
         assert h_b.shape == (len(graphs), 3, 6)
         for i, g in enumerate(graphs):
-            adj, h, m = module.coarsen(g.adjacency, Tensor(g.features))
+            adj, h, _ = module(g.adjacency, Tensor(g.features))
+            m = module.select(g.adjacency, Tensor(g.features)).s
             assert np.abs(adj.data - adj_b.data[i]).max() < TOL
             assert np.abs(h.data - h_b.data[i]).max() < TOL
             assert np.abs(m.data - m_b.data[i, : g.num_nodes]).max() < TOL
@@ -132,46 +178,48 @@ class TestFullModelEquivalence:
             emb, num_classes, np.random.default_rng(seed + 1), task=task
         )
 
-    @pytest.mark.parametrize("conv", ["gcn", "gat"])
-    def test_embed_levels_match_loop(self, rng, conv):
-        graphs = _ragged_batch(rng)
-        model = self._models(11, conv=conv)
-        model.eval()
+    def _regime(self, rng, regime):
+        """``(embedder, graphs)``: ragged random graphs through a HAP
+        classifier's embedder for a conv name, or a task's own graphs."""
+        if regime == "matching":  # ragged pair graphs, degree features
+            pairs = make_matching_dataset(4, 10, rng)
+            graphs = [attach_degree_features(g) for p in pairs for g in (p.g1, p.g2)]
+            return build_hap_embedder(16, 8, [5, 2], np.random.default_rng(1)), graphs
+        if regime == "similarity":  # AIDS-like molecules, label features
+            graphs = [
+                attach_label_features(g, NUM_ATOM_TYPES) for g in make_aids_like(8, rng)
+            ]
+            embedder = build_hap_embedder(
+                NUM_ATOM_TYPES, 8, [3, 1], np.random.default_rng(1)
+            )
+            return embedder, graphs
+        return self._models(11, conv=regime).embedder, _ragged_batch(rng)
+
+    @pytest.mark.parametrize("regime", ["gcn", "gat", "matching", "similarity"])
+    def test_embed_levels_match_loop(self, rng, regime):
+        embedder, graphs = self._regime(rng, regime)
+        embedder.eval()
         batch = pad_graphs(graphs)
-        levels_b = model.embedder.embed_levels(
+        levels_b = embedder.embed_levels(
             batch.adjacency, Tensor(batch.features), batch.mask
         )
         for i, g in enumerate(graphs):
-            levels = model.embedder.embed_levels(g.adjacency, Tensor(g.features))
+            levels = embedder.embed_levels(g.adjacency, Tensor(g.features))
             for k, (lv, lv_b) in enumerate(zip(levels, levels_b)):
                 dev = np.abs(lv.data - lv_b.data[i]).max()
-                assert dev < TOL, (conv, i, k, dev)
+                assert dev < TOL, (regime, i, k, dev)
 
     def _assert_loss_and_gradients_match(self, graphs, seed, **kwargs):
         """The padded ``batch_loss`` equals the mean of per-graph
-        ``loss`` calls, and so does every parameter gradient."""
+        ``loss`` calls, and so does every parameter gradient; every HAP
+        parameter receives one."""
         loop_model = self._models(seed, **kwargs)
         batch_model = self._models(seed, **kwargs)
         loop_model.eval()
         batch_model.eval()
-
-        total = None
-        for g in graphs:
-            loss = loop_model.loss(g)
-            total = loss if total is None else total + loss
-        total = total * (1.0 / len(graphs))
-        total.backward()
-
-        batched = batch_model.batch_loss(graphs)
-        batched.backward()
-
-        assert abs(float(total.data) - float(batched.data)) < TOL
-        for (name, p_loop), (_, p_batch) in zip(
-            loop_model.named_parameters(), batch_model.named_parameters()
-        ):
-            assert p_loop.grad is not None and p_batch.grad is not None, name
-            dev = np.abs(p_loop.grad - p_batch.grad).max()
-            assert dev < TOL, (name, dev)
+        _assert_batch_loss_matches_loop(loop_model, batch_model, graphs)
+        for name, p in loop_model.named_parameters():
+            assert p.grad is not None, name
 
     def test_loss_and_gradients_match_loop(self, rng):
         graphs = [g.with_label(int(i % 2)) for i, g in enumerate(_ragged_batch(rng))]
@@ -242,6 +290,43 @@ class TestFullModelEquivalence:
         assert sum(int(c.num_nodes.sum()) for c in chunks) == sum(
             g.num_nodes for g in graphs
         )
+
+
+def _labelled_ragged_batch(rng):
+    return [g.with_label(i % 2) for i, g in enumerate(_ragged_batch(rng))]
+
+
+def _zoo_classifier(method):
+    return make_classifier(
+        method, 6, 2, np.random.default_rng(61), hidden=8, cluster_sizes=(4, 2)
+    )
+
+
+class TestEveryClassifierTrainsBatched:
+    @pytest.mark.parametrize(
+        "method, training",
+        [(m, False) for m in ZOO_METHODS]
+        + [(m, True) for m in ZOO_METHODS if m != "HAP"],
+        ids=lambda value: {False: "eval", True: "train"}.get(value, value),
+    )
+    def test_batch_loss_and_gradients_match_loop(self, rng, method, training):
+        loop_model, batch_model = _zoo_classifier(method), _zoo_classifier(method)
+        loop_model.train(training)
+        batch_model.train(training)
+        _assert_batch_loss_matches_loop(
+            loop_model, batch_model, _labelled_ragged_batch(rng)
+        )
+
+    @pytest.mark.parametrize("method", ZOO_METHODS)
+    def test_fit_runs_batched(self, rng, method):
+        model = _zoo_classifier(method)
+        history = fit(
+            model,
+            _labelled_ragged_batch(rng),
+            np.random.default_rng(0),
+            TrainConfig(epochs=1, batch_size=3, batched=True),
+        )
+        assert len(history.losses) == 1 and np.isfinite(history.losses[0])
 
 
 class TestPaddedBatchValidation:

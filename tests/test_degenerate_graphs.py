@@ -86,7 +86,7 @@ class TestCoarseningsOnDegenerateGraphs:
         op = factory(rng)
         op.eval()
         for name, adj, feats in _cases(rng):
-            result = op.coarsen(adj, Tensor(feats))
+            result = op(adj, Tensor(feats))
             adj2, h2 = result[0], result[1]
             assert np.all(np.isfinite(h2.data)), name
             assert np.all(np.isfinite(adj2.data)), name
@@ -154,8 +154,8 @@ class TestSparseBackendOnDegenerateGraphs:
         op = GraphCoarsening(4, 2, np.random.default_rng(0))
         op.eval()
         for name, adj, feats in _cases(rng):
-            adj_d, h_d, _ = op.coarsen(adj, Tensor(feats))
-            adj_s, h_s, _ = op.coarsen(CSRMatrix.from_dense(adj), Tensor(feats))
+            adj_d, h_d, _ = op(adj, Tensor(feats))
+            adj_s, h_s, _ = op(CSRMatrix.from_dense(adj), Tensor(feats))
             assert np.abs(adj_d.data - adj_s.data).max() < 1e-6, name
             assert np.abs(h_d.data - h_s.data).max() < 1e-6, name
 

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     GCont,
     GraphCoarsening,
-    HAPPooling,
     HierarchicalEmbedder,
     MOA,
     build_hap_embedder,
@@ -14,6 +13,7 @@ from repro.core import (
 )
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
+from repro.pooling import Coarsening
 from repro.tensor import Tensor, concat, leaky_relu
 from tests.moa_reference import concat_score
 
@@ -133,9 +133,9 @@ class TestGumbelSoftSample:
 class TestGraphCoarsening:
     def test_algorithm1_shapes(self, rng, small_graph):
         module = GraphCoarsening(5, 3, rng)
-        adj2, h2, m = module.coarsen(
-            small_graph.adjacency, Tensor(small_graph.features)
-        )
+        inputs = (small_graph.adjacency, Tensor(small_graph.features))
+        adj2, h2, _ = module(*inputs)
+        m = module.select(*inputs).s
         assert adj2.shape == (3, 3)
         assert h2.shape == (3, 5)
         assert m.shape == (8, 3)
@@ -143,9 +143,9 @@ class TestGraphCoarsening:
     def test_cluster_formation_equations(self, rng, small_graph):
         # With soft sampling off, H' and A' follow Eq. 17-18 exactly.
         module = GraphCoarsening(5, 3, rng, soft_sampling=False)
-        adj2, h2, m = module.coarsen(
-            small_graph.adjacency, Tensor(small_graph.features)
-        )
+        inputs = (small_graph.adjacency, Tensor(small_graph.features))
+        adj2, h2, _ = module(*inputs)
+        m = module.select(*inputs).s
         np.testing.assert_allclose(
             h2.data, m.data.T @ small_graph.features, atol=1e-10
         )
@@ -157,23 +157,21 @@ class TestGraphCoarsening:
         module = GraphCoarsening(5, 3, rng)
         module.eval()
         h = Tensor(small_graph.features)
-        a1, h1, _ = module.coarsen(small_graph.adjacency, h)
-        a2, h2, _ = module.coarsen(small_graph.adjacency, h)
+        a1, h1, _ = module(small_graph.adjacency, h)
+        a2, h2, _ = module(small_graph.adjacency, h)
         np.testing.assert_array_equal(a1.data, a2.data)
 
     def test_train_mode_stochastic(self, rng, small_graph):
         module = GraphCoarsening(5, 3, rng)
         module.train()
         h = Tensor(small_graph.features)
-        a1, _, _ = module.coarsen(small_graph.adjacency, h)
-        a2, _, _ = module.coarsen(small_graph.adjacency, h)
+        a1, _, _ = module(small_graph.adjacency, h)
+        a2, _, _ = module(small_graph.adjacency, h)
         assert not np.allclose(a1.data, a2.data)
 
     def test_gradients_reach_gcont_and_moa(self, rng, small_graph):
         module = GraphCoarsening(5, 3, rng)
-        adj2, h2, _ = module.coarsen(
-            small_graph.adjacency, Tensor(small_graph.features)
-        )
+        adj2, h2, _ = module(small_graph.adjacency, Tensor(small_graph.features))
         (h2.sum() + adj2.sum()).backward()
         for name, p in module.named_parameters():
             assert p.grad is not None, name
@@ -216,8 +214,10 @@ class TestHierarchicalEmbedder:
             HierarchicalEmbedder([], [])
 
     def test_hap_pooling_adapter(self, rng, small_graph):
-        pool = HAPPooling(GraphCoarsening(5, 2, rng))
-        adj2, h2 = pool.coarsen(small_graph.adjacency, Tensor(small_graph.features))
+        """HAP's module is itself a Coarsening: no adapter wraps it."""
+        pool = GraphCoarsening(5, 2, rng)
+        assert isinstance(pool, Coarsening)
+        adj2, h2, _ = pool(small_graph.adjacency, Tensor(small_graph.features))
         assert adj2.shape == (2, 2) and h2.shape == (2, 5)
 
     def test_build_validation(self, rng):

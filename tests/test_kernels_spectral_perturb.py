@@ -99,7 +99,7 @@ class TestSpectral:
 
     def test_spectral_pool_coarsens(self, rng, small_graph):
         pool = SpectralPool(5, 3, rng)
-        adj2, h2 = pool.coarsen(small_graph.adjacency, Tensor(small_graph.features))
+        adj2, h2, _ = pool(small_graph.adjacency, Tensor(small_graph.features))
         assert adj2.shape == (3, 3) and h2.shape == (3, 5)
         s = pool.assignment(small_graph.adjacency, Tensor(small_graph.features))
         np.testing.assert_allclose(s.data.sum(axis=1), np.ones(8))

@@ -3,16 +3,18 @@ uniform signature/return contract of :mod:`repro.pooling.base`.
 
 - ``Readout(adjacency, h) -> (out_features,)`` vector; adjacency may be
   numpy, ``Tensor`` or (for structure-free ops) ``None``.
-- ``Coarsening(adjacency, h) -> (A', H')`` with square 2-D ``A'``.
-- 3-D (padded-batch) input raises ``NotImplementedError`` unless the
-  operator opts in with ``supports_padded`` (only HAP does today).
-- Malformed inputs fail loudly with ``ValueError``.
+- ``Coarsening(adjacency, h) -> (A', H', mask')`` with square ``A'``;
+  subclasses implement only ``select``.
+- Every operator takes a padded batch; the per-graph equivalence of
+  each one is pinned by ``tests/test_pooling_oracle.py``.
+- Malformed inputs fail loudly with ``ValueError``; a ``select`` that
+  breaks the assignment contract fails with ``AssertionError``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import GraphCoarsening, HAPPooling
+from repro.core import GraphCoarsening
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.pooling import (
@@ -36,7 +38,7 @@ from repro.pooling import (
     StructPool,
     SumPool,
 )
-from repro.pooling.base import Coarsening, Readout, coarsening_readout
+from repro.pooling.base import Coarsening, Readout, Selection, coarsening_readout
 from repro.tensor import Tensor
 
 N, F = 10, 5
@@ -68,7 +70,8 @@ COARSENINGS = {
     "StructPool": lambda rng: StructPool(F, 3, rng),
     "MinCutPool": lambda rng: MinCutPool(F, 3, rng),
     "SpectralPool": lambda rng: SpectralPool(F, 3, rng),
-    "HAPPooling": lambda rng: HAPPooling(GraphCoarsening(F, 3, rng)),
+    # HAP's pooling operator: GraphCoarsening is itself a Coarsening.
+    "HAPPooling": lambda rng: GraphCoarsening(F, 3, rng),
 }
 
 
@@ -108,11 +111,20 @@ class TestReadoutContract:
 
     @pytest.mark.parametrize("name", sorted(READOUTS))
     def test_padded_batch_input_rejected(self, rng, graph, name):
+        """A padded batch is taken only with a mask and an adjacency
+        that match its rows."""
         factory, _ = READOUTS[name]
         op = factory(rng)
         padded = np.stack([graph.features, graph.features])
-        with pytest.raises(NotImplementedError, match="per-graph loop"):
-            op(None, Tensor(padded))
+        batched_adj = np.stack([graph.adjacency, graph.adjacency])
+        assert op(batched_adj, Tensor(padded), np.ones((2, N))).shape == (
+            2,
+            op.out_features,
+        )
+        with pytest.raises(ValueError, match="mask"):
+            op(batched_adj, Tensor(padded), np.ones((3, N)))
+        with pytest.raises(ValueError, match="adjacency"):
+            op(graph.adjacency, Tensor(padded))
 
     @pytest.mark.parametrize("name", sorted(READOUTS))
     def test_malformed_inputs_rejected(self, rng, graph, name):
@@ -131,7 +143,8 @@ class TestCoarseningContract:
     def test_returns_square_coarse_pair(self, rng, graph, name):
         op = COARSENINGS[name](rng)
         op.eval()
-        adj_c, h_c = op(graph.adjacency, Tensor(graph.features))
+        adj_c, h_c, mask = op(graph.adjacency, Tensor(graph.features))
+        assert mask is None
         assert h_c.ndim == 2
         k = h_c.shape[0]
         assert 1 <= k <= N
@@ -149,25 +162,29 @@ class TestCoarseningContract:
         "name", sorted(n for n in COARSENINGS if n != "HAPPooling")
     )
     def test_padded_batch_input_rejected_unless_supported(self, rng, graph, name):
+        """Every coarsening supports padded batches; only a malformed one
+        is rejected."""
         op = COARSENINGS[name](rng)
-        assert not op.supports_padded
+        op.eval()
         padded = np.stack([graph.features, graph.features])
         batched_adj = np.stack([graph.adjacency, graph.adjacency])
-        with pytest.raises(NotImplementedError, match="per-graph loop"):
-            op(batched_adj, Tensor(padded), np.ones((2, N)))
+        adj_c, h_c, _ = op(batched_adj, Tensor(padded), np.ones((2, N)))
+        k = h_c.shape[1]
+        assert adj_c.shape == (2, k, k) and h_c.shape == (2, k, F)
+        with pytest.raises(ValueError, match="mask"):
+            op(batched_adj, Tensor(padded), np.ones((3, N)))
 
     def test_hap_opts_into_padded_dispatch(self, rng, graph):
         op = COARSENINGS["HAPPooling"](rng)
         op.eval()
-        assert op.supports_padded
         padded = np.stack([graph.features, graph.features])
         batched_adj = np.stack([graph.adjacency, graph.adjacency])
         adj_c, h_c, mask_c = op(batched_adj, Tensor(padded), np.ones((2, N)))
         assert adj_c.shape == (2, 3, 3)
         assert h_c.shape == (2, 3, F)
-        assert mask_c.shape[0] == 2
+        assert mask_c is None  # every graph owns exactly N' clusters
         # each padded slice matches the single-graph path
-        adj_s, h_s = op(graph.adjacency, Tensor(graph.features))
+        adj_s, h_s, _ = op(graph.adjacency, Tensor(graph.features))
         np.testing.assert_allclose(h_s.data, h_c.data[0], atol=1e-8)
 
     @pytest.mark.parametrize("name", sorted(COARSENINGS))
@@ -193,7 +210,7 @@ class TestContractIsEnforcedOnSubclasses:
                 super().__init__()
                 self.out_features = F
 
-            def readout(self, adjacency, h):
+            def readout(self, adjacency, h, mask):
                 return h  # 2-D: violates the contract
 
         with pytest.raises(AssertionError, match="expected"):
@@ -201,8 +218,8 @@ class TestContractIsEnforcedOnSubclasses:
 
     def test_bad_coarsening_shape_is_caught(self, rng, graph):
         class Bad(Coarsening):
-            def coarsen(self, adjacency, h):
-                return Tensor(np.zeros((2, 3))), h[:2]  # non-square A'
+            def select(self, adjacency, h, mask=None, edge_attr=None):
+                return Selection(Tensor(np.ones((N - 1, 2))))  # one row short
 
-        with pytest.raises(AssertionError, match="adjacency"):
+        with pytest.raises(AssertionError, match="assignment"):
             Bad()(graph.adjacency, Tensor(graph.features))

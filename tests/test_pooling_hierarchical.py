@@ -39,7 +39,7 @@ class TestTopKFamily:
     def test_output_sizes(self, cls, rng, graph_and_features):
         adj, h = graph_and_features
         op = cls(5, rng, ratio=0.5)
-        adj2, h2 = op.coarsen(adj, h)
+        adj2, h2, _ = op(adj, h)
         assert h2.shape == (4, 5)
         assert adj2.shape == (4, 4)
 
@@ -56,7 +56,7 @@ class TestTopKFamily:
         h = Tensor(np.array([[3.0], [0.1], [2.9], [0.2]]))
         op = GPool(1, rng, ratio=0.5)
         op.projection.data = np.array([1.0])
-        adj2, h2 = op.coarsen(g.adjacency, h)
+        adj2, h2, _ = op(g.adjacency, h)
         # Top-2 by projection: nodes 0 and 2, which are NOT adjacent ->
         # the coarse graph is disconnected (the failure mode the paper
         # points out for Top-K pooling).
@@ -66,7 +66,7 @@ class TestTopKFamily:
     def test_gating_passes_gradient_to_scores(self, rng, graph_and_features):
         adj, h = graph_and_features
         op = SAGPool(5, rng, ratio=0.5)
-        _, h2 = op.coarsen(adj, h)
+        _, h2, _ = op(adj, h)
         h2.sum().backward()
         assert op.score_gcn.weight.grad is not None
 
@@ -84,8 +84,8 @@ class TestTopKFamily:
     def test_deterministic_given_weights(self, rng, graph_and_features):
         adj, h = graph_and_features
         op = GPool(5, rng, ratio=0.5)
-        a1, h1 = op.coarsen(adj, h)
-        a2, h2 = op.coarsen(adj, h)
+        a1, h1, _ = op(adj, h)
+        a2, h2, _ = op(adj, h)
         np.testing.assert_array_equal(h1.data, h2.data)
 
 
@@ -98,13 +98,13 @@ class TestDiffPool:
 
     def test_coarsen_shapes(self, rng, graph_and_features):
         adj, h = graph_and_features
-        adj2, h2 = DiffPool(5, 3, rng).coarsen(adj, h)
+        adj2, h2, _ = DiffPool(5, 3, rng)(adj, h)
         assert adj2.shape == (3, 3) and h2.shape == (3, 5)
 
     def test_auxiliary_loss_present_and_scalar(self, rng, graph_and_features):
         adj, h = graph_and_features
         op = DiffPool(5, 3, rng)
-        op.coarsen(adj, h)
+        op(adj, h)
         aux = op.auxiliary_loss()
         assert aux is not None and aux.size == 1
 
@@ -116,7 +116,7 @@ class TestDiffPool:
         adj, h = graph_and_features
         op = DiffPool(5, 3, rng, use_embed_gnn=False)
         s = op.assignment(adj, h).data
-        adj2, h2 = op.coarsen(adj, h)
+        adj2, h2, _ = op(adj, h)
         np.testing.assert_allclose(adj2.data, s.T @ adj @ s, atol=1e-10)
         np.testing.assert_allclose(h2.data, s.T @ h.data, atol=1e-10)
 
@@ -124,7 +124,7 @@ class TestDiffPool:
 class TestASAP:
     def test_shapes(self, rng, graph_and_features):
         adj, h = graph_and_features
-        adj2, h2 = ASAP(5, rng, ratio=0.5).coarsen(adj, h)
+        adj2, h2, _ = ASAP(5, rng, ratio=0.5)(adj, h)
         assert h2.shape == (4, 5) and adj2.shape == (4, 4)
 
     def test_ratio_validation(self, rng):
@@ -134,7 +134,7 @@ class TestASAP:
     def test_all_parameters_get_gradients(self, rng, graph_and_features):
         adj, h = graph_and_features
         op = ASAP(5, rng, ratio=0.5)
-        adj2, h2 = op.coarsen(adj, h)
+        adj2, h2, _ = op(adj, h)
         (h2.sum() + adj2.sum()).backward()
         for name, p in op.named_parameters():
             assert p.grad is not None, name
@@ -168,14 +168,14 @@ class TestMinCutPool:
     def test_shapes_and_zero_diagonal(self, rng, graph_and_features):
         adj, h = graph_and_features
         op = MinCutPool(5, 3, rng)
-        adj2, h2 = op.coarsen(adj, h)
+        adj2, h2, _ = op(adj, h)
         assert adj2.shape == (3, 3)
         np.testing.assert_allclose(np.diag(adj2.data), np.zeros(3))
 
     def test_auxiliary_loss_bounded(self, rng, graph_and_features):
         adj, h = graph_and_features
         op = MinCutPool(5, 3, rng)
-        op.coarsen(adj, h)
+        op(adj, h)
         aux = float(op.auxiliary_loss().data)
         # cut term is in [-1, 0], ortho term in [0, 2].
         assert -1.0 <= aux <= 3.0
@@ -184,11 +184,11 @@ class TestMinCutPool:
 class TestGlobalCoarsenings:
     def test_meanpool_coarsening_single_cluster(self, rng, graph_and_features):
         adj, h = graph_and_features
-        adj2, h2 = MeanPoolCoarsening().coarsen(adj, h)
+        adj2, h2, _ = MeanPoolCoarsening()(adj, h)
         assert h2.shape == (1, 5) and adj2.shape == (1, 1)
         np.testing.assert_allclose(h2.data[0], h.data.mean(axis=0))
 
     def test_meanattpool_coarsening(self, rng, graph_and_features):
         adj, h = graph_and_features
-        adj2, h2 = MeanAttPoolCoarsening(5, rng).coarsen(adj, h)
+        adj2, h2, _ = MeanAttPoolCoarsening(5, rng)(adj, h)
         assert h2.shape == (1, 5)

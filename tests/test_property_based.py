@@ -107,10 +107,10 @@ def test_claim2_coarsening_permutation_invariance(seed, n):
     features = rng.normal(size=(n, 4))
     module = GraphCoarsening(4, 3, np.random.default_rng(1), soft_sampling=False)
     module.eval()
-    adj1, h1, _ = module.coarsen(g.adjacency, Tensor(features))
+    adj1, h1, _ = module(g.adjacency, Tensor(features))
     perm = rng.permutation(n)
     pg = g.permute(perm)
-    adj2, h2, _ = module.coarsen(pg.adjacency, Tensor(features[perm]))
+    adj2, h2, _ = module(pg.adjacency, Tensor(features[perm]))
     np.testing.assert_allclose(h1.data, h2.data, atol=1e-8)
     np.testing.assert_allclose(adj1.data, adj2.data, atol=1e-8)
 

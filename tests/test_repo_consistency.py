@@ -120,3 +120,29 @@ class TestZooMatchesDocs:
         experiments = (REPO / "EXPERIMENTS.md").read_text()
         for method in zoo.CLASSIFICATION_METHODS:
             assert method in experiments, method
+
+
+class TestTutorialRuns:
+    def test_custom_pooling_tutorial_builds_and_trains_batched(
+        self, rng, small_graph
+    ):
+        """The tutorial's operator definition, model-building block,
+        usage block and invariant test run as written; one graph's
+        logits equal its row of the padded batch."""
+        import numpy as np
+
+        text = (REPO / "docs" / "tutorial_custom_pooling.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+        namespace: dict = {}
+        # operator, model, single graph and batch, invariant test
+        for block in blocks[:4]:
+            exec(compile(block, "tutorial_custom_pooling.md", "exec"), namespace)
+        namespace["test_degree_pool_properties"](rng, small_graph)
+        model, graphs = namespace["model"], namespace["graphs"]
+        assert namespace["one"].shape == (2,)
+        assert namespace["batch"].shape == (len(graphs), 2)
+        assert np.isfinite(float(namespace["loss"].data))
+        model.eval()
+        batch = model(graphs).data
+        for i, graph in enumerate(graphs):
+            assert np.abs(model(graph).data - batch[i]).max() < 1e-6, i

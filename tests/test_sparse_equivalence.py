@@ -92,7 +92,7 @@ class TestLayerEquivalence:
         graphs = _ragged_batch(rng)
         encoder = GNNEncoder([6, 8, 8], np.random.default_rng(0), conv=conv)
         batch = pad_graphs(graphs)
-        out_b = encoder(batch.adjacency, Tensor(batch.features), batch.mask)
+        out_b = encoder(batch.adjacency, Tensor(batch.features))
         for i, (g, csr) in enumerate(zip(graphs, csr_graphs(graphs))):
             out_s = encoder(csr, Tensor(g.features))
             dev = np.abs(out_s.data - out_b.data[i, : g.num_nodes]).max()
@@ -116,8 +116,11 @@ class TestCoarseningEquivalence:
         )
         module.eval()  # deterministic tempered softmax, no gumbel noise
         for g in _ragged_batch(rng):
-            adj_d, h_d, m_d = module.coarsen(g.adjacency, Tensor(g.features))
-            adj_s, h_s, m_s = module.coarsen(g.to_csr(), Tensor(g.features))
+            dense = (g.adjacency, Tensor(g.features))
+            sparse = (g.to_csr(), Tensor(g.features))
+            adj_d, h_d, _ = module(*dense)
+            adj_s, h_s, _ = module(*sparse)
+            m_d, m_s = module.select(*dense).s, module.select(*sparse).s
             assert np.abs(adj_d.data - adj_s.data).max() < TOL
             assert np.abs(h_d.data - h_s.data).max() < TOL
             assert np.abs(m_d.data - m_s.data).max() < TOL
@@ -126,12 +129,12 @@ class TestCoarseningEquivalence:
         g = _ragged_batch(rng)[1]
         module = GraphCoarsening(6, 3, np.random.default_rng(0))
         module.eval()
-        adj_d, h_d, _ = module.coarsen(g.adjacency, Tensor(g.features))
+        adj_d, h_d, _ = module(g.adjacency, Tensor(g.features))
         (adj_d.sum() + h_d.sum()).backward()
         grads_d = _param_grads(module)
         for p in module.parameters():
             p.grad = None
-        adj_s, h_s, _ = module.coarsen(g.to_csr(), Tensor(g.features))
+        adj_s, h_s, _ = module(g.to_csr(), Tensor(g.features))
         (adj_s.sum() + h_s.sum()).backward()
         grads_s = _param_grads(module)
         for name in grads_d:

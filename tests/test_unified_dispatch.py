@@ -12,7 +12,7 @@ These tests pin down that
 import numpy as np
 import pytest
 
-from repro.core import MOA, GraphCoarsening, HAPPooling, build_hap_embedder
+from repro.core import MOA, GraphCoarsening, build_hap_embedder
 from repro.data import pad_graphs
 from repro.core.gcont import GCont
 from repro.gnn import GATLayer, GCNLayer, GINLayer, GNNEncoder, SAGELayer
@@ -55,7 +55,7 @@ class TestLayerDispatch:
     def test_call_dispatches_on_rank(self, rng, graphs, conv):
         layer = LAYERS[conv](np.random.default_rng(0))
         batch = pad_graphs(graphs)
-        out_b = layer(batch.adjacency, Tensor(batch.features), batch.mask)
+        out_b = layer(batch.adjacency, Tensor(batch.features))
         assert out_b.ndim == 3
         _assert_valid_rows_match(
             graphs,
@@ -74,7 +74,7 @@ class TestEncoderDispatch:
     def test_call_dispatches_on_rank(self, rng, graphs):
         encoder = GNNEncoder([F, 6, 6], np.random.default_rng(0))
         batch = pad_graphs(graphs)
-        out_b = encoder(batch.adjacency, Tensor(batch.features), batch.mask)
+        out_b = encoder(batch.adjacency, Tensor(batch.features))
         _assert_valid_rows_match(
             graphs,
             lambda g: encoder(g.adjacency, Tensor(g.features)),
@@ -104,28 +104,32 @@ class TestCoreModuleDispatch:
         out_explicit = moa(Tensor(content), np.ones((2, 6)))
         np.testing.assert_array_equal(out_default.data, out_explicit.data)
 
-    def test_coarsening_returns_pair_or_triple_by_rank(self, rng, graphs):
+    def test_coarsening_returns_one_triple_on_both_ranks(self, rng, graphs):
         module = GraphCoarsening(F, 3, np.random.default_rng(0))
         module.eval()
         batch = pad_graphs(graphs)
         single = module(graphs[0].adjacency, Tensor(graphs[0].features))
-        assert len(single) == 2
+        assert len(single) == 3 and single[2] is None
         batched = module(batch.adjacency, Tensor(batch.features), batch.mask)
         adj_b, h_b, mask_b = batched
         assert adj_b.shape == (len(graphs), 3, 3)
         assert h_b.shape == (len(graphs), 3, F)
-        assert mask_b.shape == (len(graphs), 3)
+        # Every graph owns exactly N' clusters: the output has no padding.
+        assert mask_b is None
         np.testing.assert_allclose(single[1].data, h_b.data[0], atol=TOL)
 
     def test_coarsen_method_aliases(self):
         """The core modules' batched aliases are gone: ``__call__``,
-        ``attention``, ``coarsen`` and ``embed_levels`` take 3-D input."""
+        ``attention``, ``select`` and ``embed_levels`` take 3-D input, and
+        HAP's module is a Coarsening with no ``coarsen`` of its own."""
         module = GraphCoarsening(F, 3, np.random.default_rng(0))
         removed = [
             (GCont(F, 3, np.random.default_rng(0)), ["forward_batched"]),
             (MOA(3, np.random.default_rng(0)), ["forward_batched"]),
-            (module, ["attention_batched", "coarsen_batched", "forward_batched"]),
-            (HAPPooling(module), ["coarsen_batched"]),
+            (
+                module,
+                ["attention_batched", "coarsen_batched", "forward_batched", "coarsen"],
+            ),
             (
                 build_hap_embedder(F, 6, [3, 2], np.random.default_rng(0)),
                 ["embed_levels_batched", "forward_batched"],
