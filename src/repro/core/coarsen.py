@@ -13,10 +13,14 @@ The Gumbel noise is only injected in training mode; evaluation uses the
 deterministic tempered softmax so inference is reproducible.  The
 sampled adjacency is symmetrised (the paper's Eq. 19 row-normalises,
 which would break the undirectedness every other component assumes).
+Within a hierarchical forward, :func:`loop_order_noise` draws every
+level's noise up front, so a padded batch consumes the generator in the
+per-graph loop's order.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -42,6 +46,8 @@ def gumbel_soft_sample(
     Applies a row-wise tempered softmax to ``log A + g`` where ``g`` is
     Gumbel(0, 1) noise (omitted when ``rng`` is None, yielding the
     deterministic annealed softmax).  The result is symmetrised.
+    ``rng.random(adjacency.shape)`` supplies the uniforms behind the
+    noise.
 
     Accepts a single ``(N', N')`` adjacency or a batched ``(B, N', N')``
     stack; the softmax always runs along the last (column) axis.
@@ -60,6 +66,58 @@ def gumbel_soft_sample(
     return (sampled + sampled.mT) * 0.5
 
 
+class _Drawn:
+    """Eq. 19 uniforms drawn before the forward that uses them, standing
+    in for the generator in :func:`gumbel_soft_sample`."""
+
+    def __init__(self, uniform: np.ndarray):
+        self.uniform = uniform
+
+    def random(self, shape) -> np.ndarray:
+        if self.uniform.shape != tuple(shape):
+            raise ValueError(
+                f"Gumbel uniforms of shape {self.uniform.shape} were drawn "
+                f"for a coarsened adjacency of shape {tuple(shape)}"
+            )
+        return self.uniform
+
+
+@contextmanager
+def loop_order_noise(coarsenings, batch_shape: tuple[int, ...]):
+    """Draw a hierarchical forward's Eq. 19 uniforms in the per-graph
+    loop's order.
+
+    The loop draws graph by graph and, within a graph, level by level; a
+    padded batch reaches each level with every graph at once.  So each
+    generator that sampling levels share draws once, a
+    ``(*batch_shape, Σ K²)`` array whose row for a graph holds its
+    levels' ``K x K`` blocks in level order, and inside the ``with``
+    block each level samples with its own block.  Levels that draw
+    nothing in the loop (eval mode, ``soft_sampling=False``, K = 1)
+    draw nothing here either.
+    """
+    sampling = [
+        c for c in coarsenings
+        if isinstance(c, GraphCoarsening)
+        and c.training and c.soft_sampling and c.num_clusters > 1
+    ]
+    shared: dict[int, list[GraphCoarsening]] = {}
+    for coarsening in sampling:
+        shared.setdefault(id(coarsening.rng), []).append(coarsening)
+    for group in shared.values():
+        sizes = [c.num_clusters**2 for c in group]
+        uniform = group[0].rng.random((*batch_shape, sum(sizes)))
+        blocks = np.split(uniform, np.cumsum(sizes)[:-1], axis=-1)
+        for coarsening, block in zip(group, blocks):
+            k = coarsening.num_clusters
+            coarsening._drawn = _Drawn(block.reshape(*batch_shape, k, k))
+    try:
+        yield
+    finally:
+        for coarsening in sampling:
+            coarsening._drawn = None
+
+
 class GraphCoarsening(Coarsening):
     """One HAP coarsening module: GCont + MOA + formation + sampling.
 
@@ -74,6 +132,8 @@ class GraphCoarsening(Coarsening):
     results; the coarsened outputs carry no padding (the output mask is
     ``None``), since every graph now owns exactly N' cluster nodes.
     """
+
+    _drawn: _Drawn | None = None
 
     def __init__(
         self,
@@ -135,6 +195,6 @@ class GraphCoarsening(Coarsening):
             post = partial(
                 gumbel_soft_sample,
                 tau=self.tau,
-                rng=self.rng if self.training else None,
+                rng=(self._drawn or self.rng) if self.training else None,
             )
         return Selection(assignment, post=post)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coarsen import GraphCoarsening
+from repro.core.coarsen import GraphCoarsening, loop_order_noise
 from repro.data.batching import PaddedBatch
 from repro.gnn.encoder import GNNEncoder
 from repro.nn.module import Module
@@ -68,6 +68,10 @@ class HierarchicalEmbedder(Module):
         ``edge_attr`` (per-edge attributes in the layout matching the
         adjacency, docs/molecular.md) conditions level 0 only — the
         coarsened levels are soft cluster graphs with no bond identity.
+
+        In training mode the levels' Gumbel noise (Eq. 19) is drawn up
+        front in the per-graph loop's order (:func:`loop_order_noise`),
+        so a padded batch also matches the loop's draws.
         """
         if isinstance(adjacency, PaddedBatch):
             batch = adjacency
@@ -81,11 +85,14 @@ class HierarchicalEmbedder(Module):
             adjacency = as_tensor(adjacency)
         h = as_tensor(h)
         levels: list[Tensor] = []
-        for encoder, coarsening in zip(self.encoders, self.coarsenings):
-            h = encoder(adjacency, h, edge_attr=edge_attr)
-            adjacency, h, mask = coarsening(adjacency, h, mask, edge_attr=edge_attr)
-            edge_attr = None  # coarsened levels carry no bonds
-            levels.append(node_mean(h, mask))
+        with loop_order_noise(self.coarsenings, h.shape[:-2]):
+            for encoder, coarsening in zip(self.encoders, self.coarsenings):
+                h = encoder(adjacency, h, edge_attr=edge_attr)
+                adjacency, h, mask = coarsening(
+                    adjacency, h, mask, edge_attr=edge_attr
+                )
+                edge_attr = None  # coarsened levels carry no bonds
+                levels.append(node_mean(h, mask))
         return levels
 
     def forward(

@@ -10,6 +10,7 @@ positive or negative").
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,21 +19,38 @@ from repro.data.matching import MatchingPair
 from repro.data.triplets import GraphTriplet
 from repro.graph.graph import Graph
 
+#: graphs per ``model.predict`` call when scoring a classifier or
+#: regressor: each call is one padded ``(B, N_max, N_max)`` forward, so
+#: the chunk bounds its memory whatever the size of the evaluated set
+EVAL_CHUNK = 32
 
-def classification_accuracy(model, graphs: Sequence[Graph]) -> float:
-    """Fraction of graphs whose label the classifier predicts correctly."""
+
+def _chunks(graphs: Sequence[Graph]):
+    """``graphs`` as consecutive lists of at most :data:`EVAL_CHUNK`."""
     if not graphs:
         raise ValueError("no graphs to evaluate")
-    correct = sum(1 for g in graphs if model.predict(g) == g.label)
+    remaining = iter(graphs)
+    while chunk := list(islice(remaining, EVAL_CHUNK)):
+        yield chunk
+
+
+def classification_accuracy(model, graphs: Sequence[Graph]) -> float:
+    """Fraction of graphs whose label the classifier predicts correctly,
+    predicted :data:`EVAL_CHUNK` graphs per batched ``model.predict``."""
+    correct = sum(
+        int(np.sum(model.predict(chunk) == np.array([g.label for g in chunk])))
+        for chunk in _chunks(graphs)
+    )
     return correct / len(graphs)
 
 
 def _regression_errors(model, graphs: Sequence[Graph]) -> np.ndarray:
-    if not graphs:
-        raise ValueError("no graphs to evaluate")
-    targets = np.array([float(g.label) for g in graphs], dtype=np.float64)
-    predictions = np.asarray(model.predict(list(graphs)), dtype=np.float64)
-    return predictions - targets
+    errors = [
+        np.asarray(model.predict(chunk), dtype=np.float64)
+        - np.array([float(g.label) for g in chunk], dtype=np.float64)
+        for chunk in _chunks(graphs)
+    ]
+    return np.concatenate(errors)
 
 
 def regression_rmse(model, graphs: Sequence[Graph]) -> float:

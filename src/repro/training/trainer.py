@@ -1,9 +1,11 @@
 """Generic training loop.
 
-All three tasks train the same way: shuffle examples, accumulate
-per-example losses into mini-batches, Adam step, optionally track a
-validation metric with early stopping and best-weight restoration
-(the paper's Adam + 8:1:1 protocol, Sec. 6.1.3).
+All three tasks train the same way: shuffle examples, take one loss
+per mini-batch, Adam step, optionally track a validation metric with
+early stopping and best-weight restoration (the paper's Adam + 8:1:1
+protocol, Sec. 6.1.3).  A mini-batch's loss is one padded forward
+(``model.batch_loss``) for every model that has one, and the mean of
+the per-example losses otherwise (see :func:`fit`).
 
 Runs are fault tolerant: with ``TrainConfig(checkpoint_dir=...)`` the
 loop snapshots its complete state (model, optimizer moments, RNG,
@@ -45,10 +47,12 @@ class TrainConfig:
     lr_step: int = 10
     #: clip the global gradient norm (None disables)
     grad_clip: float | None = None
-    #: build one padded dense batch per step (docs/batching.md) instead of
-    #: looping per-example losses; requires the model (or an explicit
-    #: ``batch_loss_fn``) to expose a vectorised batch loss
-    batched: bool = False
+    #: train each mini-batch in one forward (docs/batching.md): ``fit``
+    #: calls ``batch_loss_fn`` or the model's ``batch_loss`` (one padded
+    #: forward and backward) where it can, and falls back to the mean of
+    #: per-example losses otherwise.  ``False`` always runs that
+    #: per-example loop, the reference the batched path is tested against
+    batched: bool = True
     #: adjacency execution backend (docs/sparse.md): ``"dense"`` keeps the
     #: default (N, N) arrays, ``"sparse"`` switches a model that exposes a
     #: ``backend`` attribute (e.g. :class:`~repro.models.GraphClassifier`)
@@ -126,21 +130,30 @@ def fit(
 ) -> TrainHistory:
     """Train ``model`` on ``examples``.
 
+    Each mini-batch's loss follows one rule, first match wins:
+
+    1. ``batch_loss_fn(model, chunk)`` when the caller passed one;
+    2. ``model.batch_loss(chunk)`` when ``config.batched`` is set (the
+       default), the caller passed no ``loss_fn`` and the model has a
+       ``batch_loss``: one padded forward and backward per mini-batch;
+    3. the mean of ``loss_fn(model, example)`` over the mini-batch.
+
+    Rules 1 and 2 optimise the same objective as rule 3 (see
+    tests/test_batched_equivalence.py), Gumbel noise included.
+
     Parameters
     ----------
     loss_fn:
         ``loss_fn(model, example) -> Tensor``; defaults to
-        ``model.loss(example)``.
+        ``model.loss(example)``.  Passing one trains on it, example by
+        example, unless a ``batch_loss_fn`` is passed too.
     val_metric:
         Zero-argument callable evaluated after each epoch (higher is
         better); enables early stopping and best-weight restoration.
     batch_loss_fn:
         ``batch_loss_fn(model, examples_chunk) -> Tensor`` returning the
-        *mean* loss of a whole mini-batch; used when
-        ``config.batched=True`` and defaults to ``model.batch_loss``.
-        The batched step optimises the same objective as the per-example
-        loop (see tests/test_batched_equivalence.py) with one padded
-        forward/backward per mini-batch instead of ``batch_size``.
+        *mean* loss of a whole mini-batch.  Needs ``config.batched``;
+        with ``batched=False`` passing one raises ``ValueError``.
     callbacks:
         :class:`repro.observe.Callback` objects receiving the trainer's
         event stream (``on_train_start`` … ``on_train_end``); e.g.
@@ -176,6 +189,18 @@ def fit(
             "docs/streaming.md); got "
             f"{type(examples).__name__}"
         )
+    if batch_loss_fn is not None and not config.batched:
+        raise ValueError(
+            "batch_loss_fn trains whole mini-batches; it needs "
+            "TrainConfig(batched=True)"
+        )
+    if (
+        batch_loss_fn is None
+        and config.batched
+        and loss_fn is None
+        and hasattr(model, "batch_loss")
+    ):
+        batch_loss_fn = lambda m, chunk: m.batch_loss(chunk)  # noqa: E731
     if loss_fn is None:
         loss_fn = lambda m, ex: m.loss(ex)  # noqa: E731 - tiny default
     events = CallbackList(callbacks)
@@ -289,12 +314,9 @@ def fit(
                 with span("step"), pool_scope():
                     optimizer.zero_grad()
                     with span("forward"):
-                        if config.batched:
+                        if batch_loss_fn is not None:
                             chunk = [examples[idx] for idx in batch]
-                            if batch_loss_fn is not None:
-                                total = batch_loss_fn(model, chunk)
-                            else:
-                                total = model.batch_loss(chunk)
+                            total = batch_loss_fn(model, chunk)
                         else:
                             total = None
                             for idx in batch:

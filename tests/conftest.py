@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, random_connected
+from repro.models.classifier import GraphClassifier
+from repro.observe import Callback
 
 
 @pytest.fixture
@@ -24,3 +26,29 @@ def small_graph(rng) -> Graph:
 def labelled_graph(rng) -> Graph:
     g = random_connected(7, 0.3, rng)
     return g.with_node_labels(rng.integers(0, 3, size=7))
+
+
+class LossCalls(Callback):
+    """The trainer's mini-batches (``steps``, when passed as a callback)
+    and its ``GraphClassifier.batch_loss`` and ``loss`` calls."""
+
+    def __init__(self):
+        self.steps = 0
+        self.calls = {"batch_loss": 0, "loss": 0}
+
+    def on_batch_end(self, epoch, step, loss, batch_size):
+        self.steps += 1
+
+
+@pytest.fixture
+def loss_calls(monkeypatch) -> LossCalls:
+    """Counts every ``GraphClassifier.batch_loss`` and ``loss`` call."""
+    counter = LossCalls()
+    for name in counter.calls:
+
+        def counted(model, *args, _name=name, _method=getattr(GraphClassifier, name)):
+            counter.calls[_name] += 1
+            return _method(model, *args)
+
+        monkeypatch.setattr(GraphClassifier, name, counted)
+    return counter

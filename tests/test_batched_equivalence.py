@@ -13,8 +13,12 @@ loop within 1e-6 (observed deviations are ~1e-12) for:
   regimes,
 - ``GraphClassifier`` loss and every parameter gradient, for each conv
   under both the classification and the regression head, and for every
-  method of the model zoo (in train mode too, except HAP, whose Gumbel
-  draws depend on the execution path).
+  method of the model zoo, in eval and in train mode (HAP's Gumbel
+  noise is drawn in the loop's order on either path);
+- train-mode ``fit`` with two sampled HAP levels on the per-graph loop,
+  padded batches and CSR: same parameters, same generator state;
+- the paper's harness (``run_classification``, a cross-validation
+  fold) trains through ``batch_loss``, never the loop.
 
 Also contains the multi-head vectorisation regression test: the
 single-pass MOA forward equals the old loop-of-softmaxes formulation.
@@ -23,7 +27,7 @@ single-pass MOA forward equals the old loop-of-softmaxes formulation.
 import numpy as np
 import pytest
 
-from repro.core import GraphCoarsening, MOA, build_hap_embedder
+from repro.core import GraphCoarsening, HierarchicalEmbedder, MOA, build_hap_embedder
 from repro.data import (
     attach_degree_features,
     attach_label_features,
@@ -34,6 +38,8 @@ from repro.data import (
 )
 from repro.data.batching import iter_padded_batches
 from repro.data.datasets import NUM_ATOM_TYPES
+from repro.evaluation import run_classification
+from repro.evaluation.crossval import make_fold_tasks, run_fold_task
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.models.classifier import GraphClassifier
@@ -209,6 +215,31 @@ class TestFullModelEquivalence:
                 dev = np.abs(lv.data - lv_b.data[i]).max()
                 assert dev < TOL, (regime, i, k, dev)
 
+    def test_levels_on_two_generators_draw_in_loop_order(self, rng):
+        """Train mode: levels 0 and 2 share one generator, level 1 has
+        its own; on a padded batch each still draws graph by graph."""
+
+        def embedder():
+            shared = np.random.default_rng(2)
+            return HierarchicalEmbedder(
+                [GNNEncoder([6, 8], np.random.default_rng(0))]
+                + [GNNEncoder([8, 8], np.random.default_rng(1)) for _ in range(2)],
+                [GraphCoarsening(8, 4, shared),
+                 GraphCoarsening(8, 3, np.random.default_rng(3)),
+                 GraphCoarsening(8, 2, shared)],
+            )
+
+        loop, padded = embedder(), embedder()
+        graphs = _ragged_batch(rng)
+        levels_b = padded.embed_levels(pad_graphs(graphs))
+        for i, g in enumerate(graphs):
+            levels = loop.embed_levels(g.adjacency, Tensor(g.features))
+            for k, (lv, lv_b) in enumerate(zip(levels, levels_b)):
+                dev = np.abs(lv.data - lv_b.data[i]).max()
+                assert dev < TOL, (i, k, dev)
+        for c_loop, c_padded in zip(loop.coarsenings, padded.coarsenings):
+            assert c_loop.rng.bit_generator.state == c_padded.rng.bit_generator.state
+
     def _assert_loss_and_gradients_match(self, graphs, seed, **kwargs):
         """The padded ``batch_loss`` equals the mean of per-graph
         ``loss`` calls, and so does every parameter gradient; every HAP
@@ -305,8 +336,7 @@ def _zoo_classifier(method):
 class TestEveryClassifierTrainsBatched:
     @pytest.mark.parametrize(
         "method, training",
-        [(m, False) for m in ZOO_METHODS]
-        + [(m, True) for m in ZOO_METHODS if m != "HAP"],
+        [(m, training) for m in ZOO_METHODS for training in (False, True)],
         ids=lambda value: {False: "eval", True: "train"}.get(value, value),
     )
     def test_batch_loss_and_gradients_match_loop(self, rng, method, training):
@@ -327,6 +357,63 @@ class TestEveryClassifierTrainsBatched:
             TrainConfig(epochs=1, batch_size=3, batched=True),
         )
         assert len(history.losses) == 1 and np.isfinite(history.losses[0])
+
+
+class TestTrainModeFit:
+    """Train-mode ``fit`` with two sampled HAP levels (clusters (6, 3))
+    gives the same parameters on the per-graph loop, the padded default
+    and the CSR backend, and leaves the shared generator (shuffling and
+    Gumbel noise) in the same state."""
+
+    @staticmethod
+    def _fit(config):
+        graphs = [
+            attach_degree_features(g)
+            for g in make_imdb_b_like(16, np.random.default_rng(2))
+        ]
+        rng = np.random.default_rng(7)
+        model = make_classifier(
+            "HAP", graphs[0].features.shape[1], 2, rng,
+            hidden=8, cluster_sizes=(6, 3),
+        )
+        fit(model, graphs, rng, config)
+        return model.state_dict(), rng.bit_generator.state
+
+    def test_loop_padded_and_csr_paths_agree(self):
+        loop, loop_state = self._fit(
+            TrainConfig(epochs=2, batch_size=4, batched=False)
+        )
+        for config in (
+            TrainConfig(epochs=2, batch_size=4),
+            TrainConfig(epochs=2, batch_size=4, backend="sparse"),
+        ):
+            params, state = self._fit(config)
+            assert state == loop_state, config.backend
+            for name, value in loop.items():
+                dev = np.abs(params[name] - value).max()
+                assert dev < 1e-9, (config.backend, name, dev)
+
+
+class TestHarnessTrainsBatched:
+    """The paper's harness cannot fall back onto the per-graph loop
+    unnoticed: each mini-batch is one ``batch_loss`` call."""
+
+    def test_run_classification(self, loss_calls):
+        run_classification(
+            "HAP", "IMDB-B", num_graphs=30, epochs=2, hidden=8,
+            cluster_sizes=(4, 2), test_size=10, callbacks=[loss_calls],
+        )
+        assert loss_calls.steps > 0
+        assert loss_calls.calls == {"batch_loss": loss_calls.steps, "loss": 0}
+
+    def test_cross_validation_fold(self, loss_calls):
+        task = make_fold_tasks(
+            "HAP", "IMDB-B", folds=3, num_graphs=30, epochs=2, hidden=8,
+            cluster_sizes=(4, 2),
+        )[0]
+        run_fold_task(task)
+        batches = -(-len(task.train_idx) // TrainConfig().batch_size)
+        assert loss_calls.calls == {"batch_loss": task.epochs * batches, "loss": 0}
 
 
 class TestPaddedBatchValidation:

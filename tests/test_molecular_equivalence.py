@@ -5,12 +5,13 @@ Three contracts:
 - **Edge-conditioned equivalence** — for every conv that supports bond
   features (GIN, SAGE, GAT), the dense per-graph, sparse-CSR and
   padded-batch execution paths produce the same predictions *and* the
-  same parameter gradients (< 1e-6) on ESOL-like molecular graphs.
-  Gumbel soft-sampling is disabled: it deliberately draws fresh noise
-  per forward in training mode, which is not a backend difference.
+  same parameter gradients (< 1e-6) on ESOL-like molecular graphs, in
+  eval mode with Gumbel soft-sampling disabled (train-mode draws are
+  pinned across paths by ``tests/test_batched_equivalence.py``).
 - **Regression workload** — the ESOL-like builder, scaffold split,
   regression head and metric_mode="min" best-checkpointing behave end
-  to end, including resume.
+  to end, including resume, and ``run_regression`` trains each
+  mini-batch through one ``batch_loss`` call.
 - **The lint rule** — ``no-dropped-edge-attr`` flags a GNN forward
   that accepts ``edge_attr`` and silently ignores it.
 """
@@ -150,6 +151,16 @@ class TestEsolWorkload:
         assert np.isfinite(result.rmse) and np.isfinite(result.mae)
         assert np.isfinite(result.baseline_rmse)
         assert isinstance(result.model.predict(result.test_graphs[0]), float)
+
+    def test_run_regression_trains_batched(self, loss_calls):
+        """Each mini-batch of the molecular harness is one ``batch_loss``
+        call; the per-graph loop never runs."""
+        run_regression(
+            num_graphs=40, epochs=2, hidden=8, cluster_sizes=(4, 1),
+            callbacks=[loss_calls],
+        )
+        assert loss_calls.steps > 0
+        assert loss_calls.calls == {"batch_loss": loss_calls.steps, "loss": 0}
 
     def test_cross_validate_regression_smoke(self):
         result = cross_validate_regression(

@@ -13,8 +13,10 @@ from repro.training import (
     classification_accuracy,
     fit,
     matching_accuracy,
+    regression_rmse,
     triplet_accuracy,
 )
+from repro.training.metrics import EVAL_CHUNK
 
 
 def _toy_dataset(rng):
@@ -78,8 +80,52 @@ class TestFit:
         fit(model, graphs, rng, TrainConfig(epochs=1), loss_fn=loss_fn)
         assert len(calls) == len(graphs)
 
+    def test_passed_loss_fn_wins_over_batch_loss(self, rng):
+        graphs = _toy_dataset(rng)
+        model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
+        calls = []
+
+        def loss_fn(m, example):
+            calls.append(1)
+            return m.loss(example)
+
+        fit(model, graphs, rng, TrainConfig(epochs=1, batched=True), loss_fn=loss_fn)
+        assert len(calls) == len(graphs)
+
+    def test_batch_loss_fn_needs_batched(self, rng):
+        graphs = _toy_dataset(rng)
+        model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
+        with pytest.raises(ValueError, match="batched=True"):
+            fit(
+                model, graphs, rng, TrainConfig(epochs=1, batched=False),
+                batch_loss_fn=lambda m, chunk: m.batch_loss(chunk),
+            )
+
 
 class TestMetrics:
+    def test_predict_sees_at_most_one_chunk(self):
+        class Spy:
+            def __init__(self):
+                self.sizes = []
+
+            def predict(self, graphs):
+                self.sizes.append(len(graphs))
+                return np.array([g.label for g in graphs])
+
+        graphs = [path_graph(3).with_label(i % 2) for i in range(2 * EVAL_CHUNK + 5)]
+        spy = Spy()
+        assert classification_accuracy(spy, graphs) == 1.0
+        assert regression_rmse(spy, graphs) == 0.0
+        assert spy.sizes == [EVAL_CHUNK, EVAL_CHUNK, 5] * 2
+
+    def test_chunked_accuracy_equals_the_per_graph_count(self):
+        rng = np.random.default_rng(4)
+        graphs, dim, num_classes = prepare_dataset("IMDB-B", 2 * EVAL_CHUNK + 7, rng)
+        model = zoo.make_classifier("HAP", dim, num_classes, rng, hidden=8)
+        fit(model, graphs, rng, TrainConfig(epochs=1))
+        correct = sum(model.predict(g) == g.label for g in graphs)
+        assert classification_accuracy(model, graphs) == correct / len(graphs)
+
     def test_classification_accuracy_bounds(self, rng):
         graphs = _toy_dataset(rng)
         model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
