@@ -35,7 +35,6 @@ from repro.tensor import (
     CSRMatrix,
     Tensor,
     as_tensor,
-    bmm,
     buffer_pool,
     masked_softmax,
     softmax,
@@ -63,7 +62,7 @@ def _unfused_masked_softmax_mean(a, mask=None, axis=-2, mean_axis=-1):
 def _unfused_matmul_tn(a, b):
     if a.ndim == 2:
         return a.T @ b
-    return bmm(transpose(a, (0, 2, 1)), b)
+    return transpose(a, (0, 2, 1)) @ b
 
 
 def _unfused_coarsen_chain(assignment, adjacency):
@@ -72,7 +71,7 @@ def _unfused_coarsen_chain(assignment, adjacency):
     if adjacency.ndim == 2:
         return assignment.T @ (adjacency @ assignment)
     assignment_t = transpose(assignment, (0, 2, 1))
-    return bmm(bmm(assignment_t, adjacency), assignment)
+    return assignment_t @ adjacency @ assignment
 
 
 def _unfused_sym_normalize(adjacency, eps=1e-8):

@@ -13,7 +13,7 @@ contract.  The acceptance bars for this reproduction:
   under a fixed fraction of the in-memory loader's growth, so the
   claim survives interpreter-baseline drift,
 - ``stream_step_s`` — the per-batch cost of serving training data
-  through the shard LRU window and prefetcher — is recorded for the
+  through the planned-read shard window — is recorded for the
   regression gate.
 
 The same measurement gates CI through ``tools/bench_gate.py`` (the

@@ -20,23 +20,20 @@ pieces below only decide how often a shard is decoded:
   plan, or a read other than the next planned one, goes through a
   small ``OrderedDict`` of at most ``max_cached_shards`` decoded
   shards and leaves the plan as it is.
-- **Background prefetch.**  A
-  :class:`~repro.parallel.prefetch.BackgroundPrefetcher` decodes the
-  next ``prefetch_depth`` shards of the load schedule while the
-  trainer computes.  It only warms loads — *which* graph comes back
-  for an index never depends on worker timing, prefetch depth, or
-  window size.
+- **Loads on the reading thread.**  A load reads, verifies and
+  feature-encodes its shard in the call that needs it, so *which*
+  graph comes back for an index never depends on timing or window
+  size.
 - **Shard-aware deterministic shuffling.**  :meth:`shuffled_order`
   derives a permutation from ``SeedSequence([seed, _SHUFFLE_STREAM])``
   in two levels — shard visit order, then an intra-shard permutation
   per shard keyed by shard id — so an epoch at any corpus scale loads
   every shard exactly once, and the order is a pure function of the
-  seed: identical regardless of ``n_workers``, prefetch depth or
-  ``max_cached_shards``.
+  seed: identical regardless of ``n_workers`` or ``max_cached_shards``.
 
 A planned epoch holds fewer than ``H`` decoded graphs, plus the shard
-being decoded and at most ``prefetch_depth`` shards in flight — the
-bound ``benchmarks/test_streaming_memory.py`` gates in CI.
+being decoded — the bound ``benchmarks/test_streaming_memory.py``
+gates in CI.
 ``subset(indices)`` gives the zero-copy fold view
 ``cross_validate_classification`` hands each worker: folds share one
 shard directory on disk instead of rebuilding whole datasets per
@@ -54,43 +51,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.data.cache import attach_dataset_features, encoding_dim
-from repro.data.sharding import ShardManifest, load_manifest, read_shard
+from repro.data.sharding import load_manifest, read_shard
 from repro.graph.graph import Graph
 from repro.observe.metrics import get_registry
-from repro.parallel.prefetch import BackgroundPrefetcher
 
 #: entropy tag mixed into the user seed for epoch shuffling
 _SHUFFLE_STREAM = 12
-
-#: manifests keyed by shard dir, so the prefetch worker parses
-#: manifest.json once instead of once per shard
-_MANIFEST_MEMO: dict[str, ShardManifest] = {}
-
-
-def _cached_manifest(shard_dir: str) -> ShardManifest:
-    manifest = _MANIFEST_MEMO.get(shard_dir)
-    if manifest is None:
-        manifest = load_manifest(shard_dir)
-        _MANIFEST_MEMO[shard_dir] = manifest
-    return manifest
-
-
-def clear_manifest_memo() -> None:
-    """Drop memoized manifests (tests that rewrite shard directories)."""
-    _MANIFEST_MEMO.clear()
-
-
-def _fetch_featured_shard(key: tuple) -> list[Graph]:
-    """Load + feature-encode one shard: the prefetcher's ``fetch``, keyed
-    by ``(shard_dir, index, verify)`` so the worker holds no reference
-    to the dataset."""
-    shard_dir, index, verify = key
-    manifest = _cached_manifest(shard_dir)
-    raw = read_shard(shard_dir, index, manifest=manifest, verify=verify)
-    if manifest.encoding is None:
-        return raw
-    featured, _ = attach_dataset_features(raw, manifest.encoding)
-    return featured
 
 
 def _bounds(groups: np.ndarray, count: int) -> np.ndarray:
@@ -108,8 +74,8 @@ class _EpochPlan:
     after which the window keeps the ``capacity`` nearest upcoming
     positions among the ones it held and the loaded shard's next reads.
     Simulating that once gives every load in advance: ``loads`` is the
-    shard of each load in order (what the prefetcher fetches) and
-    ``served_by(j)`` the positions load ``j`` serves, its own first.
+    shard of each load in order and ``served_by(j)`` the positions load
+    ``j`` serves, its own first.
     """
 
     def __init__(self, order: np.ndarray, offsets: np.ndarray, capacity: int):
@@ -169,43 +135,20 @@ class StreamingDataset(Sequence):
         Memory budget in shards (>= 1): the LRU window holds this many
         decoded shards, the planned-read window fewer than this many
         shards' worth of graphs.
-    prefetch_depth:
-        How many scheduled shard loads the background worker may run
-        ahead.
-    prefetch_mode:
-        ``"thread"`` (default; one background thread, whose decode holds
-        the GIL for most of its ~2 ms per 32-graph shard, see
-        :mod:`repro.parallel.prefetch`) or ``"off"`` (synchronous loads
-        only — deterministic timing for fault-injection tests).
-    verify:
-        Check each shard's content checksum against the manifest on
-        load (corruption surfaces as
-        :class:`~repro.data.sharding.ShardCorruptionError`).
+
+    Every load checks the shard's content checksum against the manifest,
+    so corruption surfaces as
+    :class:`~repro.data.sharding.ShardCorruptionError`.
     """
 
-    def __init__(
-        self,
-        shard_dir: str | Path,
-        *,
-        max_cached_shards: int = 2,
-        prefetch_depth: int = 2,
-        prefetch_mode: str = "thread",
-        verify: bool = True,
-    ):
+    def __init__(self, shard_dir: str | Path, *, max_cached_shards: int = 2):
         if max_cached_shards < 1:
             raise ValueError(
                 f"max_cached_shards must be >= 1, got {max_cached_shards}"
             )
-        if prefetch_mode not in ("thread", "off"):
-            raise ValueError(
-                f"prefetch_mode must be 'thread' or 'off', got {prefetch_mode!r}"
-            )
         self.shard_dir = str(shard_dir)
         self.manifest = load_manifest(shard_dir)
         self.max_cached_shards = int(max_cached_shards)
-        self.prefetch_depth = int(prefetch_depth)
-        self.prefetch_mode = prefetch_mode
-        self.verify = bool(verify)
         #: global index of each shard's first graph, plus the total
         self._offsets = np.concatenate(
             ([0], np.cumsum(self.manifest.counts))
@@ -214,7 +157,6 @@ class StreamingDataset(Sequence):
         self._plan: _EpochPlan | None = None
         #: planned graphs the window holds, keyed by plan position
         self._held: dict[int, Graph] = {}
-        self._prefetcher: BackgroundPrefetcher | None = None
 
     # -- metadata (no shard loads) ----------------------------------------
 
@@ -260,31 +202,14 @@ class StreamingDataset(Sequence):
 
     # -- shard loads -------------------------------------------------------
 
-    def _ensure_prefetcher(self) -> BackgroundPrefetcher | None:
-        if self.prefetch_mode == "off" or self.prefetch_depth < 1:
-            return None
-        if self._prefetcher is None:
-            self._prefetcher = BackgroundPrefetcher(
-                _fetch_featured_shard, depth=self.prefetch_depth
-            )
-        return self._prefetcher
-
-    def _shard_key(self, shard: int) -> tuple:
-        return (self.shard_dir, shard, self.verify)
-
     def _load(self, shard: int) -> list[Graph]:
-        """Decode one shard, taking it from the prefetcher if requested."""
+        """Read, verify and feature-encode one shard."""
         registry = get_registry()
-        prefetcher = self._ensure_prefetcher()
-        key = self._shard_key(shard)
         start = time.perf_counter()
-        if prefetcher is not None and key in prefetcher.pending:
-            graphs = prefetcher.take(key)
-            registry.counter("streaming/prefetch_hit").inc()
-        else:
-            graphs = _fetch_featured_shard(key)
-        waited = time.perf_counter() - start
-        registry.counter("streaming/load_wait_s").inc(waited)
+        graphs = read_shard(self.shard_dir, shard, manifest=self.manifest)
+        if self.manifest.encoding is not None:
+            graphs, _ = attach_dataset_features(graphs, self.manifest.encoding)
+        registry.counter("streaming/load_wait_s").inc(time.perf_counter() - start)
         registry.counter("streaming/shard_loads").inc()
         return graphs
 
@@ -318,22 +243,7 @@ class StreamingDataset(Sequence):
         first = self._offsets[shard]
         for later in served[1:].tolist():
             self._held[later] = graphs[plan.order[later] - first]
-        self._request_lookahead()
         return graphs[plan.order[position] - first]
-
-    def _request_lookahead(self) -> None:
-        """Ask the prefetcher for the next scheduled loads not in flight."""
-        prefetcher = self._ensure_prefetcher()
-        if prefetcher is None or self._plan is None:
-            return
-        plan = self._plan
-        pending = {key[1] for key in prefetcher.pending}
-        upcoming = plan.loads[plan.next_load :][: self.prefetch_depth]
-        for shard in upcoming.tolist():
-            if shard in pending:
-                continue
-            if prefetcher.request(self._shard_key(shard)):
-                pending.add(shard)
 
     def __getitem__(self, index: int) -> Graph:
         index = int(index)
@@ -359,10 +269,10 @@ class StreamingDataset(Sequence):
         """Declare the global-index read order the caller will follow.
 
         Replaces any earlier plan and drops every graph held for it (and
-        the LRU window), then schedules the loads of the new order and
-        starts prefetching them.  Reads that follow the plan are served
-        by the graph window; a read that departs from it still works,
-        through the LRU window, and leaves the plan as it is.
+        the LRU window), then schedules the loads of the new order.
+        Reads that follow the plan are served by the graph window; a
+        read that departs from it still works, through the LRU window,
+        and leaves the plan as it is.
         """
         order = np.asarray(order, dtype=int)
         if len(order) and not (0 <= order.min() and order.max() < len(self)):
@@ -376,7 +286,6 @@ class StreamingDataset(Sequence):
             self._offsets,
             self.max_cached_shards * self.manifest.shard_size - 1,
         )
-        self._request_lookahead()
 
     def shuffled_order(self, seed: int) -> np.ndarray:
         """Deterministic shard-aware epoch permutation of global indices.
@@ -386,8 +295,8 @@ class StreamingDataset(Sequence):
         internal order from that sequence's spawned child keyed by
         shard id.  Every shard appears exactly once (single load per
         epoch through either window) and the result is a pure function
-        of ``seed`` and the manifest — independent of workers, prefetch
-        depth, and cache state.
+        of ``seed`` and the manifest — independent of workers and cache
+        state.
         """
         root = np.random.SeedSequence([int(seed), _SHUFFLE_STREAM])
         shard_order = np.random.default_rng(root).permutation(self.num_shards)
@@ -419,10 +328,7 @@ class StreamingDataset(Sequence):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the prefetch worker and drop both windows and the plan."""
-        if self._prefetcher is not None:
-            self._prefetcher.close()
-            self._prefetcher = None
+        """Drop both windows and the plan."""
         self._cache.clear()
         self._held.clear()
         self._plan = None
@@ -439,7 +345,6 @@ class StreamingDataset(Sequence):
         state["_cache"] = OrderedDict()
         state["_plan"] = None
         state["_held"] = {}
-        state["_prefetcher"] = None
         return state
 
 
@@ -449,7 +354,7 @@ class StreamingView(Sequence):
     The fold-task unit: ``view[i]`` maps through to the parent's
     windows, ``plan_epoch`` translates local orders to global ones, and
     nothing is materialised — two views over one dataset share its
-    windows and prefetcher.
+    windows.
     """
 
     def __init__(self, parent: StreamingDataset, indices: Sequence[int]):

@@ -12,6 +12,7 @@ transformation helpers return new graphs.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -31,6 +32,16 @@ def _symmetric(array: np.ndarray, transposed: np.ndarray) -> bool:
     input (every real graph) just skips the slower tolerance check.
     """
     return np.array_equal(array, transposed) or np.allclose(array, transposed)
+
+
+def _node_features(features, num_nodes: int) -> np.ndarray:
+    """``features`` as a float ``(num_nodes, F)`` array, or a ValueError."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != num_nodes:
+        raise ValueError(
+            f"features must be (N, F) with N={num_nodes}, got {feats.shape}"
+        )
+    return feats
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +89,9 @@ class Graph:
                 )
             object.__setattr__(self, "node_labels", labels)
         if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != adj.shape[0]:
-                raise ValueError(
-                    f"features must be (N, F) with N={adj.shape[0]}, got {feats.shape}"
-                )
-            object.__setattr__(self, "features", feats)
+            object.__setattr__(
+                self, "features", _node_features(self.features, adj.shape[0])
+            )
         if self.edge_features is not None:
             efeats = np.asarray(self.edge_features, dtype=np.float64)
             n = adj.shape[0]
@@ -219,7 +227,16 @@ class Graph:
     # Transformations (all return new graphs)
     # ------------------------------------------------------------------
     def with_features(self, features: np.ndarray) -> "Graph":
-        return replace(self, features=np.asarray(features, dtype=np.float64))
+        """This graph with node features ``features``.
+
+        Only the features are checked: the copy keeps the other fields'
+        arrays, which were validated when this graph was built.
+        """
+        graph = copy.copy(self)
+        object.__setattr__(
+            graph, "features", _node_features(features, self.num_nodes)
+        )
+        return graph
 
     def with_edge_features(self, edge_features: np.ndarray) -> "Graph":
         return replace(

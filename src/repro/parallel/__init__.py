@@ -34,7 +34,6 @@ from repro.parallel.pool import (
     WorkerTaskError,
     resolve_workers,
 )
-from repro.parallel.prefetch import BackgroundPrefetcher, PrefetcherClosed
 from repro.parallel.seeding import generator_for_task, spawn_task_seeds
 from repro.parallel.logs import (
     merge_worker_logs,
@@ -49,8 +48,6 @@ __all__ = [
     "WorkerPool",
     "WorkerTaskError",
     "resolve_workers",
-    "BackgroundPrefetcher",
-    "PrefetcherClosed",
     "generator_for_task",
     "spawn_task_seeds",
     "merge_worker_logs",

@@ -17,15 +17,14 @@ Functional ops
     ``matmul, add, mul, concat, stack, softmax, log_softmax, relu,
     leaky_relu, sigmoid, tanh, exp, log, sqrt, power, maximum, where,
     sum, mean, max, reshape, transpose, pad, dropout_mask`` and friends,
-    re-exported from :mod:`repro.tensor.ops`.  Batched 3-D primitives
-    (``bmm, masked_softmax, masked_sum, masked_mean``) back the padded
-    dense-batch execution path (docs/batching.md); sparse primitives
-    (``segment_sum, scatter_gather, spmm, segment_softmax``) over a
-    constant ``CSRMatrix`` back the sparse execution backend
-    (docs/sparse.md); fused hot-path kernels (``masked_softmax_mean,
-    matmul_tn, coarsen_chain, sym_normalize, gcn_propagate``) collapse
-    the profiled MOA/coarsening/GCN chains into single tape nodes
-    (docs/performance.md).
+    re-exported from :mod:`repro.tensor.ops`.  ``masked_softmax``
+    backs the padded dense-batch execution path (docs/batching.md);
+    sparse primitives (``segment_sum, scatter_gather, spmm,
+    segment_softmax``) over a constant ``CSRMatrix`` back the sparse
+    execution backend (docs/sparse.md); fused hot-path kernels
+    (``masked_softmax_mean, matmul_tn, coarsen_chain, sym_normalize,
+    gcn_propagate``) collapse the profiled MOA/coarsening/GCN chains
+    into single tape nodes (docs/performance.md).
 ``BufferPool`` / ``buffer_pool`` / ``get_buffer_pool``
     Step-to-step gradient buffer recycling for the backward pass
     (:mod:`repro.tensor.pool`).
@@ -40,13 +39,10 @@ from repro.tensor.sparse import CSRMatrix
 from repro.tensor.ops import (
     absolute,
     add,
-    bmm,
     clip,
     coarsen_chain,
-    masked_mean,
     masked_softmax,
     masked_softmax_mean,
-    masked_sum,
     matmul_tn,
     min_along,
     norm,
@@ -92,13 +88,10 @@ __all__ = [
     "as_tensor",
     "absolute",
     "add",
-    "bmm",
     "clip",
     "coarsen_chain",
-    "masked_mean",
     "masked_softmax",
     "masked_softmax_mean",
-    "masked_sum",
     "matmul_tn",
     "min_along",
     "norm",

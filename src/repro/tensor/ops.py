@@ -357,34 +357,13 @@ def pad2d(a: Tensor, rows_after: int = 0, cols_after: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Batched (3-D) operations
+# Masked softmax
 # ---------------------------------------------------------------------------
 #
 # The padded dense-batch execution path (docs/batching.md) stacks B graphs
-# into (B, N_max, ...) arrays with a (B, N_max) validity mask.  The ops
-# below are the primitives of that path: an explicit batched matmul and
-# mask-aware softmax/reductions whose outputs are *exactly* zero at
+# into (B, N_max, ...) arrays with a (B, N_max) validity mask; ``matmul``
+# already multiplies such stacks.  The softmax below is *exactly* zero at
 # padding positions, so padding can never leak into real nodes.
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product ``(B, n, m) @ (B, m, k) -> (B, n, k)``."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError(
-            f"bmm expects two 3-D tensors, got {a.ndim}-D and {b.ndim}-D"
-        )
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(grad):
-        g = np.asarray(grad)
-        grad_a = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        grad_b = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
-        return (grad_a, grad_b)
-
-    return Tensor._make(out_data, (a, b), backward)
 
 
 def masked_softmax(a: Tensor, mask, axis: int = -1) -> Tensor:
@@ -412,42 +391,6 @@ def masked_softmax(a: Tensor, mask, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def masked_sum(a: Tensor, mask, axis=None, keepdims: bool = False) -> Tensor:
-    """Sum of ``a * mask`` along ``axis`` (mask is a non-differentiable
-    0-1 array broadcastable to ``a.shape``)."""
-    a = as_tensor(a)
-    m = np.broadcast_to(np.asarray(mask, dtype=np.float64), a.shape)
-    out_data = (a.data * m).sum(axis=axis, keepdims=keepdims)
-
-    def backward(grad):
-        g = np.asarray(grad)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) * m,)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def masked_mean(a: Tensor, mask, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean of ``a`` over the positions selected by ``mask`` along ``axis``.
-
-    Divides by the per-slice count of valid positions (not the padded
-    length), so a graph's masked mean equals its unpadded mean no matter
-    how much padding the batch carries.  Fully-masked slices yield zero.
-    """
-    a = as_tensor(a)
-    m = np.broadcast_to(np.asarray(mask, dtype=np.float64), a.shape)
-    counts = m.sum(axis=axis, keepdims=keepdims)
-    counts = np.maximum(counts, 1.0)
-    out_data = (a.data * m).sum(axis=axis, keepdims=keepdims) / counts
-
-    def backward(grad):
-        g = np.asarray(grad) / counts
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) * m,)
-
-    return Tensor._make(out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +924,7 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 #
 # Every tape-building op above is wrapped exactly once, here, before
 # ``repro.tensor.__init__`` re-exports the names — so call sites that do
-# ``from repro.tensor import bmm`` get the instrumented function too.
+# ``from repro.tensor import matmul`` get the instrumented function too.
 # The wrapper costs one global read + ``is None`` check when profiling
 # is off; the raw implementation stays reachable as ``op.__wrapped__``
 # (benchmarks/test_profile_overhead.py measures the difference).
@@ -1029,10 +972,7 @@ _INSTRUMENTED_OPS = (
     "concat",
     "stack",
     "pad2d",
-    "bmm",
     "masked_softmax",
-    "masked_sum",
-    "masked_mean",
     "segment_sum",
     "scatter_gather",
     "spmm",

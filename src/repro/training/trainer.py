@@ -18,9 +18,8 @@ run exactly (docs/checkpointing.md, tests/test_checkpoint_resume.py).
 
 from __future__ import annotations
 
-import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -53,21 +52,15 @@ class TrainConfig:
     #: per-example losses otherwise.  ``False`` always runs that
     #: per-example loop, the reference the batched path is tested against
     batched: bool = True
-    #: adjacency execution backend (docs/sparse.md): ``"dense"`` keeps the
-    #: default (N, N) arrays, ``"sparse"`` switches a model that exposes a
-    #: ``backend`` attribute (e.g. :class:`~repro.models.GraphClassifier`)
-    #: to cached CSR adjacencies before training starts — O(E) memory per
-    #: step, required for graphs too large to densify
-    backend: str = "dense"
     #: example source discipline (docs/streaming.md): ``"memory"`` treats
     #: ``examples`` as a plain in-RAM sequence; ``"streaming"`` expects an
     #: out-of-core view (``StreamingDataset``/``StreamingView``) and
     #: announces each epoch's shuffled visit order via ``plan_epoch``.
     #: The loader turns that order into an exact shard-load schedule: its
     #: graph window keeps a loaded shard's graphs that upcoming batches
-    #: read, and its background prefetch runs the scheduled loads ahead
-    #: of the trainer.  Both modes index ``examples`` in the same order,
-    #: so results are bitwise equal.
+    #: read, so each load decodes a shard once for all of them.  Both
+    #: modes index ``examples`` in the same order, so results are
+    #: bitwise equal.
     data: str = "memory"
     #: write ``repro.ckpt/v1`` checkpoints under this directory
     #: (docs/checkpointing.md); None disables checkpointing
@@ -78,11 +71,6 @@ class TrainConfig:
     #: rolling checkpoints to retain (``best.npz`` is always kept);
     #: None keeps every checkpoint
     checkpoint_keep: int | None = 3
-    #: recycle gradient buffers across steps via a
-    #: :class:`repro.tensor.pool.BufferPool` (docs/performance.md);
-    #: gradients are bitwise identical either way, only the allocation
-    #: strategy changes
-    buffer_pool: bool = True
     #: direction of the validation metric: ``"max"`` (accuracy-like,
     #: the default) or ``"min"`` (error-like — val RMSE/MAE for the
     #: regression task, docs/molecular.md).  Early stopping, best-weight
@@ -140,6 +128,9 @@ def fit(
 
     Rules 1 and 2 optimise the same objective as rule 3 (see
     tests/test_batched_equivalence.py), Gumbel noise included.
+    ``on_train_start`` receives a copy of ``config`` whose ``batched``
+    says whether rule 1 or 2 trains; checkpoints keep ``config`` as
+    passed.
 
     Parameters
     ----------
@@ -168,12 +159,6 @@ def fit(
         resume from the restored state too.
     """
     config = config or TrainConfig()
-    if config.backend not in ("dense", "sparse"):
-        raise ValueError(
-            f"unknown backend {config.backend!r}; use 'dense' or 'sparse'"
-        )
-    if config.backend == "sparse" and hasattr(model, "backend"):
-        model.backend = config.backend
     if config.data not in ("memory", "streaming"):
         raise ValueError(
             f"unknown data mode {config.data!r}; use 'memory' or 'streaming'"
@@ -208,13 +193,7 @@ def fit(
     # One pool for the whole run so freed gradient buffers from step k
     # are reused by step k+1; activated around each step's
     # zero_grad/backward pair (a cheap thread-local swap).
-    train_pool = BufferPool() if config.buffer_pool else None
-
-    def pool_scope():
-        if train_pool is None:
-            return contextlib.nullcontext()
-        return buffer_pool(train_pool)
-
+    train_pool = BufferPool()
     history = TrainHistory()
     if config.metric_mode == "min":
         history.best_metric = np.inf
@@ -270,7 +249,9 @@ def fit(
         )
         events.on_checkpoint(epoch, step, global_step, path)
 
-    events.on_train_start(model, config)
+    events.on_train_start(
+        model, replace(config, batched=batch_loss_fn is not None)
+    )
     if manager is not None and resume is None:
         save_checkpoint_now(0, 0, None, 0.0)
     for epoch in range(start_epoch, config.epochs):
@@ -302,8 +283,8 @@ def fit(
             epoch_loss = 0.0
             first_step = 0
         if config.data == "streaming":
-            # announce the remainder of this epoch's visit order so the
-            # loader prefetches shards in lock-step with the batches
+            # announce the remainder of this epoch's visit order so each
+            # shard load serves every upcoming read its window can hold
             examples.plan_epoch(order[first_step * config.batch_size :])
         starts = range(0, len(order), config.batch_size)
         with span("epoch"):
@@ -311,7 +292,7 @@ def fit(
                 if step < first_step:
                     continue
                 batch = order[start : start + config.batch_size]
-                with span("step"), pool_scope():
+                with span("step"), buffer_pool(train_pool):
                     optimizer.zero_grad()
                     with span("forward"):
                         if batch_loss_fn is not None:

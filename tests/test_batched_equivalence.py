@@ -43,7 +43,12 @@ from repro.evaluation.crossval import make_fold_tasks, run_fold_task
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.models.classifier import GraphClassifier
-from repro.models.zoo import ABLATION_METHODS, CLASSIFICATION_METHODS, make_classifier
+from repro.models.zoo import (
+    ABLATION_METHODS,
+    CLASSIFICATION_METHODS,
+    make_classifier,
+    make_embedder,
+)
 from repro.tensor import Tensor, softmax
 from repro.training import TrainConfig, fit
 from tests.moa_reference import moa_logits
@@ -366,16 +371,16 @@ class TestTrainModeFit:
     Gumbel noise) in the same state."""
 
     @staticmethod
-    def _fit(config):
+    def _fit(config, backend="dense"):
         graphs = [
             attach_degree_features(g)
             for g in make_imdb_b_like(16, np.random.default_rng(2))
         ]
         rng = np.random.default_rng(7)
-        model = make_classifier(
-            "HAP", graphs[0].features.shape[1], 2, rng,
-            hidden=8, cluster_sizes=(6, 3),
+        embedder = make_embedder(
+            "HAP", graphs[0].features.shape[1], 8, rng, (6, 3), "gcn"
         )
+        model = GraphClassifier(embedder, 2, rng, backend=backend)
         fit(model, graphs, rng, config)
         return model.state_dict(), rng.bit_generator.state
 
@@ -383,15 +388,12 @@ class TestTrainModeFit:
         loop, loop_state = self._fit(
             TrainConfig(epochs=2, batch_size=4, batched=False)
         )
-        for config in (
-            TrainConfig(epochs=2, batch_size=4),
-            TrainConfig(epochs=2, batch_size=4, backend="sparse"),
-        ):
-            params, state = self._fit(config)
-            assert state == loop_state, config.backend
+        for backend in ("dense", "sparse"):
+            params, state = self._fit(TrainConfig(epochs=2, batch_size=4), backend)
+            assert state == loop_state, backend
             for name, value in loop.items():
                 dev = np.abs(params[name] - value).max()
-                assert dev < 1e-9, (config.backend, name, dev)
+                assert dev < 1e-9, (backend, name, dev)
 
 
 class TestHarnessTrainsBatched:

@@ -48,7 +48,7 @@ def _setup(seed=0):
     return rng, model, graphs, graphs[:3]
 
 
-def _config(checkpoint_dir, batched=False, patience=None, buffer_pool=True):
+def _config(checkpoint_dir, batched=False, patience=None):
     return TrainConfig(
         epochs=EPOCHS,
         lr=0.02,
@@ -59,7 +59,6 @@ def _config(checkpoint_dir, batched=False, patience=None, buffer_pool=True):
         lr_step=2,
         checkpoint_dir=str(checkpoint_dir),
         checkpoint_every=CHECKPOINT_EVERY,
-        buffer_pool=buffer_pool,
     )
 
 
@@ -122,7 +121,7 @@ def _strip_volatile(record):
     }
 
 
-def _assert_identical_runs(ref, res, ignore_config=()):
+def _assert_identical_runs(ref, res):
     """Bitwise equality of two completed runs (no tolerance)."""
     model_a, history_a, dir_a = ref
     model_b, history_b, dir_b = res
@@ -153,8 +152,6 @@ def _assert_identical_runs(ref, res, ignore_config=()):
                 bytes(archive["__repro_ckpt_header__"]).decode("utf-8")
             )
             header["config"].pop("checkpoint_dir")  # always allowed to differ
-            for key in ignore_config:
-                header["config"].pop(key)
             headers.append(header)
         assert headers[0] == headers[1]  # counters, history, rng state, lr
         for key in archive_a.files:
@@ -229,10 +226,11 @@ class TestResumeEquivalence:
 class TestBufferPoolResume:
     """The gradient buffer pool never perturbs crash/resume equivalence.
 
-    The pool (docs/performance.md) recycles gradient arrays between
-    steps but is transparent to the numbers: a run that crashes
-    mid-epoch with pooling enabled must resume bitwise-identically,
-    and a pooled run must match a pool-disabled run bit for bit.
+    ``fit`` trains every run under one pool (docs/performance.md), which
+    recycles gradient arrays between steps: a run that crashes
+    mid-epoch must still resume bitwise-identically.  That pooled and
+    unpooled gradients are bitwise equal is pinned in
+    tests/test_fused_kernels.py.
     """
 
     def test_mid_epoch_crash_resumes_bitwise_with_pool_enabled(self, tmp_path):
@@ -243,7 +241,7 @@ class TestBufferPoolResume:
             model_a,
             train,
             rng,
-            _config(tmp_path / "ckpt_a", buffer_pool=True, **config_kwargs),
+            _config(tmp_path / "ckpt_a", **config_kwargs),
             val_metric=lambda: classification_accuracy(model_a, val),
             callbacks=[JSONLLogger(log_a, log_batches=True)],
         )
@@ -258,20 +256,6 @@ class TestBufferPoolResume:
             (model_a, history_a, tmp_path / "ckpt_a"),
             (model_b, history_b, tmp_path / "ckpt_b"),
         )
-
-    def test_pooled_run_matches_pool_disabled_run_bitwise(self, tmp_path):
-        results = []
-        for name, pooled in (("pooled", True), ("unpooled", False)):
-            rng, model, train, val = _setup()
-            history = fit(
-                model,
-                train,
-                rng,
-                _config(tmp_path / f"ckpt_{name}", buffer_pool=pooled),
-                val_metric=lambda: classification_accuracy(model, val),
-            )
-            results.append((model, history, tmp_path / f"ckpt_{name}"))
-        _assert_identical_runs(*results, ignore_config=("buffer_pool",))
 
 
 class TestResumeState:

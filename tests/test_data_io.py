@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.data.datasets as datasets_module
+import repro.graph.graph as graph_module
 from repro.data import load_graphs, save_graphs
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
 from repro.data.datasets import make_aids_like, make_esol_like, make_imdb_b_like
@@ -37,7 +38,7 @@ from repro.data.sharding import (
     shard_path,
     write_shards,
 )
-from repro.data.streaming import StreamingDataset, clear_manifest_memo
+from repro.data.streaming import StreamingDataset
 from repro.observe.metrics import MetricsRegistry, set_registry
 
 pytestmark = pytest.mark.streaming
@@ -128,10 +129,8 @@ def fresh_registry():
 
 @pytest.fixture()
 def store(tmp_path):
-    clear_manifest_memo()
     shard_dataset("MUTAG", 20, 3, tmp_path / "shards", shard_size=6)
-    yield tmp_path / "shards"
-    clear_manifest_memo()
+    return tmp_path / "shards"
 
 
 class TestSaveLoadGraphs:
@@ -216,6 +215,23 @@ class TestFlatLayout:
         # Disjoint views of one shared buffer pass the check above, yet
         # each would keep the whole buffer alive.
         assert len({id(_memory_owner(a)) for a in arrays}) == len(arrays)
+
+
+class TestDecodeValidatesOnce:
+    def test_featuring_a_shard_rechecks_no_adjacency(self, store, monkeypatch):
+        original = graph_module._symmetric
+        checked = []
+
+        def counting(array, transposed):
+            if array.ndim == 2:  # the adjacency, not edge features
+                checked.append(array)
+            return original(array, transposed)
+
+        monkeypatch.setattr(graph_module, "_symmetric", counting)
+        with StreamingDataset(store) as stream:
+            graphs = stream._load(0)  # decode, verify and feature-encode
+        assert all(g.features is not None for g in graphs)
+        assert len(checked) == len(graphs)
 
 
 class TestMalformedArchives:
@@ -331,7 +347,6 @@ class TestFormat1Archives:
 
     def test_shard_store_streams_bitwise(self, store):
         _convert_store_to_format_1(store)
-        clear_manifest_memo()
         in_memory, _, _ = load_dataset_cached("MUTAG", 20, 3)
         with StreamingDataset(store, max_cached_shards=2) as stream:
             order = np.random.default_rng(0).permutation(len(stream))

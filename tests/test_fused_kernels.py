@@ -27,7 +27,6 @@ from repro.tensor import (
     BufferPool,
     CSRMatrix,
     Tensor,
-    bmm,
     buffer_pool,
     check_gradients,
     coarsen_chain,
@@ -120,7 +119,7 @@ class TestMatmulTn:
         a = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
         fused = matmul_tn(a, b)
-        unfused = bmm(transpose(Tensor(a.data), (0, 2, 1)), Tensor(b.data))
+        unfused = transpose(Tensor(a.data), (0, 2, 1)) @ Tensor(b.data)
         assert np.array_equal(fused.data, unfused.data)
 
     def test_backward_matches_unfused(self):
@@ -174,7 +173,7 @@ class TestCoarsenChain:
         adj = Tensor(rng.random((3, 6, 6)), requires_grad=True)
         fused = coarsen_chain(m, adj)
         m_t = transpose(Tensor(m.data), (0, 2, 1))
-        unfused = bmm(bmm(m_t, Tensor(adj.data)), Tensor(m.data))
+        unfused = m_t @ Tensor(adj.data) @ Tensor(m.data)
         np.testing.assert_allclose(fused.data, unfused.data, atol=TOL, rtol=0)
 
     def test_sparse_matches_spmm_composition(self):
@@ -539,7 +538,7 @@ class TestUnfusedAttentionLint:
         offender.write_text(
             "def forward(scores, mask, h):\n"
             "    probs = masked_softmax(scores, mask, axis=1)\n"
-            "    return bmm(probs, h)\n"
+            "    return matmul(probs, h)\n"
         )
         findings = lint.lint_file(offender)
         assert len(findings) == 1
@@ -563,7 +562,7 @@ class TestUnfusedAttentionLint:
             "def scores_only(scores, mask):\n"
             "    return masked_softmax(scores, mask, axis=1)\n"
             "def product_only(assignment, h):\n"
-            "    return bmm(assignment, h)\n"
+            "    return matmul(assignment, h)\n"
             "def fused(scores, mask, h):\n"
             "    return matmul_tn(masked_softmax_mean(scores, mask), h)\n"
         )
@@ -574,7 +573,7 @@ class TestUnfusedAttentionLint:
         elsewhere.parent.mkdir(parents=True)
         elsewhere.write_text(
             "def forward(scores, mask, h):\n"
-            "    return bmm(masked_softmax(scores, mask, axis=1), h)\n"
+            "    return matmul(masked_softmax(scores, mask, axis=1), h)\n"
         )
         assert lint.lint_file(elsewhere) == []
 
@@ -583,7 +582,7 @@ class TestUnfusedAttentionLint:
         exempt.parent.mkdir(parents=True)
         exempt.write_text(
             "def unfused_reference(scores, mask, h):\n"
-            "    return bmm(masked_softmax(scores, mask, axis=1), h)\n"
+            "    return matmul(masked_softmax(scores, mask, axis=1), h)\n"
         )
         assert lint.lint_file(exempt) == []
 

@@ -171,6 +171,20 @@ class TestTransformations:
         g3 = g.with_features(np.zeros((2, 3)))
         assert g.features is None and g3.features.shape == (2, 3)
 
+    def test_with_features_checks_only_the_features(self):
+        g = Graph.from_edges(
+            3, [(0, 1), (1, 2)], node_labels=[0, 1, 2], label=1,
+            edge_features={(0, 1): [2.0]}, num_edge_features=1,
+        )
+        featured = g.with_features([[1], [2], [3]])
+        assert featured.features.dtype == np.float64
+        for name in ("adjacency", "node_labels", "edge_features", "meta"):
+            assert getattr(featured, name) is getattr(g, name), name
+        assert featured.label == 1
+        for bad in (np.zeros((2, 3)), np.zeros(3), None):
+            with pytest.raises(ValueError, match="features must be"):
+                g.with_features(bad)
+
 
 class TestNetworkxInterop:
     def test_roundtrip(self, rng):

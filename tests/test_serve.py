@@ -275,46 +275,6 @@ class TestErrorHandling:
             InferenceService(model, max_wait_s=-1.0)
 
 
-class TestDeprecatedPredictBatchLint:
-    """tools/lint.py flags predict_batch call sites inside src/."""
-
-    @pytest.fixture()
-    def lint(self):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-        import lint
-
-        yield lint
-        sys.path.pop(0)
-
-    def test_flags_shim_calls_in_library_code(self, lint, tmp_path):
-        offender = tmp_path / "src" / "repro" / "thing.py"
-        offender.parent.mkdir(parents=True)
-        offender.write_text("def f(m, gs):\n    return m.predict_batch(gs)\n")
-        findings = lint.lint_file(offender)
-        assert len(findings) == 1
-        assert "no-deprecated-predict-batch" in findings[0]
-
-    def test_tests_may_exercise_the_shim(self, lint, tmp_path):
-        exempt = tmp_path / "tests" / "test_thing.py"
-        exempt.parent.mkdir(parents=True)
-        exempt.write_text("def f(m, gs):\n    return m.predict_batch(gs)\n")
-        assert lint.lint_file(exempt) == []
-
-    def test_src_tree_is_currently_clean(self, lint):
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parent.parent / "src"
-        offenders = [
-            finding
-            for finding in lint.lint_paths([src])
-            if "no-deprecated-predict-batch" in finding
-        ]
-        assert offenders == []
-
-
 class TestObservability:
     def test_metrics_and_spans_recorded(self, registry, model, corpus):
         graphs = corpus[0]

@@ -187,15 +187,13 @@ class TestStreamingCacheRoundTrip:
     def sources(self, tmp_path):
         from repro.data.cache import load_dataset_cached
         from repro.data.sharding import shard_dataset
-        from repro.data.streaming import StreamingDataset, clear_manifest_memo
+        from repro.data.streaming import StreamingDataset
 
-        clear_manifest_memo()
         in_memory, dim, classes = load_dataset_cached(NAME, N, SEED)
         shard_dataset(NAME, N, SEED, tmp_path / "sh", shard_size=5)
-        streamed = StreamingDataset(tmp_path / "sh", prefetch_mode="off")
+        streamed = StreamingDataset(tmp_path / "sh")
         yield in_memory, streamed, dim, classes
         streamed.close()
-        clear_manifest_memo()
 
     def test_graph_hash_survives_the_shard_round_trip(self, sources):
         in_memory, streamed, _, _ = sources

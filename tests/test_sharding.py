@@ -13,8 +13,9 @@ Locks down the ``repro.shard/v1`` contract of docs/streaming.md:
   rename never leaves a manifest pointing at half-written files;
 - :class:`StreamingDataset` serves graphs bitwise-identical to the
   in-memory loader while holding at most ``max_cached_shards`` decoded
-  shards, and its shard-aware shuffle is a pure function of the seed
-  that loads every shard exactly once per epoch;
+  shards, loads them on the reading thread, and its shard-aware
+  shuffle is a pure function of the seed that loads every shard
+  exactly once per epoch;
 - a planned epoch (``plan_epoch``) loads exactly the shards a short
   reference model of the graph window predicts while holding fewer
   than ``max_cached_shards · shard_size`` decoded graphs, and a flat
@@ -25,6 +26,7 @@ Locks down the ``repro.shard/v1`` contract of docs/streaming.md:
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -43,11 +45,7 @@ from repro.data.sharding import (
     shard_path,
     write_shards,
 )
-from repro.data.streaming import (
-    StreamingDataset,
-    clear_manifest_memo,
-    _fetch_featured_shard,
-)
+from repro.data.streaming import StreamingDataset
 from repro.graph.graph import Graph
 from repro.observe.metrics import MetricsRegistry, set_registry
 from repro.testing.faults import InjectedFault, flip_bytes, truncate_file
@@ -95,10 +93,8 @@ def fresh_registry():
 
 @pytest.fixture()
 def shard_dir(tmp_path):
-    clear_manifest_memo()
     shard_dataset(NAME, N, SEED, tmp_path / "shards", shard_size=SHARD)
-    yield tmp_path / "shards"
-    clear_manifest_memo()
+    return tmp_path / "shards"
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +220,9 @@ class TestRaggedBoundaries:
         self, tmp_path_factory, count, shard_size, seed
     ):
         tmp = tmp_path_factory.mktemp("ragged_stream")
-        clear_manifest_memo()
         graphs = _tiny_graphs(count)
         write_shards(graphs, tmp, shard_size, name="tiny")
-        stream = StreamingDataset(
-            tmp, max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(tmp, max_cached_shards=1)
         assert len(stream) == count
         order = np.random.default_rng(seed).permutation(count)
         assert [_graph_fingerprint(stream[i]) for i in order] == [
@@ -246,9 +239,8 @@ class TestRaggedBoundaries:
         self, tmp_path_factory, count, shard_size, seed
     ):
         tmp = tmp_path_factory.mktemp("ragged_shuffle")
-        clear_manifest_memo()
         write_shards(_tiny_graphs(count), tmp, shard_size, name="tiny")
-        stream = StreamingDataset(tmp, prefetch_mode="off")
+        stream = StreamingDataset(tmp)
         order = stream.shuffled_order(seed)
         assert sorted(order.tolist()) == list(range(count))
 
@@ -304,10 +296,7 @@ class TestCorruption:
     def test_streaming_iteration_surfaces_corruption_mid_epoch(
         self, shard_dir
     ):
-        clear_manifest_memo()
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
         consumed = [stream[i].label for i in range(7)]  # shard 0 is fine
         assert len(consumed) == 7
         truncate_file(shard_path(shard_dir, 1), keep_bytes=64)
@@ -382,7 +371,7 @@ class TestAtomicWrites:
 
 class TestStreamingDataset:
     def test_sequence_protocol_and_metadata(self, shard_dir):
-        stream = StreamingDataset(shard_dir, prefetch_mode="off")
+        stream = StreamingDataset(shard_dir)
         assert len(stream) == N
         assert stream.num_shards == 4
         assert stream.feature_dim == 4  # label encoding -> NUM_ATOM_TYPES
@@ -397,7 +386,7 @@ class TestStreamingDataset:
 
     def test_graphs_match_in_memory_loader_bitwise(self, shard_dir):
         reference, dim, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(shard_dir, prefetch_mode="off")
+        stream = StreamingDataset(shard_dir)
         assert stream.feature_dim == dim
         assert [_graph_fingerprint(stream[i]) for i in range(N)] == [
             _graph_fingerprint(g) for g in reference
@@ -406,9 +395,7 @@ class TestStreamingDataset:
     def test_window_never_holds_more_than_max_cached_shards(
         self, shard_dir, fresh_registry
     ):
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=2, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=2)
         for i in range(N):
             stream[i]
         assert len(stream._cache) <= 2
@@ -419,9 +406,7 @@ class TestStreamingDataset:
     def test_sequential_epoch_loads_each_shard_once(
         self, shard_dir, fresh_registry
     ):
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
         assert sum(1 for _ in stream) == N
         counters = fresh_registry.snapshot()["counters"]
         assert counters["streaming/shard_loads"] == 4
@@ -429,49 +414,25 @@ class TestStreamingDataset:
     def test_shuffled_epoch_loads_each_shard_once(
         self, shard_dir, fresh_registry
     ):
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
         labels = [g.label for g in stream.iter_shuffled(3)]
         assert len(labels) == N
         counters = fresh_registry.snapshot()["counters"]
         assert counters["streaming/shard_loads"] == 4
 
     def test_shuffle_is_a_pure_function_of_the_seed(self, shard_dir):
-        configs = [
-            dict(max_cached_shards=1, prefetch_mode="off"),
-            dict(max_cached_shards=3, prefetch_mode="off"),
-            dict(max_cached_shards=2, prefetch_depth=1, prefetch_mode="thread"),
-            dict(max_cached_shards=2, prefetch_depth=3, prefetch_mode="thread"),
-        ]
         orders = []
-        for config in configs:
-            stream = StreamingDataset(shard_dir, **config)
+        for window in (1, 2, 3):
+            stream = StreamingDataset(shard_dir, max_cached_shards=window)
             orders.append(stream.shuffled_order(11).tolist())
             stream.close()
         assert all(order == orders[0] for order in orders)
-        other = StreamingDataset(shard_dir, prefetch_mode="off")
+        other = StreamingDataset(shard_dir)
         assert other.shuffled_order(12).tolist() != orders[0]
-
-    def test_prefetch_thread_serves_identical_graphs(
-        self, shard_dir, fresh_registry
-    ):
-        reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=2, prefetch_depth=2,
-            prefetch_mode="thread",
-        )
-        order = stream.shuffled_order(5)
-        stream.plan_epoch(order)
-        got = [_graph_fingerprint(stream[int(i)]) for i in order]
-        stream.close()
-        assert got == [_graph_fingerprint(reference[int(i)]) for i in order]
-        counters = fresh_registry.snapshot()["counters"]
-        assert counters.get("streaming/prefetch_hit", 0) > 0
 
     def test_subset_view_maps_through_to_parent(self, shard_dir):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(shard_dir, prefetch_mode="off")
+        stream = StreamingDataset(shard_dir)
         picks = [3, 9, 20, 0]
         view = stream.subset(picks)
         assert len(view) == 4
@@ -485,19 +446,21 @@ class TestStreamingDataset:
             stream.subset([0, N])
 
     def test_pickled_dataset_reopens_cleanly(self, shard_dir):
-        stream = StreamingDataset(shard_dir, prefetch_mode="thread")
-        stream[0]  # warm the cache and spawn the prefetcher
+        stream = StreamingDataset(shard_dir)
+        stream[0]  # warm the cache
         clone = pickle.loads(pickle.dumps(stream))
         stream.close()
         assert len(clone._cache) == 0
         assert _graph_fingerprint(clone[5]) == _graph_fingerprint(
-            StreamingDataset(shard_dir, prefetch_mode="off")[5]
+            StreamingDataset(shard_dir)[5]
         )
         clone.close()
 
     def test_fetch_key_is_stable(self, shard_dir):
-        first = _fetch_featured_shard((str(shard_dir), 0, True))
-        second = _fetch_featured_shard((str(shard_dir), 0, True))
+        stream = StreamingDataset(shard_dir)
+        first = stream._load(0)
+        second = stream._load(0)
+        assert first is not second
         assert [_graph_fingerprint(g) for g in first] == [
             _graph_fingerprint(g) for g in second
         ]
@@ -505,8 +468,6 @@ class TestStreamingDataset:
     def test_invalid_construction_is_rejected(self, shard_dir):
         with pytest.raises(ValueError, match="max_cached_shards"):
             StreamingDataset(shard_dir, max_cached_shards=0)
-        with pytest.raises(ValueError, match="prefetch_mode"):
-            StreamingDataset(shard_dir, prefetch_mode="turbo")
         with pytest.raises(FileNotFoundError):
             StreamingDataset(shard_dir / "nope")
 
@@ -567,24 +528,18 @@ class TestPlannedWindow:
         shard_size=st.integers(min_value=1, max_value=9),
         max_cached_shards=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10_000),
-        prefetch_mode=st.sampled_from(["off", "thread"]),
     )
     def test_flat_epoch_is_exact_bitwise_and_bounded(
-        self, tmp_path_factory, num_graphs, shard_size, max_cached_shards,
-        seed, prefetch_mode,
+        self, tmp_path_factory, num_graphs, shard_size, max_cached_shards, seed
     ):
         tmp = tmp_path_factory.mktemp("window")
-        clear_manifest_memo()
         shard_dataset(NAME, num_graphs, SEED, tmp, shard_size)
         reference, _, _ = load_dataset_cached(NAME, num_graphs, SEED)
         budget = max_cached_shards * shard_size
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            stream = StreamingDataset(
-                tmp, max_cached_shards=max_cached_shards,
-                prefetch_mode=prefetch_mode,
-            )
+            stream = StreamingDataset(tmp, max_cached_shards=max_cached_shards)
             order = np.random.default_rng(seed).permutation(num_graphs)
             stream.plan_epoch(order)
             for index in order:
@@ -605,11 +560,8 @@ class TestPlannedWindow:
         self, tmp_path, fresh_registry
     ):
         # fit's layout in miniature: a flat permutation over 8 shards
-        clear_manifest_memo()
         shard_dataset(NAME, 48, SEED, tmp_path / "sh", shard_size=6)
-        stream = StreamingDataset(
-            tmp_path / "sh", max_cached_shards=2, prefetch_mode="off"
-        )
+        stream = StreamingDataset(tmp_path / "sh", max_cached_shards=2)
         order = np.random.default_rng(0).permutation(48)
         stream.plan_epoch(order)
         for index in order:
@@ -620,9 +572,7 @@ class TestPlannedWindow:
 
     def test_view_plan_with_repeated_indices(self, shard_dir, fresh_registry):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
         picks = np.array([3, 3, 9, 20, 3, 9, 0, 20, 20])
         view = stream.subset(picks)
         local = np.array([0, 1, 4, 2, 5, 3, 7, 8, 6, 0, 0])
@@ -637,9 +587,7 @@ class TestPlannedWindow:
         self, shard_dir, fresh_registry
     ):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=2, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=2)
         order = np.random.default_rng(4).permutation(N)
         stream.plan_epoch(order)
         for index in order[:10]:
@@ -660,9 +608,7 @@ class TestPlannedWindow:
         self, shard_dir, fresh_registry
     ):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=2, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=2)
         first = np.random.default_rng(5).permutation(N)
         stream.plan_epoch(first)
         for index in first[:5]:
@@ -682,7 +628,7 @@ class TestPlannedWindow:
 
     def test_pickles_mid_epoch_with_no_resident_graphs(self, shard_dir):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(shard_dir, prefetch_mode="thread")
+        stream = StreamingDataset(shard_dir)
         order = np.random.default_rng(7).permutation(N)
         stream.plan_epoch(order)
         for index in order[:6]:
@@ -698,9 +644,7 @@ class TestPlannedWindow:
 
     def test_iteration_shares_the_planned_path(self, shard_dir):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
-        stream = StreamingDataset(
-            shard_dir, max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
         iterator = iter(stream)
         head = [next(iterator) for _ in range(3)]
         assert stream._plan.cursor == 3
@@ -709,11 +653,8 @@ class TestPlannedWindow:
             _graph_fingerprint(g) for g in reference
         ]
 
-    @pytest.mark.parametrize("prefetch_mode", ["off", "thread"])
-    def test_load_wait_counts_blocked_seconds(
-        self, shard_dir, fresh_registry, prefetch_mode
-    ):
-        stream = StreamingDataset(shard_dir, prefetch_mode=prefetch_mode)
+    def test_load_wait_counts_blocked_seconds(self, shard_dir, fresh_registry):
+        stream = StreamingDataset(shard_dir)
         start = time.perf_counter()
         for _ in stream.iter_shuffled(2):
             pass
@@ -721,12 +662,22 @@ class TestPlannedWindow:
         stream.close()
         counters = fresh_registry.snapshot()["counters"]
         assert counters["streaming/shard_loads"] == 4
-        assert 0.0 <= counters["streaming/load_wait_s"] <= elapsed
-        if prefetch_mode == "off":  # every load blocks the reader
-            assert counters["streaming/load_wait_s"] > 0.0
+        # every load runs on the reader's thread, inside the epoch
+        assert 0.0 < counters["streaming/load_wait_s"] <= elapsed
+
+    def test_planned_epoch_starts_no_thread(self, shard_dir, fresh_registry):
+        before = set(threading.enumerate())
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
+        order = stream.shuffled_order(6)
+        stream.plan_epoch(order)
+        for index in order:
+            stream[int(index)]
+            assert set(threading.enumerate()) <= before
+        assert fresh_registry.snapshot()["counters"]["streaming/shard_loads"] == 4
+        stream.close()
 
     def test_plan_outside_the_corpus_is_rejected(self, shard_dir):
-        stream = StreamingDataset(shard_dir, prefetch_mode="off")
+        stream = StreamingDataset(shard_dir)
         with pytest.raises(IndexError, match="plan"):
             stream.plan_epoch([0, N])
 

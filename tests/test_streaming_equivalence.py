@@ -8,8 +8,8 @@ fields) — for every shard layout {1, 3, 7, 64} and worker count {1, 2}.
 At 3 graphs per shard the 24-graph corpus spans 8 shards against a
 2-shard window, so shards reload mid-epoch through the planned-read
 window.
-Shard size, prefetch depth, LRU window and worker scheduling are pure
-performance knobs; results are a function of the config alone.
+Shard size, LRU window and worker scheduling are pure performance
+knobs; results are a function of the config alone.
 
 Also covers the fault-injection satellite: a crash mid-run resumes
 bitwise-identically through the streaming path, and a shard corrupted
@@ -27,7 +27,7 @@ from repro.data.sharding import (
     shard_dataset,
     shard_path,
 )
-from repro.data.streaming import StreamingDataset, clear_manifest_memo
+from repro.data.streaming import StreamingDataset
 from repro.evaluation.crossval import cross_validate_classification
 from repro.models import zoo
 from repro.observe import Callback, JSONLLogger, read_run_log
@@ -94,16 +94,12 @@ def reference(tmp_path_factory):
 
 class TestTrainingEquivalence:
     @pytest.mark.parametrize("shard_size", [1, 3, 7, 64])
-    @pytest.mark.parametrize("prefetch_mode", ["off", "thread"])
     def test_streamed_run_is_bitwise_identical(
-        self, tmp_path, reference, shard_size, prefetch_mode
+        self, tmp_path, reference, shard_size
     ):
         ref_state, ref_history, ref_log, dim, num_classes = reference
-        clear_manifest_memo()
         shard_dataset(NAME, N, DATA_SEED, tmp_path / "sh", shard_size)
-        stream = StreamingDataset(
-            tmp_path / "sh", max_cached_shards=2, prefetch_mode=prefetch_mode
-        )
+        stream = StreamingDataset(tmp_path / "sh", max_cached_shards=2)
         log = tmp_path / "run.jsonl"
         state, history = _train(stream, dim, num_classes, log, "streaming")
         stream.close()
@@ -120,7 +116,6 @@ class TestTrainingEquivalence:
         _, _, _, dim, num_classes = reference
         graphs, _, _ = load_dataset_cached(NAME, N, DATA_SEED)
         picks = list(range(0, N, 2))
-        clear_manifest_memo()
         shard_dataset(NAME, N, DATA_SEED, tmp_path / "sh", 7)
         stream = StreamingDataset(tmp_path / "sh", max_cached_shards=2)
         state_mem, hist_mem = _train(
@@ -160,7 +155,6 @@ class TestCrossValEquivalence:
     def test_sharded_folds_match_in_memory(
         self, tmp_path, in_memory_cv, n_workers
     ):
-        clear_manifest_memo()
         result = cross_validate_classification(
             "SumPool", NAME, n_workers=n_workers,
             shard_dir=tmp_path / "sh", shard_size=7, **CV_KWARGS,
@@ -169,7 +163,6 @@ class TestCrossValEquivalence:
 
     def test_sharded_run_logs_match_in_memory(self, tmp_path):
         clear_memory_cache()
-        clear_manifest_memo()
         mem = cross_validate_classification(
             "SumPool", NAME, run_log_dir=tmp_path / "logs_mem", **CV_KWARGS
         )
@@ -209,11 +202,10 @@ class TestStreamingResume:
         return model, history
 
     def _crash_and_resume(self, tmp_path, shard_size):
-        clear_manifest_memo()
         shard_dataset(NAME, N, DATA_SEED, tmp_path / "sh", shard_size)
         _, dim, num_classes = load_dataset_cached(NAME, N, DATA_SEED)
 
-        stream = StreamingDataset(tmp_path / "sh", prefetch_mode="off")
+        stream = StreamingDataset(tmp_path / "sh")
         ref_model, ref_history = self._run(
             stream, dim, num_classes, tmp_path / "ref.jsonl",
             tmp_path / "ckpt_ref",
@@ -253,12 +245,9 @@ class TestStreamingFaults:
     """Satellite: corruption mid-training is typed, not silent."""
 
     def test_shard_corrupted_mid_training_names_the_shard(self, tmp_path):
-        clear_manifest_memo()
         shard_dataset(NAME, N, DATA_SEED, tmp_path / "sh", 7)
         _, dim, num_classes = load_dataset_cached(NAME, N, DATA_SEED)
-        stream = StreamingDataset(
-            tmp_path / "sh", max_cached_shards=1, prefetch_mode="off"
-        )
+        stream = StreamingDataset(tmp_path / "sh", max_cached_shards=1)
         rng = np.random.default_rng(MODEL_SEED)
         model = _make_model(dim, num_classes, rng)
 

@@ -1,24 +1,14 @@
-"""Gradient and semantics checks for the batched 3-D tensor ops.
+"""Gradient and semantics checks for ``masked_softmax``.
 
-Every op of the padded dense-batch execution path (``bmm``,
-``masked_softmax``, ``masked_sum``, ``masked_mean``) is pinned against
-central finite differences via :func:`repro.tensor.check_gradients`, and
-its masking semantics (exact zeros at padding, count-aware means) are
-verified directly.
+The padded dense-batch execution path's softmax is pinned against
+central finite differences via :func:`repro.tensor.check_gradients`,
+and its masking semantics (exact zeros at padding) are verified
+directly.
 """
 
 import numpy as np
-import pytest
 
-from repro.tensor import (
-    Tensor,
-    bmm,
-    check_gradients,
-    masked_mean,
-    masked_softmax,
-    masked_sum,
-    softmax,
-)
+from repro.tensor import Tensor, check_gradients, masked_softmax, softmax
 
 
 def _rand(rng, *shape):
@@ -33,34 +23,6 @@ def _mask(rng, *shape):
         if row.sum() == 0:
             row[0] = 1.0
     return m.reshape(shape)
-
-
-class TestBmm:
-    def test_matches_per_slice_matmul(self, rng):
-        a = _rand(rng, 4, 3, 5)
-        b = _rand(rng, 4, 5, 2)
-        out = bmm(a, b)
-        assert out.shape == (4, 3, 2)
-        for i in range(4):
-            np.testing.assert_allclose(out.data[i], a.data[i] @ b.data[i])
-
-    def test_rejects_non_3d_and_mismatched_shapes(self, rng):
-        with pytest.raises(ValueError):
-            bmm(_rand(rng, 3, 5), _rand(rng, 4, 5, 2))
-        with pytest.raises(ValueError):
-            bmm(_rand(rng, 4, 3, 5), _rand(rng, 4, 4, 2))
-        with pytest.raises(ValueError):
-            bmm(_rand(rng, 4, 3, 5), _rand(rng, 3, 5, 2))
-
-    def test_gradcheck_both_arguments(self, rng):
-        a = _rand(rng, 2, 3, 4)
-        b = _rand(rng, 2, 4, 3)
-        check_gradients(lambda: bmm(a, b).sum(), [a, b])
-
-    def test_gradcheck_through_composition(self, rng):
-        a = _rand(rng, 2, 3, 3)
-        b = _rand(rng, 2, 3, 3)
-        check_gradients(lambda: (bmm(a, b) * bmm(b, a)).sum(), [a, b])
 
 
 class TestMaskedSoftmax:
@@ -110,49 +72,3 @@ class TestMaskedSoftmax:
             lambda: (masked_softmax(x, mask, axis=1) * Tensor(weights)).sum(),
             [x],
         )
-
-
-class TestMaskedReductions:
-    def test_masked_sum_values(self, rng):
-        x = _rand(rng, 3, 4, 2)
-        mask = _mask(rng, 3, 4, 1)
-        out = masked_sum(x, mask, axis=1)
-        expected = (x.data * mask).sum(axis=1)
-        np.testing.assert_allclose(out.data, expected)
-
-    def test_masked_mean_divides_by_valid_count(self, rng):
-        x = _rand(rng, 2, 5, 3)
-        mask = np.zeros((2, 5, 1))
-        mask[0, :3] = 1.0
-        mask[1, :5] = 1.0
-        out = masked_mean(x, mask, axis=1)
-        np.testing.assert_allclose(out.data[0], x.data[0, :3].mean(axis=0))
-        np.testing.assert_allclose(out.data[1], x.data[1].mean(axis=0))
-
-    def test_masked_mean_fully_masked_is_zero(self, rng):
-        x = _rand(rng, 1, 4, 2)
-        out = masked_mean(x, np.zeros((1, 4, 1)), axis=1)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
-
-    def test_masked_sum_gradcheck(self, rng):
-        x = _rand(rng, 2, 3, 4)
-        mask = _mask(rng, 2, 3, 1)
-        weights = rng.normal(size=(2, 4))
-        check_gradients(
-            lambda: (masked_sum(x, mask, axis=1) * Tensor(weights)).sum(),
-            [x],
-        )
-
-    def test_masked_mean_gradcheck(self, rng):
-        x = _rand(rng, 2, 3, 4)
-        mask = _mask(rng, 2, 3, 1)
-        weights = rng.normal(size=(2, 4))
-        check_gradients(
-            lambda: (masked_mean(x, mask, axis=1) * Tensor(weights)).sum(),
-            [x],
-        )
-
-    def test_masked_mean_global_gradcheck(self, rng):
-        x = _rand(rng, 3, 4)
-        mask = _mask(rng, 3, 4)
-        check_gradients(lambda: masked_mean(x, mask), [x])

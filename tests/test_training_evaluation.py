@@ -5,13 +5,16 @@ import pytest
 
 from repro.data import MatchingPair, GraphTriplet, attach_degree_features
 from repro.evaluation import format_table, silhouette_score, tsne
-from repro.evaluation.harness import prepare_dataset
+from repro.evaluation.harness import prepare_dataset, run_matching
 from repro.graph import complete_graph, path_graph, random_connected
 from repro.models import zoo
+from repro.observe import JSONLLogger, read_run_log
 from repro.training import (
+    CheckpointManager,
     TrainConfig,
     classification_accuracy,
     fit,
+    load_checkpoint,
     matching_accuracy,
     regression_rmse,
     triplet_accuracy,
@@ -100,6 +103,40 @@ class TestFit:
                 model, graphs, rng, TrainConfig(epochs=1, batched=False),
                 batch_loss_fn=lambda m, chunk: m.batch_loss(chunk),
             )
+
+
+class TestRunLogLossRule:
+    """A run log's ``batched`` says whether ``fit`` trained whole
+    mini-batches, not what the config asked for."""
+
+    def test_default_classifier_run_logs_batched(self, rng, tmp_path):
+        model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
+        fit(
+            model, _toy_dataset(rng), rng, TrainConfig(epochs=1),
+            callbacks=[JSONLLogger(tmp_path / "run.jsonl")],
+        )
+        assert read_run_log(tmp_path / "run.jsonl")[0]["batched"] is True
+
+    def test_passed_loss_fn_logs_the_per_example_loop(self, rng, tmp_path):
+        model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
+        config = TrainConfig(epochs=1, checkpoint_dir=str(tmp_path / "ckpt"))
+        fit(
+            model, _toy_dataset(rng), rng, config,
+            loss_fn=lambda m, example: m.loss(example),
+            callbacks=[JSONLLogger(tmp_path / "run.jsonl")],
+        )
+        assert read_run_log(tmp_path / "run.jsonl")[0]["batched"] is False
+        # the caller's config, and the checkpoints that record it, are kept
+        assert config.batched
+        latest = CheckpointManager(tmp_path / "ckpt").latest()
+        assert load_checkpoint(latest).config["batched"] is True
+
+    def test_matching_run_logs_the_per_pair_loop(self, tmp_path):
+        run_matching(
+            "HAP", num_nodes=8, num_pairs=12, epochs=1, hidden=8,
+            test_size=4, callbacks=[JSONLLogger(tmp_path / "run.jsonl")],
+        )
+        assert read_run_log(tmp_path / "run.jsonl")[0]["batched"] is False
 
 
 class TestMetrics:

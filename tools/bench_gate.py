@@ -31,7 +31,7 @@ when one regresses against the committed baseline:
 - ``stream_step_s`` — mean time to materialise one shuffled training
   batch through a :class:`repro.data.streaming.StreamingDataset`
   (docs/streaming.md): shard decode + feature attach amortised over
-  the LRU window and prefetcher.
+  the planned-read window.
 - the **molecular regression floor** — a seeded ESOL-like regression
   run (``repro.evaluation.run_regression``, docs/molecular.md) whose
   held-out RMSE must beat the train-mean predictor's RMSE outright,
@@ -531,10 +531,9 @@ def _stream_step_time(
     feature-attach cost rather than an all-cached fiction.
     """
     from repro.data.sharding import shard_dataset
-    from repro.data.streaming import StreamingDataset, clear_manifest_memo
+    from repro.data.streaming import StreamingDataset
 
     with tempfile.TemporaryDirectory() as tmp:
-        clear_manifest_memo()
         shard_dataset("MUTAG", num_graphs, 0, tmp, shard_size, chunked=True)
         with StreamingDataset(tmp, max_cached_shards=2) as stream:
 
@@ -548,7 +547,6 @@ def _stream_step_time(
             start = time.perf_counter()
             epoch(1)
             elapsed = time.perf_counter() - start
-        clear_manifest_memo()
     return elapsed / max(1, num_graphs // batch_size)
 
 

@@ -1,6 +1,6 @@
 """AST-based repository linter (first stage of tools/ci.sh).
 
-Eight rules, each targeting a bug class this codebase has actually had
+Seven rules, each targeting a bug class this codebase has actually had
 to design around:
 
 - **no-bare-except** — ``except:`` swallows ``KeyboardInterrupt`` and
@@ -26,18 +26,12 @@ to design around:
   ``.todense()``, ``np.eye`` and square-shaped ``np.zeros/ones/full``
   allocations are flagged.  Tests and benchmarks are exempt — they
   densify deliberately to compare against the dense reference.
-- **no-deprecated-predict-batch** — ``predict_batch`` was the
-  deprecation shim of the unified ``predict()`` surface and has been
-  deleted (docs/serving.md); a call to it inside ``src/`` names a
-  method that no longer exists and would only fail at run time, so
-  library code must call ``predict()`` with the batch directly.  Tests
-  are exempt — they check on purpose that the name is gone.
 - **no-unfused-attention** — the MOA/coarsening hot path runs through
   the fused kernels ``masked_softmax_mean`` / ``matmul_tn`` /
   ``coarsen_chain`` (docs/performance.md), which skip the materialised
   ``(B, N, N)`` softmax intermediate and its tape nodes.  A function in
   ``src/repro/core/`` or ``src/repro/pooling/`` that calls
-  ``masked_softmax`` and then ``bmm``/``matmul`` has reintroduced the
+  ``masked_softmax`` and then ``matmul`` has reintroduced the
   unfused composition — every number stays correct, only the step time
   and peak memory regress, so no functional test catches it.  Tests
   and benchmarks are exempt (the fused-gate suites build the unfused
@@ -109,7 +103,7 @@ CORPUS_HINTS = ("dataset", "stream", "shard", "graphs", "examples", "items", "vi
 #: the unfused attention softmax and the dense products it used to feed;
 #: calling both in one hot-path function is the pre-fusion composition
 UNFUSED_SOFTMAX = {"masked_softmax"}
-UNFUSED_PRODUCTS = {"bmm", "matmul"}
+UNFUSED_PRODUCTS = {"matmul"}
 
 
 def _own_scope_call_names(node: ast.AST) -> set[str]:
@@ -148,11 +142,9 @@ class Linter(ast.NodeVisitor):
     def __init__(self, path: Path):
         self.path = path
         self.findings: list[tuple[int, str, str]] = []
-        #: densification and deprecated-API rules are only policed in
-        #: library code; tests and benchmarks densify / name the removed
-        #: shims on purpose
+        #: densification and materialisation are only policed in library
+        #: code; tests and benchmarks do both on purpose
         self.police_densify = "src" in path.parts
-        self.police_deprecated = "src" in path.parts
         self.police_materialize = "src" in path.parts
         #: fusion is policed in the hot-path packages only: the MOA /
         #: coarsening core and the pooling operator zoo
@@ -259,16 +251,6 @@ class Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if (
-            self.police_deprecated
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "predict_batch"
-        ):
-            self.report(
-                node, "no-deprecated-predict-batch",
-                "predict_batch() was removed; call predict() "
-                "with the batch directly (docs/serving.md)",
-            )
         if (
             self._stream_depth
             and isinstance(node.func, ast.Name)
