@@ -23,6 +23,7 @@ Package map (see docs/api.md for details):
 - :mod:`repro.training` / :mod:`repro.evaluation` — fit loop, metrics,
   harness, t-SNE, cross-validation
 - :mod:`repro.cli` — ``python -m repro`` entry point
+- :mod:`repro.atomic` — the one crash-safe writer every archive uses
 """
 
 __version__ = "1.0.0"

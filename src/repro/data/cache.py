@@ -6,23 +6,17 @@ pure waste — COLLAB-sized builders dominate small training runs.  This
 module caches the *raw* builder output on disk under that key; feature
 encodings are attached after load (they are deterministic and cheap).
 
-Guarantees:
-
-- **Bitwise-stable round trips.**  A cache hit returns graphs with
-  adjacency, node labels, features and class labels identical to what
-  the builder produced (``repro.data.io`` archives).
-- **Atomic writes.**  Archives are serialised to a ``*.tmp.npz``
-  sibling and moved into place with ``os.replace`` — the same crash
-  discipline as ``repro.training.checkpoint`` — so a worker killed
-  mid-write never leaves a half-written archive behind.
-- **Corruption recovery.**  An unreadable archive (truncated, bit
-  flipped) is treated as a miss: the dataset is rebuilt from its seed
-  and the archive rewritten.
-- **Stale-version detection.**  Archives record the dataset
-  ``GENERATOR_VERSION`` they were built with; one written by an older
-  (or unversioned) generator is rebuilt instead of silently reused —
-  a seed means the *current* builders' output, not whatever an old
-  cache happens to hold.
+Each entry is a one-shard ``repro.shard/v1`` directory, written as
+``shard_dataset(name, num_graphs, seed, entry, shard_size=num_graphs)``
+writes it, so the shard store's guarantees are the cache's: atomic
+writes, a checksum verified on every disk hit, and an entry that also
+opens as a :class:`~repro.data.streaming.StreamingDataset`.  An entry
+without a manifest (never written, or its write crashed first) is a
+plain miss.  An unreadable manifest or a corrupt shard is a miss
+counted as ``corrupt``, and a manifest recording another (or no)
+dataset ``GENERATOR_VERSION`` a miss counted as ``stale_version``:
+both are rebuilt from the seed and rewritten, since a seed means the
+*current* builders' output, not whatever an old cache happens to hold.
 
 A process-local memo sits in front of the disk layer so serial
 cross-validation touches the builder exactly once per dataset.
@@ -30,7 +24,6 @@ cross-validation touches the builder exactly once per dataset.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -42,19 +35,19 @@ from repro.data.encoding import (
     attach_degree_features,
     attach_label_features,
 )
-from repro.data.io import load_graphs, read_archive_header, save_graphs
+from repro.data.sharding import (
+    MANIFEST_NAME,
+    ShardCorruptionError,
+    dataset_source,
+    load_manifest,
+    read_shard,
+    write_shards,
+)
 from repro.graph.graph import Graph
-
-#: bumped when builders or the archive layout change incompatibly
-CACHE_VERSION = 1
 
 #: feature dimensions matching repro.evaluation.harness
 DEGREE_FEATURE_DIM = 16
 CONSTANT_FEATURE_DIM = 4
-
-#: indirection point mirroring repro.training.checkpoint._replace so
-#: fault-injection tests can crash the atomic rename
-_replace = os.replace
 
 #: process-local memo: (name, num_graphs, seed) -> raw graphs
 _MEMO: dict[tuple[str, int, int], list[Graph]] = {}
@@ -66,8 +59,8 @@ def clear_memory_cache() -> None:
 
 
 def cache_key(name: str, num_graphs: int, seed: int) -> str:
-    """Human-readable archive stem for one dataset configuration."""
-    return f"{name}_n{num_graphs}_s{seed}_v{CACHE_VERSION}"
+    """Human-readable entry name for one dataset configuration."""
+    return f"{name}_n{num_graphs}_s{seed}"
 
 
 class DatasetCache:
@@ -81,9 +74,10 @@ class DatasetCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
 
     def path_for(self, name: str, num_graphs: int, seed: int) -> Path | None:
+        """The entry's one-shard store directory (None without a disk layer)."""
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"{cache_key(name, num_graphs, seed)}.npz"
+        return self.cache_dir / cache_key(name, num_graphs, seed)
 
     def get_or_build(self, name: str, num_graphs: int, seed: int) -> list[Graph]:
         """Return the raw (feature-free) graphs for one configuration."""
@@ -100,49 +94,44 @@ class DatasetCache:
             return _MEMO[memo_key]
 
         path = self.path_for(name, num_graphs, seed)
-        if path is not None and path.exists():
-            try:
-                header = read_archive_header(path)
-            except Exception:
-                # Truncated or bit-flipped archive: fall through to a
-                # rebuild, which rewrites the file atomically.
-                registry.counter("data_cache/corrupt").inc()
-                header = None
-            if header is not None:
-                stored = (header.get("meta") or {}).get("generator_version")
-                if stored != _datasets.GENERATOR_VERSION:
-                    # Archive written by an older (or unversioned)
-                    # generator: its graphs may no longer match what the
-                    # builder produces for this seed.  Rebuild instead
-                    # of silently serving stale data.
-                    registry.counter("data_cache/stale_version").inc()
-                else:
-                    try:
-                        graphs, _ = load_graphs(path)
-                    except Exception:
-                        registry.counter("data_cache/corrupt").inc()
-                    else:
-                        registry.counter("data_cache/hit_disk").inc()
-                        _MEMO[memo_key] = graphs
-                        return graphs
-
-        registry.counter("data_cache/miss").inc()
-        builder, _, _ = DATASET_BUILDERS[name]
-        graphs = builder(num_graphs, np.random.default_rng(seed))
-        if path is not None:
-            self._write_atomic(graphs, path, name)
+        graphs = None if path is None else _read_entry(path, num_graphs, registry)
+        if graphs is not None:
+            registry.counter("data_cache/hit_disk").inc()
+        else:
+            registry.counter("data_cache/miss").inc()
+            builder, encoding, num_classes = DATASET_BUILDERS[name]
+            graphs = builder(num_graphs, np.random.default_rng(seed))
+            if path is not None:
+                write_shards(
+                    graphs, path, num_graphs, name=name, encoding=encoding,
+                    num_classes=num_classes,
+                    source=dataset_source(name, num_graphs, seed),
+                )
         _MEMO[memo_key] = graphs
         return graphs
 
-    @staticmethod
-    def _write_atomic(graphs: list[Graph], path: Path, name: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp.npz")
-        save_graphs(
-            graphs, tmp, name=name,
-            meta={"generator_version": _datasets.GENERATOR_VERSION},
-        )
-        _replace(tmp, path)
+
+def _read_entry(path: Path, num_graphs: int, registry) -> list[Graph] | None:
+    """The graphs of one cache entry, or None (counting why) for a miss."""
+    if not (path / MANIFEST_NAME).exists():
+        return None
+    try:
+        manifest = load_manifest(path)
+        if manifest.counts != [num_graphs]:
+            raise ValueError(f"{path} is not a one-shard store of {num_graphs}")
+    except (ValueError, KeyError, TypeError):  # truncated, flipped, edited
+        registry.counter("data_cache/corrupt").inc()
+        return None
+    if manifest.generator_version != _datasets.GENERATOR_VERSION:
+        # Written by an older (or unversioned) generator: its graphs may
+        # no longer match what the builder produces for this seed.
+        registry.counter("data_cache/stale_version").inc()
+        return None
+    try:
+        return read_shard(path, 0, manifest)
+    except ShardCorruptionError:
+        registry.counter("data_cache/corrupt").inc()
+        return None
 
 
 def encoding_dim(encoding: str) -> int:

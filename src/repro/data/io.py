@@ -11,7 +11,7 @@ every graph's values back to back in record order::
     node_labels.npy        int64, N per graph that has node labels
     features.npy           float64, N·F per graph that has features
     edge_features.npy      float64, N·N·Fe per graph that has them
-    __repro_dataset__.npy  JSON header: name, meta, one record per graph
+    __repro_dataset__.npy  JSON header: name, one record per graph
 
 Each record gives its graph's node count ``num_nodes`` and the widths
 that place it in the members (``has_node_labels``, ``num_features``,
@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.graph.graph import Graph
 
 _HEADER_KEY = "__repro_dataset__"
@@ -98,19 +99,12 @@ def _write_member(
             member.write(np.ascontiguousarray(value, dtype=dtype))
 
 
-def save_graphs(
-    graphs: list[Graph],
-    path: str | Path,
-    name: str = "",
-    meta: dict | None = None,
-) -> None:
+def save_graphs(graphs: list[Graph], path: str | Path, name: str = "") -> None:
     """Write a list of graphs (with labels/features when present).
 
     ``.npz`` is appended to ``path`` when missing, as ``np.savez`` does.
-    ``meta`` is an optional JSON-serialisable dict stored in the archive
-    header — provenance such as the dataset generator version, which
-    :mod:`repro.data.cache` validates on load.  Archives written without
-    it stay readable (``read_archive_header`` reports ``meta=None``).
+    The write is atomic (:func:`repro.atomic.atomic_write`): a crash
+    mid-write leaves the previous file at ``path``, or none.
     """
     if not graphs:
         raise ValueError("nothing to save")
@@ -120,12 +114,12 @@ def save_graphs(
         "count": len(graphs),
         "records": [_record(graph) for graph in graphs],
     }
-    if meta is not None:
-        header["meta"] = meta
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+    with atomic_write(path) as fh, zipfile.ZipFile(
+        fh, "w", zipfile.ZIP_DEFLATED
+    ) as archive:
         for field, dtype in _FIELDS:
             values = [
                 getattr(graph, field)
@@ -149,8 +143,8 @@ def _read_header(archive, path: Path) -> dict:
 def read_archive_header(path: str | Path) -> dict:
     """Read only an archive's JSON header (no graph arrays decoded).
 
-    Cheap relative to :func:`load_graphs`, so cache layers can validate
-    provenance (``header.get("meta")``) before paying for a full load.
+    Cheap relative to :func:`load_graphs`: it reports the archive's
+    ``format_version``, ``name``, ``count`` and per-graph records.
     """
     path = Path(path)
     with np.load(path if path.suffix else path.with_suffix(".npz")) as archive:

@@ -1,8 +1,8 @@
 """On-disk sharded dataset storage (schema ``repro.shard/v1``).
 
-Million-graph corpora cannot live in one monolithic ``.npz`` (the
-:mod:`repro.data.cache` layout), let alone in RAM.  This module splits
-any graph collection into fixed-size shards on disk so that the
+Million-graph corpora cannot live in one monolithic ``.npz``, let
+alone in RAM.  This module splits any graph collection into
+fixed-size shards on disk so that the
 streaming loader (:mod:`repro.data.streaming`) can bound its resident
 set to a couple of shards regardless of corpus size — the design DGL's
 GraphBolt ``item_sampler`` and PyG's on-disk/streaming dataset split
@@ -17,10 +17,9 @@ Layout of a shard directory::
 
 Guarantees:
 
-- **Atomic writes.**  Every shard (and the manifest, written last) is
-  serialised to a ``*.tmp`` sibling and moved into place with
-  ``os.replace`` — a crash mid-write never leaves a half-written file
-  that passes validation.
+- **Atomic writes.**  Every shard (and the manifest, written last) goes
+  through :func:`repro.atomic.atomic_write` — a crash mid-write never
+  leaves a half-written file that passes validation.
 - **Content checksums.**  The manifest records one SHA-256 per shard
   computed over the *decoded graph content* (adjacency, labels,
   features, graph label), not the compressed file bytes, so a checksum
@@ -39,16 +38,16 @@ Guarantees:
   *generation* of an out-of-core corpus never materialises it.
 
 Shards store the **raw** builder output; feature encodings are attached
-per shard at load time (the :mod:`repro.data.cache` convention), and
-the manifest records the encoding plus the generator version so a
-stale shard directory is detected instead of silently reused.
+per shard at load time, and the manifest records the encoding plus the
+generator version so a stale shard directory is detected instead of
+silently reused.  Each :mod:`repro.data.cache` entry is a one-shard
+store of this layout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -56,6 +55,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 import repro.data.datasets as _datasets
+from repro.atomic import atomic_write
 from repro.data.io import load_graphs, save_graphs
 from repro.graph.graph import Graph
 
@@ -64,10 +64,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: entropy tag mixed into the user seed for per-shard generation streams
 _SHARD_STREAM = 11
-
-#: indirection point mirroring repro.training.checkpoint._replace so
-#: fault-injection tests can crash the atomic rename
-_replace = os.replace
 
 
 class ShardCorruptionError(RuntimeError):
@@ -129,7 +125,7 @@ class ShardManifest:
     checksums: list[str]
     encoding: str | None
     num_classes: int | None
-    labels: list[int | None] | None
+    labels: list[int | float | None] | None
     generator_version: int
     #: generation recipe for :func:`rebuild_shard`; None for shard sets
     #: written from an arbitrary iterator (not rebuildable from a seed)
@@ -208,22 +204,6 @@ def load_manifest(shard_dir: str | Path) -> ShardManifest:
     )
 
 
-def _write_manifest(manifest: ShardManifest) -> None:
-    path = manifest.shard_dir / MANIFEST_NAME
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(manifest.to_header(), indent=2) + "\n", encoding="utf-8"
-    )
-    _replace(tmp, path)
-
-
-def _write_shard_atomic(graphs: list[Graph], path: Path, name: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp.npz")
-    save_graphs(graphs, tmp, name=name)
-    _replace(tmp, path)
-
-
 def write_shards(
     graphs: Iterable[Graph],
     shard_dir: str | Path,
@@ -252,20 +232,17 @@ def write_shards(
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     shard_dir = Path(shard_dir)
-    shard_dir.mkdir(parents=True, exist_ok=True)
     counts: list[int] = []
     checksums: list[str] = []
-    labels: list[int | None] = []
+    labels: list[int | float | None] = []
     any_label = False
     buffer: list[Graph] = []
 
     def flush() -> None:
-        index = len(counts)
-        _write_shard_atomic(buffer, shard_path(shard_dir, index), name)
+        save_graphs(buffer, shard_path(shard_dir, len(counts)), name=name)
         counts.append(len(buffer))
         checksums.append(content_checksum(buffer))
-        for graph in buffer:
-            labels.append(None if graph.label is None else int(graph.label))
+        labels.extend(graph.label for graph in buffer)
         buffer.clear()
 
     for graph in graphs:
@@ -293,7 +270,8 @@ def write_shards(
         ),
         source=source,
     )
-    _write_manifest(manifest)
+    with atomic_write(shard_dir / MANIFEST_NAME) as fh:
+        fh.write((json.dumps(manifest.to_header(), indent=2) + "\n").encode())
     return manifest
 
 
@@ -364,6 +342,18 @@ def _iter_dataset_shards(
         yield builder(count, np.random.default_rng(seeds[index]))
 
 
+def dataset_source(
+    name: str, num_graphs: int, seed: int, chunked: bool = False
+) -> dict:
+    """The generation recipe a dataset's shard set records as ``source``."""
+    return {
+        "dataset": name,
+        "num_graphs": int(num_graphs),
+        "seed": int(seed),
+        "generation": "per-shard" if chunked else "monolithic",
+    }
+
+
 def shard_dataset(
     name: str,
     num_graphs: int,
@@ -391,12 +381,7 @@ def shard_dataset(
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     _, encoding, num_classes = _datasets.DATASET_BUILDERS[name]
-    source = {
-        "dataset": name,
-        "num_graphs": int(num_graphs),
-        "seed": int(seed),
-        "generation": "per-shard" if chunked else "monolithic",
-    }
+    source = dataset_source(name, num_graphs, seed, chunked)
     if not force:
         try:
             manifest = load_manifest(shard_dir)
@@ -464,5 +449,5 @@ def rebuild_shard(shard_dir: str | Path, index: int) -> Path:
             "(re-shard the corpus instead of rebuilding one shard)"
         )
     path = manifest.shard_path(index)
-    _write_shard_atomic(graphs, path, manifest.name)
+    save_graphs(graphs, path, name=manifest.name)
     return path

@@ -181,17 +181,18 @@ class StreamingDataset(Sequence):
 
     @property
     def labels(self) -> np.ndarray:
-        """Per-graph class labels straight from the manifest.
+        """Per-graph labels straight from the manifest.
 
-        Lets fold splitting stratify a 1M-graph corpus without decoding
-        a single shard.
+        An int array of class labels, or a float array of regression
+        targets.  Lets fold splitting stratify a 1M-graph corpus without
+        decoding a single shard.
         """
         if self.manifest.labels is None:
             raise ValueError(
                 f"shards under {self.shard_dir} carry no labels "
                 "(unlabelled / GED dataset)"
             )
-        return np.asarray(self.manifest.labels, dtype=int)
+        return np.asarray(self.manifest.labels)
 
     def __len__(self) -> int:
         return int(self._offsets[-1])

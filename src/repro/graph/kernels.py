@@ -25,12 +25,6 @@ from repro.graph.algorithms import shortest_path_lengths, wl_colors
 from repro.graph.graph import Graph
 
 
-def _wl_histograms(graph: Graph, iterations: int) -> list[Counter]:
-    """Colour histogram per WL iteration (colours made iteration-local)."""
-    colors = wl_colors(graph, iterations)
-    return [Counter(row.tolist()) for row in colors]
-
-
 def wl_subtree_kernel(g1: Graph, g2: Graph, iterations: int = 3) -> float:
     """WL subtree kernel value: sum over iterations of histogram dots.
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from repro.graph.graph import _node_features, _symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +39,7 @@ class HeteroGraph:
             arr = np.asarray(adj, dtype=np.float64)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"relation {name!r}: adjacency must be square")
-            if not np.allclose(arr, arr.T):
+            if not _symmetric(arr, arr.T):
                 raise ValueError(f"relation {name!r}: adjacency must be symmetric")
             if np.any(np.diag(arr) != 0):
                 raise ValueError(f"relation {name!r}: no self-loops allowed")
@@ -46,10 +49,9 @@ class HeteroGraph:
             raise ValueError(f"relations disagree on node count: {sorted(sizes)}")
         object.__setattr__(self, "adjacencies", cleaned)
         if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != next(iter(sizes)):
-                raise ValueError("features must be (N, F)")
-            object.__setattr__(self, "features", feats)
+            object.__setattr__(
+                self, "features", _node_features(self.features, sizes.pop())
+            )
 
     @property
     def num_nodes(self) -> int:
@@ -68,7 +70,12 @@ class HeteroGraph:
         return np.minimum(np.asarray(total), 1.0)
 
     def with_features(self, features: np.ndarray) -> "HeteroGraph":
-        return replace(self, features=np.asarray(features, dtype=np.float64))
+        """This graph with ``features``; only they are checked."""
+        graph = copy.copy(self)
+        object.__setattr__(
+            graph, "features", _node_features(features, self.num_nodes)
+        )
+        return graph
 
     def with_label(self, label: int) -> "HeteroGraph":
         return replace(self, label=int(label))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Tensor, absolute, exp, log, log_softmax, stack
+from repro.tensor import Tensor, exp, log, log_softmax, stack
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -46,17 +46,6 @@ def mse_loss(prediction: Tensor, target: float | np.ndarray) -> Tensor:
     """Mean squared error against a constant target."""
     diff = prediction - Tensor(np.asarray(target, dtype=np.float64))
     return (diff * diff).mean()
-
-
-def mae_loss(prediction: Tensor, target: float | np.ndarray) -> Tensor:
-    """Mean absolute error against a constant target.
-
-    The regression task's secondary objective/metric (docs/molecular.md);
-    like :func:`mse_loss` it accepts a scalar target or a matching
-    target vector and reduces by the mean.
-    """
-    diff = prediction - Tensor(np.asarray(target, dtype=np.float64))
-    return absolute(diff).mean()
 
 
 def binary_cross_entropy(score: Tensor, label: int, eps: float = 1e-9) -> Tensor:

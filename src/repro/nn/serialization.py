@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.nn.module import Module
 
 #: bumped when the on-disk layout changes
@@ -43,7 +44,8 @@ def save_module(module: Module, path: str | Path, metadata: dict | None = None) 
     """Write ``module``'s parameters (and optional metadata) to ``path``.
 
     The archive holds one array per named parameter plus a JSON header
-    with the format version and user metadata.
+    with the format version and user metadata.  The write is atomic: a
+    crash mid-save leaves the previous file at ``path`` intact.
     """
     path = Path(path)
     state = module.state_dict()
@@ -60,7 +62,7 @@ def save_module(module: Module, path: str | Path, metadata: dict | None = None) 
     # writing through a handle keeps the archive at exactly ``path``
     # whatever its suffix (".ckpt", none, ...), so a later
     # ``load_module(path)`` always finds it.
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 
 

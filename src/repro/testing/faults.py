@@ -6,8 +6,8 @@ training run — after the k-th optimizer step, the e-th epoch, or the
 c-th checkpoint write — so "crash mid-``fit()``" is reproducible down
 to the batch.  The file helpers (:func:`truncate_file`,
 :func:`flip_bytes`) damage archives deterministically, and
-:func:`crash_on_replace` makes the checkpoint module's atomic rename
-fail, simulating a crash *during* a checkpoint write.
+:func:`crash_on_replace` makes the atomic rename every archive write
+ends with fail, simulating a crash *during* a write.
 
 All helpers are pure standard library + numpy; see
 docs/checkpointing.md for the testing recipe.
@@ -101,24 +101,29 @@ def flip_bytes(path: str | Path, offsets, mask: int = 0xFF) -> None:
 
 
 @contextmanager
-def crash_on_replace():
-    """Make checkpoint writes crash between the tmp write and the rename.
+def crash_on_replace(after: int = 0):
+    """Make atomic writes crash between the temporary write and the rename.
 
-    Inside the context every atomic-replace performed by
-    :mod:`repro.training.checkpoint` raises :class:`InjectedFault`
-    *before* the destination is touched — the on-disk state any real
-    crash-during-write leaves behind.  The previous checkpoint must
-    stay loadable (the atomicity guarantee this helper exists to test).
+    Inside the context the first ``after`` renames of
+    :func:`repro.atomic.atomic_write` (which every archive writer uses)
+    go through; every later one raises :class:`InjectedFault` *before*
+    its destination is touched — the on-disk state a real crash during
+    that write leaves behind.  The previous file must stay loadable.
     """
-    from repro.training import checkpoint as _checkpoint
+    from repro import atomic
 
-    original = _checkpoint._replace
+    original = atomic._replace
+    renamed = 0
 
-    def _boom(src: str, dst: str) -> None:
+    def _boom(src, dst) -> None:
+        nonlocal renamed
+        if renamed < after:
+            renamed += 1
+            return original(src, dst)
         raise InjectedFault(f"injected fault during atomic replace of {dst}")
 
-    _checkpoint._replace = _boom
+    atomic._replace = _boom
     try:
         yield
     finally:
-        _checkpoint._replace = original
+        atomic._replace = original

@@ -15,10 +15,9 @@ needs to continue a run bit-for-bit where it left off:
   shuffle permutation (for mid-epoch checkpoints) and the full
   :class:`~repro.training.trainer.TrainHistory` so far.
 
-Writes are **atomic**: the archive is serialised to a ``*.tmp`` sibling
-and moved into place with ``os.replace``, so a crash mid-write leaves
-the previous checkpoint untouched (see ``tests/test_checkpoint_resume``
-and :mod:`repro.testing.faults`).
+Writes are **atomic** (:func:`repro.atomic.atomic_write`), so a crash
+mid-write leaves the previous checkpoint untouched (see
+``tests/test_checkpoint_resume`` and :mod:`repro.testing.faults`).
 
 :class:`CheckpointManager` adds the retention policy used by
 :func:`repro.training.fit`: keep the last *N* step/epoch checkpoints
@@ -28,12 +27,13 @@ plus ``best.npz`` (best validation metric so far), never pruning best.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from repro.atomic import atomic_write
 
 SCHEMA = "repro.ckpt/v1"
 #: bumped when the on-disk layout changes
@@ -44,10 +44,6 @@ _MODEL_PREFIX = "model/"
 _BEST_PREFIX = "best/"
 _OPTIM_PREFIX = "optim/"
 _ORDER_KEY = "order"
-
-#: indirection point so fault-injection tests can crash the atomic
-#: rename without monkeypatching ``os`` globally (repro.testing.faults)
-_replace = os.replace
 
 
 @dataclass
@@ -142,15 +138,8 @@ def save_checkpoint(
         json.dumps(header).encode("utf-8"), dtype=np.uint8
     )
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        _replace(str(tmp), str(path))
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        np.savez(fh, **arrays)
     return path
 
 
@@ -287,18 +276,12 @@ class CheckpointManager:
     _PATTERN = re.compile(r"^ckpt-e(\d+)-s(\d+)\.npz$")
     BEST_NAME = "best.npz"
 
-    def __init__(
-        self,
-        directory: str | Path,
-        keep_last: int | None = 3,
-        keep_best: bool = True,
-    ):
+    def __init__(self, directory: str | Path, keep_last: int | None = 3):
         if keep_last is not None and keep_last < 1:
             raise ValueError(f"keep_last must be >= 1 or None, got {keep_last}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep_last = keep_last
-        self.keep_best = keep_best
 
     # -- discovery -----------------------------------------------------
     def checkpoint_paths(self) -> list[Path]:
@@ -325,7 +308,7 @@ class CheckpointManager:
         path = save_checkpoint(
             self.directory / name, epoch=epoch, step=step, **state
         )
-        if is_best and self.keep_best:
+        if is_best:
             save_checkpoint(
                 self.directory / self.BEST_NAME, epoch=epoch, step=step, **state
             )

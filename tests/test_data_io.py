@@ -21,7 +21,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import repro.data.datasets as datasets_module
 import repro.graph.graph as graph_module
 from repro.data import load_graphs, save_graphs
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
@@ -170,10 +169,9 @@ class TestSaveLoadGraphs:
 class TestFlatLayout:
     def test_mixed_fields_round_trip_bitwise(self, rng, tmp_path):
         graphs = _mixed_graphs(rng)
-        save_graphs(graphs, tmp_path / "mixed.npz", name="mixed", meta={"v": 3})
+        save_graphs(graphs, tmp_path / "mixed.npz", name="mixed")
         loaded, name = load_graphs(tmp_path / "mixed.npz")
         assert name == "mixed"
-        assert read_archive_header(tmp_path / "mixed.npz")["meta"] == {"v": 3}
         assert [_fingerprint(g) for g in loaded] == [_fingerprint(g) for g in graphs]
 
     def test_one_member_per_field_that_np_load_opens(self, rng, tmp_path):
@@ -308,7 +306,7 @@ class TestMalformedArchives:
     ):
         clear_memory_cache()
         built, _, _ = load_dataset_cached("MUTAG", 12, 4, tmp_path)
-        path = DatasetCache(tmp_path).path_for("MUTAG", 12, 4)
+        path = shard_path(DatasetCache(tmp_path).path_for("MUTAG", 12, 4), 0)
         with np.load(path) as archive:
             adjacency = archive["adjacency"]
         _rewrite_members(path, adjacency=adjacency[:-3])
@@ -361,12 +359,9 @@ class TestFormat1Archives:
     ):
         clear_memory_cache()
         built, _, _ = load_dataset_cached("MUTAG", 12, 4, tmp_path)
-        path = DatasetCache(tmp_path).path_for("MUTAG", 12, 4)
+        path = shard_path(DatasetCache(tmp_path).path_for("MUTAG", 12, 4), 0)
         raw, name = load_graphs(path)
-        _save_format_1(
-            raw, path, name=name,
-            meta={"generator_version": datasets_module.GENERATOR_VERSION},
-        )
+        _save_format_1(raw, path, name=name)
         clear_memory_cache()
         loaded, _, _ = load_dataset_cached("MUTAG", 12, 4, tmp_path)
         counters = fresh_registry.snapshot()["counters"]

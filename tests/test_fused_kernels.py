@@ -544,6 +544,36 @@ class TestUnfusedAttentionLint:
         assert len(findings) == 1
         assert "no-unfused-attention" in findings[0]
 
+    def test_flags_masked_softmax_fed_to_the_matmul_operator(
+        self, lint, tmp_path
+    ):
+        offender = tmp_path / "src" / "repro" / "pooling" / "thing.py"
+        offender.parent.mkdir(parents=True)
+        offender.write_text(
+            "def forward(scores, mask, h):\n"
+            "    probs = masked_softmax(scores, mask, axis=1)\n"
+            "    return probs @ h\n"
+            "def transposed(scores, mask, h):\n"
+            "    probs = masked_softmax(scores, mask, axis=1)\n"
+            "    return probs.T @ h\n"
+            "def inline(scores, mask, h):\n"
+            "    return h @ ops.masked_softmax(scores, mask)\n"
+        )
+        findings = lint.lint_file(offender)
+        assert len(findings) == 3
+        assert all("no-unfused-attention" in f and "@" in f for f in findings)
+
+    def test_matmul_operator_on_other_operands_passes(self, lint, tmp_path):
+        clean = tmp_path / "src" / "repro" / "pooling" / "thing.py"
+        clean.parent.mkdir(parents=True)
+        clean.write_text(
+            "def readout(scores, mask, h, query):\n"
+            "    energies = h @ query\n"
+            "    attention = masked_softmax(energies, mask, axis=-1)\n"
+            "    return reduce(attention, h)\n"
+        )
+        assert lint.lint_file(clean) == []
+
     def test_core_package_is_policed_too(self, lint, tmp_path):
         offender = tmp_path / "src" / "repro" / "core" / "thing.py"
         offender.parent.mkdir(parents=True)

@@ -69,6 +69,23 @@ class TestHeteroGraph:
         with pytest.raises(ValueError):
             _toy_hetero(rng).permute([0] * 8)
 
+    def test_with_features_checks_only_the_features(self, rng, monkeypatch):
+        g = _toy_hetero(rng)
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(
+            np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k)
+        )
+        featured = g.with_features([[1.0]] * 8)
+        assert calls == []  # the relations are not re-validated
+        assert featured.features.dtype == np.float64
+        for name in g.relations:
+            assert featured.adjacencies[name] is g.adjacencies[name]
+        assert g.features.shape == (8, 3)
+        for bad in (np.zeros((7, 2)), np.zeros(8), None):
+            with pytest.raises(ValueError, match="features must be"):
+                g.with_features(bad)
+
 
 class TestRGCN:
     def test_layer_shapes_and_gradients(self, rng):

@@ -20,7 +20,9 @@ interpreter start-up.
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -31,6 +33,13 @@ from repro.data.cache import (
     clear_memory_cache,
     load_dataset_cached,
 )
+from repro.data.sharding import (
+    MANIFEST_NAME,
+    load_manifest,
+    shard_dataset,
+    shard_path,
+)
+from repro.data.streaming import StreamingDataset
 from repro.evaluation.crossval import cross_validate_classification
 from repro.parallel import (
     WorkerCrashError,
@@ -237,11 +246,23 @@ class TestDatasetCache:
         assert (dim, classes) == (dim2, classes2)
         assert _dataset_fingerprint(built) == _dataset_fingerprint(loaded)
 
+    def test_entry_opens_as_a_streaming_dataset(self, tmp_path):
+        clear_memory_cache()
+        cached, dim, classes = load_dataset_cached(
+            self.NAME, self.N, self.SEED, tmp_path
+        )
+        entry = DatasetCache(tmp_path).path_for(self.NAME, self.N, self.SEED)
+        with StreamingDataset(entry) as stream:
+            assert (len(stream), stream.num_shards) == (self.N, 1)
+            assert (stream.feature_dim, stream.num_classes) == (dim, classes)
+            streamed = [stream[i] for i in range(len(stream))]
+        assert _dataset_fingerprint(streamed) == _dataset_fingerprint(cached)
+
     def test_memo_hit_skips_disk(self, tmp_path):
         clear_memory_cache()
         first, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         archive = DatasetCache(tmp_path).path_for(self.NAME, self.N, self.SEED)
-        archive.unlink()  # a memo hit must not need the file
+        shutil.rmtree(archive)  # a memo hit must not need the store
         second, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         assert _dataset_fingerprint(first) == _dataset_fingerprint(second)
 
@@ -249,7 +270,7 @@ class TestDatasetCache:
         clear_memory_cache()
         built, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         archive = DatasetCache(tmp_path).path_for(self.NAME, self.N, self.SEED)
-        truncate_file(archive, keep_bytes=10)
+        truncate_file(shard_path(archive, 0), keep_bytes=10)
         clear_memory_cache()
         recovered, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         assert _dataset_fingerprint(built) == _dataset_fingerprint(recovered)
@@ -257,19 +278,43 @@ class TestDatasetCache:
         reread, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         assert _dataset_fingerprint(built) == _dataset_fingerprint(reread)
 
+    @pytest.mark.parametrize("damage", ["truncate", "reshard", "remove"])
+    def test_damaged_manifest_is_a_miss(self, tmp_path, damage):
+        """An unreadable manifest, or one describing another layout, is
+        corrupt; a missing one (a write that crashed first) is a plain miss."""
+        from repro.observe.metrics import get_registry
+
+        clear_memory_cache()
+        built, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
+        archive = DatasetCache(tmp_path).path_for(self.NAME, self.N, self.SEED)
+        if damage == "truncate":
+            truncate_file(archive / MANIFEST_NAME, keep_bytes=40)
+        elif damage == "reshard":
+            shard_dataset(self.NAME, self.N, self.SEED, archive, shard_size=5)
+        else:
+            (archive / MANIFEST_NAME).unlink()
+        clear_memory_cache()
+        def count(name):
+            return get_registry().snapshot()["counters"].get(f"data_cache/{name}", 0)
+
+        misses, corrupt = count("miss"), count("corrupt")
+        rebuilt, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
+        assert count("miss") == misses + 1
+        assert count("corrupt") == corrupt + (damage != "remove")
+        assert _dataset_fingerprint(rebuilt) == _dataset_fingerprint(built)
+        assert load_manifest(archive).counts == [self.N]  # rewritten
+
     def test_stale_generator_version_triggers_rebuild(
         self, tmp_path, monkeypatch
     ):
         """An archive from an older generator must be rebuilt, not reused."""
-        import repro.data.cache as cache_module
         import repro.data.datasets as datasets_module
-        from repro.data.io import read_archive_header
         from repro.observe.metrics import get_registry
 
         clear_memory_cache()
         load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         archive = DatasetCache(tmp_path).path_for(self.NAME, self.N, self.SEED)
-        stamped = read_archive_header(archive)["meta"]["generator_version"]
+        stamped = load_manifest(archive).generator_version
         assert stamped == datasets_module.GENERATOR_VERSION
 
         # the generators change: the old archive is now stale
@@ -281,29 +326,34 @@ class TestDatasetCache:
         rebuilt, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         after = get_registry().snapshot()["counters"]["data_cache/stale_version"]
         assert after == before + 1
-        # the rewritten archive carries the new version and is served
+        # the rewritten store carries the new version and is served
         # as a plain disk hit on the next cold load
-        assert read_archive_header(archive)["meta"]["generator_version"] == (
-            stamped + 1
-        )
+        assert load_manifest(archive).generator_version == stamped + 1
         clear_memory_cache()
         reread, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         assert _dataset_fingerprint(rebuilt) == _dataset_fingerprint(reread)
 
     def test_unversioned_legacy_archive_is_rebuilt(self, tmp_path):
-        """Archives written before versioning (no meta) count as stale."""
-        from repro.data.io import load_graphs, read_archive_header, save_graphs
+        """A manifest recording no generator version counts as stale."""
+        from repro.observe.metrics import get_registry
 
         clear_memory_cache()
         built, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
         archive = DatasetCache(tmp_path).path_for(self.NAME, self.N, self.SEED)
-        raw, name = load_graphs(archive)
-        save_graphs(raw, archive, name=name)  # legacy layout: no meta
-        assert "meta" not in read_archive_header(archive)
+        manifest_path = archive / MANIFEST_NAME
+        header = json.loads(manifest_path.read_text())
+        del header["generator_version"]
+        manifest_path.write_text(json.dumps(header))
         clear_memory_cache()
+        before = get_registry().snapshot()["counters"].get(
+            "data_cache/stale_version", 0
+        )
         recovered, _, _ = load_dataset_cached(self.NAME, self.N, self.SEED, tmp_path)
+        after = get_registry().snapshot()["counters"]["data_cache/stale_version"]
+        assert after == before + 1
         assert _dataset_fingerprint(built) == _dataset_fingerprint(recovered)
-        assert "meta" in read_archive_header(archive)  # rewritten, stamped
+        # rewritten, stamped
+        assert "generator_version" in json.loads(manifest_path.read_text())
 
     def test_no_cache_dir_still_works(self):
         clear_memory_cache()

@@ -59,27 +59,6 @@ class TestProfileTraining:
         assert "step coverage" in text
 
 
-@pytest.mark.checkpoint
-class TestCheckpointResumeSmoke:
-    def test_stitched_log_has_no_duplicated_or_skipped_steps(self, tmp_path):
-        summary = profile_run.checkpoint_resume_smoke(tmp_path)
-        # 10 graphs / batch 3 = 4 steps x 3 epochs, counted exactly once
-        assert summary["steps_logged"] == 12
-        assert summary["checkpoints"] > 0
-        assert (tmp_path / "ckpt").is_dir()
-
-    def test_cli_flag_runs_the_smoke(self, tmp_path, capsys):
-        code = profile_run.main(
-            [
-                "--check-resume", "--num-graphs", "6", "--epochs", "1",
-                "--hidden", "4", "--batch-size", "3",
-                "--out", str(tmp_path / "profile.json"),
-            ]
-        )
-        assert code == 0
-        assert "stitch cleanly across" in capsys.readouterr().out
-
-
 class TestMain:
     def test_writes_valid_json(self, tmp_path, capsys):
         out = tmp_path / "profile_tiny.json"

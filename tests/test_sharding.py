@@ -48,7 +48,12 @@ from repro.data.sharding import (
 from repro.data.streaming import StreamingDataset
 from repro.graph.graph import Graph
 from repro.observe.metrics import MetricsRegistry, set_registry
-from repro.testing.faults import InjectedFault, flip_bytes, truncate_file
+from repro.testing.faults import (
+    InjectedFault,
+    crash_on_replace,
+    flip_bytes,
+    truncate_file,
+)
 
 pytestmark = pytest.mark.streaming
 
@@ -137,6 +142,19 @@ class TestShardRoundTrip:
         for index in range(manifest.num_shards):
             graphs.extend(read_shard(shard_dir, index, manifest=manifest))
         assert manifest.labels == [g.label for g in graphs]
+
+    def test_labels_keep_their_type(self, shard_dir, tmp_path):
+        """Regression targets stay floats; class labels stay ints."""
+        shard_dataset("ESOL", 12, SEED, tmp_path / "esol", shard_size=5)
+        targets = [g.label for g in load_dataset_cached("ESOL", 12, SEED)[0]]
+        labels = StreamingDataset(tmp_path / "esol").labels
+        assert labels.dtype == np.float64
+        assert labels.tolist() == targets
+        classes = StreamingDataset(shard_dir).labels
+        assert classes.dtype.kind == "i"
+        assert classes.tolist() == [
+            g.label for g in load_dataset_cached(NAME, N, SEED)[0]
+        ]
 
     def test_shard_dataset_is_idempotent(self, shard_dir):
         before = [
@@ -325,44 +343,26 @@ class TestCorruption:
 # ---------------------------------------------------------------------------
 
 class TestAtomicWrites:
-    def test_crash_during_shard_write_leaves_no_manifest(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.data.sharding as sharding_module
-
-        calls = {"n": 0}
-        original = sharding_module._replace
-
-        def crash_on_third(src, dst):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise InjectedFault(f"injected crash replacing {dst}")
-            original(src, dst)
-
-        monkeypatch.setattr(sharding_module, "_replace", crash_on_third)
-        with pytest.raises(InjectedFault):
+    def test_crash_during_shard_write_leaves_no_manifest(self, tmp_path):
+        # shards 0 and 1 land, the third shard's rename crashes
+        with crash_on_replace(after=2), pytest.raises(InjectedFault):
             write_shards(_tiny_graphs(10), tmp_path / "x", shard_size=3)
         # no manifest -> the directory never claims to be a shard store
         assert not (tmp_path / "x" / "manifest.json").exists()
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "x")
+        assert sorted(p.name for p in (tmp_path / "x").iterdir()) == [
+            "shard_00000.npz", "shard_00001.npz",
+        ]
 
-    def test_crash_during_manifest_write_preserves_absence(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.data.sharding as sharding_module
-
-        original = sharding_module._replace
-
-        def crash_on_manifest(src, dst):
-            if str(dst).endswith("manifest.json"):
-                raise InjectedFault("injected crash on manifest")
-            original(src, dst)
-
-        monkeypatch.setattr(sharding_module, "_replace", crash_on_manifest)
-        with pytest.raises(InjectedFault):
+    def test_crash_during_manifest_write_preserves_absence(self, tmp_path):
+        # both shards land, the manifest's rename crashes
+        with crash_on_replace(after=2), pytest.raises(InjectedFault):
             write_shards(_tiny_graphs(6), tmp_path / "x", shard_size=3)
         assert not (tmp_path / "x" / "manifest.json").exists()
+        assert sorted(p.name for p in (tmp_path / "x").iterdir()) == [
+            "shard_00000.npz", "shard_00001.npz",
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ to design around:
   ``coarsen_chain`` (docs/performance.md), which skip the materialised
   ``(B, N, N)`` softmax intermediate and its tape nodes.  A function in
   ``src/repro/core/`` or ``src/repro/pooling/`` that calls
-  ``masked_softmax`` and then ``matmul`` has reintroduced the
-  unfused composition — every number stays correct, only the step time
-  and peak memory regress, so no functional test catches it.  Tests
+  ``masked_softmax`` and then ``matmul``, or feeds the softmax to
+  ``@`` (directly, through a name bound to it in the same function, or
+  through an attribute of either such as ``probs.T``), has reintroduced
+  the unfused composition — every number stays correct, only the step
+  time and peak memory regress, so no functional test catches it.  Tests
   and benchmarks are exempt (the fused-gate suites build the unfused
   composition on purpose to compare against).
 - **no-materialize-in-streaming-path** — the out-of-core pipeline
@@ -106,26 +108,45 @@ UNFUSED_SOFTMAX = {"masked_softmax"}
 UNFUSED_PRODUCTS = {"matmul"}
 
 
-def _own_scope_call_names(node: ast.AST) -> set[str]:
-    """Names of functions called directly in ``node``'s body.
+def _own_scope_nodes(node: ast.AST) -> list[ast.AST]:
+    """Every node in ``node``'s body outside nested function definitions.
 
-    Nested function definitions are skipped — they are visited (and
-    checked) as their own scopes.
+    Nested functions are visited (and checked) as their own scopes.
     """
-    names: set[str] = set()
+    nodes = []
     stack = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            if isinstance(func, ast.Name):
-                names.add(func.id)
-            elif isinstance(func, ast.Attribute):
-                names.add(func.attr)
+        nodes.append(child)
         stack.extend(ast.iter_child_nodes(child))
-    return names
+    return nodes
+
+
+def _call_name(node: ast.AST) -> str | None:
+    """``f`` for a call ``f(...)`` or ``x.f(...)``; None for anything else."""
+    if not isinstance(node, ast.Call):
+        return None
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def _is_softmax_result(node: ast.AST, bound: set[str]) -> bool:
+    """Whether ``node`` is a softmax result, a name bound to one, or an
+    attribute, subscript or method call of either (``probs.T``)."""
+    while True:
+        if _call_name(node) in UNFUSED_SOFTMAX:
+            return True
+        if isinstance(node, ast.Call):
+            node = node.func
+        elif isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        else:
+            return isinstance(node, ast.Name) and node.id in bound
 
 
 def _is_np_random(node: ast.AST) -> bool:
@@ -192,10 +213,30 @@ class Linter(ast.NodeVisitor):
     def _check_fusion(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         if not self.police_fusion:
             return
-        called = _own_scope_call_names(node)
-        if called & UNFUSED_SOFTMAX and called & UNFUSED_PRODUCTS:
+        nodes = _own_scope_nodes(node)
+        called = {_call_name(child) for child in nodes}
+        bound = {
+            target.id
+            for child in nodes
+            if isinstance(child, ast.Assign)
+            and _call_name(child.value) in UNFUSED_SOFTMAX
+            for target in child.targets
+            if isinstance(target, ast.Name)
+        }
+        products = called & UNFUSED_PRODUCTS
+        if any(
+            isinstance(child, ast.BinOp)
+            and isinstance(child.op, ast.MatMult)
+            and (
+                _is_softmax_result(child.left, bound)
+                or _is_softmax_result(child.right, bound)
+            )
+            for child in nodes
+        ):
+            products.add("@")
+        if called & UNFUSED_SOFTMAX and products:
             softmax_name = ", ".join(sorted(called & UNFUSED_SOFTMAX))
-            product_name = ", ".join(sorted(called & UNFUSED_PRODUCTS))
+            product_name = ", ".join(sorted(products))
             self.report(
                 node, "no-unfused-attention",
                 f"{node.name}() composes {softmax_name} with {product_name} "

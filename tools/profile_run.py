@@ -13,18 +13,6 @@ The same report is written as JSON (schema ``repro.profile/v1``) under
 ``results/profile_baseline.json``.
 
     PYTHONPATH=src python tools/profile_run.py [--epochs 2] [--tag baseline]
-
-``--check-resume`` additionally smoke-tests the fault-tolerance path
-(docs/checkpointing.md): one checkpointed training run is crashed via
-:class:`repro.testing.FaultInjector`, resumed from its latest
-checkpoint, and the two run-logs are stitched and verified to carry no
-duplicated or skipped step indices across the resume boundary.
-
-``--check-parallel`` smoke-tests the multiprocess engine
-(docs/parallelism.md): one small cross-validation runs serially and
-with worker processes, the fold accuracies are verified identical, and
-the worker-level task spans are reported as a parallel-efficiency
-breakdown (busy time per worker / wall time).
 """
 
 from __future__ import annotations
@@ -141,143 +129,6 @@ def validate_profile(report: dict) -> None:
                 raise ValueError(f"op row {row.get('name')!r} is missing {field!r}")
 
 
-def checkpoint_resume_smoke(
-    workdir: str | Path,
-    num_graphs: int = 10,
-    epochs: int = 3,
-    hidden: int = 6,
-    batch_size: int = 3,
-    seed: int = 0,
-    crash_at_step: int = 5,
-    checkpoint_every: int = 2,
-    cluster_sizes: tuple[int, ...] = (3, 1),
-) -> dict:
-    """Crash a checkpointed run, resume it, verify the stitched run-log.
-
-    Returns a summary dict (``steps_logged``, ``checkpoints``,
-    ``resumed_from``, ``stitched_events``).  Raises if the crash did not
-    happen, no checkpoint was left behind, or the stitched log has a
-    duplicated/skipped step index.
-    """
-    from repro.observe import (
-        JSONLLogger,
-        read_run_log,
-        stitch_run_logs,
-        validate_run_log,
-        validate_stitched_steps,
-    )
-    from repro.testing import FaultInjector, InjectedFault
-    from repro.training import CheckpointManager
-
-    workdir = Path(workdir)
-    checkpoint_dir = workdir / "ckpt"
-    crash_log = workdir / "crash.jsonl"
-    resume_log = workdir / "resume.jsonl"
-
-    def build():
-        rng = np.random.default_rng(seed)
-        graphs = [
-            attach_degree_features(g) for g in make_imdb_b_like(num_graphs, rng)
-        ]
-        model = GraphClassifier(
-            build_hap_embedder(16, hidden, list(cluster_sizes), rng, conv="gcn"),
-            num_classes=2,
-            rng=rng,
-        )
-        config = TrainConfig(
-            epochs=epochs,
-            batch_size=batch_size,
-            checkpoint_dir=str(checkpoint_dir),
-            checkpoint_every=checkpoint_every,
-        )
-        return rng, model, graphs, config
-
-    rng, model, graphs, config = build()
-    crashed = False
-    try:
-        fit(
-            model, graphs, rng, config,
-            callbacks=[
-                JSONLLogger(crash_log, log_batches=True),
-                FaultInjector(at_step=crash_at_step),
-            ],
-        )
-    except InjectedFault:
-        crashed = True
-    if not crashed:
-        raise RuntimeError(f"fault at step {crash_at_step} never fired")
-
-    latest = CheckpointManager(checkpoint_dir).latest()
-    if latest is None:
-        raise RuntimeError("crash left no checkpoint to resume from")
-    rng, model, graphs, config = build()
-    fit(
-        model, graphs, rng, config,
-        callbacks=[JSONLLogger(resume_log, log_batches=True)],
-        resume=latest,
-    )
-
-    stitched = stitch_run_logs(read_run_log(crash_log), read_run_log(resume_log))
-    validate_run_log(stitched)
-    validate_stitched_steps(stitched)
-    return {
-        "steps_logged": sum(1 for r in stitched if r["event"] == "batch_end"),
-        "checkpoints": sum(1 for r in stitched if r["event"] == "checkpoint"),
-        "resumed_from": str(latest),
-        "stitched_events": len(stitched),
-    }
-
-
-def parallel_smoke(
-    n_workers: int = 2,
-    method: str = "SumPool",
-    dataset: str = "MUTAG",
-    folds: int = 4,
-    num_graphs: int = 40,
-    epochs: int = 3,
-    hidden: int = 8,
-    seed: int = 0,
-) -> dict:
-    """Verify parallel==serial on one small cross-validation.
-
-    Returns a summary with per-worker busy times and the parallel
-    efficiency of the worker run.  Raises if the parallel fold
-    accuracies deviate from serial by a single bit.
-    """
-    from repro.data import clear_memory_cache
-    from repro.evaluation import cross_validate_classification
-
-    kwargs = dict(
-        folds=folds, num_graphs=num_graphs, epochs=epochs, hidden=hidden,
-        seed=seed,
-    )
-    serial = cross_validate_classification(method, dataset, **kwargs)
-    clear_memory_cache()  # force workers onto their own dataset loads
-    parallel = cross_validate_classification(
-        method, dataset, n_workers=n_workers, **kwargs
-    )
-    if serial.fold_accuracies != parallel.fold_accuracies:
-        raise RuntimeError(
-            "parallel fold accuracies deviate from serial: "
-            f"{parallel.fold_accuracies} != {serial.fold_accuracies}"
-        )
-    run = parallel.pool_run
-    busy_by_worker: dict[int, float] = {}
-    for stat in run.task_stats:
-        busy_by_worker[stat.worker] = (
-            busy_by_worker.get(stat.worker, 0.0) + stat.duration_s
-        )
-    return {
-        "n_workers": run.n_workers,
-        "fold_accuracies": parallel.fold_accuracies,
-        "wall_time_s": run.wall_time_s,
-        "busy_time_s": run.busy_time_s,
-        "busy_by_worker": busy_by_worker,
-        "efficiency": run.efficiency,
-        "speedup": run.speedup,
-    }
-
-
 def _fmt_bytes(n: float) -> str:
     for unit in ("B", "KB", "MB", "GB"):
         if abs(n) < 1024:
@@ -370,25 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output path (default results/profile_<tag>.json)",
     )
     parser.add_argument(
-        "--check-resume",
-        action="store_true",
-        help="also crash+resume one checkpointed run and verify the "
-        "stitched run-log (docs/checkpointing.md)",
-    )
-    parser.add_argument(
-        "--check-parallel",
-        action="store_true",
-        help="also run one cross-validation serially and with worker "
-        "processes, verify identical results and report parallel "
-        "efficiency (docs/parallelism.md)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for --check-parallel",
-    )
-    parser.add_argument(
         "--top",
         type=int,
         default=0,
@@ -397,31 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         "(name, calls, fwd/bwd self time, bytes)",
     )
     args = parser.parse_args(argv)
-
-    if args.check_resume:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as workdir:
-            summary = checkpoint_resume_smoke(workdir)
-        print(
-            f"checkpoint/resume smoke: {summary['steps_logged']} steps and "
-            f"{summary['checkpoints']} checkpoints stitch cleanly across "
-            f"the resume boundary (resumed from {summary['resumed_from']})"
-        )
-
-    if args.check_parallel:
-        summary = parallel_smoke(n_workers=args.workers)
-        per_worker = ", ".join(
-            f"w{worker}: {busy:.2f}s"
-            for worker, busy in sorted(summary["busy_by_worker"].items())
-        )
-        print(
-            f"parallel smoke: {len(summary['fold_accuracies'])} folds "
-            f"identical to serial across {summary['n_workers']} workers; "
-            f"wall {summary['wall_time_s']:.2f}s, busy [{per_worker}], "
-            f"efficiency {summary['efficiency']:.0%} "
-            f"(speedup {summary['speedup']:.2f}x)"
-        )
 
     report = profile_training(
         num_graphs=args.num_graphs,
