@@ -1,20 +1,16 @@
 """Fused hot-path training step vs the pre-fusion execution path.
 
-Times one warm HAP training step (forward + backward on the bench-gate
-sparse workload, 2000 nodes) through the current fused path — fused
+Times one warm HAP training step (forward + backward on a 2000-node
+random sparse graph) through the current fused path — fused
 ``masked_softmax_mean`` / ``matmul_tn`` / ``coarsen_chain`` /
 ``gcn_propagate`` kernels, scipy-backed ``spmm``, gradient buffer pool
 — and through an in-process emulation of the pre-fusion path: the
 fusion sites monkeypatched back to their unfused op compositions, CSR
 scipy handles disabled (forcing the ``np.add.at`` scatter reference
 ``spmm`` ran before), and no buffer pool.  Asserts the fused step is at
-least 1.3x faster (the fusion PR's acceptance bar; measured ~5x) and
-that both paths produce the same loss to 1e-6.
-
-The regression *gate* for the fused step time is ``tools/bench_gate.py``
-(``step_s`` / ``sparse_step_s`` floors in ``results/bench_baseline.json``,
-ratcheted via ``--update-baseline``); this benchmark records the richer
-fused-vs-unfused comparison.  See docs/performance.md.
+least 1.3x faster (the fusion change's acceptance bar; measured ~5x)
+and that both paths produce the same loss to 1e-6.
+See docs/performance.md.
 """
 
 from __future__ import annotations
@@ -24,9 +20,9 @@ import time
 import numpy as np
 import pytest
 
-import repro.core.coarsen as coarsen_mod
 import repro.core.moa as moa_mod
 import repro.gnn.layers as layers_mod
+import repro.pooling.base as pooling_base
 from benchmarks.conftest import persist_rows, run_once
 from repro.core import build_hap_embedder
 from repro.graph import random_sparse_csr
@@ -96,8 +92,9 @@ def _emulate_pre_fusion(monkeypatch):
     """Swap the fusion sites back to unfused compositions, scipy off."""
     monkeypatch.setattr(moa_mod, "masked_softmax_mean", _unfused_masked_softmax_mean)
     monkeypatch.setattr(moa_mod, "matmul_tn", _unfused_matmul_tn)
-    monkeypatch.setattr(coarsen_mod, "coarsen_chain", _unfused_coarsen_chain)
-    monkeypatch.setattr(coarsen_mod, "matmul_tn", _unfused_matmul_tn)
+    # Coarsening.forward runs Reduce and Connect (Eq. 17 and 18)
+    monkeypatch.setattr(pooling_base, "coarsen_chain", _unfused_coarsen_chain)
+    monkeypatch.setattr(pooling_base, "matmul_tn", _unfused_matmul_tn)
     monkeypatch.setattr(layers_mod, "gcn_propagate", _unfused_gcn_propagate)
     # pre-fusion spmm scattered with np.add.at; returning None from the
     # scipy-handle accessors routes it back onto that reference path
@@ -106,7 +103,7 @@ def _emulate_pre_fusion(monkeypatch):
 
 
 def _build_step(pool):
-    """A warm bench-gate-shaped sparse training step closure."""
+    """A warm sparse training step closure."""
     embedder = build_hap_embedder(FEATURES, 16, [16, 4], np.random.default_rng(0))
     embedder.eval()
     csr = random_sparse_csr(NODES, AVG_DEGREE, np.random.default_rng(1))

@@ -1,18 +1,17 @@
 """Parallel cross-validation speedup vs the serial reference.
 
 Runs one small cross-validation serially and through the
-:mod:`repro.parallel` worker pool, asserting the engine's contract
-(identical accuracies) and recording wall-clock speedup, parallel
-efficiency and the dataset-cache hit pattern.  The regression *gate*
-for these numbers is ``tools/bench_gate.py`` against
-``results/bench_baseline.json``; this benchmark records the richer
-per-run statistics.
+:mod:`repro.parallel` worker pool at 2 and 4 workers, asserting the
+engine's contract (identical accuracies) and recording wall-clock
+speedup, parallel efficiency and mean accuracy per worker count.
 
-Speedup depends on core count — on a single-core machine the spawn
-overhead makes the parallel run *slower*, which is expected and why
-the assertion here is on determinism, not on speedup (see
-docs/parallelism.md).  ``cpu_count`` travels with the persisted rows
-so readers can interpret the timings.
+Speedup depends on core count: spawned workers pay a full interpreter
+start-up, so on a small host the parallel run is *slower* than serial
+(docs/parallelism.md).  The 2x speedup floor at 4 workers is therefore
+judged only on hosts with at least 4 cores; on smaller hosts the test
+records its rows and then skips, naming the speedup it read.
+``cpu_count`` travels with the persisted rows so readers can interpret
+the timings.
 """
 
 from __future__ import annotations
@@ -29,18 +28,15 @@ from repro.evaluation.crossval import cross_validate_classification
 pytestmark = pytest.mark.bench
 
 METHOD, DATASET = "SumPool", "IMDB-B"
+#: big enough that fold training dominates process start-up, small
+#: enough for a CI stage
+CV_CONFIG = {"folds": 4, "num_graphs": 60, "epochs": 8, "hidden": 16, "seed": 0}
 WORKERS = (1, 2, 4)
+SPEEDUP_FLOOR, FLOOR_CORES = 2.0, 4
 
 
-def test_parallel_crossval_speedup(benchmark, profile, tmp_path):
-    cv_kwargs = dict(
-        folds=4,
-        seed=0,
-        num_graphs=max(40, profile["num_graphs"] // 2),
-        epochs=max(4, profile["epochs"] // 3),
-        hidden=profile["hidden"],
-        cache_dir=tmp_path / "cache",
-    )
+def test_parallel_crossval_speedup(benchmark, tmp_path):
+    cache_dir = tmp_path / "cache"
 
     def experiment():
         clear_memory_cache()
@@ -49,7 +45,8 @@ def test_parallel_crossval_speedup(benchmark, profile, tmp_path):
         for n_workers in WORKERS:
             start = time.perf_counter()
             result = cross_validate_classification(
-                METHOD, DATASET, n_workers=n_workers, **cv_kwargs
+                METHOD, DATASET, n_workers=n_workers, cache_dir=cache_dir,
+                **CV_CONFIG,
             )
             wall_s = time.perf_counter() - start
             if reference is None:
@@ -69,10 +66,7 @@ def test_parallel_crossval_speedup(benchmark, profile, tmp_path):
             "cpu_count": os.cpu_count(),
             "method": METHOD,
             "dataset": DATASET,
-            **{
-                k: v for k, v in cv_kwargs.items()
-                if isinstance(v, (int, float, str))
-            },
+            **CV_CONFIG,
         }
         return rows
 
@@ -80,3 +74,16 @@ def test_parallel_crossval_speedup(benchmark, profile, tmp_path):
     persist_rows("parallel_speedup", rows)
     for name, row in rows.items():
         print(name, row)
+
+    speedup = rows[f"workers_{WORKERS[-1]}"]["speedup_vs_serial"]
+    cores = os.cpu_count() or 1
+    if cores < FLOOR_CORES:
+        pytest.skip(
+            f"the {SPEEDUP_FLOOR}x speedup floor needs >= {FLOOR_CORES} "
+            f"cores; this host has {cores} and read {speedup:.2f}x at "
+            f"{WORKERS[-1]} workers"
+        )
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"{WORKERS[-1]} workers ran {speedup:.2f}x faster than serial on "
+        f"{cores} cores, below the {SPEEDUP_FLOOR}x floor"
+    )

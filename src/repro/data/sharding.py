@@ -19,7 +19,9 @@ Guarantees:
 
 - **Atomic writes.**  Every shard (and the manifest, written last) goes
   through :func:`repro.atomic.atomic_write` — a crash mid-write never
-  leaves a half-written file that passes validation.
+  leaves a half-written file that passes validation.  A rewrite deletes
+  the old manifest before its first shard, so a crashed rewrite leaves
+  no store rather than an old manifest over new shards.
 - **Content checksums.**  The manifest records one SHA-256 per shard
   computed over the *decoded graph content* (adjacency, labels,
   features, graph label), not the compressed file bytes, so a checksum
@@ -219,10 +221,11 @@ def write_shards(
 
     Consumes any iterable (a generator included) while holding at most
     ``shard_size`` graphs in memory; the final shard may be ragged
-    (smaller).  Each shard is written atomically and checksummed; the
-    manifest is written last, so a crash mid-write leaves either a
-    loadable previous state or no manifest at all — never a manifest
-    pointing at half-written shards.
+    (smaller).  Each shard is written atomically and checksummed.  A
+    previous manifest is deleted before the first shard lands and the
+    new one is written last, so a crash mid-write leaves no manifest at
+    all — never an old manifest over new shards, or a manifest pointing
+    at half-written shards.
 
     ``encoding`` names the feature encoding the streaming loader should
     attach per shard (``None`` serves the graphs exactly as stored).
@@ -239,6 +242,8 @@ def write_shards(
     buffer: list[Graph] = []
 
     def flush() -> None:
+        if not counts:  # unpublish the old store before replacing a shard
+            (shard_dir / MANIFEST_NAME).unlink(missing_ok=True)
         save_graphs(buffer, shard_path(shard_dir, len(counts)), name=name)
         counts.append(len(buffer))
         checksums.append(content_checksum(buffer))

@@ -11,7 +11,7 @@ concurrent-safe endpoint:
 - :class:`EmbeddingIndex` / :func:`build_index` — vectorized
   nearest-neighbour retrieval over a corpus of embeddings;
 - :func:`run_closed_loop` / :class:`LoadReport` — the closed-loop load
-  generator used by the serving benchmark gate.
+  generator used by the serving throughput benchmark.
 """
 
 from repro.serve.cache import EmbeddingCache

@@ -8,10 +8,10 @@ blocked clients re-issue together.  Throughput and latency are
 therefore coupled (no coordinated-omission correction is needed: every
 issued request is timed).
 
-The same generator drives both sides of the bench-gate comparison
-(tools/bench_gate.py): a ``max_batch_size=1`` service is the serial
-one-request-at-a-time baseline, a ``max_batch_size=16`` service is the
-micro-batched contender.
+The same generator drives both sides of the serving throughput
+benchmark (benchmarks/test_serve_throughput.py): a ``max_batch_size=1``
+service is the serial one-request-at-a-time baseline, a
+``max_batch_size=16`` service is the micro-batched contender.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from repro.data.sharding import (
     MANIFEST_NAME,
     load_manifest,
     read_shard,
+    shard_dataset,
     shard_path,
     write_shards,
 )
@@ -59,11 +60,12 @@ def _module(tmp_path):
 
 def _shard(tmp_path):
     store = tmp_path / "store"
-    write_shards(make_mutag_like(6, np.random.default_rng(0)), store, 3)
+    old = write_shards(make_mutag_like(6, np.random.default_rng(0)), store, 3)
     fresh = make_mutag_like(6, np.random.default_rng(1))
 
     def check():
-        assert len(read_shard(store, 0)) == 3  # still matches its checksum
+        # still matches its checksum (the rewrite unpublished the manifest)
+        assert len(read_shard(store, 0, old)) == 3
 
     return shard_path(store, 0), lambda: write_shards(fresh, store, 3), check, 0
 
@@ -112,6 +114,23 @@ def test_crash_at_the_rename_keeps_the_previous_file(writer, tmp_path):
     if before is not None:
         assert destination.read_bytes() == before
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_crashed_rewrite_leaves_no_store_and_the_next_call_rebuilds(
+    tmp_path,
+):
+    """A rewrite that crashes after its first shard landed leaves no
+    manifest, not the old manifest over a new shard 0, so the next
+    ``shard_dataset`` call rewrites the store instead of reusing it."""
+    store = tmp_path / "store"
+    shard_dataset("MUTAG", 12, 0, store, 4)
+    with crash_on_replace(after=1), pytest.raises(InjectedFault):
+        shard_dataset("MUTAG", 12, 1, store, 4)
+    with pytest.raises(FileNotFoundError):
+        load_manifest(store)
+    manifest = shard_dataset("MUTAG", 12, 0, store, 4)
+    for index in range(manifest.num_shards):
+        read_shard(store, index, manifest)  # every checksum verifies
 
 
 def test_the_temporary_is_a_tmp_sibling_until_the_rename(tmp_path):

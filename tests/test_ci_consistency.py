@@ -2,10 +2,9 @@
 
 ``.github/workflows/ci.yml`` runs in GitHub Actions; ``tools/ci.sh``
 is the network-free local mirror.  Both declare the same named stages
-(``lint``, ``tier-1``, ``gates``, ``bench-compare``); this suite parses
-the two files and fails when they drift — a stage added to one side
-only, a marker suite run remotely but not locally, or a command that
-differs between them.
+(``lint``, ``tier-1``, ``bench-compare``); this suite parses the two
+files and fails when they drift — a stage added to one side only, or a
+command that differs between them.
 
 Parsing is textual (no YAML dependency): workflow stages are the
 ``name: "stage: <x>"`` steps, ci.sh stages the ``runs <x>`` guards.
@@ -21,7 +20,14 @@ WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
 CI_SH = REPO / "tools" / "ci.sh"
 
 #: the canonical pipeline, in order
-EXPECTED_STAGES = ["lint", "tier-1", "gates", "bench-compare"]
+EXPECTED_STAGES = ["lint", "tier-1", "bench-compare"]
+
+#: what bench-compare runs: the `bench` benchmark tests' floors, then
+#: the repository benchmark's self-tests
+BENCH_COMMANDS = [
+    "python -m pytest -q benchmarks -m bench",
+    "python -m pytest bench -q",
+]
 
 
 def workflow_stages() -> list[str]:
@@ -78,6 +84,13 @@ class TestStagesMatch:
             f"ci.sh commands missing from the workflow: {sorted(missing)}"
         )
 
+    def test_bench_compare_runs_the_bench_tests_then_the_benchmark(self):
+        for path in (WORKFLOW, CI_SH):
+            commands = _commands(path.read_text())
+            assert [c for c in commands if c in BENCH_COMMANDS] == (
+                BENCH_COMMANDS
+            ), path.name
+
 
 class TestWorkflowShape:
     def test_python_version_matrix(self):
@@ -93,31 +106,14 @@ class TestWorkflowShape:
         assert len(bench) == 2, "workflow has no bench job"
         assert "continue-on-error: true" in bench[1]
 
-    def test_marker_gates_cover_every_suite_marker(self):
-        """Every registered gate marker is exercised by the gates stage."""
-        import tomllib
-
-        with (REPO / "pyproject.toml").open("rb") as fh:
-            config = tomllib.load(fh)
-        registered = {
-            line.split(":")[0].strip()
-            for line in config["tool"]["pytest"]["ini_options"]["markers"]
-        }
-        gate_markers = {
-            "equivalence",
-            "checkpoint",
-            "profile",
-            "parallel",
-            "sparse",
-            "fused",
-            "serve",
-            "streaming",
-            "molecular",
-        }
-        assert gate_markers <= registered
-        text = CI_SH.read_text()
-        for marker in gate_markers:
-            assert f"-m {marker}" in text, f"ci.sh gates stage misses -m {marker}"
+    def test_bench_job_uploads_every_bench_test_result(self):
+        """The bench job keeps the rows each `bench` test persists."""
+        upload = WORKFLOW.read_text().split("  bench:", 1)[1]
+        for path in sorted((REPO / "benchmarks").glob("test_*.py")):
+            source = path.read_text()
+            if "pytest.mark.bench" in source:
+                name = re.search(r'persist_rows\(\s*"(\w+)"', source)[1]
+                assert f"results/{name}.json" in upload, path.name
 
     def test_every_setup_python_step_caches_pip(self):
         """Dependency installs reuse the runner's pip cache across runs."""

@@ -10,8 +10,9 @@ Three contracts:
   pinned across paths by ``tests/test_batched_equivalence.py``).
 - **Regression workload** — the ESOL-like builder, scaffold split,
   regression head and metric_mode="min" best-checkpointing behave end
-  to end, including resume, and ``run_regression`` trains each
-  mini-batch through one ``batch_loss`` call.
+  to end, including resume, ``run_regression`` trains each mini-batch
+  through one ``batch_loss`` call, and a seeded run meets a quality
+  floor.
 - **The lint rule** — ``no-dropped-edge-attr`` flags a GNN forward
   that accepts ``edge_attr`` and silently ignores it.
 """
@@ -32,6 +33,13 @@ from repro.training.checkpoint import CheckpointManager, load_checkpoint
 pytestmark = pytest.mark.molecular
 
 CONVS = ["gin", "sage", "gat"]
+
+#: the seeded quality-floor run and the test RMSE it recorded
+QUALITY_FLOOR_RUN = dict(
+    method="HAP", dataset="ESOL", num_graphs=150, epochs=30, hidden=16,
+    lr=0.01, seed=0,
+)
+RECORDED_RMSE = 0.3291
 
 
 def _molecular_setup(conv, num_graphs=6, seed=3, hidden=8):
@@ -161,6 +169,16 @@ class TestEsolWorkload:
         )
         assert loss_calls.steps > 0
         assert loss_calls.calls == {"batch_loss": loss_calls.steps, "loss": 0}
+
+    def test_seeded_run_meets_the_quality_floor(self):
+        """A model that stops learning from bond features stays
+        numerically "correct" on every equivalence suite; only a
+        predictive-quality floor catches it.  The run is deterministic:
+        it must beat the train-mean predictor outright and stay within
+        25% of the test RMSE it recorded."""
+        result = run_regression(**QUALITY_FLOOR_RUN)
+        assert result.rmse < result.baseline_rmse
+        assert result.rmse <= 1.25 * RECORDED_RMSE, result.rmse
 
     def test_cross_validate_regression_smoke(self):
         result = cross_validate_regression(

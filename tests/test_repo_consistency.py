@@ -1,5 +1,6 @@
 """Repository self-consistency: docs, benchmarks and code agree."""
 
+import ast
 import re
 import tomllib
 from pathlib import Path
@@ -105,6 +106,24 @@ class TestBenchmarksAreSelfContained:
             source = path.read_text()
             assert "run_once" in source, path.name
             assert "persist_rows" in source, path.name
+
+    def test_no_benchmark_reaches_into_tools(self):
+        """Benchmarks import the library, never a script under tools/:
+        neither by putting tools/ on ``sys.path`` nor by importing a
+        tools module."""
+        tool_modules = {"tools"} | {
+            path.stem for path in (REPO / "tools").glob("*.py")
+        }
+        for path in sorted((REPO / "benchmarks").glob("*.py")):
+            source = path.read_text()
+            assert not re.search(r"sys\.path\..*tools", source), path.name
+            imported = set()
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+            assert not imported & tool_modules, (path.name, imported)
 
     def test_examples_have_docstrings_and_main(self):
         for path in sorted((REPO / "examples").glob("*.py")):

@@ -5,20 +5,13 @@
 #
 #   lint          tools/lint.py AST checks (bare except, mutable defaults,
 #                 global numpy RNG)
-#   tier-1        the full unit/integration/property suite
-#   gates         the marker suites: equivalence (batched-vs-loop),
-#                 checkpoint (resume bitwise-equivalence), profile
-#                 (instrumentation smoke), parallel (multiprocess
-#                 determinism), sparse (dense-vs-CSR backend
-#                 equivalence), fused (fused-kernel equivalence +
-#                 gradchecks), serve (online-serving faithfulness),
-#                 streaming (sharded out-of-core pipeline equivalence),
-#                 molecular (edge-conditioned forward equivalence +
-#                 regression workload)
-#   bench-compare tools/bench_gate.py vs results/bench_baseline.json, then
-#                 the repository benchmark's self-tests (bench/test_bench.py:
-#                 quick runs of every workload through bench/run.py's
-#                 output checks)
+#   tier-1        the full unit/integration/property suite (every marker
+#                 suite included; select one locally with pytest -m <marker>)
+#   bench-compare the performance floors of the benchmark tests marked
+#                 `bench` (streaming memory, serving throughput, parallel
+#                 speedup, fused step), then the repository benchmark's
+#                 self-tests (bench/test_bench.py: quick runs of every
+#                 workload through bench/run.py's output checks)
 #
 # Usage: tools/ci.sh            (run everything)
 #        tools/ci.sh lint tier-1   (run selected stages)
@@ -48,22 +41,9 @@ if runs tier-1; then
     python -m pytest -x -q
 fi
 
-if runs gates; then
-    stage gates
-    python -m pytest -q -m equivalence
-    python -m pytest -q -m checkpoint
-    python -m pytest -q -m profile
-    python -m pytest -q -m parallel
-    python -m pytest -q -m sparse
-    python -m pytest -q -m fused
-    python -m pytest -q -m serve
-    python -m pytest -q -m streaming
-    python -m pytest -q -m molecular
-fi
-
 if runs bench-compare; then
     stage bench-compare
-    python tools/bench_gate.py
+    python -m pytest -q benchmarks -m bench
     python -m pytest bench -q
 fi
 

@@ -1,10 +1,10 @@
 """Mine ``results/profile_*.json`` for the hottest autograd ops.
 
 Aggregates every ``repro.profile/v1`` report under ``results/`` (or the
-files you name) into one ranked table, so each optimisation PR can
+files you name) into one ranked table, so each optimisation can
 target *measured* cost instead of guessing — the loop described in
-docs/performance.md: profile, fuse the top ops, ratchet the bench floor,
-repeat.
+docs/performance.md: profile, fuse the top ops, judge the change with
+the repository benchmark, repeat.
 
     PYTHONPATH=src python tools/hotspots.py                # all reports
     PYTHONPATH=src python tools/hotspots.py --top 5

@@ -42,7 +42,7 @@ to design around:
   (docs/streaming.md) holds a bounded LRU window of shards; one stray
   ``list(dataset)`` / ``sorted(examples)`` inside a streaming code
   path pulls the whole corpus into RAM and silently cancels the memory
-  contract the bench gate enforces — while every functional result
+  contract the memory benchmark checks — while every functional result
   stays correct.  Inside ``src/`` streaming scopes (modules named
   ``streaming*`` or functions whose names contain ``stream``), calls
   to ``list()`` / ``sorted()`` / ``tuple()`` over an identifier that
