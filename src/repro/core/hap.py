@@ -102,7 +102,7 @@ class HierarchicalEmbedder(Module):
         ``(B, F)`` for a padded batch."""
         return self.embed_levels(adjacency, h, mask, edge_attr=edge_attr)[-1]
 
-    def embed(self, graph, backend: str = "dense"):
+    def embed(self, graph):
         """Uniform single-graph embedding contract (docs/serving.md).
 
         Returns a versioned :class:`~repro.models.common.EmbeddingResult`
@@ -112,7 +112,7 @@ class HierarchicalEmbedder(Module):
         """
         from repro.models.common import embedding_result, level_sum_vector
 
-        return embedding_result(self, graph, level_sum_vector(self, graph, backend))
+        return embedding_result(self, graph, level_sum_vector(self, graph))
 
     def auxiliary_loss(self) -> Tensor | None:
         """Sum of the coarsening operators' auxiliary losses, if any."""

@@ -22,7 +22,7 @@ from repro.data.datasets import (
     make_ptc_like,
 )
 from repro.data.attributed import ATTRIBUTE_DIM, make_attributed_like
-from repro.data.batching import PaddedBatch, csr_graphs, iter_padded_batches, pad_graphs
+from repro.data.batching import PaddedBatch, iter_padded_batches, pad_graphs
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
 from repro.data.io import load_graphs, save_graphs
 from repro.data.matching import MatchingPair, make_matching_dataset
@@ -66,7 +66,6 @@ __all__ = [
     "clear_memory_cache",
     "load_dataset_cached",
     "PaddedBatch",
-    "csr_graphs",
     "iter_padded_batches",
     "pad_graphs",
     "load_graphs",

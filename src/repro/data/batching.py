@@ -160,15 +160,3 @@ def iter_padded_batches(
     for start in range(0, len(graphs), batch_size):
         yield pad_graphs(graphs[start : start + batch_size], pad_to=pad_to)
 
-
-def csr_graphs(graphs: Sequence[Graph]) -> list:
-    """CSR adjacency per graph — the sparse backend's input preparation.
-
-    The sparse analogue of :func:`pad_graphs` (docs/sparse.md): instead
-    of padding B graphs into one dense ``(B, N_max, N_max)`` stack, each
-    graph keeps its own :class:`~repro.tensor.sparse.CSRMatrix` and the
-    model loops per graph.  Conversions are cached on the graph
-    (:meth:`~repro.graph.graph.Graph.to_csr`), so calling this every
-    epoch costs the O(N²) compression scan only once per graph.
-    """
-    return [g.to_csr() for g in graphs]

@@ -6,17 +6,18 @@ pure waste — COLLAB-sized builders dominate small training runs.  This
 module caches the *raw* builder output on disk under that key; feature
 encodings are attached after load (they are deterministic and cheap).
 
-Each entry is a one-shard ``repro.shard/v1`` directory, written as
+Each entry is a one-shard ``repro.shard/v2`` directory, written as
 ``shard_dataset(name, num_graphs, seed, entry, shard_size=num_graphs)``
 writes it, so the shard store's guarantees are the cache's: atomic
 writes, a checksum verified on every disk hit, and an entry that also
 opens as a :class:`~repro.data.streaming.StreamingDataset`.  An entry
 without a manifest (never written, or its write crashed first) is a
-plain miss.  An unreadable manifest or a corrupt shard is a miss
-counted as ``corrupt``, and a manifest recording another (or no)
-dataset ``GENERATOR_VERSION`` a miss counted as ``stale_version``:
-both are rebuilt from the seed and rewritten, since a seed means the
-*current* builders' output, not whatever an old cache happens to hold.
+plain miss.  An unreadable manifest (an older shard schema's
+included) or a corrupt shard is a miss counted as ``corrupt``, and a
+manifest recording another (or no) dataset ``GENERATOR_VERSION`` a
+miss counted as ``stale_version``: both are rebuilt from the seed and
+rewritten, since a seed means the *current* builders' output, not
+whatever an old cache happens to hold.
 
 A process-local memo sits in front of the disk layer so serial
 cross-validation touches the builder exactly once per dataset.

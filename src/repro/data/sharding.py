@@ -1,4 +1,4 @@
-"""On-disk sharded dataset storage (schema ``repro.shard/v1``).
+"""On-disk sharded dataset storage (schema ``repro.shard/v2``).
 
 Million-graph corpora cannot live in one monolithic ``.npz``, let
 alone in RAM.  This module splits any graph collection into
@@ -24,11 +24,11 @@ Guarantees:
   no store rather than an old manifest over new shards.
 - **Content checksums.**  The manifest records one SHA-256 per shard
   computed over the *decoded graph content* (adjacency, labels,
-  features, graph label), not the compressed file bytes, so a checksum
-  is reproducible across rewrites and verifies exactly the invariant
-  the reader cares about.  A shard that fails to decode or decodes to
-  different content surfaces as a typed :class:`ShardCorruptionError`
-  naming the shard.
+  features, edge features, graph label), not the compressed file
+  bytes, so a checksum is reproducible across rewrites and verifies
+  exactly the invariant the reader cares about.  A shard that fails to
+  decode or decodes to different content surfaces as a typed
+  :class:`ShardCorruptionError` naming the shard.
 - **Single-shard rebuild.**  Dataset shards written by
   :func:`shard_dataset` record their generation recipe (builder name,
   count, seed, generation mode); :func:`rebuild_shard` regenerates one
@@ -61,7 +61,9 @@ from repro.atomic import atomic_write
 from repro.data.io import load_graphs, save_graphs
 from repro.graph.graph import Graph
 
-SHARD_SCHEMA = "repro.shard/v1"
+#: v2 checksums cover edge features; a v1 store fails ``load_manifest``,
+#: so ``shard_dataset`` and the dataset cache rebuild it
+SHARD_SCHEMA = "repro.shard/v2"
 MANIFEST_NAME = "manifest.json"
 
 #: entropy tag mixed into the user seed for per-shard generation streams
@@ -112,6 +114,9 @@ def content_checksum(graphs: list[Graph]) -> str:
         if graph.features is not None:
             digest.update(b"F")
             digest.update(np.ascontiguousarray(graph.features).tobytes())
+        if graph.edge_features is not None:
+            digest.update(b"E")
+            digest.update(np.ascontiguousarray(graph.edge_features).tobytes())
         digest.update(f"y={graph.label}".encode("utf-8"))
     return digest.hexdigest()
 
@@ -215,7 +220,6 @@ def write_shards(
     encoding: str | None = None,
     num_classes: int | None = None,
     source: dict | None = None,
-    generator_version: int | None = None,
 ) -> ShardManifest:
     """Split ``graphs`` into fixed-size shards under ``shard_dir``.
 
@@ -268,11 +272,7 @@ def write_shards(
         encoding=encoding,
         num_classes=num_classes,
         labels=labels if any_label else None,
-        generator_version=(
-            _datasets.GENERATOR_VERSION
-            if generator_version is None
-            else int(generator_version)
-        ),
+        generator_version=_datasets.GENERATOR_VERSION,
         source=source,
     )
     with atomic_write(shard_dir / MANIFEST_NAME) as fh:
@@ -284,7 +284,6 @@ def read_shard(
     shard_dir: str | Path,
     index: int,
     manifest: ShardManifest | None = None,
-    verify: bool = True,
 ) -> list[Graph]:
     """Load one shard's raw graphs, verifying its manifest checksum.
 
@@ -309,7 +308,7 @@ def read_shard(
             f"holds {len(graphs)} graphs, manifest expects "
             f"{manifest.counts[index]}",
         )
-    if verify and content_checksum(graphs) != manifest.checksums[index]:
+    if content_checksum(graphs) != manifest.checksums[index]:
         raise ShardCorruptionError(
             index, str(path), "content checksum mismatch"
         )
@@ -366,7 +365,6 @@ def shard_dataset(
     shard_dir: str | Path,
     shard_size: int,
     chunked: bool = False,
-    force: bool = False,
 ) -> ShardManifest:
     """Write a registered dataset as a shard directory (idempotent).
 
@@ -374,7 +372,7 @@ def shard_dataset(
     shard_size, chunked, generator_version)`` is reused untouched, so
     parallel fold workers can all point at one warm shard directory;
     anything else (including a directory written by an older generator
-    version) is rewritten.  ``force=True`` always rewrites.
+    version or shard schema) is rewritten.
     """
     if name not in _datasets.DATASET_BUILDERS:
         raise KeyError(
@@ -387,18 +385,17 @@ def shard_dataset(
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     _, encoding, num_classes = _datasets.DATASET_BUILDERS[name]
     source = dataset_source(name, num_graphs, seed, chunked)
-    if not force:
-        try:
-            manifest = load_manifest(shard_dir)
-        except (FileNotFoundError, ValueError, KeyError):
-            manifest = None
-        if (
-            manifest is not None
-            and manifest.source == source
-            and manifest.shard_size == shard_size
-            and manifest.generator_version == _datasets.GENERATOR_VERSION
-        ):
-            return manifest
+    try:
+        manifest = load_manifest(shard_dir)
+    except (FileNotFoundError, ValueError, KeyError):
+        manifest = None
+    if (
+        manifest is not None
+        and manifest.source == source
+        and manifest.shard_size == shard_size
+        and manifest.generator_version == _datasets.GENERATOR_VERSION
+    ):
+        return manifest
 
     def graphs() -> Iterator[Graph]:
         for shard in _iter_dataset_shards(

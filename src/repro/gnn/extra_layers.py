@@ -67,7 +67,7 @@ class GINLayer(Module):
                 )
             check_edge_attr(adjacency, edge_attr, self.edge_features)
         if isinstance(adjacency, CSRMatrix):
-            # Sparse backend: sum aggregation is a single spmm; the rest
+            # CSR adjacency: sum aggregation is a single spmm; the rest
             # of the body is row-wise and shared with the dense path.
             if edge_attr is not None:
                 values = self.edge_gate.gated_values(adjacency, edge_attr)

@@ -3,10 +3,10 @@
 Both layers run on a dense ``(N, N)`` adjacency, which may be a numpy
 array (constant) or a Tensor (differentiable, e.g. the soft-sampled
 coarsened adjacency A' of Eq. 18-19 whose gradient must flow back into
-the MOA attention) — or, on the sparse execution backend
-(docs/sparse.md), a constant :class:`~repro.tensor.sparse.CSRMatrix`,
-which replaces every dense ``(N, N)`` product with gather/scatter +
-segment-reduce kernels in O(E) memory.
+the MOA attention) — or, at a large sparse level 0 (docs/sparse.md), a
+constant :class:`~repro.tensor.sparse.CSRMatrix`, which replaces every
+dense ``(N, N)`` product with gather/scatter + segment-reduce kernels
+in O(E) memory.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def normalize_adjacency_sparse(adjacency: CSRMatrix, eps: float = 1e-8) -> CSRMa
     added (accumulating onto any existing diagonal, like the dense
     ``A + I``), degrees come from row sums, and every stored entry is
     scaled by both endpoints' inverse square-root degrees.  The result
-    is a *constant* — the sparse backend treats the input adjacency as
+    is a *constant* — the sparse paths treat the input adjacency as
     fixed structure (differentiable adjacencies only appear in the
     coarsened levels, which stay dense).
 

@@ -212,7 +212,7 @@ def random_sparse_csr(
     ≥ 2; random chords raise the mean degree to ``avg_degree``.  Returns
     a :class:`~repro.tensor.sparse.CSRMatrix` (unit edge weights, no
     self-loops) rather than a :class:`Graph`, because the whole point is
-    to feed the sparse execution backend (docs/sparse.md) graphs whose
+    to feed the layers' CSR paths (docs/sparse.md) graphs whose
     dense adjacency would not fit in memory.
     """
     from repro.tensor.sparse import CSRMatrix

@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: per-instance CSR conversions (sparse backend, docs/sparse.md); keyed
-#: by graph identity so the cache dies with the graph and immutability
-#: keeps the cached structure valid forever
+#: per-instance CSR conversions (docs/sparse.md); keyed by graph
+#: identity so the cache dies with the graph and immutability keeps the
+#: cached structure valid forever
 _CSR_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -143,12 +143,11 @@ class Graph:
     def to_csr(self):
         """The adjacency as a :class:`~repro.tensor.sparse.CSRMatrix`.
 
-        Entry point of the sparse execution backend (docs/sparse.md):
-        models built with ``backend="sparse"`` run message passing over
-        this structure instead of the dense ``(N, N)`` array.  The
-        conversion is cached per instance (graphs are immutable), so
-        repeated epochs over a dataset pay the O(N²) compression scan
-        once per graph.
+        Passed where the dense ``(N, N)`` array would go — to a conv, a
+        coarsening or ``embed_levels`` — it selects their O(E) sparse
+        paths (docs/sparse.md).  The conversion is cached per instance
+        (graphs are immutable), so repeated use pays the O(N²)
+        compression scan once per graph.
         """
         from repro.tensor.sparse import CSRMatrix
 
@@ -169,7 +168,7 @@ class Graph:
         Row ``k`` holds the attribute vector of the ``k``-th stored entry
         of the CSR adjacency (row-major, columns sorted within a row) —
         the ordering ``CSRMatrix.from_dense`` produces — so the sparse
-        backend can condition message passing on edge features without
+        layer paths can condition message passing on edge features without
         ever materialising the dense ``(N, N, Fe)`` tensor again.  Cached
         on the CSR instance (graphs are immutable).
         """

@@ -12,7 +12,7 @@ embedding cache of :mod:`repro.serve`:
 - the adjacency is digested in its canonical CSR form (``indptr`` /
   ``indices`` / ``data``, column-sorted rows), so the hash is stable
   across ``Graph`` ↔ :class:`~repro.tensor.sparse.CSRMatrix` round
-  trips and the dense and sparse execution backends agree on keys;
+  trips, whichever adjacency layout the forward is given;
 - the CSR conversion reuses :meth:`~repro.graph.graph.Graph.to_csr`'s
   per-instance cache, so hashing a graph repeatedly costs one O(N²)
   scan total.

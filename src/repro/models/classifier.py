@@ -17,24 +17,22 @@ from repro.graph.graph import Graph
 from repro.models.common import (
     EmbeddingResult,
     embedding_result,
-    graph_edge_attr,
     graph_inputs,
     level_sum_vector,
 )
 from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy, cross_entropy_batched, mse_loss
 from repro.nn.module import Module
-from repro.tensor import Tensor, concat, no_grad, relu, softmax
+from repro.tensor import Tensor, no_grad, relu, softmax
 
 
 class GraphClassifier(Module):
     """Embedder + two fully-connected layers + task head.
 
-    ``backend`` selects the execution backend for adjacency handling:
-    ``"dense"`` (default) feeds the embedder dense ``(N, N)`` arrays and
-    pads batches, ``"sparse"`` feeds cached CSR adjacencies and runs
-    batches as a per-graph loop (docs/sparse.md) — same arithmetic,
-    O(E) peak memory.
+    One graph runs through the embedder on its dense ``(N, N)``
+    adjacency, a list of graphs as one padded batch (docs/batching.md).
+    A large sparse graph enters at the embedder instead: its
+    ``embed_levels`` takes a CSR adjacency (docs/sparse.md).
 
     ``task`` selects the head: ``"classification"`` (default) ends in
     ``num_classes`` logits under cross-entropy; ``"regression"`` ends in
@@ -51,7 +49,6 @@ class GraphClassifier(Module):
         num_classes: int,
         rng: np.random.Generator,
         hidden: int | None = None,
-        backend: str = "dense",
         task: str = "classification",
     ):
         super().__init__()
@@ -61,11 +58,8 @@ class GraphClassifier(Module):
             )
         if task == "classification" and num_classes < 2:
             raise ValueError("need at least two classes")
-        if backend not in ("dense", "sparse"):
-            raise ValueError(f"unknown backend {backend!r}; use 'dense' or 'sparse'")
         self.embedder = embedder
         self.num_classes = num_classes
-        self.backend = backend
         self.task = task
         self.out_dim = 1 if task == "regression" else num_classes
         dim = embedder.out_features
@@ -84,9 +78,9 @@ class GraphClassifier(Module):
         to the classification head.  Flat embedders contribute their
         single readout.
         """
-        adjacency, features = graph_inputs(graph, self.backend)
+        adjacency, features = graph_inputs(graph)
         levels = self.embedder.embed_levels(
-            adjacency, features, edge_attr=graph_edge_attr(graph, self.backend)
+            adjacency, features, edge_attr=graph.edge_features
         )
         return self.fc2(relu(self.fc1(sum(levels[1:], levels[0]))))
 
@@ -126,14 +120,8 @@ class GraphClassifier(Module):
         :class:`~repro.data.batching.PaddedBatch`.
 
         Matches :meth:`logits` row by row: the sum of per-level
-        readouts feeds the same two fully-connected layers.  On the
-        sparse backend a list of graphs runs as a per-graph CSR loop —
-        no ``(B, N_max, N_max)`` padding is ever materialised; an
-        explicit :class:`PaddedBatch` is already dense and keeps the
-        padded path.
+        readouts feeds the same two fully-connected layers.
         """
-        if self.backend == "sparse" and not isinstance(graphs, PaddedBatch):
-            return self._logits_sparse(list(graphs))
         batch = self._as_batch(graphs)
         levels = self.embedder.embed_levels(
             batch.adjacency,
@@ -142,14 +130,6 @@ class GraphClassifier(Module):
             edge_attr=batch.edge_features,
         )
         return self.fc2(relu(self.fc1(sum(levels[1:], levels[0]))))
-
-    def _logits_sparse(self, graphs: list) -> Tensor:
-        """Per-graph CSR logits stacked into ``(B, C)`` — the sparse
-        backend's batch forward (one autograd graph, so ``backward`` on
-        any reduction reaches every parameter exactly as the padded
-        path does)."""
-        rows = [self.logits(g).reshape(1, self.out_dim) for g in graphs]
-        return concat(rows, axis=0)
 
     def batch_loss(self, graphs) -> Tensor:
         """Mean task loss over the batch (equals the per-graph loop's
@@ -194,15 +174,12 @@ class GraphClassifier(Module):
         :class:`Graph` returns a python ``int`` class (or ``float``
         target under ``task="regression"``); a sequence of graphs or a
         :class:`~repro.data.batching.PaddedBatch` returns a ``(B,)``
-        array computed through one batched forward (the padded path on
-        the dense backend, the per-graph CSR loop on the sparse one).
-        Both apply :meth:`decode`.
+        array computed through one padded forward.  Both apply
+        :meth:`decode`.
         """
         with no_grad():
             if isinstance(inputs, Graph):
                 return self.decode(self.logits(inputs).data)
-            if not isinstance(inputs, PaddedBatch):
-                inputs = list(inputs)
             return self.decode(self.logits_batched(inputs).data)
 
     def predict_proba(self, graph: Graph) -> np.ndarray:
@@ -230,6 +207,4 @@ class GraphClassifier(Module):
         raw array under numpy ops, so t-SNE-style consumers are
         unaffected).
         """
-        return embedding_result(
-            self, graph, level_sum_vector(self.embedder, graph, self.backend)
-        )
+        return embedding_result(self, graph, level_sum_vector(self.embedder, graph))

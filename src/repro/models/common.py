@@ -79,22 +79,7 @@ def embedding_result(model, graph: Graph, vector: np.ndarray) -> EmbeddingResult
     )
 
 
-def graph_edge_attr(graph: Graph, backend: str = "dense"):
-    """Per-edge attributes in the layout ``backend`` expects, or ``None``.
-
-    ``"dense"`` returns the graph's ``(N, N, Fe)`` tensor; ``"sparse"``
-    the CSR-aligned ``(nnz, Fe)`` rows of
-    :meth:`~repro.graph.graph.Graph.edge_feature_data` — the two forms
-    the edge-conditioned layers consume (docs/molecular.md).
-    """
-    if graph.edge_features is None:
-        return None
-    if backend == "sparse":
-        return graph.edge_feature_data()
-    return graph.edge_features
-
-
-def level_sum_vector(embedder, graph: Graph, backend: str = "dense") -> np.ndarray:
+def level_sum_vector(embedder, graph: Graph) -> np.ndarray:
     """The sum of an embedder's level representations, as a plain array.
 
     This is the canonical single-graph embedding of the reproduction —
@@ -105,10 +90,11 @@ def level_sum_vector(embedder, graph: Graph, backend: str = "dense") -> np.ndarr
     accumulation as :meth:`GraphClassifier.logits`, so the bytes match
     the training-path embedding bit for bit.
     """
-    adjacency, features = graph_inputs(graph, backend)
-    edge_attr = graph_edge_attr(graph, backend)
+    adjacency, features = graph_inputs(graph)
     with no_grad():
-        levels = embedder.embed_levels(adjacency, features, edge_attr=edge_attr)
+        levels = embedder.embed_levels(
+            adjacency, features, edge_attr=graph.edge_features
+        )
         total = levels[0].data.copy()
         for level in levels[1:]:
             total += level.data
@@ -121,21 +107,11 @@ def euclidean_distance(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
     return sqrt((diff * diff).sum() + eps)
 
 
-def graph_inputs(graph: Graph, backend: str = "dense") -> tuple:
-    """Extract ``(adjacency, features)`` for a model, validating features.
-
-    ``backend="sparse"`` returns the graph's cached
-    :class:`~repro.tensor.sparse.CSRMatrix` instead of the dense
-    ``(N, N)`` array, selecting the sparse execution paths of every
-    downstream layer (docs/sparse.md).
-    """
+def graph_inputs(graph: Graph) -> tuple:
+    """Extract ``(adjacency, features)`` for a model, validating features."""
     if graph.features is None:
         raise ValueError(
             "graph has no node features; attach an encoding from "
             "repro.data.encoding first"
         )
-    if backend == "sparse":
-        return graph.to_csr(), Tensor(graph.features)
-    if backend != "dense":
-        raise ValueError(f"unknown backend {backend!r}; use 'dense' or 'sparse'")
     return graph.adjacency, Tensor(graph.features)

@@ -7,7 +7,7 @@ models of the HAP reproduction.
 
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.layers import Linear, MLP, Dropout, LSTMCell, Bilinear
-from repro.nn.init import glorot_uniform, glorot_normal, zeros, uniform
+from repro.nn.init import glorot_uniform, zeros, uniform
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialization import save_module, load_module, module_fingerprint
 from repro.nn.losses import (
@@ -30,7 +30,6 @@ __all__ = [
     "LSTMCell",
     "Bilinear",
     "glorot_uniform",
-    "glorot_normal",
     "zeros",
     "uniform",
     "SGD",

@@ -17,14 +17,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=No
     return rng.uniform(-limit, limit, size=shape)
 
 
-def glorot_normal(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):
-    """Glorot/Xavier normal initialisation."""
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.normal(0.0, std, size=shape)
-
-
 def uniform(rng: np.random.Generator, shape, low: float = -0.1, high: float = 0.1):
     """Plain uniform initialisation in ``[low, high)``."""
     return rng.uniform(low, high, size=shape)

@@ -148,9 +148,6 @@ class OpProfiler:
     def total_forward_calls(self) -> int:
         return sum(s.calls for s in self.stats.values())
 
-    def total_seconds(self) -> float:
-        return sum(s.total_s for s in self.stats.values())
-
 
 def profiling_active() -> bool:
     """Whether an op profiler is currently installed on the engine."""

@@ -13,7 +13,7 @@ instrumented library code (the trainer, MOA, the encoders) costs one
 attribute lookup per call when tracing is off.  The resulting tree is
 turned into a per-path breakdown by :func:`aggregate_spans` and the
 "how much of a step did the children account for" number by
-:func:`coverage` — the basis of ``tools/profile_run.py``.
+:func:`coverage`.
 """
 
 from __future__ import annotations

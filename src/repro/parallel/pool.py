@@ -23,7 +23,7 @@ in task order, whatever order the workers finished in.  Design points:
 - **Observability.**  Each worker accumulates ``repro.observe`` metrics
   in its own process-local registry and ships a snapshot back on
   shutdown; :class:`PoolRun` merges them and exposes per-task wall
-  times, so ``tools/profile_run.py`` can report parallel efficiency.
+  times, from which it reports parallel efficiency and speedup.
 """
 
 from __future__ import annotations

@@ -65,11 +65,6 @@ class EmbeddingIndex:
             self._vectors[n] = vector
             self._keys.append(key)
 
-    def add_many(self, items) -> None:
-        """Add an iterable of ``(key, vector)`` pairs."""
-        for key, vector in items:
-            self.add(key, vector)
-
     def _distances(self, query: np.ndarray, store: np.ndarray) -> np.ndarray:
         if self.metric == "euclidean":
             diff = store - query[None, :]

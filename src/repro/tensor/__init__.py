@@ -20,8 +20,8 @@ Functional ops
     re-exported from :mod:`repro.tensor.ops`.  ``masked_softmax``
     backs the padded dense-batch execution path (docs/batching.md);
     sparse primitives (``segment_sum, scatter_gather, spmm,
-    segment_softmax``) over a constant ``CSRMatrix`` back the sparse
-    execution backend (docs/sparse.md); fused hot-path kernels
+    segment_softmax``) over a constant ``CSRMatrix`` back the layers'
+    CSR paths (docs/sparse.md); fused hot-path kernels
     (``masked_softmax_mean, matmul_tn, coarsen_chain, sym_normalize,
     gcn_propagate``) collapse the profiled MOA/coarsening/GCN chains
     into single tape nodes (docs/performance.md).

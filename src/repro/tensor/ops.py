@@ -397,7 +397,7 @@ def masked_softmax(a: Tensor, mask, axis: int = -1) -> Tensor:
 # Sparse (CSR) operations
 # ---------------------------------------------------------------------------
 #
-# The sparse execution backend (docs/sparse.md) replaces dense (N, N)
+# A CSR adjacency (docs/sparse.md) replaces dense (N, N)
 # adjacency products with gather/scatter + segment-reduce kernels over a
 # constant :class:`~repro.tensor.sparse.CSRMatrix`.  Gradients flow
 # through the dense operands (and through ``spmm``'s optional per-edge
@@ -575,7 +575,7 @@ def segment_softmax(logits: Tensor, segment_ids, num_segments: int) -> Tensor:
 # Fused hot-path kernels (docs/performance.md)
 # ---------------------------------------------------------------------------
 #
-# Profiling (tools/hotspots.py over results/profile_*.json) shows HAP's
+# Profiling (the op profiler, ``repro.observe.profile_ops``) shows HAP's
 # step time concentrated in MOA's softmax→head-mean and the coarsening
 # chain S^T (A S).  Each kernel below collapses a several-node tape
 # subgraph into ONE node with an analytic vector-Jacobian product: one

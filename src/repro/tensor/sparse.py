@@ -2,7 +2,7 @@
 
 The dense execution path stores a graph's adjacency as an ``(N, N)``
 array — O(N²) memory, which caps practical graph size around the
-paper's regime (≤ ~500 nodes).  The sparse backend (docs/sparse.md)
+paper's regime (≤ ~500 nodes).  A CSR adjacency (docs/sparse.md)
 stores only the E non-zero entries in compressed-sparse-row layout:
 
 - ``indptr``  ``(N + 1,)`` int array; row ``i``'s entries occupy the
@@ -12,14 +12,14 @@ stores only the E non-zero entries in compressed-sparse-row layout:
 - ``data``    ``(E,)`` float array of the corresponding values.
 
 A ``CSRMatrix`` is a *constant* in the autograd sense: the sparse
-backend treats the input adjacency as fixed structure (the coarsened
+paths treat the input adjacency as fixed structure (the coarsened
 adjacencies further up the hierarchy are small and stay dense and
 differentiable).  Gradients flow through the dense operands and the
 optional per-edge ``values`` of :func:`repro.tensor.ops.spmm`, never
 through ``CSRMatrix.data`` itself.
 
 ``to_dense()`` exists for conversion and testing only — materialising
-an ``(N, N)`` array inside a sparse code path defeats the backend, and
+an ``(N, N)`` array inside a sparse code path defeats its purpose, and
 ``tools/lint.py`` flags it (rule ``no-densify-in-sparse-path``).
 """
 

@@ -366,12 +366,13 @@ class TestEveryClassifierTrainsBatched:
 
 class TestTrainModeFit:
     """Train-mode ``fit`` with two sampled HAP levels (clusters (6, 3))
-    gives the same parameters on the per-graph loop, the padded default
-    and the CSR backend, and leaves the shared generator (shuffling and
-    Gumbel noise) in the same state."""
+    gives the same parameters on the per-graph loop and the padded
+    default, and leaves the shared generator (shuffling and Gumbel
+    noise) in the same state.  A CSR level 0 draws the dense path's
+    noise too (tests/test_sparse_equivalence.py)."""
 
     @staticmethod
-    def _fit(config, backend="dense"):
+    def _fit(config):
         graphs = [
             attach_degree_features(g)
             for g in make_imdb_b_like(16, np.random.default_rng(2))
@@ -380,20 +381,19 @@ class TestTrainModeFit:
         embedder = make_embedder(
             "HAP", graphs[0].features.shape[1], 8, rng, (6, 3), "gcn"
         )
-        model = GraphClassifier(embedder, 2, rng, backend=backend)
+        model = GraphClassifier(embedder, 2, rng)
         fit(model, graphs, rng, config)
         return model.state_dict(), rng.bit_generator.state
 
-    def test_loop_padded_and_csr_paths_agree(self):
+    def test_loop_and_padded_paths_agree(self):
         loop, loop_state = self._fit(
             TrainConfig(epochs=2, batch_size=4, batched=False)
         )
-        for backend in ("dense", "sparse"):
-            params, state = self._fit(TrainConfig(epochs=2, batch_size=4), backend)
-            assert state == loop_state, backend
-            for name, value in loop.items():
-                dev = np.abs(params[name] - value).max()
-                assert dev < 1e-9, (backend, name, dev)
+        padded, padded_state = self._fit(TrainConfig(epochs=2, batch_size=4))
+        assert padded_state == loop_state
+        for name, value in loop.items():
+            dev = np.abs(padded[name] - value).max()
+            assert dev < 1e-9, (name, dev)
 
 
 class TestHarnessTrainsBatched:

@@ -319,6 +319,78 @@ class TestMalformedArchives:
         assert len(load_graphs(path)[0]) == 12  # rewritten well-formed
 
 
+def _swap_first_bond(path):
+    """Give the first bond of the archive's first molecule another type,
+    on both of its entries, so the archive still decodes to valid graphs."""
+    first = load_graphs(path)[0][0]
+    n, fe = first.num_nodes, first.num_edge_features
+    with np.load(path) as archive:
+        values = archive["edge_features"].copy()
+    bonds = values[: n * n * fe].reshape(n, n, fe)
+    i, j = first.edge_list()[0]
+    swapped = np.roll(bonds[i, j], 1)
+    bonds[i, j] = bonds[j, i] = swapped
+    _rewrite_members(path, edge_features=values)
+    return first, load_graphs(path)[0][0]
+
+
+class TestEdgeFeatureChecksums:
+    """Shard checksums cover bond features, so a bond whose type changed
+    on disk is corruption, not content."""
+
+    ESOL = ("ESOL", 8, 2)
+
+    def test_read_shard_rejects_a_swapped_bond_type(self, tmp_path):
+        shard_dataset(*self.ESOL, tmp_path / "shards", shard_size=4)
+        before, after = _swap_first_bond(shard_path(tmp_path / "shards", 0))
+        assert not np.array_equal(before.edge_features, after.edge_features)
+        with pytest.raises(ShardCorruptionError, match="checksum") as excinfo:
+            read_shard(tmp_path / "shards", 0)
+        assert excinfo.value.shard == 0
+        assert len(read_shard(tmp_path / "shards", 1)) == 4
+
+    def test_dataset_cache_rebuilds_a_swapped_bond_type(
+        self, tmp_path, fresh_registry
+    ):
+        clear_memory_cache()
+        built, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
+        path = shard_path(DatasetCache(tmp_path).path_for(*self.ESOL), 0)
+        _swap_first_bond(path)
+        clear_memory_cache()
+        rebuilt, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["data_cache/corrupt"] == 1
+        assert counters["data_cache/miss"] == 2
+        assert "data_cache/hit_disk" not in counters
+        assert [_fingerprint(g) for g in rebuilt] == [_fingerprint(g) for g in built]
+        assert [_fingerprint(g) for g in load_graphs(path)[0]] == [
+            _fingerprint(g) for g in DatasetCache().get_or_build(*self.ESOL)
+        ]  # rewritten with the builder's bonds
+
+    def test_a_store_hashed_under_the_old_rule_is_rebuilt(
+        self, tmp_path, fresh_registry
+    ):
+        """A ``repro.shard/v1`` manifest's checksums ignore bond
+        features: the cache rebuilds such an entry and ``shard_dataset``
+        rewrites such a store, instead of trusting either."""
+        clear_memory_cache()
+        built, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
+        entry = DatasetCache(tmp_path).path_for(*self.ESOL)
+        stores = [entry, tmp_path / "shards"]
+        shard_dataset(*self.ESOL, stores[1], shard_size=4)
+        for store in stores:
+            manifest = store / "manifest.json"
+            header = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**header, "schema": "repro.shard/v1"}))
+        clear_memory_cache()
+        rebuilt, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
+        assert fresh_registry.snapshot()["counters"]["data_cache/corrupt"] == 1
+        assert [_fingerprint(g) for g in rebuilt] == [_fingerprint(g) for g in built]
+        assert shard_dataset(*self.ESOL, stores[1], shard_size=4).num_shards == 2
+        for store in stores:
+            assert load_manifest(store).schema == "repro.shard/v2"
+
+
 class TestFormat1Archives:
     def test_load_graphs_returns_the_source_bitwise(self, rng, tmp_path):
         graphs = _mixed_graphs(rng)
@@ -339,7 +411,7 @@ class TestFormat1Archives:
             assert read_archive_header(shard_path(store, index))[
                 "format_version"
             ] == 1
-            graphs = read_shard(store, index, verify=True)
+            graphs = read_shard(store, index)
             assert content_checksum(graphs) == manifest.checksums[index]
             assert [_fingerprint(g) for g in graphs] == before[index]
 

@@ -3,7 +3,7 @@
 Every pooling operator, encoder and HAP itself must handle 1-node,
 2-node and edgeless graphs without crashing — real datasets contain
 such graphs, and coarsened graphs can collapse to one cluster.  The
-sparse CSR backend (docs/sparse.md) must survive the same degenerate
+CSR layer paths (docs/sparse.md) must survive the same degenerate
 shapes: empty edge sets compress to zero stored entries, isolated
 nodes become empty CSR rows, and explicit diagonal entries (self-loops
 are legal in a raw CSRMatrix, unlike in :class:`Graph`) must accumulate
@@ -123,7 +123,7 @@ class TestModelsOnDegenerateGraphs:
 class TestSparseBackendOnDegenerateGraphs:
     """The CSR execution paths on the same degenerate shapes, checked
     *against the dense reference* — surviving is not enough, the two
-    backends must agree (tests/test_sparse_equivalence.py pins the
+    layouts must agree (tests/test_sparse_equivalence.py pins the
     healthy-graph cases; these are the pathological ones)."""
 
     @pytest.mark.parametrize("conv", ["gcn", "gat", "gin", "sage"])
@@ -197,8 +197,9 @@ class TestSparseBackendOnDegenerateGraphs:
 class TestEdgeFeaturesOnDegenerateGraphs:
     """Bond features through the pathological shapes: an edgeless graph
     (no bond carries any feature), a single-edge graph, and a chain
-    whose bonds are all the identical type — each through the dense,
-    sparse-CSR and padded-batch execution paths, which must agree."""
+    whose bonds are all the identical type — each through the
+    per-graph and padded-batch execution paths, which must agree (a CSR
+    level 0 on such shapes: tests/test_sparse_equivalence.py)."""
 
     FE = 3
 
@@ -234,16 +235,12 @@ class TestEdgeFeaturesOnDegenerateGraphs:
         return model
 
     @pytest.mark.parametrize("conv", ["gin", "sage", "gat"])
-    def test_dense_sparse_padded_paths_agree(self, rng, conv):
+    def test_dense_and_padded_agree(self, rng, conv):
         graphs = self._graphs(rng)
         model = self._model(conv)
         dense = np.array([model.predict(g) for g in graphs])
         assert np.all(np.isfinite(dense)), conv
-        model.backend = "sparse"
-        sparse = np.array([model.predict(g) for g in graphs])
-        model.backend = "dense"
         padded = np.asarray(model.predict(graphs))
-        assert np.abs(dense - sparse).max() < 1e-6, conv
         assert np.abs(dense - padded).max() < 1e-6, conv
 
     def test_empty_edge_set_yields_empty_sparse_edge_data(self, rng):

@@ -3,11 +3,12 @@
 Three contracts:
 
 - **Edge-conditioned equivalence** — for every conv that supports bond
-  features (GIN, SAGE, GAT), the dense per-graph, sparse-CSR and
-  padded-batch execution paths produce the same predictions *and* the
-  same parameter gradients (< 1e-6) on ESOL-like molecular graphs, in
-  eval mode with Gumbel soft-sampling disabled (train-mode draws are
-  pinned across paths by ``tests/test_batched_equivalence.py``).
+  features (GIN, SAGE, GAT), the per-graph and padded-batch execution
+  paths produce the same predictions *and* the same parameter
+  gradients (< 1e-6) on ESOL-like molecular graphs, in eval mode with
+  Gumbel soft-sampling disabled (train-mode draws are pinned across
+  paths by ``tests/test_batched_equivalence.py``; a CSR level 0 with
+  CSR-aligned bond features by ``tests/test_sparse_equivalence.py``).
 - **Regression workload** — the ESOL-like builder, scaffold split,
   regression head and metric_mode="min" best-checkpointing behave end
   to end, including resume, ``run_regression`` trains each mini-batch
@@ -74,19 +75,18 @@ def _max_dev(grads_a, grads_b):
 
 
 class TestEdgeConditionedEquivalence:
-    @pytest.mark.parametrize("conv", CONVS)
-    def test_outputs_agree_across_backends(self, conv):
-        graphs, model = _molecular_setup(conv)
-        dense = np.array([model.predict(g) for g in graphs])
-        model.backend = "sparse"
-        sparse = np.array([model.predict(g) for g in graphs])
-        model.backend = "dense"
-        padded = np.asarray(model.predict(graphs))
-        assert np.abs(dense - sparse).max() < 1e-6, conv
-        assert np.abs(dense - padded).max() < 1e-6, conv
+    """A padded batch of bond-featured molecules matches the per-graph
+    loop, and bond features reach the forward."""
 
     @pytest.mark.parametrize("conv", CONVS)
-    def test_gradients_agree_across_backends(self, conv):
+    def test_padded_outputs_match(self, conv):
+        graphs, model = _molecular_setup(conv)
+        loop = np.array([model.predict(g) for g in graphs])
+        padded = np.asarray(model.predict(graphs))
+        assert np.abs(loop - padded).max() < 1e-6, conv
+
+    @pytest.mark.parametrize("conv", CONVS)
+    def test_padded_gradients_match(self, conv):
         graphs, model = _molecular_setup(conv)
 
         def loop_loss():
@@ -96,13 +96,9 @@ class TestEdgeConditionedEquivalence:
                 total = loss if total is None else total + loss
             return total * (1.0 / len(graphs))
 
-        dense = _grads(model, loop_loss)
-        model.backend = "sparse"
-        sparse = _grads(model, loop_loss)
-        model.backend = "dense"
+        loop = _grads(model, loop_loss)
         padded = _grads(model, lambda: model.batch_loss(graphs))
-        assert _max_dev(dense, sparse) < 1e-6, conv
-        assert _max_dev(dense, padded) < 1e-6, conv
+        assert _max_dev(loop, padded) < 1e-6, conv
 
     @pytest.mark.parametrize("conv", CONVS)
     def test_edge_features_change_the_prediction(self, conv):

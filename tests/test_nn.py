@@ -132,7 +132,7 @@ class TestLayers:
 
 
 class TestSparseOps:
-    """Finite-difference gradchecks for the CSR backend primitives
+    """Finite-difference gradchecks for the CSR primitives
     (docs/sparse.md): segment_sum, scatter_gather and spmm, including
     non-square matrices and empty rows/segments."""
 

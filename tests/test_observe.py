@@ -192,6 +192,27 @@ class TestTracing:
             pass
         assert coverage(root, "step")["fraction"] == 1.0
 
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-example"])
+    def test_a_traced_fit_accounts_for_its_steps(self, batched):
+        """The spans of a traced ``fit`` cover at least 95% of every step,
+        split into forward, backward and optimizer."""
+        from repro.core import build_hap_embedder
+        from repro.data import attach_degree_features, make_imdb_b_like
+        from repro.models.classifier import GraphClassifier
+
+        rng = np.random.default_rng(0)
+        graphs = [attach_degree_features(g) for g in make_imdb_b_like(6, rng)]
+        model = GraphClassifier(build_hap_embedder(16, 4, [3, 1], rng), 2, rng)
+        config = TrainConfig(epochs=1, batch_size=3, batched=batched)
+        with trace("train") as root:
+            fit(model, graphs, rng, config)
+        steps = coverage(root, "step")
+        assert steps["calls"] == 2
+        assert steps["fraction"] >= 0.95
+        paths = set(aggregate_spans(root))
+        for phase in ("forward", "backward", "optimizer"):
+            assert f"train/epoch/step/{phase}" in paths
+
     def test_timer_accumulates_and_guards_misuse(self):
         timer = Timer()
         with timer:

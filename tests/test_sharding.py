@@ -1,6 +1,6 @@
 """Shard store + streaming loader unit suite (marker: ``streaming``).
 
-Locks down the ``repro.shard/v1`` contract of docs/streaming.md:
+Locks down the ``repro.shard/v2`` contract of docs/streaming.md:
 
 - manifests and content checksums round-trip bitwise through
   ``write_shards`` / ``read_shard`` at any (corpus, shard_size)
@@ -109,7 +109,7 @@ def shard_dir(tmp_path):
 class TestShardRoundTrip:
     def test_manifest_records_layout_and_provenance(self, shard_dir):
         manifest = load_manifest(shard_dir)
-        assert manifest.schema == "repro.shard/v1"
+        assert manifest.schema == "repro.shard/v2"
         assert manifest.name == NAME
         assert manifest.counts == [7, 7, 7, 3]
         assert manifest.num_graphs == N
@@ -323,19 +323,17 @@ class TestCorruption:
         assert excinfo.value.shard == 1
         assert "shard_00001.npz" in str(excinfo.value)
 
-    def test_verify_false_skips_the_checksum(self, shard_dir):
-        # flip a byte inside array data but keep the zip decodable is
-        # not guaranteed; instead prove the knob by checksum accounting:
-        # verify=False must not raise on a shard whose manifest checksum
-        # was altered (decode still succeeds)
+    def test_an_altered_manifest_checksum_raises(self, shard_dir):
+        """Every read verifies: a shard that decodes fine but no longer
+        matches its manifest checksum is corrupt."""
         manifest_path = shard_dir / "manifest.json"
         text = manifest_path.read_text()
         manifest = load_manifest(shard_dir)
         text = text.replace(manifest.checksums[0], "0" * 64)
         manifest_path.write_text(text)
-        with pytest.raises(ShardCorruptionError):
-            read_shard(shard_dir, 0, verify=True)
-        assert len(read_shard(shard_dir, 0, verify=False)) == 7
+        with pytest.raises(ShardCorruptionError, match="checksum"):
+            read_shard(shard_dir, 0)
+        assert len(read_shard(shard_dir, 1)) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Dense-vs-sparse equivalence: the CSR execution backend must
-reproduce the dense reference bit-for-bit up to float round-off.
+"""Dense-vs-sparse equivalence: a CSR adjacency must reproduce the
+dense reference bit-for-bit up to float round-off.
 
-The sparse backend (docs/sparse.md) replaces every dense ``(N, N)``
-adjacency product with gather/scatter + segment-reduce kernels
+Passing a :class:`~repro.tensor.CSRMatrix` where the dense ``(N, N)``
+adjacency would go (docs/sparse.md) replaces every adjacency product
+with gather/scatter + segment-reduce kernels
 (:func:`~repro.tensor.ops.spmm`, :func:`~repro.tensor.ops.segment_sum`,
 :func:`~repro.tensor.ops.scatter_gather`).  For seeded random graphs we
 assert that sparse forward outputs and loss *gradients* match the dense
@@ -11,8 +12,9 @@ per-graph path within 1e-6 (observed deviations are ~1e-16) for:
 - the GCN / GAT / GIN / SAGE layers and stacked encoders,
 - the full coarsening module (GCont + MOA + Eq. 17-19, including the
   sparse ``M^T (A M)`` formation),
-- ``HierarchicalEmbedder`` level readouts and the full
-  ``GraphClassifier`` loss, parameter gradients and predictions,
+- the whole ``HierarchicalEmbedder`` — level outputs, every parameter
+  gradient and the Gumbel draws, in eval and train mode, with edge
+  attributes, on ragged and degenerate graphs,
 - the padded-batch path (sparse per-example outputs equal the valid
   rows of the dense padded batch).
 
@@ -27,10 +29,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GraphCoarsening, build_hap_embedder
-from repro.data import csr_graphs, pad_graphs
+from repro.data import pad_graphs
 from repro.gnn import GNNEncoder
 from repro.gnn.layers import normalize_adjacency, normalize_adjacency_sparse
-from repro.graph import random_connected
+from repro.graph import Graph, random_connected
 from repro.models.classifier import GraphClassifier
 from repro.tensor import CSRMatrix, Tensor, check_gradients, spmm
 
@@ -93,8 +95,8 @@ class TestLayerEquivalence:
         encoder = GNNEncoder([6, 8, 8], np.random.default_rng(0), conv=conv)
         batch = pad_graphs(graphs)
         out_b = encoder(batch.adjacency, Tensor(batch.features))
-        for i, (g, csr) in enumerate(zip(graphs, csr_graphs(graphs))):
-            out_s = encoder(csr, Tensor(g.features))
+        for i, g in enumerate(graphs):
+            out_s = encoder(g.to_csr(), Tensor(g.features))
             dev = np.abs(out_s.data - out_b.data[i, : g.num_nodes]).max()
             assert dev < TOL, (conv, i, dev)
 
@@ -143,86 +145,168 @@ class TestCoarseningEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Full model equivalence
+# Full model equivalence: the hierarchical embedder, where CSR enters
 # ---------------------------------------------------------------------------
+#: edge-attribute width of the edge-conditioned cases
+FE = 3
+
+CONVS = ["gcn", "gat", "gin", "sage"]
+
+
+def _degenerate_graphs(rng, feat_dim=6):
+    """A single node, an edgeless graph, a single edge, and a chain
+    plus an isolated node (an empty CSR row)."""
+    chain = np.zeros((5, 5))
+    for i in range(3):
+        chain[i, i + 1] = chain[i + 1, i] = 1.0
+    adjacencies = [
+        np.zeros((1, 1)),
+        np.zeros((4, 4)),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        chain,
+    ]
+    return [
+        Graph(adj).with_features(rng.normal(size=(len(adj), feat_dim)))
+        for adj in adjacencies
+    ]
+
+
+def _with_bonds(graph, rng, identical=False):
+    """``graph`` with symmetric one-hot edge attributes on its edges:
+    random bond types, or one type everywhere."""
+    n = graph.num_nodes
+    types = np.zeros((n, n), dtype=np.int64)
+    if not identical:
+        types = np.triu(rng.integers(0, FE, size=(n, n)), 1)
+        types = types + types.T
+    on_edges = (graph.adjacency != 0)[..., None]
+    return graph.with_edge_features(np.eye(FE)[types] * on_edges)
+
+
+class _RecordedDraws:
+    """Stands in for the embedder's generator, keeping every draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+
 class TestFullModelEquivalence:
-    def _models(self, seed, conv="gcn", **kwargs):
-        """A dense and a sparse classifier with identical parameters."""
-        models = []
-        for backend in ("dense", "sparse"):
-            emb = build_hap_embedder(
-                6, 8, [4, 2], np.random.default_rng(seed), conv=conv, **kwargs
-            )
-            models.append(
-                GraphClassifier(emb, 2, np.random.default_rng(seed + 1),
-                                backend=backend)
-            )
-        return models
+    """``HierarchicalEmbedder.embed_levels`` on a level-0 CSR adjacency
+    against the dense one — the only place a CSR adjacency enters the
+    model, since every coarsened level is a small dense graph.
 
-    @pytest.mark.parametrize("conv", ["gcn", "gat"])
-    def test_embed_levels_match_dense(self, rng, conv):
-        graphs = _ragged_batch(rng)
-        dense_model, sparse_model = self._models(11, conv=conv)
-        dense_model.eval()
-        sparse_model.eval()
-        for g in graphs:
-            levels_d = dense_model.embedder.embed_levels(
-                g.adjacency, Tensor(g.features)
-            )
-            levels_s = sparse_model.embedder.embed_levels(
-                g.to_csr(), Tensor(g.features)
-            )
-            for k, (lv_d, lv_s) in enumerate(zip(levels_d, levels_s)):
-                dev = np.abs(lv_d.data - lv_s.data).max()
-                assert dev < TOL, (conv, k, dev)
+    One embedder per conv runs both layouts from the same generator
+    state, in eval mode and in train mode, on ragged and degenerate
+    graphs.  GAT, GIN and SAGE also condition on edge attributes, given
+    in the matching layout: dense ``(N, N, Fe)`` or the CSR-aligned
+    ``(nnz, Fe)`` rows of ``edge_feature_data()``.  The level outputs
+    and every parameter gradient must agree, and in train mode both
+    runs must draw the same Gumbel noise (Eq. 19) and leave the
+    generator in the same state."""
 
-    def test_loss_and_gradients_match_dense(self, rng):
-        graphs = [g.with_label(int(i % 2)) for i, g in enumerate(_ragged_batch(rng))]
-        dense_model, sparse_model = self._models(21, conv="gat")
-        dense_model.eval()
-        sparse_model.eval()
+    @staticmethod
+    def _graphs(rng, conv):
+        graphs = _ragged_batch(rng) + _degenerate_graphs(rng)
+        if conv == "gcn":  # GCN takes no edge attributes
+            return graphs
+        bonded = [_with_bonds(g, rng) for g in graphs]
+        return bonded + [_with_bonds(graphs[-1], rng, identical=True)]
 
-        loss_d = dense_model.batch_loss(graphs)
-        loss_d.backward()
-        loss_s = sparse_model.batch_loss(graphs)
-        loss_s.backward()
-
-        assert abs(float(loss_d.data) - float(loss_s.data)) < TOL
-        for (name, p_d), (_, p_s) in zip(
-            dense_model.named_parameters(), sparse_model.named_parameters()
-        ):
-            assert p_d.grad is not None and p_s.grad is not None, name
-            dev = np.abs(p_d.grad - p_s.grad).max()
-            assert dev < TOL, (name, dev)
-
-    def test_predictions_and_embeddings_match_dense(self, rng):
-        graphs = [g.with_label(0) for g in _ragged_batch(rng)]
-        dense_model, sparse_model = self._models(41)
-        dense_model.eval()
-        sparse_model.eval()
-        np.testing.assert_array_equal(
-            dense_model.predict(graphs), sparse_model.predict(graphs)
+    @staticmethod
+    def _embedder(conv):
+        rng = np.random.default_rng(11)
+        embedder = build_hap_embedder(
+            6, 8, [4, 2], rng, conv=conv, edge_features=0 if conv == "gcn" else FE
         )
-        for g in graphs:
-            assert dense_model.predict(g) == sparse_model.predict(g)
-            np.testing.assert_allclose(
-                dense_model.embed(g), sparse_model.embed(g), rtol=0, atol=TOL
+        recorder = _RecordedDraws(rng)
+        for coarsening in embedder.coarsenings:
+            coarsening.rng = recorder
+        return embedder, recorder
+
+    @staticmethod
+    def _run(embedder, recorder, state, graph, layout):
+        """Levels, parameter gradients, the draws and the generator
+        state after one forward and backward from ``state``."""
+        recorder.rng.bit_generator.state = state
+        recorder.draws = []
+        if layout == "csr":
+            adjacency = graph.to_csr()
+            edge_attr = None
+            if graph.edge_features is not None:
+                edge_attr = graph.edge_feature_data()
+        else:
+            adjacency, edge_attr = graph.adjacency, graph.edge_features
+        embedder.zero_grad()
+        levels = embedder.embed_levels(
+            adjacency, Tensor(graph.features), edge_attr=edge_attr
+        )
+        weights = np.random.default_rng(5).normal(size=(len(levels), 8))
+        loss = sum((level * Tensor(w)).sum() for level, w in zip(levels, weights))
+        aux = embedder.auxiliary_loss()
+        (loss if aux is None else loss + aux).backward()
+        grads = {
+            name: None if p.grad is None else p.grad.copy()
+            for name, p in embedder.named_parameters()
+        }
+        return (
+            [level.data.copy() for level in levels],
+            grads,
+            recorder.draws,
+            recorder.rng.bit_generator.state,
+        )
+
+    def _both_layouts(self, conv, training):
+        """Dense and CSR runs of every graph, from one generator state."""
+        embedder, recorder = self._embedder(conv)
+        embedder.train(training)
+        state = recorder.rng.bit_generator.state
+        for g in self._graphs(np.random.default_rng(3), conv):
+            yield g, (
+                self._run(embedder, recorder, state, g, "dense"),
+                self._run(embedder, recorder, state, g, "csr"),
             )
 
-    def test_sparse_backend_ignores_dense_padded_batch(self, rng):
-        """An explicit PaddedBatch is already dense; the sparse model
-        must still produce the dense padded result for it."""
-        graphs = [g.with_label(int(i % 2)) for i, g in enumerate(_ragged_batch(rng))]
-        dense_model, sparse_model = self._models(51)
-        dense_model.eval()
-        sparse_model.eval()
-        batch = pad_graphs(graphs)
-        np.testing.assert_allclose(
-            dense_model.logits_batched(batch).data,
-            sparse_model.logits_batched(batch).data,
-            rtol=0,
-            atol=TOL,
-        )
+    @pytest.mark.parametrize("conv", CONVS)
+    def test_embed_levels_match_dense(self, conv):
+        for training in (False, True):
+            for g, (dense, csr) in self._both_layouts(conv, training):
+                case = (conv, training, g.num_nodes)
+                levels_d, _, draws_d, state_d = dense
+                levels_s, _, draws_s, state_s = csr
+                for level_d, level_s in zip(levels_d, levels_s):
+                    assert np.abs(level_d - level_s).max() < TOL, case
+                # eval mode draws nothing; train mode one array per forward
+                assert len(draws_d) == len(draws_s) == int(training), case
+                for draw_d, draw_s in zip(draws_d, draws_s):
+                    np.testing.assert_array_equal(draw_d, draw_s)
+                assert state_d == state_s, case
+
+    def test_loss_and_gradients_match_dense(self):
+        for conv in CONVS:
+            for training in (False, True):
+                for g, (dense, csr) in self._both_layouts(conv, training):
+                    grads_d, grads_s = dense[1], csr[1]
+                    assert grads_d.keys() == grads_s.keys()
+                    assert any(grad is not None for grad in grads_d.values())
+                    for name, grad_d in grads_d.items():
+                        case = (conv, training, g.num_nodes, name)
+                        if grad_d is None:
+                            assert grads_s[name] is None, case
+                            continue
+                        dev = np.abs(grad_d - grads_s[name]).max()
+                        assert dev < TOL, (case, dev)
+
+    def test_classifier_takes_no_backend(self):
+        """A CSR adjacency is an input type of the embedder, not a
+        classifier option."""
+        emb = build_hap_embedder(6, 8, [4, 2], np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            GraphClassifier(emb, 2, np.random.default_rng(1), backend="sparse")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +401,14 @@ class TestSparseGradcheck:
             [x, layer.weight, layer.att_src, layer.att_dst, layer.bias],
         )
 
-    def test_classifier_loss_gradcheck_sparse(self, rng):
-        g = random_connected(8, 0.4, rng).with_features(
-            rng.normal(size=(8, 5))
-        ).with_label(1)
-        emb = build_hap_embedder(5, 6, [3, 2], np.random.default_rng(2))
-        model = GraphClassifier(emb, 2, np.random.default_rng(3), backend="sparse")
-        model.eval()
-        check_gradients(
-            lambda: model.loss(g), [model.fc1.weight, model.fc2.weight]
-        )
+    def test_embedder_gradcheck_sparse(self, rng):
+        g = random_connected(8, 0.4, rng)
+        x = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+        emb = build_hap_embedder(5, 4, [3, 2], np.random.default_rng(2))
+        emb.eval()
+
+        def loss():
+            levels = emb.embed_levels(g.to_csr(), x)
+            return sum((level * level).sum() for level in levels)
+
+        check_gradients(loss, [x, emb.encoder0.layers[0].weight])

@@ -9,9 +9,10 @@
 #                 suite included; select one locally with pytest -m <marker>)
 #   bench-compare the performance floors of the benchmark tests marked
 #                 `bench` (streaming memory, serving throughput, parallel
-#                 speedup, fused step), then the repository benchmark's
-#                 self-tests (bench/test_bench.py: quick runs of every
-#                 workload through bench/run.py's output checks)
+#                 speedup, fused step, sparse scaling), then the
+#                 repository benchmark's self-tests (bench/test_bench.py:
+#                 quick runs of every workload through bench/run.py's
+#                 output checks)
 #
 # Usage: tools/ci.sh            (run everything)
 #        tools/ci.sh lint tier-1   (run selected stages)
