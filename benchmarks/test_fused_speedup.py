@@ -5,9 +5,10 @@ random sparse graph) through the current fused path — fused
 ``masked_softmax_mean`` / ``matmul_tn`` / ``coarsen_chain`` /
 ``gcn_propagate`` kernels, scipy-backed ``spmm``, gradient buffer pool
 — and through an in-process emulation of the pre-fusion path: the
-fusion sites monkeypatched back to their unfused op compositions, CSR
-scipy handles disabled (forcing the ``np.add.at`` scatter reference
-``spmm`` ran before), and no buffer pool.  Asserts the fused step is at
+fusion sites monkeypatched back to their unfused op compositions (a
+CSR adjacency normalised into its own matrix, then one ``spmm``), the
+compiled CSR kernels disabled (forcing the ``np.add.at`` scatter
+reference ``spmm`` ran before), and no buffer pool.  Asserts the fused step is at
 least 1.3x faster (the fusion change's acceptance bar; measured ~5x)
 and that both paths produce the same loss to 1e-6.
 See docs/performance.md.
@@ -23,6 +24,7 @@ import pytest
 import repro.core.moa as moa_mod
 import repro.gnn.layers as layers_mod
 import repro.pooling.base as pooling_base
+import repro.tensor.sparse as sparse_mod
 from benchmarks.conftest import persist_rows, run_once
 from repro.core import build_hap_embedder
 from repro.graph import random_sparse_csr
@@ -84,7 +86,20 @@ def _unfused_sym_normalize(adjacency, eps=1e-8):
     )
 
 
+def _unfused_sym_normalize_sparse(adjacency, eps=1e-8):
+    def build(adjacency):
+        adj_tilde = adjacency.with_self_loops()
+        inv_sqrt = (adj_tilde.row_sums() + eps) ** -0.5
+        return adj_tilde.with_data(
+            inv_sqrt[adj_tilde.row_ids] * adj_tilde.data * inv_sqrt[adj_tilde.indices]
+        )
+
+    return adjacency.cached(("sym_norm", eps), build)
+
+
 def _unfused_gcn_propagate(adjacency, x, eps=1e-8):
+    if isinstance(adjacency, CSRMatrix):
+        return spmm(_unfused_sym_normalize_sparse(adjacency, eps), x)
     return _unfused_sym_normalize(as_tensor(adjacency), eps) @ x
 
 
@@ -96,10 +111,9 @@ def _emulate_pre_fusion(monkeypatch):
     monkeypatch.setattr(pooling_base, "coarsen_chain", _unfused_coarsen_chain)
     monkeypatch.setattr(pooling_base, "matmul_tn", _unfused_matmul_tn)
     monkeypatch.setattr(layers_mod, "gcn_propagate", _unfused_gcn_propagate)
-    # pre-fusion spmm scattered with np.add.at; returning None from the
-    # scipy-handle accessors routes it back onto that reference path
-    monkeypatch.setattr(CSRMatrix, "scipy_csr", lambda self: None)
-    monkeypatch.setattr(CSRMatrix, "scipy_csr_t", lambda self: None)
+    # pre-fusion spmm scattered with np.add.at; without the compiled
+    # kernels CSRMatrix.matmul runs that reference path
+    monkeypatch.setattr(sparse_mod, "_sparsetools", None)
 
 
 def _build_step(pool):

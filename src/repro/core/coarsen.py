@@ -14,7 +14,7 @@ deterministic tempered softmax so inference is reproducible.  The
 sampled adjacency is symmetrised (the paper's Eq. 19 row-normalises,
 which would break the undirectedness every other component assumes).
 Within a hierarchical forward, :func:`loop_order_noise` draws every
-level's noise up front, so a padded batch consumes the generator in the
+level's noise up front, so a batch consumes the generator in the
 per-graph loop's order.
 """
 
@@ -88,7 +88,7 @@ def loop_order_noise(coarsenings, batch_shape: tuple[int, ...]):
     loop's order.
 
     The loop draws graph by graph and, within a graph, level by level; a
-    padded batch reaches each level with every graph at once.  So each
+    batch reaches each level with every graph at once.  So each
     generator that sampling levels share draws once, a
     ``(*batch_shape, Σ K²)`` array whose row for a graph holds its
     levels' ``K x K`` blocks in level order, and inside the ``with``
@@ -126,13 +126,15 @@ class GraphCoarsening(Coarsening):
     clusters, ``H' = M^T H`` and ``A' = M^T (A M)`` (Eq. 17-18), and
     soft-samples ``A'`` (Eq. 19) unless ``soft_sampling=False``.  One
     graph ``(N, ·)``, a padded batch ``(B, N, ·)`` with a ``(B, N)``
-    validity mask, or a CSR adjacency run the same body.  ``M``'s
+    validity mask, a CSR adjacency, or a ragged batch's ``(ΣN, ·)`` rows
+    with its block-diagonal CSR and slots run the same body.  ``M``'s
     padding rows are exactly zero, so Eq. 17-18 contract only over each
-    graph's real nodes and a padded batch matches the per-graph
-    results; the coarsened outputs carry no padding (the output mask is
-    ``None``), since every graph now owns exactly N' cluster nodes.
+    graph's real nodes and a batch matches the per-graph results; the
+    coarsened outputs carry no padding (the output mask is ``None``),
+    since every graph now owns exactly N' cluster nodes.
     """
 
+    ragged = True
     _drawn: _Drawn | None = None
 
     def __init__(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coarsen import GraphCoarsening, loop_order_noise
-from repro.data.batching import PaddedBatch
+from repro.data.batching import PaddedBatch, Slots
 from repro.gnn.encoder import GNNEncoder
 from repro.nn.module import Module
 from repro.pooling.base import Coarsening, node_mean
@@ -53,17 +53,20 @@ class HierarchicalEmbedder(Module):
     ) -> list[Tensor]:
         """Graph-level representation after every coarsening level.
 
-        Takes one graph — 2-D ``(N, N)`` adjacency and ``(N, F)``
-        features — or a padded batch — a
+        Takes one graph — 2-D ``(N, N)`` adjacency (dense or CSR) and
+        ``(N, F)`` features — a ragged batch — the block-diagonal CSR,
+        ``(ΣN, F)`` features and :class:`~repro.data.batching.Slots` in
+        place of the mask, as in a
+        :class:`~repro.data.batching.GraphBatch` — or a padded batch — a
         :class:`~repro.data.batching.PaddedBatch` as the sole positional
         argument, or explicit 3-D ``(B, N, N)`` / ``(B, N, F)`` arrays
-        plus a ``(B, N)`` mask.  Both run the same loop.  Each level
-        hands its output mask to the next: it is ``None`` once every
-        graph owns the same number of clusters (HAP and the grouping
-        poolers after level 0), so the readout is the plain mean over
-        them, and a ``(B, K)`` mask after a Top-K level, whose readout
-        is the mean over each graph's kept nodes.  Either way a padded
-        batch matches the per-graph results.
+        plus a ``(B, N)`` mask.  All run the same loop.  Each level hands its
+        output mask to the next: it is ``None`` once every graph owns
+        the same number of clusters (HAP and the grouping poolers after
+        level 0), so the readout is the plain mean over them, and a
+        ``(B, K)`` mask after a Top-K level, whose readout is the mean
+        over each graph's kept nodes.  Either way a batch matches the
+        per-graph results.
 
         ``edge_attr`` (per-edge attributes in the layout matching the
         adjacency, docs/molecular.md) conditions level 0 only — the
@@ -71,7 +74,7 @@ class HierarchicalEmbedder(Module):
 
         In training mode the levels' Gumbel noise (Eq. 19) is drawn up
         front in the per-graph loop's order (:func:`loop_order_noise`),
-        so a padded batch also matches the loop's draws.
+        so a batch also matches the loop's draws.
         """
         if isinstance(adjacency, PaddedBatch):
             batch = adjacency
@@ -84,8 +87,9 @@ class HierarchicalEmbedder(Module):
             # the loop below needs no other change.
             adjacency = as_tensor(adjacency)
         h = as_tensor(h)
+        batch_shape = mask.shape[:1] if isinstance(mask, Slots) else h.shape[:-2]
         levels: list[Tensor] = []
-        with loop_order_noise(self.coarsenings, h.shape[:-2]):
+        with loop_order_noise(self.coarsenings, batch_shape):
             for encoder, coarsening in zip(self.encoders, self.coarsenings):
                 h = encoder(adjacency, h, edge_attr=edge_attr)
                 adjacency, h, mask = coarsening(
@@ -99,7 +103,7 @@ class HierarchicalEmbedder(Module):
         self, adjacency, h: Tensor | None = None, mask=None, edge_attr=None
     ) -> Tensor:
         """Final graph-level embedding: ``(F,)`` for a single graph,
-        ``(B, F)`` for a padded batch."""
+        ``(B, F)`` for a batch."""
         return self.embed_levels(adjacency, h, mask, edge_attr=edge_attr)[-1]
 
     def embed(self, graph):

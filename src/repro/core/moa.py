@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.batching import Slots
 from repro.nn.init import glorot_uniform
 from repro.nn.module import Module, Parameter
 from repro.observe.tracing import span
@@ -88,19 +89,23 @@ class MOA(Module):
 
         A ``(..., N)`` validity mask zeroes padding rows first and makes
         'project' divide by each graph's true node count, so a padded
-        graph gets the ψ of its unpadded self.  For 'pad', the zeroed
-        rows make slicing the first N' rows both the zero-pad (N < N')
-        and the truncation (N >= N') of the single-graph case.
+        graph gets the ψ of its unpadded self.  A ragged batch's slots
+        put its ``(ΣN, N')`` rows into zero-padded ``(B, N_max, N')``
+        slots, the same situation.  For 'pad', the zeroed rows make
+        slicing the first N' rows both the zero-pad (N < N') and the
+        truncation (N >= N') of the single-graph case.
         """
+        counts = None
+        if isinstance(mask, Slots):
+            content, counts = mask.scatter(content), mask.counts
+        elif mask is not None:
+            content, counts = content * Tensor(mask[..., None]), mask.sum(axis=-1)
         n, n_prime = content.shape[-2:]
-        if mask is not None:
-            content = content * Tensor(mask[..., None])
         if self.relaxation == "project":
-            if mask is None:
+            if counts is None:
                 scale = 1.0 / n
             else:
-                inv = 1.0 / np.maximum(mask.sum(axis=-1), 1.0)
-                scale = Tensor(inv[..., None, None])
+                scale = Tensor((1.0 / np.maximum(counts, 1.0))[..., None, None])
             return matmul_tn(content, content) * scale
         # 'pad': zero-pad columns when N < N', truncate when N > N'.
         if n < n_prime:
@@ -123,6 +128,11 @@ class MOA(Module):
         contribute nothing to the pooled content downstream, and valid
         rows equal the single-graph assignment.
 
+        A ragged batch passes ``(ΣN, N')`` content with its
+        :class:`~repro.data.batching.Slots` as the mask: ψ runs per
+        graph on the slots, and the scores and the softmax run row by
+        row, each row against its own graph's relaxed columns.
+
         All heads are scored in one vectorised pass: the per-head logits
         are stacked into an ``(..., N, N', H)`` block, row-softmaxed
         along the cluster axis with a single call, and averaged over the
@@ -131,12 +141,13 @@ class MOA(Module):
         """
         content = as_tensor(content)
         with span("moa"):
-            lead, (n, n_prime) = content.shape[:-2], content.shape[-2:]
+            n_prime, heads = content.shape[-1], self.num_heads
             if n_prime != self.num_clusters:
                 raise ValueError(
                     f"content has {n_prime} clusters, MOA expects {self.num_clusters}"
                 )
-            if mask is not None:
+            ragged = isinstance(mask, Slots)
+            if mask is not None and not ragged:
                 mask = np.asarray(mask, dtype=np.float64)
                 if mask.shape != content.shape[:-1]:
                     raise ValueError(
@@ -146,12 +157,19 @@ class MOA(Module):
             relaxed = self._relaxed_columns(content, mask)  # (..., N', N')
             row_scores = content @ self.att_row.T  # (..., N, H)
             col_scores = relaxed @ self.att_col.T  # (..., N', H)
+            row_mask = None
+            if ragged:  # every row meets its own graph's columns
+                col_scores = mask.expand(col_scores)  # (ΣN, N', H)
+            else:
+                col_scores = col_scores.reshape(
+                    *content.shape[:-2], 1, n_prime, heads
+                )
+                if mask is not None:
+                    row_mask = mask[..., None, None]
             scores = leaky_relu(
-                row_scores.reshape(*lead, n, 1, self.num_heads)
-                + col_scores.reshape(*lead, 1, n_prime, self.num_heads),
+                row_scores.reshape(*row_scores.shape[:-1], 1, heads) + col_scores,
                 self.negative_slope,
             )
             # Fused softmax+head-mean: one traversal, no (..., N, N', H)
             # probability intermediate on the tape (docs/performance.md).
-            row_mask = None if mask is None else mask[..., None, None]
             return masked_softmax_mean(scores, row_mask, axis=-2, mean_axis=-1)

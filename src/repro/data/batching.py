@@ -1,14 +1,28 @@
-"""Padded dense batching of graph lists.
+"""Batching graph lists: the ragged batch and the padded batch.
 
-The batched execution path (docs/batching.md) runs B graphs through the
-HAP pipeline in one set of 3-D tensor ops instead of a Python loop.  To
-do that, ragged graphs are padded to a common node count ``N_max``:
+A model trains and predicts on a :class:`GraphBatch` (docs/batching.md):
+the disjoint union of B graphs, with
+
+- ``features``  ``(ΣN, F)`` — every graph's node rows, graph after graph;
+- ``adjacency`` one block-diagonal :class:`~repro.tensor.sparse.CSRMatrix`
+  ``(ΣN, ΣN)``, built from each graph's cached ``to_csr()``;
+- ``edge_features`` ``(ΣE, Fe)``, aligned with that CSR's entries;
+- ``slots`` the per-graph node offsets (:class:`Slots`).
+
+Node-wise work (convolutions, GCont, MOA's scores and softmax) runs on
+the ``(ΣN, ·)`` rows with no padding.  Per-graph contractions scatter
+their operands into zero-padded ``(B, N_max, ·)`` slots
+(:meth:`Slots.scatter`) and run as batched dense products.
+
+:class:`PaddedBatch` is the older layout, kept as an input of
+``embed_levels`` and as the reference the equivalence suites test
+against: graphs padded to a common node count ``N_max``,
 
 - ``features``  ``(B, N_max, F)``  — zero rows beyond each graph's size;
 - ``adjacency`` ``(B, N_max, N_max)`` — zero rows/columns for padding;
 - ``mask``      ``(B, N_max)``     — 1.0 on real nodes, 0.0 on padding.
 
-The convention every batched op relies on: *padding rows of the
+The convention every padded op relies on: *padding rows of the
 adjacency are all-zero* (no edges touch a padding node) and *every
 reduction over the node axis is masked*.  Together these guarantee the
 valid rows of every batched intermediate equal the per-graph loop's
@@ -19,11 +33,147 @@ values exactly (up to float round-off), which the equivalence suite
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.tensor import CSRMatrix, Tensor, scatter_gather, to_slots
+
+
+class Slots:
+    """Where the node rows of a ragged batch belong.
+
+    Graph ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of every
+    ``(ΣN, ·)`` array.  Its slots are row ``b`` of a zero-padded
+    ``(B, N_max, ·)`` array, the layout the per-graph contractions
+    (MOA's ψ, Eq. 17 and Eq. 18) run in as batched products.
+    """
+
+    def __init__(self, offsets):
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.counts = np.diff(self.offsets)
+        self.shape = (len(self.counts), int(self.counts.max(initial=0)))
+        #: the graph of every row
+        self.graph = np.repeat(np.arange(self.shape[0]), self.counts)
+        #: every row's flat position in the ``B * N_max`` slots
+        self.index = self.graph * self.shape[1] + (
+            np.arange(self.offsets[-1]) - self.offsets[self.graph]
+        )
+
+    def scatter(self, x) -> Tensor:
+        """``(ΣN, ...)`` rows -> ``(B, N_max, ...)`` slots, zero-padded."""
+        return to_slots(x, self.index, self.shape)
+
+    def expand(self, per_graph) -> Tensor:
+        """``(B, ...)`` per-graph values -> ``(ΣN, ...)``, one per row."""
+        return scatter_gather(per_graph, self.graph)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """``(B, N_max)`` validity mask of the slots (1.0 on real nodes)."""
+        mask = np.zeros(self.shape[0] * self.shape[1])
+        mask[self.index] = 1.0
+        return mask.reshape(self.shape)
+
+    def dense(self, adjacency: CSRMatrix) -> np.ndarray:
+        """The block-diagonal ``adjacency`` as a ``(B, N_max, N_max)``
+        stack, for operators that read a graph's adjacency densely."""
+        n_max = self.shape[1]
+        stack = np.zeros((self.shape[0] * n_max, n_max))
+        stack[self.index[adjacency.row_ids], self.index[adjacency.indices] % n_max] = (
+            adjacency.data
+        )
+        return stack.reshape(self.shape[0], n_max, n_max)
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """A batch of graphs as one disjoint union (docs/batching.md).
+
+    Parameters
+    ----------
+    features:
+        ``(ΣN, F)`` node features, graph after graph.
+    adjacency:
+        The ``(ΣN, ΣN)`` block-diagonal CSR adjacency.
+    slots:
+        The graphs' node offsets and slot positions.
+    labels:
+        ``(B,)`` graph labels as for :class:`PaddedBatch`, or ``None``.
+    edge_features:
+        ``(ΣE, Fe)`` per-edge attributes aligned with ``adjacency``'s
+        stored entries, or ``None``.
+    """
+
+    features: np.ndarray
+    adjacency: CSRMatrix
+    slots: Slots
+    labels: np.ndarray | None = None
+    edge_features: np.ndarray | None = None
+
+    @property
+    def batch_size(self) -> int:
+        return self.slots.shape[0]
+
+
+def _check_batchable(graphs: Sequence[Graph]) -> int:
+    """Validate a batch's graphs; return their edge-feature width (0
+    when they carry none)."""
+    if not graphs:
+        raise ValueError("cannot batch an empty list of graphs")
+    for i, g in enumerate(graphs):
+        if g.features is None:
+            raise ValueError(
+                f"graph {i} has no node features; attach an encoding from "
+                "repro.data.encoding first"
+            )
+    dims = {g.features.shape[1] for g in graphs}
+    if len(dims) != 1:
+        raise ValueError(f"inconsistent feature dimensions in batch: {sorted(dims)}")
+    edge_dims = {g.num_edge_features for g in graphs if g.edge_features is not None}
+    if len(edge_dims) > 1:
+        raise ValueError(
+            f"inconsistent edge-feature dimensions in batch: {sorted(edge_dims)}"
+        )
+    if edge_dims and any(g.edge_features is None for g in graphs):
+        raise ValueError(
+            "cannot mix edge-featured and plain graphs in one batch"
+        )
+    return edge_dims.pop() if edge_dims else 0
+
+
+def _labels(graphs: Sequence[Graph]) -> np.ndarray | None:
+    if any(g.label is None for g in graphs):
+        return None
+    # Integral labels (the classification datasets) stay int64 so
+    # cross-entropy indexing keeps working; any float target makes the
+    # whole batch a float64 regression target vector.
+    if all(isinstance(g.label, (int, np.integer)) for g in graphs):
+        return np.array([int(g.label) for g in graphs], dtype=np.int64)
+    return np.array([float(g.label) for g in graphs], dtype=np.float64)
+
+
+def batch_graphs(graphs: Sequence[Graph]) -> GraphBatch:
+    """The disjoint union of ``graphs`` as a :class:`GraphBatch`.
+
+    One concatenation per field, from each graph's cached CSR and edge
+    data.  Every graph must carry node features of the same width
+    (attach an encoding from :mod:`repro.data.encoding` first).
+    """
+    edge_dim = _check_batchable(graphs)
+    sizes = [g.num_nodes for g in graphs]
+    edge_features = None
+    if edge_dim:
+        edge_features = np.concatenate([g.edge_feature_data() for g in graphs])
+    return GraphBatch(
+        features=np.concatenate([g.features for g in graphs]),
+        adjacency=CSRMatrix.block_diagonal([g.to_csr() for g in graphs]),
+        slots=Slots(np.concatenate([[0], np.cumsum(sizes)])),
+        labels=_labels(graphs),
+        edge_features=edge_features,
+    )
 
 
 @dataclass(frozen=True)
@@ -84,18 +234,8 @@ def pad_graphs(graphs: Sequence[Graph], pad_to: int | None = None) -> PaddedBatc
         least the largest graph).  Useful for fixed-shape serving and for
         the padding-invariance property tests.
     """
-    if not graphs:
-        raise ValueError("cannot pad an empty list of graphs")
-    for i, g in enumerate(graphs):
-        if g.features is None:
-            raise ValueError(
-                f"graph {i} has no node features; attach an encoding from "
-                "repro.data.encoding first"
-            )
-    dims = {g.features.shape[1] for g in graphs}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent feature dimensions in batch: {sorted(dims)}")
-    feat_dim = dims.pop()
+    edge_dim = _check_batchable(graphs)
+    feat_dim = graphs[0].features.shape[1]
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     n_max = int(sizes.max())
     if pad_to is not None:
@@ -105,25 +245,13 @@ def pad_graphs(graphs: Sequence[Graph], pad_to: int | None = None) -> PaddedBatc
             )
         n_max = int(pad_to)
 
-    edge_dims = {g.num_edge_features for g in graphs if g.edge_features is not None}
-    if len(edge_dims) > 1:
-        raise ValueError(
-            f"inconsistent edge-feature dimensions in batch: {sorted(edge_dims)}"
-        )
-    if edge_dims and any(g.edge_features is None for g in graphs):
-        raise ValueError(
-            "cannot mix edge-featured and plain graphs in one padded batch"
-        )
-
     batch = len(graphs)
     features = np.zeros((batch, n_max, feat_dim), dtype=np.float64)
     adjacency = np.zeros((batch, n_max, n_max), dtype=np.float64)
     mask = np.zeros((batch, n_max), dtype=np.float64)
     edge_features = None
-    if edge_dims:
-        edge_features = np.zeros(
-            (batch, n_max, n_max, edge_dims.pop()), dtype=np.float64
-        )
+    if edge_dim:
+        edge_features = np.zeros((batch, n_max, n_max, edge_dim), dtype=np.float64)
     for b, g in enumerate(graphs):
         n = g.num_nodes
         features[b, :n] = g.features
@@ -132,21 +260,12 @@ def pad_graphs(graphs: Sequence[Graph], pad_to: int | None = None) -> PaddedBatc
         if edge_features is not None:
             edge_features[b, :n, :n] = g.edge_features
 
-    labels = None
-    if all(g.label is not None for g in graphs):
-        # Integral labels (the classification datasets) stay int64 so
-        # cross-entropy indexing keeps working; any float target makes
-        # the whole batch a float64 regression target vector.
-        if all(isinstance(g.label, (int, np.integer)) for g in graphs):
-            labels = np.array([int(g.label) for g in graphs], dtype=np.int64)
-        else:
-            labels = np.array([float(g.label) for g in graphs], dtype=np.float64)
     return PaddedBatch(
         features=features,
         adjacency=adjacency,
         mask=mask,
         num_nodes=sizes,
-        labels=labels,
+        labels=_labels(graphs),
         edge_features=edge_features,
     )
 

@@ -7,7 +7,7 @@ numpy array (fixed graph) or as a :class:`repro.tensor.Tensor` (the
 differentiable coarsened adjacency produced by graph coarsening).
 """
 
-from repro.gnn.layers import GCNLayer, GATLayer, normalize_adjacency
+from repro.gnn.layers import GCNLayer, GATLayer
 from repro.gnn.edges import EdgeGate
 from repro.gnn.extra_layers import GINLayer, SAGELayer
 from repro.gnn.encoder import GNNEncoder
@@ -19,5 +19,4 @@ __all__ = [
     "GINLayer",
     "SAGELayer",
     "GNNEncoder",
-    "normalize_adjacency",
 ]

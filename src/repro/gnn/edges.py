@@ -17,7 +17,8 @@ conventions used everywhere else:
 - single dense graph: ``(N, N, Fe)`` (symmetric, zero off-edges),
 - padded batch: ``(B, N, N, Fe)`` with all-zero padding rows,
 - sparse CSR: ``(nnz, Fe)`` aligned with the CSR's stored entries
-  (:meth:`repro.graph.Graph.edge_feature_data`).
+  (:meth:`repro.graph.Graph.edge_feature_data`); a ragged batch's
+  block-diagonal CSR carries its graphs' arrays concatenated.
 
 Because the dense tensor is zero exactly where the adjacency is zero,
 ``adjacency * gate`` and the CSR's ``data * gate_e`` agree entry for
@@ -72,8 +73,12 @@ def incident_edge_sums(adjacency, edge_attr) -> np.ndarray:
         dtype=np.float64,
     )
     if isinstance(adjacency, CSRMatrix):
+        # Rows are contiguous runs of entries: one reduceat over the
+        # non-empty ones sums them in entry order, like np.add.at.
         out = np.zeros((adjacency.shape[0], attr.shape[-1]), dtype=np.float64)
-        np.add.at(out, adjacency.row_ids, attr)
+        rows = np.flatnonzero(np.diff(adjacency.indptr))
+        if rows.size:
+            out[rows] = np.add.reduceat(attr, adjacency.indptr[rows], axis=0)
         return out
     return attr.sum(axis=-2)
 

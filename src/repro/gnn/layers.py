@@ -3,10 +3,11 @@
 Both layers run on a dense ``(N, N)`` adjacency, which may be a numpy
 array (constant) or a Tensor (differentiable, e.g. the soft-sampled
 coarsened adjacency A' of Eq. 18-19 whose gradient must flow back into
-the MOA attention) — or, at a large sparse level 0 (docs/sparse.md), a
-constant :class:`~repro.tensor.sparse.CSRMatrix`, which replaces every
-dense ``(N, N)`` product with gather/scatter + segment-reduce kernels
-in O(E) memory.
+the MOA attention) — or, at level 0, a constant
+:class:`~repro.tensor.sparse.CSRMatrix` (one large sparse graph,
+docs/sparse.md, or the block-diagonal adjacency of a ragged batch,
+docs/batching.md), which replaces every dense ``(N, N)`` product with
+gather/scatter + segment-reduce kernels in O(E) memory.
 """
 
 from __future__ import annotations
@@ -27,52 +28,8 @@ from repro.tensor import (
     segment_softmax,
     softmax,
     spmm,
-    sym_normalize,
     where,
 )
-
-
-def normalize_adjacency(adjacency, eps: float = 1e-8) -> Tensor:
-    """Symmetric normalisation ``D̃^{-1/2} Ã D̃^{-1/2}`` with self-loops.
-
-    Differentiable when ``adjacency`` is a Tensor.  Runs as the fused
-    :func:`repro.tensor.ops.sym_normalize` kernel — one tape node
-    instead of the six-op chain, same forward values bit for bit.
-    The layers never build this matrix (they call
-    :func:`repro.tensor.ops.gcn_propagate`); this materialises it for
-    callers and tests that need the operator itself.
-    """
-    adj = as_tensor(adjacency)
-    if adj.ndim != 2:
-        raise ValueError(f"expected (N, N) adjacency, got shape {adj.shape}")
-    return sym_normalize(adj, eps)
-
-
-def normalize_adjacency_sparse(adjacency: CSRMatrix, eps: float = 1e-8) -> CSRMatrix:
-    """Symmetric normalisation ``D̃^{-1/2} Ã D̃^{-1/2}`` on CSR structure.
-
-    The exact sparse twin of :func:`normalize_adjacency`: self-loops are
-    added (accumulating onto any existing diagonal, like the dense
-    ``A + I``), degrees come from row sums, and every stored entry is
-    scaled by both endpoints' inverse square-root degrees.  The result
-    is a *constant* — the sparse paths treat the input adjacency as
-    fixed structure (differentiable adjacencies only appear in the
-    coarsened levels, which stay dense).
-
-    Constancy also makes the result cacheable: every GCN layer at every
-    epoch normalises the same structure, so the normalised matrix is
-    memoised on the input's :meth:`~repro.tensor.sparse.CSRMatrix.cached`
-    store and computed once per adjacency.
-    """
-
-    def build(adjacency: CSRMatrix) -> CSRMatrix:
-        adj_tilde = adjacency.with_self_loops()
-        inv_sqrt = (adj_tilde.row_sums() + eps) ** -0.5
-        return adj_tilde.with_data(
-            inv_sqrt[adj_tilde.row_ids] * adj_tilde.data * inv_sqrt[adj_tilde.indices]
-        )
-
-    return adjacency.cached(("sym_norm", eps), build)
 
 
 def _self_loop_index_map(adj_tilde: CSRMatrix) -> np.ndarray:
@@ -131,11 +88,13 @@ class GCNLayer(Module):
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """One fused :func:`~repro.tensor.ops.gcn_propagate` call for
-        every dense adjacency: ``(N, N)`` with ``(N, F)`` features or a
-        padded ``(B, N, N)`` stack with ``(B, N, F)`` features, constant
-        or differentiable.  On a padded batch, padding rows produce
-        garbage that never reaches valid rows (their adjacency rows and
-        columns are zero); downstream masked reductions discard it."""
+        every adjacency: ``(N, N)`` with ``(N, F)`` features, a padded
+        ``(B, N, N)`` stack with ``(B, N, F)`` features (constant or
+        differentiable), or a constant CSR matrix — one graph, or the
+        block-diagonal adjacency of a ragged batch with its ``(ΣN, F)``
+        features.  On a padded batch, padding rows produce garbage that
+        never reaches valid rows (their adjacency rows and columns are
+        zero); downstream masked reductions discard it."""
         if edge_attr is not None:
             # Symmetric normalisation has no slot for per-edge attributes;
             # silently dropping them would be a modelling bug the lint rule
@@ -144,22 +103,7 @@ class GCNLayer(Module):
                 "GCNLayer cannot condition on edge_attr; use conv='gin', "
                 "'sage' or 'gat' for edge-featured graphs"
             )
-        h = as_tensor(h)
-        if isinstance(adjacency, CSRMatrix):
-            return self._forward_sparse(adjacency, h)
-        out = gcn_propagate(adjacency, h @ self.weight) + self.bias
-        return _activate(out, self.activation)
-
-    def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor) -> Tensor:
-        """Single-graph convolution over a constant CSR adjacency.
-
-        The same normalisation as the dense path — ``D̃^{-1/2} Ã D̃^{-1/2}``
-        applied edge-wise, then one :func:`~repro.tensor.ops.spmm` —
-        so outputs and gradients match :meth:`forward` to float
-        round-off (tests/test_sparse_equivalence.py).
-        """
-        normalized = normalize_adjacency_sparse(adjacency)
-        out = spmm(normalized, h @ self.weight) + self.bias
+        out = gcn_propagate(adjacency, as_tensor(h) @ self.weight) + self.bias
         return _activate(out, self.activation)
 
 
@@ -258,7 +202,8 @@ class GATLayer(Module):
         return _activate(out, self.activation)
 
     def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph attention over a constant CSR adjacency.
+        """Attention over a constant CSR adjacency: one graph, or the
+        block-diagonal adjacency of a ragged batch.
 
         Attention is computed only on stored edges plus self-loops via a
         segment softmax over each row's neighbourhood.  This matches the

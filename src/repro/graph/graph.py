@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.tensor.sparse import CSRMatrix
+
 #: per-instance CSR conversions (docs/sparse.md); keyed by graph
 #: identity so the cache dies with the graph and immutability keeps the
 #: cached structure valid forever
@@ -149,8 +151,6 @@ class Graph:
         (graphs are immutable), so repeated use pays the O(N²)
         compression scan once per graph.
         """
-        from repro.tensor.sparse import CSRMatrix
-
         cached = _CSR_CACHE.get(self)
         if cached is None:
             cached = CSRMatrix.from_dense(self.adjacency)

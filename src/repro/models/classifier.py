@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.batching import PaddedBatch, pad_graphs
+from repro.data.batching import GraphBatch, batch_graphs
 from repro.graph.graph import Graph
 from repro.models.common import (
     EmbeddingResult,
@@ -30,7 +30,8 @@ class GraphClassifier(Module):
     """Embedder + two fully-connected layers + task head.
 
     One graph runs through the embedder on its dense ``(N, N)``
-    adjacency, a list of graphs as one padded batch (docs/batching.md).
+    adjacency, a list of graphs as one ragged
+    :class:`~repro.data.batching.GraphBatch` (docs/batching.md).
     A large sparse graph enters at the embedder instead: its
     ``embed_levels`` takes a CSR adjacency (docs/sparse.md).
 
@@ -86,7 +87,7 @@ class GraphClassifier(Module):
 
     def forward(self, graph) -> Tensor:
         """Class logits: ``(C,)`` for a single :class:`Graph`, ``(B, C)``
-        for a :class:`~repro.data.batching.PaddedBatch` or a sequence of
+        for a :class:`~repro.data.batching.GraphBatch` or a sequence of
         graphs."""
         if isinstance(graph, Graph):
             return self.logits(graph)
@@ -110,14 +111,14 @@ class GraphClassifier(Module):
     # Batched execution path (docs/batching.md)
     # ------------------------------------------------------------------
     @staticmethod
-    def _as_batch(graphs) -> PaddedBatch:
-        if isinstance(graphs, PaddedBatch):
+    def _as_batch(graphs) -> GraphBatch:
+        if isinstance(graphs, GraphBatch):
             return graphs
-        return pad_graphs(list(graphs))
+        return batch_graphs(list(graphs))
 
     def logits_batched(self, graphs) -> Tensor:
         """Class logits ``(B, C)`` for a list of graphs or a
-        :class:`~repro.data.batching.PaddedBatch`.
+        :class:`~repro.data.batching.GraphBatch`.
 
         Matches :meth:`logits` row by row: the sum of per-level
         readouts feeds the same two fully-connected layers.
@@ -126,7 +127,7 @@ class GraphClassifier(Module):
         levels = self.embedder.embed_levels(
             batch.adjacency,
             Tensor(batch.features),
-            batch.mask,
+            batch.slots,
             edge_attr=batch.edge_features,
         )
         return self.fc2(relu(self.fc1(sum(levels[1:], levels[0]))))
@@ -134,20 +135,19 @@ class GraphClassifier(Module):
     def batch_loss(self, graphs) -> Tensor:
         """Mean task loss over the batch (equals the per-graph loop's
         mean of :meth:`loss`) plus any embedder auxiliary loss."""
-        if isinstance(graphs, PaddedBatch):
-            labels = graphs.labels
-        else:
-            graphs = list(graphs)
-            labels = [g.label for g in graphs]
-        if labels is None or any(label is None for label in labels):
+        batch = self._as_batch(graphs)
+        if batch.labels is None:
             raise ValueError("every graph in the batch needs a label")
-        outputs = self.logits_batched(graphs)
+        outputs = self.logits_batched(batch)
         if self.task == "regression":
             loss = mse_loss(
-                outputs.reshape(len(labels)), np.asarray(labels, dtype=np.float64)
+                outputs.reshape(batch.batch_size),
+                np.asarray(batch.labels, dtype=np.float64),
             )
         else:
-            loss = cross_entropy_batched(outputs, np.asarray(labels, dtype=np.int64))
+            loss = cross_entropy_batched(
+                outputs, np.asarray(batch.labels, dtype=np.int64)
+            )
         aux = getattr(self.embedder, "auxiliary_loss", lambda: None)()
         if aux is not None:
             loss = loss + aux * 0.1
@@ -168,13 +168,13 @@ class GraphClassifier(Module):
         return decoded.item() if decoded.ndim == 0 else decoded
 
     def predict(self, inputs):
-        """Prediction(s) for ``Graph | list[Graph] | PaddedBatch``.
+        """Prediction(s) for ``Graph | list[Graph] | GraphBatch``.
 
         The single entry point of the prediction surface: a bare
         :class:`Graph` returns a python ``int`` class (or ``float``
         target under ``task="regression"``); a sequence of graphs or a
-        :class:`~repro.data.batching.PaddedBatch` returns a ``(B,)``
-        array computed through one padded forward.  Both apply
+        :class:`~repro.data.batching.GraphBatch` returns a ``(B,)``
+        array computed through one batched forward.  Both apply
         :meth:`decode`.
         """
         with no_grad():

@@ -16,11 +16,18 @@ Uniform contract (enforced here, conformance-tested by
 ``tests/test_pooling_contract.py``):
 
 - Inputs: one graph — ``(N, N)`` adjacency and ``(N, F)`` features —
-  or a padded batch — ``(B, N, N)`` and ``(B, N, F)`` plus an optional
-  ``(B, N)`` validity mask (``None`` means every row is real).  The
-  adjacency is a numpy array, a ``Tensor``, a single-graph
-  :class:`~repro.tensor.sparse.CSRMatrix` (coarsenings) or ``None``
-  (readouts that ignore structure).
+  a padded batch — ``(B, N, N)`` and ``(B, N, F)`` plus an optional
+  ``(B, N)`` validity mask (``None`` means every row is real) — or a
+  ragged batch — its block-diagonal CSR adjacency, ``(ΣN, F)``
+  features and its :class:`~repro.data.batching.Slots` in place of the
+  mask (docs/batching.md).  The adjacency is a numpy array, a
+  ``Tensor``, a :class:`~repro.tensor.sparse.CSRMatrix` (coarsenings)
+  or ``None`` (readouts that ignore structure).
+- On a ragged batch, HAP's coarsening (``ragged = True``) selects on
+  the ``(ΣN, ·)`` rows.  Every other operator reads the batch's slots
+  view: ``(B, N_max, F)`` features, the ``(B, N_max)`` mask and, when
+  it ``reads_adjacency``, a dense ``(B, N_max, N_max)`` adjacency
+  stack.  Reduce and Connect then contract each graph's slots.
 - ``Readout(adjacency, h, mask=None) -> (..., out_features)``.
 - ``Coarsening(adjacency, h, mask=None, edge_attr=None) -> (A', H',
   mask')`` with ``A'`` of shape ``(..., K, K)`` and ``H'`` of shape
@@ -35,9 +42,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.data.batching import Slots
 from repro.nn.module import Module
 from repro.observe.tracing import span
-from repro.tensor import CSRMatrix, Tensor, as_tensor, coarsen_chain, matmul_tn
+from repro.tensor import (
+    CSRMatrix,
+    Tensor,
+    as_tensor,
+    coarsen_chain,
+    matmul_tn,
+    scatter_gather,
+    spmm,
+)
 
 
 def prepare_graph_inputs(adjacency, h, mask=None) -> tuple[object, Tensor, object]:
@@ -46,7 +62,8 @@ def prepare_graph_inputs(adjacency, h, mask=None) -> tuple[object, Tensor, objec
     ``h`` becomes a 2-D or 3-D ``Tensor``; a dense ``adjacency`` becomes
     a ``Tensor`` (``None`` and CSR pass through) after a shape check
     against ``h``; ``mask`` becomes a float array shaped like ``h``'s
-    rows.
+    rows (a ragged batch's :class:`~repro.data.batching.Slots` pass
+    through).
     """
     h = as_tensor(h)
     if h.ndim not in (2, 3):
@@ -66,7 +83,7 @@ def prepare_graph_inputs(adjacency, h, mask=None) -> tuple[object, Tensor, objec
                 f"adjacency of shape {shape} does not match the "
                 f"{h.shape[-2]} nodes of features {h.shape}"
             )
-    if mask is not None:
+    if mask is not None and not isinstance(mask, Slots):
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != h.shape[:-1]:
             raise ValueError(
@@ -136,9 +153,15 @@ class Readout(Module):
 
     #: output embedding dimension; set by subclasses.
     out_features: int
+    #: whether :meth:`readout` reads the adjacency; on a ragged batch it
+    #: then gets a dense ``(B, N_max, N_max)`` stack with the slots view
+    reads_adjacency: bool = False
 
     def forward(self, adjacency, h: Tensor, mask=None) -> Tensor:
         adjacency, h, mask = prepare_graph_inputs(adjacency, h, mask)
+        if isinstance(mask, Slots):
+            adjacency = mask.dense(adjacency) if self.reads_adjacency else None
+            h, mask = mask.scatter(h), mask.mask
         out = self.readout(adjacency, h, mask)
         expected = h.shape[:-2] + (self.out_features,)
         if out.shape != expected:
@@ -164,6 +187,12 @@ class Coarsening(Module):
     #: without it reject ``edge_attr`` loudly rather than dropping bond
     #: types on the floor (docs/molecular.md).
     supports_edge_attr: bool = False
+    #: whether :meth:`select` runs on a ragged batch's ``(ΣN, ·)`` rows;
+    #: otherwise it runs on the batch's slots view (module docstring)
+    ragged: bool = False
+    #: whether :meth:`select` reads the adjacency; on a ragged batch's
+    #: slots view it then gets a dense ``(B, N_max, N_max)`` stack
+    reads_adjacency: bool = True
 
     _aux: Tensor | None = None
 
@@ -177,20 +206,52 @@ class Coarsening(Module):
                 "use HAP coarsening built with edge_features > 0"
             )
         with span("coarsen"):
-            selection = self.select(adjacency, h, mask, edge_attr)
-            s = selection.s
-            if s.shape[:-1] != h.shape[:-1]:
-                raise AssertionError(
-                    f"{type(self).__name__}.select returned an assignment of "
-                    f"shape {s.shape} for features of shape {h.shape}"
+            if isinstance(mask, Slots):
+                selection, adj_coarse, h_coarse = self._ragged(
+                    adjacency, h, mask, edge_attr
                 )
-            h_coarse = reduce(selection, h)
-            adj_coarse = coarsen_chain(s, adjacency)  # Connect
+            else:
+                selection = self._select(adjacency, h, mask, edge_attr)
+                h_coarse = reduce(selection, h)
+                adj_coarse = coarsen_chain(selection.s, adjacency)  # Connect
             aux = selection.aux
             self._aux = aux(adj_coarse) if callable(aux) else aux
             if selection.post is not None:
                 adj_coarse = selection.post(adj_coarse)
         return adj_coarse, h_coarse, selection.mask
+
+    def _select(self, adjacency, h: Tensor, mask, edge_attr) -> Selection:
+        selection = self.select(adjacency, h, mask, edge_attr)
+        if selection.s.shape[:-1] != h.shape[:-1]:
+            raise AssertionError(
+                f"{type(self).__name__}.select returned an assignment of "
+                f"shape {selection.s.shape} for features of shape {h.shape}"
+            )
+        return selection
+
+    def _ragged(self, adjacency: CSRMatrix, h: Tensor, slots: Slots, edge_attr):
+        """Select, Reduce and Connect on a ragged batch.
+
+        Reduce ``Sᵀ H`` and Connect ``Sᵀ (A S)`` contract each graph's
+        slots as batched products; ``A S`` runs on the block-diagonal
+        CSR, whose rows are scattered into slots like ``S`` and ``H``.
+        """
+        if self.ragged:
+            selection = self._select(adjacency, h, slots, edge_attr)
+            rows = selection.s
+            s = slots.scatter(rows)
+            features = slots.scatter(h if selection.h is None else selection.h)
+        else:
+            dense = slots.dense(adjacency) if self.reads_adjacency else None
+            features = slots.scatter(h)
+            selection = self._select(dense, features, slots.mask, edge_attr)
+            s = selection.s
+            rows = scatter_gather(s.reshape(-1, s.shape[-1]), slots.index)
+            if selection.h is not None:
+                features = selection.h
+        h_coarse = reduce(Selection(s, gate=selection.gate), features)
+        adj_coarse = matmul_tn(s, slots.scatter(spmm(adjacency, rows)))
+        return selection, adj_coarse, h_coarse
 
     def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
         raise NotImplementedError

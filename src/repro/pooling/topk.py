@@ -99,6 +99,8 @@ class GPool(TopKCoarsening):
     vector: ``y = H p / ||p||``.
     """
 
+    reads_adjacency = False
+
     def __init__(self, in_features: int, rng: np.random.Generator, ratio: float = 0.5):
         super().__init__(ratio=ratio, gate="tanh")
         self.projection = Parameter(
@@ -128,6 +130,8 @@ class SAGPool(TopKCoarsening):
 
 class AttPoolGlobal(TopKCoarsening):
     """AttPool with global soft attention scoring (Huang et al. 2019)."""
+
+    reads_adjacency = False
 
     def __init__(self, in_features: int, rng: np.random.Generator, ratio: float = 0.5):
         super().__init__(ratio=ratio, gate="softmax")

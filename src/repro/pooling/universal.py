@@ -14,7 +14,8 @@
 
 Every readout reduces over the node axis of one graph ``(N, F)`` or of
 a padded batch ``(B, N, F)``, ignoring the rows its mask marks as
-padding.
+padding; a ragged batch reaches them as its slots view
+(:class:`~repro.pooling.base.Readout`).
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class MaxPool(Readout):
 class GCNConcat(Readout):
     """Concatenate every GCN layer's node output, then mean over nodes."""
 
+    reads_adjacency = True
+
     def __init__(self, encoder: GNNEncoder):
         super().__init__()
         self.encoder = encoder
@@ -140,6 +143,8 @@ class GatedAttPool(Readout):
 class MeanPoolCoarsening(Coarsening):
     """N -> 1 coarsening by mean aggregation (HAP-MeanPool ablation)."""
 
+    reads_adjacency = False
+
     def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
         counts = np.asarray(node_counts(h, mask), dtype=np.float64)
         s = np.ones(h.shape[:-1] + (1,)) / counts[..., None, None]
@@ -148,6 +153,8 @@ class MeanPoolCoarsening(Coarsening):
 
 class MeanAttPoolCoarsening(Coarsening):
     """N -> 1 coarsening by mean-context attention (HAP-MeanAttPool)."""
+
+    reads_adjacency = False
 
     def __init__(self, in_features: int, rng: np.random.Generator):
         super().__init__()

@@ -8,8 +8,8 @@ first one arrives — and executes the whole batch at once:
 
 - **classify** misses run through the unified
   :meth:`~repro.models.classifier.GraphClassifier.predict` batch path,
-  so B concurrent requests cost one padded 3-D forward instead of B
-  2-D ones (the PR 1 throughput win, amortised across users);
+  so B concurrent requests cost one ragged batched forward instead of
+  B per-graph ones; a lone miss runs ``predict(graph)`` itself;
 - **embed** runs per graph through ``model.embed`` — the exact offline
   arithmetic — and fills the LRU :class:`~repro.serve.cache.EmbeddingCache`,
   so a repeated graph skips the forward pass entirely and the served
@@ -20,9 +20,8 @@ first one arrives — and executes the whole batch at once:
 Classification consults the cache too: a cached embedding re-enters the
 head via ``logits_from_embedding`` (bit-for-bit the offline ``logits``)
 and the model's own ``decode`` rule, but classify *misses* never
-populate the cache — the padded batch's row embeddings match the
-per-graph path only to float round-off, and the cache's contract is
-exactness.
+populate the cache — a batch's row embeddings match the per-graph
+path only to float round-off, and the cache's contract is exactness.
 
 Weight updates are detected by re-fingerprinting the model per batch
 (:func:`repro.nn.serialization.module_fingerprint`); a changed
@@ -181,7 +180,7 @@ class InferenceService:
         """Submit a burst of classify requests, then gather.
 
         Submitting everything before the first wait is what lets the
-        worker coalesce the burst into padded batches.
+        worker coalesce the burst into batches.
         """
         futures = [self.submit("classify", g) for g in graphs]
         return [f.result(timeout) for f in futures]
@@ -309,11 +308,17 @@ class InferenceService:
                     request.future.set_exception(exc)
         if not misses:
             return
+        graphs = [r.graph for r in misses]
         try:
-            predictions = self.model.predict([r.graph for r in misses])
+            # A lone miss is one graph, answered exactly as offline
+            # ``predict(graph)`` answers it.
+            if len(graphs) == 1:
+                predictions = [self.model.predict(graphs[0])]
+            else:
+                predictions = self.model.predict(graphs).tolist()
         except Exception:
-            # One bad graph poisons a padded batch; retry serially so it
-            # only fails its own future.
+            # One bad graph poisons a batch; retry serially so it only
+            # fails its own future.
             for request in misses:
                 try:
                     request.future.set_result(self.model.predict(request.graph))
@@ -321,7 +326,7 @@ class InferenceService:
                     request.future.set_exception(exc)
             return
         for request, predicted in zip(misses, predictions):
-            request.future.set_result(predicted.item())
+            request.future.set_result(predicted)
 
     def _serve_embedding(self, request: _Request, fingerprint: str) -> None:
         try:

@@ -18,13 +18,14 @@ Functional ops
     leaky_relu, sigmoid, tanh, exp, log, sqrt, power, maximum, where,
     sum, mean, max, reshape, transpose, pad, dropout_mask`` and friends,
     re-exported from :mod:`repro.tensor.ops`.  ``masked_softmax``
-    backs the padded dense-batch execution path (docs/batching.md);
+    backs the padded dense-batch execution path and ``to_slots`` the
+    per-graph contractions of a ragged batch (docs/batching.md);
     sparse primitives (``segment_sum, scatter_gather, spmm,
     segment_softmax``) over a constant ``CSRMatrix`` back the layers'
     CSR paths (docs/sparse.md); fused hot-path kernels
-    (``masked_softmax_mean, matmul_tn, coarsen_chain, sym_normalize,
-    gcn_propagate``) collapse the profiled MOA/coarsening/GCN chains
-    into single tape nodes (docs/performance.md).
+    (``masked_softmax_mean, matmul_tn, coarsen_chain, gcn_propagate``)
+    collapse the profiled MOA/coarsening/GCN chains into single tape
+    nodes (docs/performance.md).
 ``BufferPool`` / ``buffer_pool`` / ``get_buffer_pool``
     Step-to-step gradient buffer recycling for the backward pass
     (:mod:`repro.tensor.pool`).
@@ -72,8 +73,8 @@ from repro.tensor.ops import (
     sqrt,
     stack,
     sum_along,
-    sym_normalize,
     tanh,
+    to_slots,
     transpose,
     where,
 )
@@ -121,8 +122,8 @@ __all__ = [
     "sqrt",
     "stack",
     "sum_along",
-    "sym_normalize",
     "tanh",
+    "to_slots",
     "transpose",
     "where",
     "BufferPool",

@@ -25,25 +25,28 @@ an ``(N, N)`` array inside a sparse code path defeats its purpose, and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 try:  # pragma: no cover - scipy is a declared dependency; the fallback
-    # keeps the kernels importable on a stripped-down interpreter
-    import scipy.sparse as _scipy_sparse
+    # keeps the kernels importable on a stripped-down interpreter.
+    # _sparsetools holds the compiled loops scipy's own sparse products
+    # call; calling them directly skips building a matrix object.
+    from scipy.sparse import _sparsetools
 except ImportError:  # pragma: no cover
-    _scipy_sparse = None
+    _sparsetools = None
 
 
 class CSRMatrix:
     """A constant sparse matrix in compressed-sparse-row layout.
 
     Because the structure *and* values are constant, every derived
-    quantity — the COO row ids, the scipy handle driving
-    :func:`repro.tensor.ops.spmm`, the transpose permutation used by its
-    backward scatter, self-loop/normalised variants — is computed once
-    and cached on the instance (``docs/performance.md``).  Caches never
-    travel through pickle: a round-tripped matrix carries only the four
-    defining arrays and rebuilds lazily.
+    quantity — the COO row ids, GCN's degree scaling, the self-loop
+    variant — is computed once and cached on the instance
+    (``docs/performance.md``).  Caches never travel through pickle: a
+    round-tripped matrix carries only the four defining arrays and
+    rebuilds lazily.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_row_ids", "_cache")
@@ -99,19 +102,15 @@ class CSRMatrix:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
 
     # ------------------------------------------------------------------
-    # Pickling: ship only the defining arrays, never the caches (scipy
-    # handles and derived matrices would bloat shard/checkpoint payloads
-    # and every worker can rebuild them lazily anyway).
+    # Pickling: ship only the defining arrays, never the caches (derived
+    # matrices would bloat shard/checkpoint payloads and every worker can
+    # rebuild them lazily anyway).
     # ------------------------------------------------------------------
     def __getstate__(self):
         return (self.indptr, self.indices, self.data, self.shape)
 
     def __setstate__(self, state):
-        indptr, indices, data, shape = state
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.shape = shape
+        self.indptr, self.indices, self.data, self.shape = state
         self._row_ids = None
         self._cache = {}
 
@@ -119,95 +118,92 @@ class CSRMatrix:
         return (_rebuild_csr, self.__getstate__())
 
     # ------------------------------------------------------------------
-    # Cached execution-kernel structures (docs/performance.md)
+    # The product kernel (docs/performance.md)
     # ------------------------------------------------------------------
-    def scipy_csr(self):
-        """The scipy CSR handle for forward ``A @ H`` products.
+    def matmul(self, dense, values=None, transpose: bool = False) -> np.ndarray:
+        """``A @ dense``, or ``Aᵀ @ dense`` with ``transpose=True``.
 
-        scipy's compiled kernel accumulates each output row over its
-        column-sorted entries — the same order ``np.add.at`` walks them —
-        so results are bitwise identical to the scatter-add reference
-        (tests/test_fused_kernels.py) at a fraction of the cost.
-        Returns None when scipy is unavailable.
+        ``dense`` is ``(M, ...)`` against the matching side of ``A``;
+        ``values`` replaces the stored entries' data (per-edge weights).
+        scipy's compiled kernels run on this matrix's own arrays: the
+        product reads them as CSR and the transposed product as the CSC
+        layout of ``Aᵀ``, so no transposed structure is sorted and no
+        scipy matrix is built per call.  Both accumulate each output row
+        over its entries in ascending order of their other index, the
+        order the ``np.add.at`` reference below walks them, so compiled
+        and reference results agree bitwise (tests/test_fused_kernels.py).
         """
-        if _scipy_sparse is None:
-            return None
-        handle = self._cache.get("scipy")
-        if handle is None:
-            handle = _scipy_sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape
+        data = self.data if values is None else np.asarray(values, dtype=np.float64)
+        dense = np.ascontiguousarray(dense, dtype=np.float64)
+        out = np.zeros((self.shape[1 if transpose else 0],) + dense.shape[1:])
+        if _sparsetools is None:
+            rows, cols = self.row_ids, self.indices
+            if transpose:
+                rows, cols = cols, rows
+            weights = data.reshape((-1,) + (1,) * (dense.ndim - 1))
+            np.add.at(out, rows, weights * dense[cols])
+            return out
+        # Aᵀ in CSC layout is (n_cols, n_rows) over the same three arrays.
+        shape = self.shape[::-1] if transpose else self.shape
+        kind = "csc" if transpose else "csr"
+        if dense.ndim == 1:
+            getattr(_sparsetools, f"{kind}_matvec")(
+                *shape, self.indptr, self.indices, data, dense, out
             )
-            self._cache["scipy"] = handle
-        return handle
-
-    def transpose_permutation(self):
-        """``(perm, t_indices, t_indptr)`` mapping entries into the
-        transposed CSR layout (sorted by column, then row).
-
-        The backward scatter of :func:`repro.tensor.ops.spmm` is exactly
-        ``A^T @ G``; reordering the edge values with ``perm`` into this
-        layout lets scipy run it as a forward product while preserving
-        the accumulation order of the ``np.add.at`` reference.
-        """
-        cached = self._cache.get("t_perm")
-        if cached is None:
-            row_ids, col_ids = self.row_ids, self.indices
-            perm = np.lexsort((row_ids, col_ids))
-            t_indptr = np.zeros(self.shape[1] + 1, dtype=np.intp)
-            np.cumsum(
-                np.bincount(col_ids, minlength=self.shape[1]), out=t_indptr[1:]
+        else:
+            getattr(_sparsetools, f"{kind}_matvecs")(
+                *shape, math.prod(dense.shape[1:]), self.indptr,
+                self.indices, data, dense.reshape(-1), out.reshape(-1),
             )
-            cached = (perm, row_ids[perm], t_indptr)
-            self._cache["t_perm"] = cached
-        return cached
-
-    def scipy_csr_with(self, values: np.ndarray):
-        """A scipy CSR handle over this structure with per-edge
-        ``values`` (the differentiable-weights forward of :func:`spmm`)."""
-        if _scipy_sparse is None:
-            return None
-        return _scipy_sparse.csr_matrix(
-            (np.asarray(values), self.indices, self.indptr), shape=self.shape
-        )
-
-    def scipy_csr_t(self):
-        """Cached scipy handle of the transposed matrix (constant data)."""
-        if _scipy_sparse is None:
-            return None
-        handle = self._cache.get("scipy_t")
-        if handle is None:
-            perm, t_indices, t_indptr = self.transpose_permutation()
-            handle = _scipy_sparse.csr_matrix(
-                (self.data[perm], t_indices, t_indptr),
-                shape=(self.shape[1], self.shape[0]),
-            )
-            self._cache["scipy_t"] = handle
-        return handle
-
-    def scipy_csr_t_with(self, values: np.ndarray):
-        """Transposed scipy handle carrying per-edge ``values`` (the
-        differentiable-weights backward of :func:`spmm`)."""
-        if _scipy_sparse is None:
-            return None
-        perm, t_indices, t_indptr = self.transpose_permutation()
-        return _scipy_sparse.csr_matrix(
-            (np.asarray(values)[perm], t_indices, t_indptr),
-            shape=(self.shape[1], self.shape[0]),
-        )
+        return out
 
     # ------------------------------------------------------------------
     # Construction / conversion
     # ------------------------------------------------------------------
+    @classmethod
+    def _unchecked(cls, indptr, indices, data, shape) -> "CSRMatrix":
+        """Wrap arrays already in valid CSR layout, skipping the checks of
+        ``__init__`` (each costs a pass over the entries, and the
+        constructors below build their arrays valid)."""
+        out = cls.__new__(cls)
+        out.__setstate__((indptr, indices, data, shape))
+        return out
+
+    @classmethod
+    def block_diagonal(cls, blocks) -> "CSRMatrix":
+        """``blocks`` along the diagonal of one matrix, in order.
+
+        Each block's entries keep their order, shifted past the rows and
+        columns of the blocks before it, so per-entry arrays of the
+        blocks (edge attributes) concatenate into arrays aligned with
+        the result.  One concatenation per array, no sort.
+        """
+        # (rows, cols, entries) of every block, and where each starts
+        dims = np.array(
+            [(*b.shape, b.indices.shape[0]) for b in blocks], dtype=np.intp
+        )
+        starts = np.cumsum(dims, axis=0) - dims
+        total = starts[-1] + dims[-1]
+        indptr = np.concatenate([b.indptr[:-1] for b in blocks] + [total[2:]])
+        indptr[:-1] += np.repeat(starts[:, 2], dims[:, 0])
+        indices = np.concatenate([b.indices for b in blocks])
+        indices += np.repeat(starts[:, 1], dims[:, 2])
+        data = np.concatenate([b.data for b in blocks])
+        return cls._unchecked(indptr, indices, data, (int(total[0]), int(total[1])))
+
     @classmethod
     def from_dense(cls, dense) -> "CSRMatrix":
         """Compress a dense 2-D array, dropping exact zeros."""
         arr = np.asarray(dense, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        rows, cols = np.nonzero(arr)
-        indptr = np.zeros(arr.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=arr.shape[0]), out=indptr[1:])
-        return cls(indptr, cols, arr[rows, cols], arr.shape)
+        # Row-major positions of the entries: row i's start at i * n_cols.
+        flat = np.flatnonzero(arr)
+        n_rows, n_cols = arr.shape
+        indptr = np.searchsorted(flat, np.arange(n_rows + 1) * n_cols)
+        return cls._unchecked(
+            indptr, flat % max(n_cols, 1), arr.reshape(-1)[flat], arr.shape
+        )
 
     @classmethod
     def from_coo(cls, rows, cols, values, shape: tuple[int, int]) -> "CSRMatrix":
@@ -237,7 +233,7 @@ class CSRMatrix:
             rows, cols, values = rows[new_entry], cols[new_entry], merged
         indptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return cls(indptr, cols, values, (n_rows, n_cols))
+        return cls._unchecked(indptr, cols, values, (n_rows, n_cols))
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full ``(N, M)`` array — conversion/testing
@@ -256,7 +252,7 @@ class CSRMatrix:
             raise ValueError(
                 f"data shape {data.shape} does not match nnz ({self.nnz},)"
             )
-        out = CSRMatrix(self.indptr, self.indices, data, self.shape)
+        out = CSRMatrix._unchecked(self.indptr, self.indices, data, self.shape)
         out._row_ids = self._row_ids
         return out
 

@@ -3,9 +3,12 @@
 All three tasks train the same way: shuffle examples, take one loss
 per mini-batch, Adam step, optionally track a validation metric with
 early stopping and best-weight restoration (the paper's Adam + 8:1:1
-protocol, Sec. 6.1.3).  A mini-batch's loss is one padded forward
+protocol, Sec. 6.1.3).  A mini-batch's loss is one batched forward
 (``model.batch_loss``) for every model that has one, and the mean of
-the per-example losses otherwise (see :func:`fit`).
+the per-example losses otherwise (see :func:`fit`).  Steps run without
+a gradient :class:`~repro.tensor.pool.BufferPool`: the pool keys free
+buffers by exact shape, and a ragged batch has a new node count at
+every step (docs/performance.md).
 
 Runs are fault tolerant: with ``TrainConfig(checkpoint_dir=...)`` the
 loop snapshots its complete state (model, optimizer moments, RNG,
@@ -29,7 +32,6 @@ from repro.nn.module import Module
 from repro.nn.optim import Adam
 from repro.observe.callbacks import Callback, CallbackList
 from repro.observe.tracing import span
-from repro.tensor.pool import BufferPool, buffer_pool
 from repro.training.checkpoint import CheckpointManager, load_checkpoint
 
 
@@ -47,7 +49,7 @@ class TrainConfig:
     #: clip the global gradient norm (None disables)
     grad_clip: float | None = None
     #: train each mini-batch in one forward (docs/batching.md): ``fit``
-    #: calls ``batch_loss_fn`` or the model's ``batch_loss`` (one padded
+    #: calls ``batch_loss_fn`` or the model's ``batch_loss`` (one batched
     #: forward and backward) where it can, and falls back to the mean of
     #: per-example losses otherwise.  ``False`` always runs that
     #: per-example loop, the reference the batched path is tested against
@@ -123,7 +125,7 @@ def fit(
     1. ``batch_loss_fn(model, chunk)`` when the caller passed one;
     2. ``model.batch_loss(chunk)`` when ``config.batched`` is set (the
        default), the caller passed no ``loss_fn`` and the model has a
-       ``batch_loss``: one padded forward and backward per mini-batch;
+       ``batch_loss``: one batched forward and backward per mini-batch;
     3. the mean of ``loss_fn(model, example)`` over the mini-batch.
 
     Rules 1 and 2 optimise the same objective as rule 3 (see
@@ -190,10 +192,6 @@ def fit(
         loss_fn = lambda m, ex: m.loss(ex)  # noqa: E731 - tiny default
     events = CallbackList(callbacks)
     optimizer = Adam(model.parameters(), lr=config.lr)
-    # One pool for the whole run so freed gradient buffers from step k
-    # are reused by step k+1; activated around each step's
-    # zero_grad/backward pair (a cheap thread-local swap).
-    train_pool = BufferPool()
     history = TrainHistory()
     if config.metric_mode == "min":
         history.best_metric = np.inf
@@ -292,7 +290,7 @@ def fit(
                 if step < first_step:
                     continue
                 batch = order[start : start + config.batch_size]
-                with span("step"), buffer_pool(train_pool):
+                with span("step"):
                     optimizer.zero_grad()
                     with span("forward"):
                         if batch_loss_fn is not None:

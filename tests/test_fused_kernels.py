@@ -2,8 +2,8 @@
 
 The ``pytest -m fused`` CI gate (docs/performance.md): every fused
 kernel in :mod:`repro.tensor.ops` — ``masked_softmax_mean``,
-``matmul_tn``, ``coarsen_chain``, ``sym_normalize``, ``gcn_propagate``
-— is pinned against the multi-node tape composition it replaced, on all
+``matmul_tn``, ``coarsen_chain``, ``gcn_propagate`` — and the
+``sym_normalize`` oracle of tests/gcn_reference.py are pinned against the multi-node tape composition it replaced, on all
 three execution paths (dense single-graph, sparse CSR, padded batch):
 
 - forward values bitwise where the kernel preserves arithmetic order,
@@ -36,9 +36,9 @@ from repro.tensor import (
     matmul_tn,
     softmax,
     spmm,
-    sym_normalize,
     transpose,
 )
+from tests.gcn_reference import normalize_adjacency, sym_normalize
 
 pytestmark = pytest.mark.fused
 
@@ -216,33 +216,57 @@ class TestCoarsenChain:
 class TestSpmmScipyPath:
     """scipy-backed spmm is bitwise identical to the scatter reference.
 
-    The compiled CSR kernel accumulates each output row over its
-    column-sorted entries in the same order the ``np.add.at`` reference
-    walks them, so the two paths agree bitwise (the ops.py docstring
-    relies on this).
+    The compiled kernels accumulate each output row over its entries in
+    ascending order of their other index — the CSR product by column,
+    the transposed (CSC) product by row — the order the ``np.add.at``
+    reference walks them, so the two paths agree bitwise (the
+    ``CSRMatrix.matmul`` docstring relies on this).
     """
 
-    def test_forward_and_backward_bitwise(self, monkeypatch):
+    @staticmethod
+    def _bitwise(monkeypatch, weighted):
+        import repro.tensor.sparse as sparse_mod
+
         rng = _rng(21)
         csr = random_sparse_csr(40, 5, rng)
         h1 = Tensor(rng.normal(size=(40, 6)), requires_grad=True)
         h2 = Tensor(h1.data.copy(), requires_grad=True)
+        weights = rng.random(csr.nnz)
+        v1 = Tensor(weights, requires_grad=True) if weighted else None
+        v2 = Tensor(weights.copy(), requires_grad=True) if weighted else None
         grad = rng.normal(size=(40, 6))
-        out_scipy = spmm(csr, h1)
+        out_scipy = spmm(csr, h1, values=v1)
         out_scipy.backward(grad)
         with monkeypatch.context() as patched:
-            patched.setattr(CSRMatrix, "scipy_csr", lambda self: None)
-            patched.setattr(CSRMatrix, "scipy_csr_t", lambda self: None)
-            out_ref = spmm(csr, h2)
+            patched.setattr(sparse_mod, "_sparsetools", None)
+            out_ref = spmm(csr, h2, values=v2)
             out_ref.backward(grad)
         assert np.array_equal(out_scipy.data, out_ref.data)
         assert np.array_equal(h1.grad, h2.grad)
+        if weighted:
+            assert np.array_equal(v1.grad, v2.grad)
+
+    def test_forward_and_backward_bitwise(self, monkeypatch):
+        self._bitwise(monkeypatch, weighted=False)
+
+    def test_edge_weighted_forward_and_backward_bitwise(self, monkeypatch):
+        self._bitwise(monkeypatch, weighted=True)
+
+    def test_transposed_product_needs_no_transposed_structure(self):
+        """``Aᵀ @ G`` of a non-symmetric CSR equals the product with its
+        sorted transpose, bitwise, without building one."""
+        rng = _rng(27)
+        dense = (rng.random((9, 7)) < 0.4) * rng.normal(size=(9, 7))
+        csr = CSRMatrix.from_dense(dense)
+        g = rng.normal(size=(9, 3))
+        fast = csr.matmul(g, transpose=True)
+        assert "transpose" not in csr._cache
+        assert np.array_equal(fast, csr.transpose().matmul(g))
+        np.testing.assert_allclose(fast, dense.T @ g, atol=1e-12, rtol=0)
 
 
 class TestSymNormalize:
     def test_single_matches_unfused_chain_bitwise(self):
-        from repro.gnn.layers import normalize_adjacency
-
         rng = _rng(17)
         adj = rng.random((9, 9))
         fused = sym_normalize(Tensor(adj))
@@ -315,6 +339,27 @@ class TestGCNPropagate:
         oracle.backward(grad)
         np.testing.assert_allclose(x1.grad, x2.grad, atol=self.EXACT, rtol=0)
         np.testing.assert_allclose(a1.grad, a2.grad, atol=self.EXACT, rtol=0)
+
+    def test_csr_matches_dense(self):
+        """A CSR adjacency keeps the self-loop as a separate term too;
+        its per-entry weights are cached on the matrix."""
+        rng = _rng(28)
+        dense = np.triu((rng.random((8, 8)) < 0.4) * rng.random((8, 8)), 1)
+        dense = dense + dense.T
+        csr = CSRMatrix.from_dense(dense)
+        x1 = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        x2 = Tensor(x1.data.copy(), requires_grad=True)
+        sparse_out = gcn_propagate(csr, x1)
+        dense_out = gcn_propagate(dense, x2)
+        np.testing.assert_allclose(
+            sparse_out.data, dense_out.data, atol=self.EXACT, rtol=0
+        )
+        grad = rng.normal(size=(8, 3))
+        sparse_out.backward(grad)
+        dense_out.backward(grad)
+        np.testing.assert_allclose(x1.grad, x2.grad, atol=self.EXACT, rtol=0)
+        assert ("gcn_weights", 1e-8) in csr._cache
+        check_gradients(lambda: (gcn_propagate(csr, x1) ** 2.0).sum(), [x1])
 
     @pytest.mark.parametrize(
         "adj_shape,feat_shape", [((5, 5), (5, 3)), ((2, 4, 4), (2, 4, 3))]

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.gnn import GATLayer, GCNLayer, GNNEncoder, normalize_adjacency
+from repro.gnn import GATLayer, GCNLayer, GNNEncoder
 from repro.graph import cycle_graph, random_connected
 from repro.tensor import Tensor, check_gradients
+from tests.gcn_reference import normalize_adjacency
 
 
 class TestNormalizeAdjacency:

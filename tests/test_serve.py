@@ -111,6 +111,31 @@ class TestFaithfulness:
         assert service.cache.hits - hits_before == len(graphs)
         np.testing.assert_allclose(coalesced, offline, rtol=0, atol=1e-9)
 
+    def test_a_bond_type_change_is_not_served_from_the_cache(self, registry):
+        """Two molecules that differ only in one bond's type: the service
+        embeds each as the offline model does, instead of answering the
+        second from the first one's cache entry."""
+        graphs, dim, _ = prepare_dataset("ESOL", 4, np.random.default_rng(0))
+        graph = graphs[0]
+        rolled = graph.edge_features.copy()
+        i, j = np.argwhere(np.triu(graph.adjacency, 1))[0]
+        rolled[i, j] = rolled[j, i] = np.roll(rolled[i, j], 1)
+        other = graph.with_edge_features(rolled)
+        model = make_classifier(
+            "HAP", dim, 0, np.random.default_rng(0), hidden=8,
+            cluster_sizes=(4, 1), conv="gin", task="regression",
+            edge_features=graph.num_edge_features,
+        )
+        model.eval()
+        offline = [model.embed(g).vector for g in (graph, other)]
+        assert not np.array_equal(offline[0], offline[1])
+        with InferenceService(model) as service:
+            served = [service.embed(g) for g in (graph, other)]
+            assert served[0].graph_hash != served[1].graph_hash
+            for result, vector in zip(served, offline):
+                np.testing.assert_array_equal(result.vector, vector)
+            assert service.classify(other) == model.predict(other)
+
     def test_weight_update_invalidates_served_embeddings(
         self, registry, model, corpus
     ):

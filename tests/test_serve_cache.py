@@ -113,6 +113,21 @@ class TestGraphHash:
         reweighted = graph.adjacency * 2.0
         assert graph_hash(Graph(reweighted, features=graph.features)) != baseline
 
+    def test_covers_bond_features(self):
+        """A molecule and a copy with one bond's type rolled differ in
+        what the forward reads, so they must not share a cache key."""
+        graphs, _, _ = prepare_dataset("ESOL", 4, np.random.default_rng(0))
+        graph = graphs[0]
+        rolled = graph.edge_features.copy()
+        i, j = np.argwhere(np.triu(graph.adjacency, 1))[0]
+        rolled[i, j] = rolled[j, i] = np.roll(rolled[i, j], 1)
+        assert not np.array_equal(rolled, graph.edge_features)
+        other = graph.with_edge_features(rolled)
+        assert graph_hash(other) != graph_hash(graph)
+        assert graph_hash(other) == graph_hash(graph.with_edge_features(rolled))
+        plain = Graph(graph.adjacency, features=graph.features)
+        assert graph_hash(plain) != graph_hash(graph)
+
     def test_ignores_labels_and_meta(self):
         # labels/meta never feed the forward pass, so they must not
         # split cache entries.

@@ -31,10 +31,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import GraphCoarsening, build_hap_embedder
 from repro.data import pad_graphs
 from repro.gnn import GNNEncoder
-from repro.gnn.layers import normalize_adjacency, normalize_adjacency_sparse
 from repro.graph import Graph, random_connected
 from repro.models.classifier import GraphClassifier
 from repro.tensor import CSRMatrix, Tensor, check_gradients, spmm
+from tests.gcn_reference import normalize_adjacency, normalize_adjacency_sparse
 
 pytestmark = pytest.mark.sparse
 

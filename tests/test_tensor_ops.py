@@ -102,6 +102,26 @@ class TestActivations:
         out.sum().backward()
         np.testing.assert_allclose(a.grad, [0.1, 1.0])
 
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 0.0, 1.5, -0.1])
+    def test_leaky_relu_matches_the_where_formula_bitwise(self, rng, slope):
+        """The kernel keeps one slope factor for its output and its
+        backward; both equal the ``np.where`` formulation bit for bit,
+        signed zeros, infinities and NaN included."""
+        data = np.concatenate([
+            rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320],
+        ])
+        grad = rng.normal(size=data.shape)
+        a = Tensor(data.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):  # 0.0 * inf is NaN on both sides
+            out = leaky_relu(a, slope)
+            out.backward(grad)
+            positive = data > 0
+            expected = np.where(positive, data, slope * data)
+            expected_grad = grad * np.where(positive, 1.0, slope)
+        assert out.data.tobytes() == expected.tobytes()
+        assert a.grad.tobytes() == expected_grad.tobytes()
+
     def test_sigmoid_range_and_grad(self, rng):
         a = _param(rng, (6,))
         out = sigmoid(a)

@@ -5,15 +5,16 @@ These tests pin down that
 
 - plain ``__call__`` on padded inputs reproduces the per-graph loop,
 - the old ``forward_batched`` / ``*_batched`` aliases are gone,
-- batch-shaped containers (``PaddedBatch``, plain graph lists) are
-  accepted directly by the model-level APIs.
+- batch-shaped containers (``PaddedBatch`` for the embedder,
+  ``GraphBatch`` and plain graph lists for the classifier) are accepted
+  directly by the model-level APIs.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import MOA, GraphCoarsening, build_hap_embedder
-from repro.data import pad_graphs
+from repro.data import batch_graphs, pad_graphs
 from repro.core.gcont import GCont
 from repro.gnn import GATLayer, GCNLayer, GINLayer, GNNEncoder, SAGELayer
 from repro.graph import random_connected
@@ -179,7 +180,7 @@ class TestModelDispatch:
     def test_call_accepts_graph_batch_and_list(self, rng, graphs):
         model = self._model()
         model.eval()
-        batch = pad_graphs(graphs)
+        batch = batch_graphs(graphs)
         logits_b = model(batch)
         logits_list = model(graphs)
         np.testing.assert_array_equal(logits_b.data, logits_list.data)
