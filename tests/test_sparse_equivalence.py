@@ -350,6 +350,26 @@ class TestCSRProperties:
         )
 
     @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes, diagonal=st.booleans())
+    def test_self_loops_match_the_sorted_merge(self, seed, n, diagonal):
+        """With or without stored diagonal entries, ``with_self_loops``
+        builds exactly the arrays ``from_coo`` sorts and merges."""
+        dense, _ = _random_sparse(seed, n)
+        if not diagonal:
+            np.fill_diagonal(dense, 0.0)
+        csr = CSRMatrix.from_dense(dense)
+        loops = np.arange(n)
+        merged = CSRMatrix.from_coo(
+            np.concatenate([csr.row_ids, loops]),
+            np.concatenate([csr.indices, loops]),
+            np.concatenate([csr.data, np.full(n, 0.5)]),
+            csr.shape,
+        )
+        out = csr.with_self_loops(0.5)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(out, field), getattr(merged, field))
+
+    @settings(max_examples=40, deadline=None)
     @given(seed=seeds, n=sizes, m=sizes, f=st.integers(min_value=1, max_value=5))
     def test_spmm_matches_dense_matmul(self, seed, n, m, f):
         dense, csr = _random_sparse(seed, n, m)
