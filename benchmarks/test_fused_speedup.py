@@ -113,7 +113,7 @@ def _emulate_pre_fusion(monkeypatch):
     monkeypatch.setattr(layers_mod, "gcn_propagate", _unfused_gcn_propagate)
     # pre-fusion spmm scattered with np.add.at; without the compiled
     # kernels CSRMatrix.matmul runs that reference path
-    monkeypatch.setattr(sparse_mod, "_sparsetools", None)
+    monkeypatch.setattr(sparse_mod, "_KERNELS", None)
 
 
 def _build_step(pool):

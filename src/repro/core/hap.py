@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coarsen import GraphCoarsening, loop_order_noise
-from repro.data.batching import PaddedBatch, Slots
+from repro.data.batching import PaddedBatch
 from repro.gnn.encoder import GNNEncoder
 from repro.nn.module import Module
 from repro.pooling.base import Coarsening, node_mean
-from repro.tensor import CSRMatrix, Tensor, as_tensor
+from repro.tensor import CSRMatrix, Slots, Tensor, as_tensor
 
 
 class HierarchicalEmbedder(Module):
@@ -55,7 +55,7 @@ class HierarchicalEmbedder(Module):
 
         Takes one graph — 2-D ``(N, N)`` adjacency (dense or CSR) and
         ``(N, F)`` features — a ragged batch — the block-diagonal CSR,
-        ``(ΣN, F)`` features and :class:`~repro.data.batching.Slots` in
+        ``(ΣN, F)`` features and :class:`~repro.tensor.Slots` in
         place of the mask, as in a
         :class:`~repro.data.batching.GraphBatch` — or a padded batch — a
         :class:`~repro.data.batching.PaddedBatch` as the sole positional

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.batching import Slots
 from repro.nn.init import glorot_uniform
 from repro.nn.module import Module, Parameter
 from repro.observe.tracing import span
 from repro.tensor import (
+    Slots,
     Tensor,
     as_tensor,
     concat,
@@ -129,7 +129,7 @@ class MOA(Module):
         rows equal the single-graph assignment.
 
         A ragged batch passes ``(ΣN, N')`` content with its
-        :class:`~repro.data.batching.Slots` as the mask: ψ runs per
+        :class:`~repro.tensor.Slots` as the mask: ψ runs per
         graph on the slots, and the scores and the softmax run row by
         row, each row against its own graph's relaxed columns.
 

@@ -25,11 +25,11 @@ from repro.data.attributed import ATTRIBUTE_DIM, make_attributed_like
 from repro.data.batching import (
     GraphBatch,
     PaddedBatch,
-    Slots,
     batch_graphs,
     iter_padded_batches,
     pad_graphs,
 )
+from repro.tensor import Slots
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
 from repro.data.io import load_graphs, save_graphs
 from repro.data.matching import MatchingPair, make_matching_dataset

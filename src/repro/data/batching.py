@@ -7,12 +7,12 @@ the disjoint union of B graphs, with
 - ``adjacency`` one block-diagonal :class:`~repro.tensor.sparse.CSRMatrix`
   ``(ΣN, ΣN)``, built from each graph's cached ``to_csr()``;
 - ``edge_features`` ``(ΣE, Fe)``, aligned with that CSR's entries;
-- ``slots`` the per-graph node offsets (:class:`Slots`).
+- ``slots`` the per-graph node offsets (:class:`~repro.tensor.Slots`).
 
 Node-wise work (convolutions, GCont, MOA's scores and softmax) runs on
 the ``(ΣN, ·)`` rows with no padding.  Per-graph contractions scatter
 their operands into zero-padded ``(B, N_max, ·)`` slots
-(:meth:`Slots.scatter`) and run as batched dense products.
+(:meth:`~repro.tensor.Slots.scatter`) and run as batched dense products.
 
 :class:`PaddedBatch` is the older layout, kept as an input of
 ``embed_levels`` and as the reference the equivalence suites test
@@ -33,59 +33,12 @@ values exactly (up to float round-off), which the equivalence suite
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.tensor import CSRMatrix, Tensor, scatter_gather, to_slots
-
-
-class Slots:
-    """Where the node rows of a ragged batch belong.
-
-    Graph ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of every
-    ``(ΣN, ·)`` array.  Its slots are row ``b`` of a zero-padded
-    ``(B, N_max, ·)`` array, the layout the per-graph contractions
-    (MOA's ψ, Eq. 17 and Eq. 18) run in as batched products.
-    """
-
-    def __init__(self, offsets):
-        self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.counts = np.diff(self.offsets)
-        self.shape = (len(self.counts), int(self.counts.max(initial=0)))
-        #: the graph of every row
-        self.graph = np.repeat(np.arange(self.shape[0]), self.counts)
-        #: every row's flat position in the ``B * N_max`` slots
-        self.index = self.graph * self.shape[1] + (
-            np.arange(self.offsets[-1]) - self.offsets[self.graph]
-        )
-
-    def scatter(self, x) -> Tensor:
-        """``(ΣN, ...)`` rows -> ``(B, N_max, ...)`` slots, zero-padded."""
-        return to_slots(x, self.index, self.shape)
-
-    def expand(self, per_graph) -> Tensor:
-        """``(B, ...)`` per-graph values -> ``(ΣN, ...)``, one per row."""
-        return scatter_gather(per_graph, self.graph)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """``(B, N_max)`` validity mask of the slots (1.0 on real nodes)."""
-        mask = np.zeros(self.shape[0] * self.shape[1])
-        mask[self.index] = 1.0
-        return mask.reshape(self.shape)
-
-    def dense(self, adjacency: CSRMatrix) -> np.ndarray:
-        """The block-diagonal ``adjacency`` as a ``(B, N_max, N_max)``
-        stack, for operators that read a graph's adjacency densely."""
-        n_max = self.shape[1]
-        stack = np.zeros((self.shape[0] * n_max, n_max))
-        stack[self.index[adjacency.row_ids], self.index[adjacency.indices] % n_max] = (
-            adjacency.data
-        )
-        return stack.reshape(self.shape[0], n_max, n_max)
+from repro.tensor import CSRMatrix, Slots
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ import numpy as np
 from repro.nn.init import glorot_uniform
 from repro.nn.module import Module, Parameter
 from repro.tensor import CSRMatrix, Tensor, as_tensor, tanh
+from repro.tensor.ops import _scatter_add
 
 
 def check_edge_attr(adjacency, edge_attr, expected: int) -> None:
@@ -73,13 +74,7 @@ def incident_edge_sums(adjacency, edge_attr) -> np.ndarray:
         dtype=np.float64,
     )
     if isinstance(adjacency, CSRMatrix):
-        # Rows are contiguous runs of entries: one reduceat over the
-        # non-empty ones sums them in entry order, like np.add.at.
-        out = np.zeros((adjacency.shape[0], attr.shape[-1]), dtype=np.float64)
-        rows = np.flatnonzero(np.diff(adjacency.indptr))
-        if rows.size:
-            out[rows] = np.add.reduceat(attr, adjacency.indptr[rows], axis=0)
-        return out
+        return _scatter_add(attr, adjacency.row_ids, adjacency.shape[0])
     return attr.sum(axis=-2)
 
 

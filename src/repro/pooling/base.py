@@ -19,7 +19,7 @@ Uniform contract (enforced here, conformance-tested by
   a padded batch — ``(B, N, N)`` and ``(B, N, F)`` plus an optional
   ``(B, N)`` validity mask (``None`` means every row is real) — or a
   ragged batch — its block-diagonal CSR adjacency, ``(ΣN, F)``
-  features and its :class:`~repro.data.batching.Slots` in place of the
+  features and its :class:`~repro.tensor.Slots` in place of the
   mask (docs/batching.md).  The adjacency is a numpy array, a
   ``Tensor``, a :class:`~repro.tensor.sparse.CSRMatrix` (coarsenings)
   or ``None`` (readouts that ignore structure).
@@ -42,11 +42,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.data.batching import Slots
 from repro.nn.module import Module
 from repro.observe.tracing import span
 from repro.tensor import (
     CSRMatrix,
+    Slots,
     Tensor,
     as_tensor,
     coarsen_chain,
@@ -62,7 +62,7 @@ def prepare_graph_inputs(adjacency, h, mask=None) -> tuple[object, Tensor, objec
     ``h`` becomes a 2-D or 3-D ``Tensor``; a dense ``adjacency`` becomes
     a ``Tensor`` (``None`` and CSR pass through) after a shape check
     against ``h``; ``mask`` becomes a float array shaped like ``h``'s
-    rows (a ragged batch's :class:`~repro.data.batching.Slots` pass
+    rows (a ragged batch's :class:`~repro.tensor.Slots` pass
     through).
     """
     h = as_tensor(h)

@@ -18,8 +18,9 @@ Functional ops
     leaky_relu, sigmoid, tanh, exp, log, sqrt, power, maximum, where,
     sum, mean, max, reshape, transpose, pad, dropout_mask`` and friends,
     re-exported from :mod:`repro.tensor.ops`.  ``masked_softmax``
-    backs the padded dense-batch execution path and ``to_slots`` the
-    per-graph contractions of a ragged batch (docs/batching.md);
+    backs the padded dense-batch execution path and ``to_slots`` (with
+    ``Slots``, a ragged batch's per-graph offsets) the per-graph
+    contractions of a ragged batch (docs/batching.md);
     sparse primitives (``segment_sum, scatter_gather, spmm,
     segment_softmax``) over a constant ``CSRMatrix`` back the layers'
     CSR paths (docs/sparse.md); fused hot-path kernels
@@ -67,6 +68,7 @@ from repro.tensor.ops import (
     scatter_gather,
     segment_softmax,
     segment_sum,
+    Slots,
     sigmoid,
     softmax,
     spmm,
@@ -116,6 +118,7 @@ __all__ = [
     "scatter_gather",
     "segment_softmax",
     "segment_sum",
+    "Slots",
     "sigmoid",
     "softmax",
     "spmm",

@@ -8,7 +8,7 @@ products with full numpy broadcasting support via ``unbroadcast``.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -167,17 +167,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
+    """``a`` on positive entries, ``negative_slope * a`` elsewhere; the
+    slope must lie in [0, 1]."""
+    if not 0.0 <= negative_slope <= 1.0:
+        raise ValueError(f"negative_slope must lie in [0, 1], got {negative_slope}")
     a = as_tensor(a)
     # One slope factor, 1.0 on positive entries and the slope elsewhere,
     # serves the output and the backward; ``a * factor`` equals
     # ``where(a > 0, a, slope * a)`` bit for bit.  np.maximum picks it
-    # without a branch per entry: np.where mispredicts on random signs
-    # and took 7x as long on (1900, 32) (x86, 2 vCPU).
-    positive = a.data > 0
-    if 0.0 <= negative_slope <= 1.0:
-        factor = np.maximum(positive, negative_slope)
-    else:
-        factor = np.where(positive, 1.0, negative_slope)
+    # without a branch per entry: np.where(a > 0, 1.0, slope) mispredicts
+    # on random signs and took 7x as long on (1900, 32) (x86, 2 vCPU).
+    factor = np.maximum(a.data > 0, negative_slope)
 
     def backward(grad):
         return (grad * factor,)
@@ -499,6 +499,52 @@ def to_slots(x: Tensor, index, shape) -> Tensor:
     return Tensor._make(out_data.reshape(tuple(shape) + tail), (x,), backward)
 
 
+class Slots:
+    """Where the node rows of a ragged batch belong.
+
+    Graph ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of every
+    ``(ΣN, ·)`` array.  Its slots are row ``b`` of a zero-padded
+    ``(B, N_max, ·)`` array, the layout the per-graph contractions
+    (MOA's ψ, Eq. 17 and Eq. 18) run in as batched products.
+    """
+
+    def __init__(self, offsets):
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.counts = np.diff(self.offsets)
+        self.shape = (len(self.counts), int(self.counts.max(initial=0)))
+        #: the graph of every row
+        self.graph = np.repeat(np.arange(self.shape[0]), self.counts)
+        #: every row's flat position in the ``B * N_max`` slots
+        self.index = self.graph * self.shape[1] + (
+            np.arange(self.offsets[-1]) - self.offsets[self.graph]
+        )
+
+    def scatter(self, x) -> Tensor:
+        """``(ΣN, ...)`` rows -> ``(B, N_max, ...)`` slots, zero-padded."""
+        return to_slots(x, self.index, self.shape)
+
+    def expand(self, per_graph) -> Tensor:
+        """``(B, ...)`` per-graph values -> ``(ΣN, ...)``, one per row."""
+        return scatter_gather(per_graph, self.graph)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """``(B, N_max)`` validity mask of the slots (1.0 on real nodes)."""
+        mask = np.zeros(self.shape[0] * self.shape[1])
+        mask[self.index] = 1.0
+        return mask.reshape(self.shape)
+
+    def dense(self, adjacency: CSRMatrix) -> np.ndarray:
+        """The block-diagonal ``adjacency`` as a ``(B, N_max, N_max)``
+        stack, for operators that read a graph's adjacency densely."""
+        n_max = self.shape[1]
+        stack = np.zeros((self.shape[0] * n_max, n_max))
+        stack[self.index[adjacency.row_ids], self.index[adjacency.indices] % n_max] = (
+            adjacency.data
+        )
+        return stack.reshape(self.shape[0], n_max, n_max)
+
+
 def spmm(csr: CSRMatrix, dense: Tensor, values: Tensor | None = None) -> Tensor:
     """Sparse-dense matmul ``A @ H`` for a constant CSR structure ``A``.
 
@@ -781,7 +827,7 @@ def gcn_propagate(adjacency, x: Tensor, eps: float = 1e-8) -> Tensor:
 def _gcn_weights(adjacency: CSRMatrix, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Eq. 12's weights on a CSR structure: ``d_i a_ij d_j`` per stored
     entry and the self-loop's ``d_i²`` per row, as an ``(N, 1)`` column."""
-    inv_sqrt = (adjacency.matmul(np.ones(adjacency.shape[1])) + 1.0 + eps) ** -0.5
+    inv_sqrt = (adjacency.row_sums() + 1.0 + eps) ** -0.5
     edge = inv_sqrt[adjacency.row_ids] * adjacency.data * inv_sqrt[adjacency.indices]
     return edge, (inv_sqrt * inv_sqrt)[:, None]
 

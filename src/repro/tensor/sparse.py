@@ -29,13 +29,23 @@ import math
 
 import numpy as np
 
-try:  # pragma: no cover - scipy is a declared dependency; the fallback
-    # keeps the kernels importable on a stripped-down interpreter.
+try:  # pragma: no cover - scipy is a declared dependency
     # _sparsetools holds the compiled loops scipy's own sparse products
-    # call; calling them directly skips building a matrix object.
-    from scipy.sparse import _sparsetools
+    # call; calling them directly skips building a matrix object.  The
+    # module is private, so a scipy without one of these names falls
+    # back to the np.add.at reference in CSRMatrix.matmul (pyproject
+    # caps scipy at the versions tests/test_fused_kernels.py pins).
+    from scipy.sparse._sparsetools import (
+        csc_matvec,
+        csc_matvecs,
+        csr_matvec,
+        csr_matvecs,
+    )
+
+    #: (matvec, matvecs) kernels by ``transpose``; None when unavailable
+    _KERNELS = {False: (csr_matvec, csr_matvecs), True: (csc_matvec, csc_matvecs)}
 except ImportError:  # pragma: no cover
-    _sparsetools = None
+    _KERNELS = None
 
 
 class CSRMatrix:
@@ -136,7 +146,7 @@ class CSRMatrix:
         data = self.data if values is None else np.asarray(values, dtype=np.float64)
         dense = np.ascontiguousarray(dense, dtype=np.float64)
         out = np.zeros((self.shape[1 if transpose else 0],) + dense.shape[1:])
-        if _sparsetools is None:
+        if _KERNELS is None:
             rows, cols = self.row_ids, self.indices
             if transpose:
                 rows, cols = cols, rows
@@ -145,13 +155,11 @@ class CSRMatrix:
             return out
         # Aᵀ in CSC layout is (n_cols, n_rows) over the same three arrays.
         shape = self.shape[::-1] if transpose else self.shape
-        kind = "csc" if transpose else "csr"
+        matvec, matvecs = _KERNELS[transpose]
         if dense.ndim == 1:
-            getattr(_sparsetools, f"{kind}_matvec")(
-                *shape, self.indptr, self.indices, data, dense, out
-            )
+            matvec(*shape, self.indptr, self.indices, data, dense, out)
         else:
-            getattr(_sparsetools, f"{kind}_matvecs")(
+            matvecs(
                 *shape, math.prod(dense.shape[1:]), self.indptr,
                 self.indices, data, dense.reshape(-1), out.reshape(-1),
             )
@@ -272,11 +280,12 @@ class CSRMatrix:
         The result is cached per loop weight: a layer reads the same
         constant adjacency's loops at every forward.
 
-        Without stored diagonal entries (every graph adjacency), each
-        row's loop is inserted at its sorted position in one O(E) pass;
-        with them, the duplicates are merged by ``from_coo``'s sort.  A
-        ragged batch has a new adjacency every step, and the sort took
-        2.4 ms of a 6.0 ms GAT forward on a 32-graph batch (x86, 2 vCPU).
+        One O(E) pass, no sort: a stored diagonal entry gains ``value``,
+        and a row without one gets its loop inserted at its sorted
+        position.  The arrays equal ``from_coo``'s sorted merge of ``A``
+        and the loops (tests/test_sparse_equivalence.py); a ragged batch
+        has a new adjacency every step, and that sort took 2.7 ms of a
+        6.5 ms GAT forward on a 32-graph batch (x86, 2 vCPU).
         """
         cached = self._cache.get(("self_loops", value))
         if cached is not None:
@@ -285,35 +294,27 @@ class CSRMatrix:
         if n_rows != n_cols:
             raise ValueError(f"self-loops need a square matrix, got {self.shape}")
         rows, cols = self.row_ids, self.indices
-        diag = np.arange(n_rows, dtype=np.intp)
-        if np.any(rows == cols):
-            out = CSRMatrix.from_coo(
-                np.concatenate([rows, diag]),
-                np.concatenate([cols, diag]),
-                np.concatenate([self.data, np.full(n_rows, float(value))]),
-                self.shape,
-            )
-        else:
-            # Entry k moves past the loops of the rows before its own and
-            # past its own row's loop when it lies right of the diagonal.
-            moved = np.arange(self.nnz) + rows + (cols > rows)
-            loops = self.indptr[:-1] + diag + np.bincount(
-                rows[cols < rows], minlength=n_rows
-            )
-            indices = np.empty(self.nnz + n_rows, dtype=np.intp)
-            data = np.empty(self.nnz + n_rows)
-            indices[moved], data[moved] = cols, self.data
-            indices[loops], data[loops] = diag, float(value)
-            out = CSRMatrix._unchecked(
-                self.indptr + np.arange(n_rows + 1), indices, data, self.shape
-            )
+        stored = np.zeros(n_rows, dtype=bool)
+        stored[rows[rows == cols]] = True
+        indptr = self.indptr + np.concatenate([[0], np.cumsum(~stored)])
+        # Every row's diagonal sits right after its entries left of it;
+        # the stored entries fill the other positions in their order.
+        diag = indptr[:-1] + np.bincount(rows[cols < rows], minlength=n_rows)
+        kept = np.ones(indptr[-1], dtype=bool)
+        kept[diag[~stored]] = False
+        indices = np.empty(indptr[-1], dtype=np.intp)
+        data = np.zeros(indptr[-1])
+        indices[kept], data[kept] = cols, self.data
+        indices[diag] = np.arange(n_rows)
+        data[diag] += value
+        out = CSRMatrix._unchecked(indptr, indices, data, self.shape)
         self._cache[("self_loops", value)] = out
         return out
 
     def cached(self, key, factory):
         """Memoise ``factory(self)`` under ``key`` on this constant
-        matrix (e.g. the symmetric-normalised variant a GCN layer needs
-        every step; see :func:`repro.gnn.layers.normalize_adjacency_sparse`)."""
+        matrix (e.g. the per-entry weights a GCN layer needs every step;
+        see :func:`repro.tensor.ops._gcn_propagate_csr`)."""
         value = self._cache.get(key)
         if value is None:
             value = factory(self)

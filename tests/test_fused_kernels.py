@@ -238,7 +238,7 @@ class TestSpmmScipyPath:
         out_scipy = spmm(csr, h1, values=v1)
         out_scipy.backward(grad)
         with monkeypatch.context() as patched:
-            patched.setattr(sparse_mod, "_sparsetools", None)
+            patched.setattr(sparse_mod, "_KERNELS", None)
             out_ref = spmm(csr, h2, values=v2)
             out_ref.backward(grad)
         assert np.array_equal(out_scipy.data, out_ref.data)
@@ -263,6 +263,29 @@ class TestSpmmScipyPath:
         assert "transpose" not in csr._cache
         assert np.array_equal(fast, csr.transpose().matmul(g))
         np.testing.assert_allclose(fast, dense.T @ g, atol=1e-12, rtol=0)
+
+    def test_a_scipy_without_the_kernels_runs_the_reference(self, monkeypatch):
+        """The kernels are private scipy names: a scipy lacking one
+        imports the sparse module with the ``np.add.at`` reference."""
+        import importlib.util
+        import sys
+        import types
+
+        monkeypatch.setitem(
+            sys.modules, "scipy.sparse._sparsetools", types.ModuleType("stub")
+        )
+        spec = importlib.util.find_spec("repro.tensor.sparse")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module._KERNELS is None
+        rng = _rng(28)
+        dense = (rng.random((9, 7)) < 0.4) * rng.normal(size=(9, 7))
+        csr = module.CSRMatrix.from_dense(dense)
+        x, g = rng.normal(size=(7, 3)), rng.normal(size=9)
+        np.testing.assert_allclose(csr.matmul(x), dense @ x, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(
+            csr.matmul(g, transpose=True), dense.T @ g, atol=1e-12, rtol=0
+        )
 
 
 class TestSymNormalize:
