@@ -29,7 +29,6 @@ from repro.data.batching import (
     iter_padded_batches,
     pad_graphs,
 )
-from repro.tensor import Slots
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
 from repro.data.io import load_graphs, save_graphs
 from repro.data.matching import MatchingPair, make_matching_dataset
@@ -51,6 +50,7 @@ from repro.data.splits import (
     stratified_k_fold,
     train_val_test_split,
 )
+from repro.tensor import Slots  # the layout of a GraphBatch's node rows
 
 __all__ = [
     "attach_degree_features",
