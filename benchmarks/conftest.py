@@ -57,11 +57,23 @@ def run_once(benchmark, func):
 
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
+#: the `bench` tests' rows measure the host that ran them, so they stay
+#: out of git (CI's bench job uploads them as an artifact)
+BENCH_OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+
+
+def _save(directory: str, name: str, rows: dict) -> None:
+    from repro.evaluation.reports import save_rows
+
+    os.makedirs(directory, exist_ok=True)
+    save_rows(rows, os.path.join(directory, f"{name}.json"), title=name)
 
 
 def persist_rows(name: str, rows: dict) -> None:
     """Write a benchmark's rows to results/<name>.json for EXPERIMENTS.md."""
-    from repro.evaluation.reports import save_rows
+    _save(RESULTS_DIR, name, rows)
 
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    save_rows(rows, os.path.join(RESULTS_DIR, f"{name}.json"), title=name)
+
+def persist_bench_rows(name: str, rows: dict) -> None:
+    """Write a `bench` test's rows to benchmarks/out/<name>.json."""
+    _save(BENCH_OUT_DIR, name, rows)

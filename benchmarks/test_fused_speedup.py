@@ -25,7 +25,7 @@ import repro.core.moa as moa_mod
 import repro.gnn.layers as layers_mod
 import repro.pooling.base as pooling_base
 import repro.tensor.sparse as sparse_mod
-from benchmarks.conftest import persist_rows, run_once
+from benchmarks.conftest import persist_bench_rows, run_once
 from repro.core import build_hap_embedder
 from repro.graph import random_sparse_csr
 from repro.tensor import (
@@ -183,6 +183,6 @@ def test_fused_step_speedup(benchmark, monkeypatch):
         }
 
     rows = run_once(benchmark, experiment)
-    persist_rows("fused_speedup", rows)
+    persist_bench_rows("fused_speedup", rows)
     for name, row in rows.items():
         print(name, row)

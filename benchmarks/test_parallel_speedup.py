@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import persist_rows, run_once
+from benchmarks.conftest import persist_bench_rows, run_once
 from repro.data.cache import clear_memory_cache
 from repro.evaluation.crossval import cross_validate_classification
 
@@ -71,7 +71,7 @@ def test_parallel_crossval_speedup(benchmark, tmp_path):
         return rows
 
     rows = run_once(benchmark, experiment)
-    persist_rows("parallel_speedup", rows)
+    persist_bench_rows("parallel_speedup", rows)
     for name, row in rows.items():
         print(name, row)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import persist_rows, run_once
+from benchmarks.conftest import persist_bench_rows, run_once
 from repro.evaluation.harness import prepare_dataset
 from repro.models.zoo import make_classifier
 from repro.serve import InferenceService, run_closed_loop
@@ -76,7 +76,7 @@ def test_serve_throughput(benchmark):
         f"embed workload: {embed['throughput_rps']:8.0f} req/s, "
         f"cache hit rate {embed['cache_hit_rate']:.0%}"
     )
-    persist_rows(
+    persist_bench_rows(
         "serve_throughput",
         {
             "serial_throughput_rps": serial["throughput_rps"],

@@ -27,7 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from benchmarks.conftest import SCALE, persist_rows, run_once
+from benchmarks.conftest import SCALE, persist_bench_rows, run_once
 from repro.core import build_hap_embedder
 from repro.graph import random_sparse_csr
 from repro.tensor import Tensor
@@ -87,7 +87,7 @@ def test_sparse_scaling(benchmark):
         return rows
 
     rows = run_once(benchmark, experiment)
-    persist_rows("sparse_scaling", rows)
+    persist_bench_rows("sparse_scaling", rows)
     for name, row in rows.items():
         print(name, row)
 

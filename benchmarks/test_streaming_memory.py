@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import persist_rows, run_once
+from benchmarks.conftest import persist_bench_rows, run_once
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -145,7 +145,7 @@ def test_streaming_memory(benchmark, tmp_path):
         f"window {config['max_cached_shards']})"
     )
 
-    persist_rows(
+    persist_bench_rows(
         "streaming_memory",
         {
             **{name: round(mb, 1) for name, mb in rss.items()},

@@ -125,8 +125,8 @@ class GraphCoarsening(Coarsening):
     :class:`~repro.pooling.base.Coarsening` template then forms the
     clusters, ``H' = M^T H`` and ``A' = M^T (A M)`` (Eq. 17-18), and
     soft-samples ``A'`` (Eq. 19) unless ``soft_sampling=False``.  One
-    graph ``(N, ·)``, a padded batch ``(B, N, ·)`` with a ``(B, N)``
-    validity mask, a CSR adjacency, or a ragged batch's ``(ΣN, ·)`` rows
+    graph ``(N, ·)``, a stack ``(B, N, ·)`` with a ``(B, N)`` validity
+    mask, a CSR adjacency, or a ragged batch's ``(ΣN, ·)`` rows
     with its block-diagonal CSR and slots run the same body.  ``M``'s
     padding rows are exactly zero, so Eq. 17-18 contract only over each
     graph's real nodes and a batch matches the per-graph results; the

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coarsen import GraphCoarsening, loop_order_noise
-from repro.data.batching import PaddedBatch
 from repro.gnn.encoder import GNNEncoder
 from repro.nn.module import Module
 from repro.pooling.base import Coarsening, node_mean
@@ -48,25 +47,22 @@ class HierarchicalEmbedder(Module):
             setattr(self, f"coarsening{i}", coarse)
         self.out_features = encoders[-1].out_features
 
-    def embed_levels(
-        self, adjacency, h: Tensor | None = None, mask=None, edge_attr=None
-    ) -> list[Tensor]:
+    def embed_levels(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> list[Tensor]:
         """Graph-level representation after every coarsening level.
 
         Takes one graph — 2-D ``(N, N)`` adjacency (dense or CSR) and
         ``(N, F)`` features — a ragged batch — the block-diagonal CSR,
         ``(ΣN, F)`` features and :class:`~repro.tensor.Slots` in
         place of the mask, as in a
-        :class:`~repro.data.batching.GraphBatch` — or a padded batch — a
-        :class:`~repro.data.batching.PaddedBatch` as the sole positional
-        argument, or explicit 3-D ``(B, N, N)`` / ``(B, N, F)`` arrays
-        plus a ``(B, N)`` mask.  All run the same loop.  Each level hands its
-        output mask to the next: it is ``None`` once every graph owns
-        the same number of clusters (HAP and the grouping poolers after
-        level 0), so the readout is the plain mean over them, and a
-        ``(B, K)`` mask after a Top-K level, whose readout is the mean
-        over each graph's kept nodes.  Either way a batch matches the
-        per-graph results.
+        :class:`~repro.data.batching.GraphBatch` — or a stack of dense
+        graphs — 3-D ``(B, N, N)`` / ``(B, N, F)`` arrays plus an
+        optional ``(B, N)`` mask, such as a ragged batch's slots view.
+        All run the same loop.  Each level hands its output mask to the
+        next: it is ``None`` once every graph owns the same number of
+        clusters (HAP and the grouping poolers after level 0), so the
+        readout is the plain mean over them, and a ``(B, K)`` mask after
+        a Top-K level, whose readout is the mean over each graph's kept
+        nodes.  Either way a batch matches the per-graph results.
 
         ``edge_attr`` (per-edge attributes in the layout matching the
         adjacency, docs/molecular.md) conditions level 0 only — the
@@ -76,11 +72,6 @@ class HierarchicalEmbedder(Module):
         front in the per-graph loop's order (:func:`loop_order_noise`),
         so a batch also matches the loop's draws.
         """
-        if isinstance(adjacency, PaddedBatch):
-            batch = adjacency
-            adjacency, h, mask = batch.adjacency, Tensor(batch.features), batch.mask
-            if edge_attr is None:
-                edge_attr = batch.edge_features
         if not isinstance(adjacency, CSRMatrix):
             # A level-0 CSR adjacency stays sparse (docs/sparse.md); the
             # coarsened levels it produces are small dense Tensors, so
@@ -99,9 +90,7 @@ class HierarchicalEmbedder(Module):
                 levels.append(node_mean(h, mask))
         return levels
 
-    def forward(
-        self, adjacency, h: Tensor | None = None, mask=None, edge_attr=None
-    ) -> Tensor:
+    def forward(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Tensor:
         """Final graph-level embedding: ``(F,)`` for a single graph,
         ``(B, F)`` for a batch."""
         return self.embed_levels(adjacency, h, mask, edge_attr=edge_attr)[-1]

@@ -120,7 +120,7 @@ class MOA(Module):
         """Row-softmax-normalised attention assignment (Eq. 15).
 
         ``(N, N')`` content of one graph or ``(B, N, N')`` content of a
-        padded batch run the same body, which broadcasts over the
+        stack of graphs run the same body, which broadcasts over the
         leading batch axis.  An optional ``(B, N)`` validity mask marks
         the real rows; ``None`` means every row is valid.  Padding rows
         receive *exactly* zero attention mass (the masked softmax zeroes

@@ -22,13 +22,7 @@ from repro.data.datasets import (
     make_ptc_like,
 )
 from repro.data.attributed import ATTRIBUTE_DIM, make_attributed_like
-from repro.data.batching import (
-    GraphBatch,
-    PaddedBatch,
-    batch_graphs,
-    iter_padded_batches,
-    pad_graphs,
-)
+from repro.data.batching import GraphBatch, batch_graphs
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
 from repro.data.io import load_graphs, save_graphs
 from repro.data.matching import MatchingPair, make_matching_dataset
@@ -42,7 +36,7 @@ from repro.data.sharding import (
     write_shards,
 )
 from repro.data.streaming import StreamingDataset, StreamingView
-from repro.data.perturb import add_edges, drop_edges, drop_nodes, noise_features
+from repro.data.perturb import drop_edges
 from repro.data.triplets import GraphTriplet, TripletGenerator
 from repro.data.splits import (
     k_fold,
@@ -73,18 +67,12 @@ __all__ = [
     "clear_memory_cache",
     "load_dataset_cached",
     "GraphBatch",
-    "PaddedBatch",
     "Slots",
     "batch_graphs",
-    "iter_padded_batches",
-    "pad_graphs",
     "load_graphs",
     "save_graphs",
     "make_attributed_like",
-    "add_edges",
     "drop_edges",
-    "drop_nodes",
-    "noise_features",
     "MatchingPair",
     "make_matching_dataset",
     "ShardCorruptionError",

@@ -1,4 +1,4 @@
-"""Batching graph lists: the ragged batch and the padded batch.
+"""Batching a graph list: the ragged batch.
 
 A model trains and predicts on a :class:`GraphBatch` (docs/batching.md):
 the disjoint union of B graphs, with
@@ -13,21 +13,10 @@ Node-wise work (convolutions, GCont, MOA's scores and softmax) runs on
 the ``(ΣN, ·)`` rows with no padding.  Per-graph contractions scatter
 their operands into zero-padded ``(B, N_max, ·)`` slots
 (:meth:`~repro.tensor.Slots.scatter`) and run as batched dense products.
-
-:class:`PaddedBatch` is the older layout, kept as an input of
-``embed_levels`` and as the reference the equivalence suites test
-against: graphs padded to a common node count ``N_max``,
-
-- ``features``  ``(B, N_max, F)``  — zero rows beyond each graph's size;
-- ``adjacency`` ``(B, N_max, N_max)`` — zero rows/columns for padding;
-- ``mask``      ``(B, N_max)``     — 1.0 on real nodes, 0.0 on padding.
-
-The convention every padded op relies on: *padding rows of the
-adjacency are all-zero* (no edges touch a padding node) and *every
-reduction over the node axis is masked*.  Together these guarantee the
-valid rows of every batched intermediate equal the per-graph loop's
-values exactly (up to float round-off), which the equivalence suite
-``tests/test_batched_equivalence.py`` locks down.
+An operator that selects on padded input gets the batch's slots view:
+those slots, the ``(B, N_max)`` :attr:`~repro.tensor.Slots.mask` and,
+when it reads the adjacency, the ``(B, N_max, N_max)`` stack
+:meth:`~repro.tensor.Slots.dense`.
 """
 
 from __future__ import annotations
@@ -54,7 +43,9 @@ class GraphBatch:
     slots:
         The graphs' node offsets and slot positions.
     labels:
-        ``(B,)`` graph labels as for :class:`PaddedBatch`, or ``None``.
+        ``(B,)`` graph labels — ``int64`` class indices when every label
+        is integral, ``float64`` regression targets otherwise — or
+        ``None`` when any graph in the batch is unlabelled.
     edge_features:
         ``(ΣE, Fe)`` per-edge attributes aligned with ``adjacency``'s
         stored entries, or ``None``.
@@ -127,108 +118,3 @@ def batch_graphs(graphs: Sequence[Graph]) -> GraphBatch:
         labels=_labels(graphs),
         edge_features=edge_features,
     )
-
-
-@dataclass(frozen=True)
-class PaddedBatch:
-    """A batch of graphs padded to a common node count.
-
-    Parameters
-    ----------
-    features:
-        ``(B, N_max, F)`` float array; rows ≥ ``num_nodes[b]`` are zero.
-    adjacency:
-        ``(B, N_max, N_max)`` float array; padding rows/columns are zero.
-    mask:
-        ``(B, N_max)`` float array, 1.0 for real nodes and 0.0 otherwise.
-    num_nodes:
-        ``(B,)`` int array of true node counts.
-    labels:
-        ``(B,)`` array of graph labels — ``int64`` class indices when
-        every label is integral, ``float64`` regression targets
-        otherwise — or ``None`` when any graph in the batch is
-        unlabelled.
-    edge_features:
-        ``(B, N_max, N_max, Fe)`` float array of per-edge attributes
-        (zero off-edges and on padding, docs/molecular.md), or ``None``
-        when the graphs carry no edge features.
-    """
-
-    features: np.ndarray
-    adjacency: np.ndarray
-    mask: np.ndarray
-    num_nodes: np.ndarray
-    labels: np.ndarray | None = None
-    edge_features: np.ndarray | None = None
-
-    @property
-    def batch_size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def max_nodes(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[2]
-
-
-def pad_graphs(graphs: Sequence[Graph], pad_to: int | None = None) -> PaddedBatch:
-    """Pad ``graphs`` into a :class:`PaddedBatch`.
-
-    Every graph must carry node features of the same dimensionality
-    (attach an encoding from :mod:`repro.data.encoding` first).
-
-    Parameters
-    ----------
-    pad_to:
-        Pad to this node count instead of the batch maximum (must be at
-        least the largest graph).  Useful for fixed-shape serving and for
-        the padding-invariance property tests.
-    """
-    edge_dim = _check_batchable(graphs)
-    feat_dim = graphs[0].features.shape[1]
-    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    n_max = int(sizes.max())
-    if pad_to is not None:
-        if pad_to < n_max:
-            raise ValueError(
-                f"pad_to={pad_to} is smaller than the largest graph ({n_max})"
-            )
-        n_max = int(pad_to)
-
-    batch = len(graphs)
-    features = np.zeros((batch, n_max, feat_dim), dtype=np.float64)
-    adjacency = np.zeros((batch, n_max, n_max), dtype=np.float64)
-    mask = np.zeros((batch, n_max), dtype=np.float64)
-    edge_features = None
-    if edge_dim:
-        edge_features = np.zeros((batch, n_max, n_max, edge_dim), dtype=np.float64)
-    for b, g in enumerate(graphs):
-        n = g.num_nodes
-        features[b, :n] = g.features
-        adjacency[b, :n, :n] = g.adjacency
-        mask[b, :n] = 1.0
-        if edge_features is not None:
-            edge_features[b, :n, :n] = g.edge_features
-
-    return PaddedBatch(
-        features=features,
-        adjacency=adjacency,
-        mask=mask,
-        num_nodes=sizes,
-        labels=_labels(graphs),
-        edge_features=edge_features,
-    )
-
-
-def iter_padded_batches(
-    graphs: Sequence[Graph], batch_size: int, pad_to: int | None = None
-):
-    """Yield :class:`PaddedBatch` chunks of ``batch_size`` graphs in order."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    for start in range(0, len(graphs), batch_size):
-        yield pad_graphs(graphs[start : start + batch_size], pad_to=pad_to)
-

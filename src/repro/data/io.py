@@ -20,9 +20,6 @@ graph needs is not written.  Reading a member is one zip open and one
 ``.npy`` header parse however many graphs it holds, and every graph
 gets arrays that own their memory.  The file stays an ``.npz`` that
 ``np.load`` opens.
-
-Format-1 archives (one ``adj_{i}`` / ``labels_{i}`` / ``features_{i}``
-/ ``edge_features_{i}`` member per graph) still load.
 """
 
 from __future__ import annotations
@@ -140,17 +137,6 @@ def _read_header(archive, path: Path) -> dict:
     return json.loads(bytes(archive[_HEADER_KEY]).decode("utf-8"))
 
 
-def read_archive_header(path: str | Path) -> dict:
-    """Read only an archive's JSON header (no graph arrays decoded).
-
-    Cheap relative to :func:`load_graphs`: it reports the archive's
-    ``format_version``, ``name``, ``count`` and per-graph records.
-    """
-    path = Path(path)
-    with np.load(path if path.suffix else path.with_suffix(".npz")) as archive:
-        return _read_header(archive, path)
-
-
 def _read_member(
     archive: zipfile.ZipFile, key: str, dtype: np.dtype, shapes: list
 ) -> list[np.ndarray | None]:
@@ -226,49 +212,20 @@ def _load_flat(archive: zipfile.ZipFile, records: list[dict]) -> list[Graph]:
     ]
 
 
-def _load_format_1(archive, records: list[dict]) -> list[Graph]:
-    """Decode a format-1 archive: one member per graph and field."""
-    graphs = []
-    for i, record in enumerate(records):
-        graphs.append(
-            Graph(
-                archive[f"adj_{i}"],
-                node_labels=(
-                    archive[f"labels_{i}"]
-                    if record.get("has_node_labels")
-                    else None
-                ),
-                features=(
-                    archive[f"features_{i}"]
-                    if record.get("has_features")
-                    else None
-                ),
-                label=record["label"],
-                meta=record.get("meta", {}),
-                edge_features=(
-                    archive[f"edge_features_{i}"]
-                    if record.get("has_edge_features")
-                    else None
-                ),
-            )
-        )
-    return graphs
-
-
 def load_graphs(path: str | Path) -> tuple[list[Graph], str]:
     """Load graphs saved by :func:`save_graphs`; returns (graphs, name).
 
     Raises ``ValueError`` for an archive that is not a repro dataset,
-    was written by a newer library version, or whose members do not
-    match its records.
+    is in another format than :data:`FORMAT_VERSION`, or whose members
+    do not match its records.
     """
     path = Path(path)
     with np.load(path if path.suffix else path.with_suffix(".npz")) as archive:
         header = _read_header(archive, path)
-        if header["format_version"] > FORMAT_VERSION:
-            raise ValueError("archive was written by a newer library version")
-        if header["format_version"] == 1:
-            graphs = _load_format_1(archive, header["records"])
-        else:
-            graphs = _load_flat(archive.zip, header["records"])
+        if header["format_version"] != FORMAT_VERSION:
+            raise ValueError(
+                f"{path} is a format-{header['format_version']} archive; "
+                f"this library reads format {FORMAT_VERSION}"
+            )
+        graphs = _load_flat(archive.zip, header["records"])
     return graphs, header.get("name", "")

@@ -1,9 +1,8 @@
-"""Graph perturbation / augmentation utilities.
+"""Graph perturbation for the robustness benchmark.
 
-Used by the robustness benchmark (accuracy vs perturbation strength)
-and available as data augmentation: edge dropping, edge insertion, node
-dropping and feature noise.  All operations are seeded and return new
-graphs.
+:func:`drop_edges` removes a seeded random share of a graph's edges,
+the perturbation whose strength the robustness benchmark sweeps; it
+returns a new graph.
 """
 
 from __future__ import annotations
@@ -32,43 +31,3 @@ def drop_edges(graph: Graph, fraction: float, rng: np.random.Generator) -> Graph
         label=graph.label,
     )
     return connect_components(perturbed)
-
-
-def add_edges(graph: Graph, fraction: float, rng: np.random.Generator) -> Graph:
-    """Insert ``fraction * |E|`` random new edges."""
-    if fraction < 0.0:
-        raise ValueError("fraction must be non-negative")
-    n = graph.num_nodes
-    count = int(round(graph.num_edges * fraction))
-    adj = graph.adjacency.copy()
-    attempts = 0
-    while count > 0 and attempts < 100 * (count + 1):
-        a, b = rng.integers(0, n, size=2)
-        attempts += 1
-        if a != b and adj[a, b] == 0:
-            adj[a, b] = adj[b, a] = 1.0
-            count -= 1
-    return Graph(
-        adj, node_labels=graph.node_labels, features=graph.features,
-        label=graph.label,
-    )
-
-
-def drop_nodes(graph: Graph, fraction: float, rng: np.random.Generator) -> Graph:
-    """Delete a random ``fraction`` of nodes (at least one survives)."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    n = graph.num_nodes
-    keep = max(1, int(round(n * (1.0 - fraction))))
-    kept = np.sort(rng.choice(n, size=keep, replace=False))
-    return connect_components(graph.subgraph(kept))
-
-
-def noise_features(graph: Graph, sigma: float, rng: np.random.Generator) -> Graph:
-    """Add Gaussian noise to the node feature matrix."""
-    if graph.features is None:
-        raise ValueError("graph has no features to perturb")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    noisy = graph.features + rng.normal(0.0, sigma, size=graph.features.shape)
-    return graph.with_features(noisy)

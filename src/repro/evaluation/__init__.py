@@ -10,14 +10,12 @@ from repro.evaluation.crossval import (
     cross_validate_regression,
     make_fold_tasks,
 )
-from repro.evaluation.learning_curves import LearningCurve, learning_curve
 from repro.evaluation.reports import load_rows, save_rows, to_markdown
 from repro.evaluation.harness import (
     ClassificationResult,
     RegressionResult,
     format_table,
     run_classification,
-    run_experiment_grid,
     run_matching,
     run_regression,
     run_similarity,
@@ -30,12 +28,9 @@ __all__ = [
     "CVResult",
     "FoldTask",
     "RegressionCVResult",
-    "LearningCurve",
-    "learning_curve",
     "cross_validate_classification",
     "cross_validate_regression",
     "make_fold_tasks",
-    "run_experiment_grid",
     "load_rows",
     "save_rows",
     "to_markdown",

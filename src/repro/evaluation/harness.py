@@ -406,53 +406,6 @@ def ged_triplet_accuracy(
     return triplet_accuracy(closer_to_right, triplets)
 
 
-#: grid spec "task" -> runner; every runner returns a scalar metric
-_GRID_RUNNERS = {
-    "classification": lambda kwargs: run_classification(**kwargs).accuracy,
-    "regression": lambda kwargs: run_regression(**kwargs).rmse,
-    "matching": lambda kwargs: run_matching(**kwargs),
-    "similarity": lambda kwargs: run_similarity(**kwargs),
-}
-
-
-def run_grid_spec(spec: dict) -> dict:
-    """Run one experiment-grid cell (module-level: spawn-safe pool target).
-
-    ``spec`` holds ``task`` (``classification``/``matching``/
-    ``similarity``) plus the runner's keyword arguments; the result is
-    the spec echoed back with its scalar ``metric``.
-    """
-    spec = dict(spec)
-    task = spec.pop("task", None)
-    runner = _GRID_RUNNERS.get(task)
-    if runner is None:
-        raise KeyError(
-            f"unknown grid task {task!r}; options: {sorted(_GRID_RUNNERS)}"
-        )
-    metric = runner(spec)
-    return {"task": task, **spec, "metric": float(metric)}
-
-
-def run_experiment_grid(specs: Sequence[dict], n_workers: int = 1) -> list[dict]:
-    """Fan an experiment grid out across worker processes.
-
-    Each spec runs independently (own dataset, own model, own seed), so
-    the grid parallelises perfectly and results are identical to the
-    serial run — returned in spec order regardless of scheduling.
-    Specs must be picklable; see docs/parallelism.md.
-
-        rows = run_experiment_grid(
-            [{"task": "classification", "method": m, "dataset": "MUTAG"}
-             for m in ("HAP", "SumPool", "DiffPool")],
-            n_workers=3,
-        )
-    """
-    from repro.parallel import WorkerPool
-
-    with WorkerPool(n_workers) as pool:
-        return pool.map(run_grid_spec, list(specs))
-
-
 def run_tsne_study(
     model, graphs: Sequence[Graph], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:

@@ -11,19 +11,19 @@ an untrained ``w``, reproduce the unconditioned layer exactly) and
 bounded in ``(0, 2)``, which keeps gated aggregation numerically tame.
 
 Edge attributes are *constant* graph data; only the gate projection
-``w`` is learned.  The three execution layouts mirror the adjacency
-conventions used everywhere else:
+``w`` is learned.  The layouts mirror the adjacency conventions used
+everywhere else:
 
-- single dense graph: ``(N, N, Fe)`` (symmetric, zero off-edges),
-- padded batch: ``(B, N, N, Fe)`` with all-zero padding rows,
+- dense: ``(N, N, Fe)`` (symmetric, zero off-edges) for one graph,
+  ``(B, N, N, Fe)`` with all-zero padding rows beside a dense stack;
 - sparse CSR: ``(nnz, Fe)`` aligned with the CSR's stored entries
   (:meth:`repro.graph.Graph.edge_feature_data`); a ragged batch's
   block-diagonal CSR carries its graphs' arrays concatenated.
 
 Because the dense tensor is zero exactly where the adjacency is zero,
 ``adjacency * gate`` and the CSR's ``data * gate_e`` agree entry for
-entry — the dense/sparse/padded equivalence the molecular gate suite
-locks to <1e-6 (tests/test_molecular_equivalence.py).
+entry — the dense/sparse equivalence the molecular gate suite locks to
+<1e-6 (tests/test_molecular_equivalence.py).
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ def check_edge_attr(adjacency, edge_attr, expected: int) -> None:
 
 
 def incident_edge_sums(adjacency, edge_attr) -> np.ndarray:
-    """Per-node sum of incident edge attributes — ``(N, Fe)`` (or
-    ``(B, N, Fe)`` for a padded batch).
+    """Per-node sum of incident edge attributes — ``(N, Fe)``, or
+    ``(B, N, Fe)`` beside a dense stack.
 
     Edge attributes are constant graph data, so the sums are plain
-    numpy; the three layouts agree exactly (zero rows off-edges, zero
-    padding) which keeps the MOA edge conditioning equivalence-locked
-    across dense, sparse and padded execution.
+    numpy; the dense and CSR layouts agree exactly (zero rows
+    off-edges, zero padding), which keeps the MOA edge conditioning
+    equivalence-locked across dense, sparse and batched execution.
     """
     attr = np.asarray(
         edge_attr.data if isinstance(edge_attr, Tensor) else edge_attr,

@@ -73,9 +73,9 @@ class GNNEncoder(Module):
         return self.layers[-1].out_features
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Run the stack; every layer broadcasts over a leading batch
-        axis, so a padded ``(B, N, ·)`` batch works the same as a single
-        graph.
+        """Run the stack on one graph, a ragged batch's ``(ΣN, ·)`` rows
+        and block-diagonal CSR, or a ``(B, N, ·)`` stack (a coarsened
+        level); every layer broadcasts over a leading batch axis.
         ``edge_attr`` reaches every layer — the stack shares one
         adjacency, so each hop may condition on the same bond types."""
         with span("encoder"):

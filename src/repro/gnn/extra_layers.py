@@ -55,9 +55,9 @@ class GINLayer(Module):
             self.eps = None
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph and padded-batch inputs share one body: every op
-        broadcasts over a leading batch axis, and padding rows aggregate
-        nothing (their adjacency rows are zero).  With ``edge_attr`` the
+        """Single-graph and stacked ``(B, N, F)`` inputs share one body:
+        every op broadcasts over a leading batch axis, and padding rows
+        aggregate nothing (their adjacency rows are zero).  With ``edge_attr`` the
         sum aggregation runs over the gated adjacency."""
         h = as_tensor(h)
         if edge_attr is not None:
@@ -107,9 +107,9 @@ class SAGELayer(Module):
         self.edge_gate = EdgeGate(edge_features, rng) if edge_features > 0 else None
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph ``(N, F)`` and padded-batch ``(B, N, F)`` inputs
-        share one body; padding rows aggregate nothing (their adjacency
-        rows are zero).  With ``edge_attr`` the mean becomes a
+        """Single-graph ``(N, F)`` and stacked ``(B, N, F)`` inputs share
+        one body; padding rows aggregate nothing (their adjacency rows
+        are zero).  With ``edge_attr`` the mean becomes a
         gate-weighted mean (gated sum over gated degree)."""
         h = as_tensor(h)
         if edge_attr is not None and self.edge_gate is None:

@@ -88,13 +88,13 @@ class GCNLayer(Module):
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
         """One fused :func:`~repro.tensor.ops.gcn_propagate` call for
-        every adjacency: ``(N, N)`` with ``(N, F)`` features, a padded
+        every adjacency: ``(N, N)`` with ``(N, F)`` features, a
         ``(B, N, N)`` stack with ``(B, N, F)`` features (constant or
         differentiable), or a constant CSR matrix — one graph, or the
         block-diagonal adjacency of a ragged batch with its ``(ΣN, F)``
-        features.  On a padded batch, padding rows produce garbage that
-        never reaches valid rows (their adjacency rows and columns are
-        zero); downstream masked reductions discard it."""
+        features.  On a zero-padded stack, padding rows produce garbage
+        that never reaches valid rows (their adjacency rows and columns
+        are zero); downstream masked reductions discard it."""
         if edge_attr is not None:
             # Symmetric normalisation has no slot for per-edge attributes;
             # silently dropping them would be a modelling bug the lint rule
@@ -166,10 +166,10 @@ class GATLayer(Module):
         return as_tensor(edge_attr) @ self.att_edge
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph ``(N, F)`` and padded-batch ``(B, N, F)`` inputs
+        """Single-graph ``(N, F)`` and stacked ``(B, N, F)`` inputs
         share one body that broadcasts over the leading batch axis.
 
-        On a padded batch the neighbourhood mask keeps the per-graph
+        On a zero-padded stack the neighbourhood mask keeps the per-graph
         semantics: padding columns carry zero adjacency, so their
         ``-1e9`` logits underflow to exactly zero attention and valid
         rows match the single-graph result.  Padding rows attend only to

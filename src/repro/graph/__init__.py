@@ -6,29 +6,22 @@ works on the immutable :class:`Graph` value type defined here.
 
 from repro.graph.graph import Graph
 from repro.graph.generators import (
-    barabasi_albert,
     complete_graph,
     cycle_graph,
     erdos_renyi,
-    grid_graph,
-    molecule_like,
     path_graph,
     planted_communities,
     random_connected,
     random_sparse_csr,
     star_graph,
     random_tree,
-    watts_strogatz,
 )
 from repro.tensor.sparse import CSRMatrix
 from repro.graph.algorithms import (
     connect_components,
     connected_components,
     degrees,
-    graph_density,
     is_connected,
-    k_hop_neighborhood,
-    largest_connected_subgraph,
     random_connected_subgraph,
     shortest_path_lengths,
     wl_colors,
@@ -51,12 +44,9 @@ from repro.graph.hashing import graph_hash
 __all__ = [
     "Graph",
     "graph_hash",
-    "barabasi_albert",
     "complete_graph",
     "cycle_graph",
     "erdos_renyi",
-    "grid_graph",
-    "molecule_like",
     "path_graph",
     "planted_communities",
     "random_connected",
@@ -64,14 +54,10 @@ __all__ = [
     "CSRMatrix",
     "star_graph",
     "random_tree",
-    "watts_strogatz",
     "connect_components",
     "connected_components",
     "degrees",
-    "graph_density",
     "is_connected",
-    "k_hop_neighborhood",
-    "largest_connected_subgraph",
     "random_connected_subgraph",
     "shortest_path_lengths",
     "wl_colors",

@@ -1,9 +1,9 @@
 """Classic graph algorithms on :class:`Graph`.
 
 BFS-based connectivity and distances, Weisfeiler-Lehman colour
-refinement (the scoring basis of SortPooling), k-hop neighbourhoods and
-the connected random-subgraph sampler used to create positive matching
-pairs (paper Sec. 6.1.1).
+refinement (the scoring basis of SortPooling) and the connected
+random-subgraph sampler used to create positive matching pairs (paper
+Sec. 6.1.1).
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ def is_connected(graph: Graph) -> bool:
     return len(connected_components(graph)[0]) == graph.num_nodes
 
 
-def largest_connected_subgraph(graph: Graph) -> Graph:
-    """Induced subgraph on the largest connected component."""
-    return graph.subgraph(connected_components(graph)[0])
-
-
 def connect_components(graph: Graph) -> Graph:
     """Return a connected graph by chaining component anchors.
 
@@ -90,20 +85,6 @@ def shortest_path_lengths(graph: Graph, source: int) -> np.ndarray:
                 dist[u] = dist[v] + 1
                 queue.append(int(u))
     return dist
-
-
-def k_hop_neighborhood(graph: Graph, node: int, k: int) -> np.ndarray:
-    """Nodes within k hops of ``node`` (including itself), sorted."""
-    dist = shortest_path_lengths(graph, node)
-    return np.flatnonzero((dist >= 0) & (dist <= k))
-
-
-def graph_density(graph: Graph) -> float:
-    """Fraction of possible undirected edges present."""
-    n = graph.num_nodes
-    if n < 2:
-        return 0.0
-    return graph.num_edges / (n * (n - 1) / 2.0)
 
 
 def wl_colors(graph: Graph, iterations: int = 3) -> np.ndarray:

@@ -46,58 +46,6 @@ def random_tree(n: int, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def barabasi_albert(n: int, m: int, rng: np.random.Generator) -> Graph:
-    """Preferential-attachment graph: each new node attaches to m targets."""
-    if m < 1 or m >= n:
-        raise ValueError("need 1 <= m < n")
-    adj = np.zeros((n, n), dtype=np.float64)
-    # Seed with a star on m+1 nodes so degrees are non-zero.
-    for i in range(1, m + 1):
-        adj[0, i] = adj[i, 0] = 1.0
-    repeated: list[int] = [0] * m + list(range(1, m + 1))
-    for new in range(m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(int(repeated[rng.integers(0, len(repeated))]))
-        for t in targets:
-            adj[new, t] = adj[t, new] = 1.0
-            repeated.append(t)
-        repeated.extend([new] * m)
-    return Graph(adj)
-
-
-def watts_strogatz(
-    n: int, k: int, p: float, rng: np.random.Generator
-) -> Graph:
-    """Small-world graph: ring lattice with rewired shortcuts.
-
-    Each node starts connected to its ``k`` nearest ring neighbours
-    (``k`` must be even); every edge is rewired to a random target with
-    probability ``p``.
-    """
-    if k % 2 != 0 or k < 2:
-        raise ValueError("k must be even and >= 2")
-    if k >= n:
-        raise ValueError("need k < n")
-    adj = np.zeros((n, n), dtype=np.float64)
-    for v in range(n):
-        for offset in range(1, k // 2 + 1):
-            u = (v + offset) % n
-            adj[v, u] = adj[u, v] = 1.0
-    for v in range(n):
-        for offset in range(1, k // 2 + 1):
-            u = (v + offset) % n
-            if adj[v, u] and rng.random() < p:
-                candidates = [
-                    w for w in range(n) if w != v and adj[v, w] == 0
-                ]
-                if candidates:
-                    target = candidates[int(rng.integers(0, len(candidates)))]
-                    adj[v, u] = adj[u, v] = 0.0
-                    adj[v, target] = adj[target, v] = 1.0
-    return Graph(adj)
-
-
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -114,21 +62,6 @@ def star_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     adj = np.ones((n, n)) - np.eye(n)
     return Graph(adj)
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    """2-D lattice graph."""
-    def node(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((node(r, c), node(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((node(r, c), node(r + 1, c)))
-    return Graph.from_edges(rows * cols, edges)
 
 
 def planted_communities(
@@ -167,40 +100,6 @@ def planted_communities(
     from repro.graph.algorithms import connect_components
 
     return connect_components(Graph(adj, meta={"membership": membership}))
-
-
-def molecule_like(
-    rng: np.random.Generator,
-    num_rings: int = 1,
-    ring_size: int = 6,
-    chain_length: int = 3,
-    num_label_types: int = 4,
-) -> Graph:
-    """Small molecule-ish graph: fused/linked rings plus pendant chains.
-
-    Node labels imitate atom types; used by the MUTAG-, PTC- and
-    AIDS-like dataset generators.
-    """
-    edges: list[tuple[int, int]] = []
-    n = 0
-    ring_anchor_nodes: list[int] = []
-    for _ in range(max(1, num_rings)):
-        start = n
-        for i in range(ring_size):
-            edges.append((start + i, start + (i + 1) % ring_size))
-        ring_anchor_nodes.append(start)
-        n += ring_size
-    # Link consecutive rings by a single bond.
-    for a, b in zip(ring_anchor_nodes, ring_anchor_nodes[1:]):
-        edges.append((a, b))
-    # Pendant chain hanging off the first ring.
-    prev = ring_anchor_nodes[0] + ring_size // 2
-    for _ in range(chain_length):
-        edges.append((prev, n))
-        prev = n
-        n += 1
-    labels = rng.integers(0, num_label_types, size=n)
-    return Graph.from_edges(n, edges, node_labels=labels)
 
 
 def random_sparse_csr(

@@ -5,8 +5,9 @@ All embedders share one protocol:
 - ``embed_levels(adjacency, features, mask=None, edge_attr=None)``
   returns a list of graph-level vectors, one per hierarchy level (flat
   embedders return a single level), enabling the paper's hierarchical
-  similarity measure; one graph gives ``(F,)`` vectors, a padded batch
-  ``(B, F)`` rows;
+  similarity measure; one graph gives ``(F,)`` vectors, a batch — a
+  ragged batch's CSR, rows and ``Slots``, or ``(B, N, ·)`` stacks and
+  a mask — ``(B, F)`` rows;
 - calling the embedder returns the final level;
 - ``embed(graph)`` returns a versioned
   :class:`~repro.models.common.EmbeddingResult` (level-summed vector +

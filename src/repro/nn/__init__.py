@@ -5,7 +5,7 @@ loss functions required by the GNN encoders, pooling operators and task
 models of the HAP reproduction.
 """
 
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, MLP, Dropout, LSTMCell, Bilinear
 from repro.nn.init import glorot_uniform, zeros, uniform
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -15,7 +15,6 @@ from repro.nn.losses import (
     cross_entropy,
     cross_entropy_batched,
     mse_loss,
-    nll_loss,
     pairwise_matching_loss,
     triplet_mse_loss,
 )
@@ -23,7 +22,6 @@ from repro.nn.losses import (
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
     "Linear",
     "MLP",
     "Dropout",
@@ -42,7 +40,6 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_batched",
     "mse_loss",
-    "nll_loss",
     "pairwise_matching_loss",
     "triplet_mse_loss",
 ]

@@ -37,11 +37,6 @@ def cross_entropy_batched(logits: Tensor, labels) -> Tensor:
     return -picked.mean()
 
 
-def nll_loss(log_probs: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood for already-log-softmaxed scores."""
-    return -log_probs[int(label)]
-
-
 def mse_loss(prediction: Tensor, target: float | np.ndarray) -> Tensor:
     """Mean squared error against a constant target."""
     diff = prediction - Tensor(np.asarray(target, dtype=np.float64))

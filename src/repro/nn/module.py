@@ -101,18 +101,3 @@ class Module:
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
-
-
-class Sequential(Module):
-    """Apply child modules in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x

@@ -37,9 +37,8 @@ from repro.observe.tracing import (
     coverage,
     span,
     trace,
-    tracing_active,
 )
-from repro.observe.profiler import OpProfiler, OpStat, profile_ops, profiling_active
+from repro.observe.profiler import OpProfiler, OpStat, profile_ops
 from repro.observe.callbacks import (
     Callback,
     CallbackList,
@@ -67,11 +66,9 @@ __all__ = [
     "coverage",
     "span",
     "trace",
-    "tracing_active",
     "OpProfiler",
     "OpStat",
     "profile_ops",
-    "profiling_active",
     "Callback",
     "CallbackList",
     "ConsoleLogger",

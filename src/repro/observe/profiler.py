@@ -149,13 +149,6 @@ class OpProfiler:
         return sum(s.calls for s in self.stats.values())
 
 
-def profiling_active() -> bool:
-    """Whether an op profiler is currently installed on the engine."""
-    from repro.tensor import ops as _ops
-
-    return _ops._PROFILE_HOOK is not None
-
-
 @contextmanager
 def profile_ops():
     """Install a fresh :class:`OpProfiler` for the duration of the block."""

@@ -107,11 +107,6 @@ class _TraceContext:
         return False
 
 
-def tracing_active() -> bool:
-    """Whether a ``trace()`` is open on the current thread."""
-    return bool(getattr(_STATE, "stack", None))
-
-
 def trace(name: str = "trace") -> _TraceContext:
     """Open a root span and activate ``span()`` recording under it."""
     return _TraceContext(name)

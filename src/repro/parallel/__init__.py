@@ -1,7 +1,7 @@
 """Multiprocess parallel execution engine (docs/parallelism.md).
 
-Cross-validation folds, seed replicates and experiment grids are
-embarrassingly parallel; this subpackage fans them out across worker
+Cross-validation folds and seed replicates are embarrassingly
+parallel; this subpackage fans them out across worker
 processes while keeping results **bitwise-identical to serial
 execution**.  Three building blocks enforce that invariant:
 
@@ -22,8 +22,7 @@ execution**.  Three building blocks enforce that invariant:
 
 Dataset regeneration inside workers is avoided by the on-disk cache in
 :mod:`repro.data.cache`.  Entry points: ``cross_validate_classification
-(..., n_workers=)``, :func:`repro.evaluation.harness.run_experiment_grid`
-and ``python -m repro crossval --workers N``.
+(..., n_workers=)`` and ``python -m repro crossval --workers N``.
 """
 
 from repro.parallel.pool import (
@@ -34,7 +33,7 @@ from repro.parallel.pool import (
     WorkerTaskError,
     resolve_workers,
 )
-from repro.parallel.seeding import generator_for_task, spawn_task_seeds
+from repro.parallel.seeding import spawn_task_seeds
 from repro.parallel.logs import (
     merge_worker_logs,
     task_log_path,
@@ -48,7 +47,6 @@ __all__ = [
     "WorkerPool",
     "WorkerTaskError",
     "resolve_workers",
-    "generator_for_task",
     "spawn_task_seeds",
     "merge_worker_logs",
     "task_log_path",

@@ -37,8 +37,3 @@ def spawn_task_seeds(
         entropy = [int(root)] if stream is None else [int(root), int(stream)]
         sequence = np.random.SeedSequence(entropy)
     return sequence.spawn(n_tasks)
-
-
-def generator_for_task(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    """The task-local generator for one spawned seed sequence."""
-    return np.random.default_rng(seed_seq)

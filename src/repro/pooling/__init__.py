@@ -20,7 +20,7 @@ returning the assignment S in a :class:`Selection`; the shared Reduce
 and Connect do the rest.
 """
 
-from repro.pooling.base import Coarsening, Readout, Selection, coarsening_readout
+from repro.pooling.base import Coarsening, Readout, Selection
 from repro.pooling.universal import (
     GCNConcat,
     GatedAttPool,
@@ -44,7 +44,6 @@ __all__ = [
     "Coarsening",
     "Readout",
     "Selection",
-    "coarsening_readout",
     "SumPool",
     "MeanPool",
     "MaxPool",

@@ -16,11 +16,11 @@ Uniform contract (enforced here, conformance-tested by
 ``tests/test_pooling_contract.py``):
 
 - Inputs: one graph — ``(N, N)`` adjacency and ``(N, F)`` features —
-  a padded batch — ``(B, N, N)`` and ``(B, N, F)`` plus an optional
-  ``(B, N)`` validity mask (``None`` means every row is real) — or a
-  ragged batch — its block-diagonal CSR adjacency, ``(ΣN, F)``
-  features and its :class:`~repro.tensor.Slots` in place of the
-  mask (docs/batching.md).  The adjacency is a numpy array, a
+  a ragged batch — its block-diagonal CSR adjacency, ``(ΣN, F)``
+  features and its :class:`~repro.tensor.Slots` in place of the mask
+  (docs/batching.md) — or a dense stack — ``(B, N, N)`` and
+  ``(B, N, F)`` plus an optional ``(B, N)`` validity mask (``None``
+  means every row is real), such as a Top-K level hands on.  The adjacency is a numpy array, a
   ``Tensor``, a :class:`~repro.tensor.sparse.CSRMatrix` (coarsenings)
   or ``None`` (readouts that ignore structure).
 - On a ragged batch, HAP's coarsening (``ragged = True``) selects on
@@ -32,7 +32,7 @@ Uniform contract (enforced here, conformance-tested by
 - ``Coarsening(adjacency, h, mask=None, edge_attr=None) -> (A', H',
   mask')`` with ``A'`` of shape ``(..., K, K)`` and ``H'`` of shape
   ``(..., K, F)``.  ``mask'`` is ``None`` unless K differs from graph
-  to graph (Top-K poolers on a padded batch); padding rows and columns
+  to graph (Top-K poolers on a batch); padding rows and columns
   of ``A'`` and ``H'`` are then exactly zero.
 """
 
@@ -68,7 +68,7 @@ def prepare_graph_inputs(adjacency, h, mask=None) -> tuple[object, Tensor, objec
     h = as_tensor(h)
     if h.ndim not in (2, 3):
         raise ValueError(
-            f"expected (N, F) or padded (B, N, F) node features, got shape {h.shape}"
+            f"expected (N, F) or stacked (B, N, F) node features, got shape {h.shape}"
         )
     if adjacency is not None:
         if not isinstance(adjacency, CSRMatrix):
@@ -264,9 +264,3 @@ class Coarsening(Module):
         operators without auxiliary objectives return None.
         """
         return self._aux
-
-
-def coarsening_readout(coarsening: Coarsening, adjacency, h: Tensor) -> Tensor:
-    """Use a coarsening operator as a readout: coarsen then mean-pool."""
-    _, h_coarse, mask = coarsening(adjacency, h)
-    return node_mean(h_coarse, mask)

@@ -17,10 +17,11 @@ Functional ops
     ``matmul, add, mul, concat, stack, softmax, log_softmax, relu,
     leaky_relu, sigmoid, tanh, exp, log, sqrt, power, maximum, where,
     sum, mean, max, reshape, transpose, pad, dropout_mask`` and friends,
-    re-exported from :mod:`repro.tensor.ops`.  ``masked_softmax``
-    backs the padded dense-batch execution path and ``to_slots`` (with
-    ``Slots``, a ragged batch's per-graph offsets) the per-graph
-    contractions of a ragged batch (docs/batching.md);
+    re-exported from :mod:`repro.tensor.ops`.  ``to_slots`` (with
+    ``Slots``, a ragged batch's per-graph offsets) backs the per-graph
+    contractions of a ragged batch, and ``masked_softmax`` the softmax
+    over the masked ``(B, N_max, ·)`` stacks of its slots view
+    (docs/batching.md);
     sparse primitives (``segment_sum, scatter_gather, spmm,
     segment_softmax``) over a constant ``CSRMatrix`` back the layers'
     CSR paths (docs/sparse.md); fused hot-path kernels

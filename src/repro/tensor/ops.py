@@ -371,10 +371,11 @@ def pad2d(a: Tensor, rows_after: int = 0, cols_after: int = 0) -> Tensor:
 # Masked softmax
 # ---------------------------------------------------------------------------
 #
-# The padded dense-batch execution path (docs/batching.md) stacks B graphs
-# into (B, N_max, ...) arrays with a (B, N_max) validity mask; ``matmul``
-# already multiplies such stacks.  The softmax below is *exactly* zero at
-# padding positions, so padding can never leak into real nodes.
+# A ragged batch's slots view and a Top-K level's output (docs/batching.md)
+# stack B graphs into (B, N_max, ...) arrays with a (B, N_max) validity
+# mask; ``matmul`` already multiplies such stacks.  The softmax below is
+# *exactly* zero at padding positions, so padding can never leak into
+# real nodes.
 
 
 def masked_softmax(a: Tensor, mask, axis: int = -1) -> Tensor:

@@ -20,8 +20,9 @@ from repro.data.triplets import GraphTriplet
 from repro.graph.graph import Graph
 
 #: graphs per ``model.predict`` call when scoring a classifier or
-#: regressor: each call is one padded ``(B, N_max, N_max)`` forward, so
-#: the chunk bounds its memory whatever the size of the evaluated set
+#: regressor: each call is one ragged batch, whose slot contractions take
+#: ``B · N_max · K``, so the chunk bounds its memory whatever the size of
+#: the evaluated set
 EVAL_CHUNK = 32
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data import batch_graphs
 from repro.graph import Graph, random_connected
 from repro.models.classifier import GraphClassifier
 from repro.observe import Callback
@@ -26,6 +27,19 @@ def small_graph(rng) -> Graph:
 def labelled_graph(rng) -> Graph:
     g = random_connected(7, 0.3, rng)
     return g.with_node_labels(rng.integers(0, 3, size=7))
+
+
+def slots_view(graphs):
+    """``graphs`` as padded operator inputs: the slots view of their
+    ``GraphBatch`` — the ``(B, N_max, N_max)`` adjacency stack, the
+    ``(B, N_max, F)`` zero-padded features and the ``(B, N_max)`` mask."""
+    batch = batch_graphs(graphs)
+    slots = batch.slots
+    return (
+        slots.dense(batch.adjacency),
+        slots.scatter(batch.features).data,
+        slots.mask,
+    )
 
 
 class LossCalls(Callback):

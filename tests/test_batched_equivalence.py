@@ -1,22 +1,24 @@
-"""Loop-vs-batched equivalence: the padded dense-batch execution path
-must reproduce the per-graph reference bit-for-bit up to float round-off.
+"""Loop-vs-batched equivalence: a batch must reproduce the per-graph
+reference bit-for-bit up to float round-off.
 
 For seeded random ragged batches (node counts vary per graph) we assert
 that batched forward outputs and loss *gradients* match the per-graph
 loop within 1e-6 (observed deviations are ~1e-12) for:
 
-- the GCN / GAT / GIN / SAGE encoders,
-- MOA (both relaxations, multi-head),
-- the full coarsening module (Eq. 17-19),
-- ``HierarchicalEmbedder`` level readouts, on ragged random graphs and
-  on the matching (pair graphs) and similarity (AIDS-like molecules)
-  regimes,
+- the GCN / GAT / GIN / SAGE encoders, MOA (both relaxations,
+  multi-head), the full coarsening module (Eq. 17-19) and
+  ``HierarchicalEmbedder`` level readouts on a ``GraphBatch``'s slots
+  view — masked ``(B, N_max, ·)`` stacks, the layout a Top-K level
+  hands to the next — the embedder also on the matching (pair graphs)
+  and similarity (AIDS-like molecules) regimes;
+- the embedder's train-mode levels on a ragged ``GraphBatch``, with
+  levels that share one generator drawing in the loop's order;
 - ``GraphClassifier`` loss and every parameter gradient, for each conv
   under both the classification and the regression head, and for every
   method of the model zoo, in eval and in train mode (HAP's Gumbel
   noise is drawn in the loop's order on either path);
-- train-mode ``fit`` with two sampled HAP levels on the per-graph loop,
-  padded batches and CSR: same parameters, same generator state;
+- train-mode ``fit`` with two sampled HAP levels on the per-graph loop
+  and on ragged batches: same parameters, same generator state;
 - the paper's harness (``run_classification``, a cross-validation
   fold) trains through ``batch_loss``, never the loop.
 
@@ -30,13 +32,12 @@ import pytest
 from repro.core import GraphCoarsening, HierarchicalEmbedder, MOA, build_hap_embedder
 from repro.data import (
     attach_degree_features,
+    batch_graphs,
     attach_label_features,
     make_aids_like,
     make_imdb_b_like,
     make_matching_dataset,
-    pad_graphs,
 )
-from repro.data.batching import iter_padded_batches
 from repro.data.datasets import NUM_ATOM_TYPES
 from repro.evaluation import run_classification
 from repro.evaluation.crossval import make_fold_tasks, run_fold_task
@@ -51,6 +52,7 @@ from repro.models.zoo import (
 )
 from repro.tensor import Tensor, softmax
 from repro.training import TrainConfig, fit
+from tests.conftest import slots_view
 from tests.moa_reference import moa_logits
 
 pytestmark = pytest.mark.equivalence
@@ -106,8 +108,8 @@ class TestEncoderEquivalence:
     def test_encoder_valid_rows_match_loop(self, rng, conv):
         graphs = _ragged_batch(rng)
         encoder = GNNEncoder([6, 8, 8], np.random.default_rng(0), conv=conv)
-        batch = pad_graphs(graphs)
-        out_b = encoder(batch.adjacency, Tensor(batch.features))
+        adjacency, features, _ = slots_view(graphs)
+        out_b = encoder(adjacency, Tensor(features))
         for i, g in enumerate(graphs):
             out = encoder(g.adjacency, Tensor(g.features))
             dev = np.abs(out.data - out_b.data[i, : g.num_nodes]).max()
@@ -126,17 +128,12 @@ class TestMOAEquivalence:
             num_heads=num_heads,
         )
         graphs = _ragged_batch(rng, feat_dim=n_clusters)
-        contents = [Tensor(g.features) for g in graphs]
-        n_max = max(g.num_nodes for g in graphs)
-        padded = np.zeros((len(graphs), n_max, n_clusters))
-        mask = np.zeros((len(graphs), n_max))
-        for i, c in enumerate(contents):
-            padded[i, : c.shape[0]] = c.data
-            mask[i, : c.shape[0]] = 1.0
+        _, padded, mask = slots_view(graphs)
+        n_max = padded.shape[1]
         out_b = moa(Tensor(padded), mask)
-        for i, c in enumerate(contents):
-            out = moa(c)
-            n = c.shape[0]
+        for i, g in enumerate(graphs):
+            out = moa(Tensor(g.features))
+            n = g.num_nodes
             dev = np.abs(out.data - out_b.data[i, :n]).max()
             assert dev < TOL, (relaxation, num_heads, i, dev)
             # Padding rows carry exactly zero attention mass.
@@ -166,8 +163,8 @@ class TestCoarseningEquivalence:
             6, 3, np.random.default_rng(0), soft_sampling=soft_sampling
         )
         module.eval()  # deterministic tempered softmax, no gumbel noise
-        batch = pad_graphs(graphs)
-        inputs = (batch.adjacency, Tensor(batch.features), batch.mask)
+        adjacency, features, mask = slots_view(graphs)
+        inputs = (adjacency, Tensor(features), mask)
         adj_b, h_b, _ = module(*inputs)
         m_b = module.select(*inputs).s
         assert adj_b.shape == (len(graphs), 3, 3)
@@ -210,10 +207,8 @@ class TestFullModelEquivalence:
     def test_embed_levels_match_loop(self, rng, regime):
         embedder, graphs = self._regime(rng, regime)
         embedder.eval()
-        batch = pad_graphs(graphs)
-        levels_b = embedder.embed_levels(
-            batch.adjacency, Tensor(batch.features), batch.mask
-        )
+        adjacency, features, mask = slots_view(graphs)
+        levels_b = embedder.embed_levels(adjacency, Tensor(features), mask)
         for i, g in enumerate(graphs):
             levels = embedder.embed_levels(g.adjacency, Tensor(g.features))
             for k, (lv, lv_b) in enumerate(zip(levels, levels_b)):
@@ -222,7 +217,7 @@ class TestFullModelEquivalence:
 
     def test_levels_on_two_generators_draw_in_loop_order(self, rng):
         """Train mode: levels 0 and 2 share one generator, level 1 has
-        its own; on a padded batch each still draws graph by graph."""
+        its own; on a batch each still draws graph by graph."""
 
         def embedder():
             shared = np.random.default_rng(2)
@@ -234,19 +229,22 @@ class TestFullModelEquivalence:
                  GraphCoarsening(8, 2, shared)],
             )
 
-        loop, padded = embedder(), embedder()
+        loop, batched = embedder(), embedder()
         graphs = _ragged_batch(rng)
-        levels_b = padded.embed_levels(pad_graphs(graphs))
+        batch = batch_graphs(graphs)
+        levels_b = batched.embed_levels(
+            batch.adjacency, Tensor(batch.features), batch.slots
+        )
         for i, g in enumerate(graphs):
             levels = loop.embed_levels(g.adjacency, Tensor(g.features))
             for k, (lv, lv_b) in enumerate(zip(levels, levels_b)):
                 dev = np.abs(lv.data - lv_b.data[i]).max()
                 assert dev < TOL, (i, k, dev)
-        for c_loop, c_padded in zip(loop.coarsenings, padded.coarsenings):
-            assert c_loop.rng.bit_generator.state == c_padded.rng.bit_generator.state
+        for c_loop, c_batched in zip(loop.coarsenings, batched.coarsenings):
+            assert c_loop.rng.bit_generator.state == c_batched.rng.bit_generator.state
 
     def _assert_loss_and_gradients_match(self, graphs, seed, **kwargs):
-        """The padded ``batch_loss`` equals the mean of per-graph
+        """The ragged ``batch_loss`` equals the mean of per-graph
         ``loss`` calls, and so does every parameter gradient; every HAP
         parameter receives one."""
         loop_model = self._models(seed, **kwargs)
@@ -319,14 +317,6 @@ class TestFullModelEquivalence:
         with pytest.raises(TypeError):
             model.predict(graphs=graphs)
 
-    def test_iter_padded_batches_covers_dataset(self, rng):
-        graphs = [attach_degree_features(g) for g in make_imdb_b_like(7, rng)]
-        chunks = list(iter_padded_batches(graphs, batch_size=3))
-        assert [c.batch_size for c in chunks] == [3, 3, 1]
-        assert sum(int(c.num_nodes.sum()) for c in chunks) == sum(
-            g.num_nodes for g in graphs
-        )
-
 
 def _labelled_ragged_batch(rng):
     return [g.with_label(i % 2) for i, g in enumerate(_ragged_batch(rng))]
@@ -366,7 +356,7 @@ class TestEveryClassifierTrainsBatched:
 
 class TestTrainModeFit:
     """Train-mode ``fit`` with two sampled HAP levels (clusters (6, 3))
-    gives the same parameters on the per-graph loop and the padded
+    gives the same parameters on the per-graph loop and the ragged
     default, and leaves the shared generator (shuffling and Gumbel
     noise) in the same state.  A CSR level 0 draws the dense path's
     noise too (tests/test_sparse_equivalence.py)."""
@@ -385,14 +375,14 @@ class TestTrainModeFit:
         fit(model, graphs, rng, config)
         return model.state_dict(), rng.bit_generator.state
 
-    def test_loop_and_padded_paths_agree(self):
+    def test_loop_and_ragged_paths_agree(self):
         loop, loop_state = self._fit(
             TrainConfig(epochs=2, batch_size=4, batched=False)
         )
-        padded, padded_state = self._fit(TrainConfig(epochs=2, batch_size=4))
-        assert padded_state == loop_state
+        ragged, ragged_state = self._fit(TrainConfig(epochs=2, batch_size=4))
+        assert ragged_state == loop_state
         for name, value in loop.items():
-            dev = np.abs(padded[name] - value).max()
+            dev = np.abs(ragged[name] - value).max()
             assert dev < 1e-9, (name, dev)
 
 
@@ -417,28 +407,3 @@ class TestHarnessTrainsBatched:
         batches = -(-len(task.train_idx) // TrainConfig().batch_size)
         assert loss_calls.calls == {"batch_loss": task.epochs * batches, "loss": 0}
 
-
-class TestPaddedBatchValidation:
-    def test_requires_features(self, rng):
-        g = random_connected(4, 0.5, rng)
-        with pytest.raises(ValueError, match="no node features"):
-            pad_graphs([g])
-
-    def test_rejects_mixed_feature_dims(self, rng):
-        g1 = random_connected(4, 0.5, rng).with_features(np.ones((4, 3)))
-        g2 = random_connected(4, 0.5, rng).with_features(np.ones((4, 5)))
-        with pytest.raises(ValueError, match="feature dimensions"):
-            pad_graphs([g1, g2])
-
-    def test_rejects_empty_and_small_pad_to(self, rng):
-        with pytest.raises(ValueError):
-            pad_graphs([])
-        g = random_connected(6, 0.5, rng).with_features(np.ones((6, 2)))
-        with pytest.raises(ValueError, match="pad_to"):
-            pad_graphs([g], pad_to=4)
-
-    def test_labels_only_when_all_present(self, rng):
-        g1 = random_connected(3, 0.6, rng).with_features(np.ones((3, 2)))
-        batch = pad_graphs([g1.with_label(1), g1.with_label(0)])
-        np.testing.assert_array_equal(batch.labels, [1, 0])
-        assert pad_graphs([g1.with_label(1), g1]).labels is None

@@ -6,7 +6,8 @@ graph sizes, cluster counts and relaxations:
 1. padding nodes receive *exactly* zero attention mass in the MOA
    row-softmax (not approximately zero);
 2. pooled per-level features are invariant to the amount of padding a
-   batch carries (``pad_to`` larger than necessary changes nothing);
+   batch carries: a larger companion graph, which grows ``N_max``,
+   changes no graph's levels, on the ragged batch or its slots view;
 3. batched outputs are permutation-equivariant / the pooled readout is
    permutation-invariant, per the paper's Claim 2.
 """
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GraphCoarsening, MOA, build_hap_embedder
-from repro.data import pad_graphs
+from repro.data import batch_graphs
 from repro.graph import random_connected
 from repro.tensor import Tensor
+from tests.conftest import slots_view
 
 pytestmark = pytest.mark.equivalence
 
@@ -33,6 +35,16 @@ def _graph(seed: int, n: int, feat_dim: int):
     rng = np.random.default_rng(seed)
     g = random_connected(n, 0.4, rng)
     return g.with_features(rng.normal(size=(n, feat_dim)))
+
+
+def _ragged(graphs):
+    batch = batch_graphs(graphs)
+    return batch.adjacency, Tensor(batch.features), batch.slots
+
+
+def _stacked(graphs):
+    adjacency, features, mask = slots_view(graphs)
+    return adjacency, Tensor(features), mask
 
 
 @settings(max_examples=30, deadline=None)
@@ -61,16 +73,12 @@ def test_pooled_features_invariant_to_padding_amount(seed, n, extra, relaxation)
     emb = build_hap_embedder(5, 6, [3, 2], np.random.default_rng(seed + 1),
                              relaxation=relaxation)
     emb.eval()
-    tight = pad_graphs([g])
-    loose = pad_graphs([g], pad_to=n + extra)
-    levels_tight = emb.embed_levels(
-        tight.adjacency, Tensor(tight.features), tight.mask
-    )
-    levels_loose = emb.embed_levels(
-        loose.adjacency, Tensor(loose.features), loose.mask
-    )
-    for lt, ll in zip(levels_tight, levels_loose):
-        np.testing.assert_allclose(lt.data, ll.data, atol=1e-9)
+    companion = _graph(seed + 2, n + extra, feat_dim=5)
+    for layout in (_ragged, _stacked):
+        alone = emb.embed_levels(*layout([g]))
+        beside = emb.embed_levels(*layout([g, companion]))
+        for la, lb in zip(alone, beside):
+            np.testing.assert_allclose(la.data[0], lb.data[0], atol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -85,10 +93,7 @@ def test_batched_coarsening_is_permutation_equivariant(seed, n, n_prime):
     perm = np.random.default_rng(seed + 2).permutation(n)
     pg = g.permute(perm)
 
-    batch = pad_graphs([g])
-    batch_p = pad_graphs([pg])
-    inputs = (batch.adjacency, Tensor(batch.features), batch.mask)
-    inputs_p = (batch_p.adjacency, Tensor(batch_p.features), batch_p.mask)
+    inputs, inputs_p = _stacked([g]), _stacked([pg])
     adj, h, _ = module(*inputs)
     adj_p, h_p, _ = module(*inputs_p)
     m, m_p = module.select(*inputs).s, module.select(*inputs_p).s
@@ -105,7 +110,6 @@ def test_batched_embedding_permutation_invariant(seed, n):
     emb.eval()
     perm = np.random.default_rng(seed + 2).permutation(n)
     pg = g.permute(perm)
-    batch, batch_p = pad_graphs([g]), pad_graphs([pg])
-    out = emb(batch.adjacency, Tensor(batch.features), batch.mask)
-    out_p = emb(batch_p.adjacency, Tensor(batch_p.features), batch_p.mask)
+    out = emb(*_stacked([g]))
+    out_p = emb(*_stacked([pg]))
     np.testing.assert_allclose(out_p.data, out.data, atol=1e-8)

@@ -107,13 +107,14 @@ class TestWorkflowShape:
         assert "continue-on-error: true" in bench[1]
 
     def test_bench_job_uploads_every_bench_test_result(self):
-        """The bench job keeps the rows each `bench` test persists."""
+        """The bench job keeps the rows each `bench` test persists to the
+        git-ignored benchmarks/out/."""
         upload = WORKFLOW.read_text().split("  bench:", 1)[1]
         for path in sorted((REPO / "benchmarks").glob("test_*.py")):
             source = path.read_text()
             if "pytest.mark.bench" in source:
-                name = re.search(r'persist_rows\(\s*"(\w+)"', source)[1]
-                assert f"results/{name}.json" in upload, path.name
+                name = re.search(r'persist_bench_rows\(\s*"(\w+)"', source)[1]
+                assert f"benchmarks/out/{name}.json" in upload, path.name
 
     def test_every_setup_python_step_caches_pip(self):
         """Dependency installs reuse the runner's pip cache across runs."""

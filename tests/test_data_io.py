@@ -9,9 +9,9 @@ the archive format (docs/streaming.md § Shard file layout):
 - a member with too few or too many values for its records is a
   ``ValueError``, a ``ShardCorruptionError`` naming the shard, or a
   cache rebuild, depending on the reader;
-- format-1 archives (one member per graph and field), written here by
-  :func:`_save_format_1` as the oracle, still load bitwise through
-  ``load_graphs``, shard stores, streaming and the dataset cache.
+- a format-1 archive (one member per graph and field, written here by
+  :func:`_save_format_1`) is a ``ValueError`` naming its format, and the
+  dataset cache rebuilds one.
 """
 
 import json
@@ -26,13 +26,10 @@ from repro.data import load_graphs, save_graphs
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
 from repro.data.datasets import make_aids_like, make_esol_like, make_imdb_b_like
 from repro.data.encoding import attach_degree_features
-from repro.data.io import read_archive_header
 from repro.data.sharding import (
     ShardCorruptionError,
-    content_checksum,
     load_manifest,
     read_shard,
-    rebuild_shard,
     shard_dataset,
     shard_path,
     write_shards,
@@ -110,14 +107,6 @@ def _rewrite_members(path, **members):
     np.savez_compressed(path, **arrays)
 
 
-def _convert_store_to_format_1(shard_dir):
-    manifest = load_manifest(shard_dir)
-    for index in range(manifest.num_shards):
-        graphs = read_shard(shard_dir, index, manifest=manifest)
-        _save_format_1(graphs, shard_path(shard_dir, index), name=manifest.name)
-    return manifest
-
-
 @pytest.fixture()
 def fresh_registry():
     fresh = MetricsRegistry()
@@ -188,7 +177,6 @@ class TestFlatLayout:
                 archive["node_labels"],
                 np.concatenate([g.node_labels for g in graphs]),
             )
-        assert read_archive_header(tmp_path / "aids.npz")["format_version"] == 2
 
     def test_npz_suffix_is_appended_when_missing(self, rng, tmp_path):
         graphs = make_aids_like(2, rng)
@@ -392,62 +380,20 @@ class TestEdgeFeatureChecksums:
 
 
 class TestFormat1Archives:
-    def test_load_graphs_returns_the_source_bitwise(self, rng, tmp_path):
-        graphs = _mixed_graphs(rng)
-        _save_format_1(graphs, tmp_path / "old.npz", name="old", meta={"v": 1})
-        loaded, name = load_graphs(tmp_path / "old.npz")
-        assert name == "old"
-        assert read_archive_header(tmp_path / "old.npz")["format_version"] == 1
-        assert [_fingerprint(g) for g in loaded] == [_fingerprint(g) for g in graphs]
+    def test_load_graphs_names_the_format(self, rng, tmp_path):
+        _save_format_1(_mixed_graphs(rng), tmp_path / "old.npz", name="old")
+        with pytest.raises(ValueError, match="format-1 archive"):
+            load_graphs(tmp_path / "old.npz")
 
-    def test_shard_store_verifies_against_its_manifest(self, store):
-        manifest = load_manifest(store)
-        before = [
-            [_fingerprint(g) for g in read_shard(store, i)]
-            for i in range(manifest.num_shards)
-        ]
-        _convert_store_to_format_1(store)
-        for index in range(manifest.num_shards):
-            assert read_archive_header(shard_path(store, index))[
-                "format_version"
-            ] == 1
-            graphs = read_shard(store, index)
-            assert content_checksum(graphs) == manifest.checksums[index]
-            assert [_fingerprint(g) for g in graphs] == before[index]
-
-    def test_shard_store_streams_bitwise(self, store):
-        _convert_store_to_format_1(store)
-        in_memory, _, _ = load_dataset_cached("MUTAG", 20, 3)
-        with StreamingDataset(store, max_cached_shards=2) as stream:
-            order = np.random.default_rng(0).permutation(len(stream))
-            stream.plan_epoch(order)
-            streamed = [stream[int(i)] for i in order]
-        assert [_fingerprint(g) for g in streamed] == [
-            _fingerprint(in_memory[int(i)]) for i in order
-        ]
-
-    def test_dataset_cache_serves_it_as_a_disk_hit(
-        self, tmp_path, fresh_registry
-    ):
+    def test_dataset_cache_rebuilds_it(self, tmp_path, fresh_registry):
         clear_memory_cache()
         built, _, _ = load_dataset_cached("MUTAG", 12, 4, tmp_path)
         path = shard_path(DatasetCache(tmp_path).path_for("MUTAG", 12, 4), 0)
         raw, name = load_graphs(path)
         _save_format_1(raw, path, name=name)
         clear_memory_cache()
-        loaded, _, _ = load_dataset_cached("MUTAG", 12, 4, tmp_path)
+        rebuilt, _, _ = load_dataset_cached("MUTAG", 12, 4, tmp_path)
         counters = fresh_registry.snapshot()["counters"]
-        assert counters["data_cache/hit_disk"] == 1
-        assert counters["data_cache/miss"] == 1  # the first build only
-        assert "data_cache/corrupt" not in counters
-        assert read_archive_header(path)["format_version"] == 1  # not rewritten
-        assert [_fingerprint(g) for g in loaded] == [_fingerprint(g) for g in built]
-
-    def test_rebuild_shard_writes_format_2(self, store):
-        manifest = _convert_store_to_format_1(store)
-        path = rebuild_shard(store, 2)
-        assert read_archive_header(path)["format_version"] == 2
-        with np.load(path) as archive:
-            assert "adjacency" in archive.files and "adj_0" not in archive.files
-        assert content_checksum(read_shard(store, 2)) == manifest.checksums[2]
-        assert read_archive_header(shard_path(store, 1))["format_version"] == 1
+        assert counters["data_cache/corrupt"] == 1
+        assert [_fingerprint(g) for g in rebuilt] == [_fingerprint(g) for g in built]
+        assert len(load_graphs(path)[0]) == 12  # rewritten in format 2

@@ -198,7 +198,7 @@ class TestEdgeFeaturesOnDegenerateGraphs:
     """Bond features through the pathological shapes: an edgeless graph
     (no bond carries any feature), a single-edge graph, and a chain
     whose bonds are all the identical type — each through the
-    per-graph and padded-batch execution paths, which must agree (a CSR
+    per-graph and ragged-batch execution paths, which must agree (a CSR
     level 0 on such shapes: tests/test_sparse_equivalence.py)."""
 
     FE = 3
@@ -258,12 +258,14 @@ class TestEdgeFeaturesOnDegenerateGraphs:
             loss.backward()
             assert np.isfinite(loss.data), conv
 
-    def test_padded_batch_carries_degenerate_edge_features(self, rng):
-        from repro.data import pad_graphs
+    def test_edgeless_adds_no_bond_rows(self, rng):
+        """The edgeless graph adds no rows to the batch's ``(ΣE, Fe)``
+        bond features, which stay aligned with its CSR entries."""
+        from repro.data import batch_graphs
 
         graphs = self._graphs(rng)
-        batch = pad_graphs(graphs)
-        n = batch.adjacency.shape[1]
-        assert batch.edge_features.shape == (len(graphs), n, n, self.FE)
-        # the edgeless graph's slab is all zeros
-        assert np.all(batch.edge_features[0] == 0.0)
+        batch = batch_graphs(graphs)
+        assert batch.edge_features.shape == (batch.adjacency.nnz, self.FE)
+        np.testing.assert_array_equal(
+            batch.edge_features, batch_graphs(graphs[1:]).edge_features
+        )

@@ -1,10 +1,8 @@
-"""Feature vectors, Hausdorff GED lower bound, Watts-Strogatz graphs,
-learning curves."""
+"""Feature vectors and the Hausdorff GED lower bound."""
 
 import numpy as np
 import pytest
 
-from repro.evaluation.learning_curves import LearningCurve, learning_curve
 from repro.ged import hausdorff_ged, hungarian_ged
 from repro.graph import (
     FeatureVectorClassifier,
@@ -14,12 +12,10 @@ from repro.graph import (
     cycle_graph,
     exact_ged,
     graph_feature_vector,
-    is_connected,
     path_graph,
     random_connected,
     spectral_gap,
     star_graph,
-    watts_strogatz,
 )
 from repro.graph.features import FEATURE_VECTOR_DIM
 
@@ -52,30 +48,6 @@ class TestHausdorffGED:
     def test_empty_graph_cost(self):
         g = cycle_graph(4)
         assert hausdorff_ged(Graph.empty(0), g) == 8.0  # 4 nodes + 4 edges
-
-
-class TestWattsStrogatz:
-    def test_edge_count_preserved_by_rewiring(self, rng):
-        g = watts_strogatz(20, 4, 0.3, rng)
-        assert g.num_nodes == 20
-        assert g.num_edges == 20 * 4 // 2
-
-    def test_p_zero_is_ring_lattice(self, rng):
-        g = watts_strogatz(10, 2, 0.0, rng)
-        # k=2 ring lattice is exactly the cycle.
-        np.testing.assert_array_equal(g.adjacency, cycle_graph(10).adjacency)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            watts_strogatz(10, 3, 0.1, rng)  # odd k
-        with pytest.raises(ValueError):
-            watts_strogatz(4, 4, 0.1, rng)  # k >= n
-
-    def test_small_world_shortcut_effect(self, rng):
-        # Rewiring should keep high clustering relative to ER of the same
-        # density at moderate p (classic small-world regime).
-        g = watts_strogatz(30, 6, 0.1, rng)
-        assert clustering_coefficient(g) > 0.2
 
 
 class TestGraphStatistics:
@@ -121,22 +93,3 @@ class TestFeatureVectorClassifier:
         clf = FeatureVectorClassifier(2, rng)
         with pytest.raises(ValueError):
             clf.loss(path_graph(3))
-
-
-class TestLearningCurve:
-    def test_curve_shape(self):
-        curve = learning_curve(
-            "SumPool", "IMDB-B", sizes=[10, 20], epochs=3, hidden=8,
-            test_size=20,
-        )
-        assert curve.sizes == [10, 20]
-        assert len(curve.accuracies) == 2
-        assert all(0.0 <= a <= 1.0 for a in curve.accuracies)
-        rows = curve.as_rows()
-        assert set(rows) == {"n=10", "n=20"}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            learning_curve("SumPool", "IMDB-B", sizes=[1])
-        with pytest.raises(ValueError):
-            learning_curve("SumPool", "AIDS", sizes=[10])

@@ -10,8 +10,6 @@ from repro.graph import (
     cycle_graph,
     degrees,
     is_connected,
-    k_hop_neighborhood,
-    largest_connected_subgraph,
     path_graph,
     random_connected,
     random_connected_subgraph,
@@ -33,11 +31,6 @@ class TestConnectivity:
         assert not is_connected(Graph.empty(3))
         assert is_connected(Graph.empty(0))
 
-    def test_largest_connected_subgraph(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2)])
-        sub = largest_connected_subgraph(g)
-        assert sub.num_nodes == 3 and sub.num_edges == 2
-
 
 class TestDistances:
     def test_bfs_matches_networkx(self, rng):
@@ -52,11 +45,6 @@ class TestDistances:
         g = Graph.from_edges(3, [(0, 1)])
         dist = shortest_path_lengths(g, 0)
         assert dist[2] == -1
-
-    def test_k_hop(self):
-        g = path_graph(6)
-        np.testing.assert_array_equal(k_hop_neighborhood(g, 0, 2), [0, 1, 2])
-        np.testing.assert_array_equal(k_hop_neighborhood(g, 3, 1), [2, 3, 4])
 
 
 class TestWL:

@@ -45,7 +45,6 @@ from repro.parallel import (
     WorkerCrashError,
     WorkerPool,
     WorkerTaskError,
-    generator_for_task,
     merge_worker_logs,
     resolve_workers,
     spawn_task_seeds,
@@ -73,7 +72,7 @@ def square_task(task: int) -> int:
 
 
 def draw_task(seed_seq: np.random.SeedSequence) -> float:
-    return float(generator_for_task(seed_seq).standard_normal())
+    return float(np.random.default_rng(seed_seq).standard_normal())
 
 
 def failing_task(task: int) -> int:
@@ -92,20 +91,20 @@ def dying_task(task: int) -> int:
 
 class TestTaskSeeding:
     def test_spawned_streams_are_reproducible(self):
-        first = [generator_for_task(s).normal(size=3) for s in spawn_task_seeds(0, 4)]
-        second = [generator_for_task(s).normal(size=3) for s in spawn_task_seeds(0, 4)]
+        first = [np.random.default_rng(s).normal(size=3) for s in spawn_task_seeds(0, 4)]
+        second = [np.random.default_rng(s).normal(size=3) for s in spawn_task_seeds(0, 4)]
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_streams_are_pairwise_distinct(self):
         draws = [
-            float(generator_for_task(s).normal()) for s in spawn_task_seeds(0, 8)
+            float(np.random.default_rng(s).normal()) for s in spawn_task_seeds(0, 8)
         ]
         assert len(set(draws)) == len(draws)
 
     def test_stream_tag_separates_purposes(self):
-        a = generator_for_task(spawn_task_seeds(0, 1, stream=1)[0]).normal()
-        b = generator_for_task(spawn_task_seeds(0, 1, stream=2)[0]).normal()
+        a = np.random.default_rng(spawn_task_seeds(0, 1, stream=1)[0]).normal()
+        b = np.random.default_rng(spawn_task_seeds(0, 1, stream=2)[0]).normal()
         assert a != b
 
     def test_task_seeds_are_prefix_stable(self):
@@ -114,8 +113,8 @@ class TestTaskSeeding:
         many = spawn_task_seeds(3, 5)
         for short_seq, long_seq in zip(few, many):
             np.testing.assert_array_equal(
-                generator_for_task(short_seq).normal(size=4),
-                generator_for_task(long_seq).normal(size=4),
+                np.random.default_rng(short_seq).normal(size=4),
+                np.random.default_rng(long_seq).normal(size=4),
             )
 
 

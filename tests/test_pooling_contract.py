@@ -38,7 +38,7 @@ from repro.pooling import (
     StructPool,
     SumPool,
 )
-from repro.pooling.base import Coarsening, Readout, Selection, coarsening_readout
+from repro.pooling.base import Coarsening, Readout, Selection, node_mean
 from repro.tensor import Tensor
 
 N, F = 10, 5
@@ -153,9 +153,11 @@ class TestCoarseningContract:
 
     @pytest.mark.parametrize("name", sorted(COARSENINGS))
     def test_works_as_readout(self, rng, graph, name):
+        """Coarsened and mean-pooled, as each embedder level reads out."""
         op = COARSENINGS[name](rng)
         op.eval()
-        out = coarsening_readout(op, graph.adjacency, Tensor(graph.features))
+        _, h_c, mask = op(graph.adjacency, Tensor(graph.features))
+        out = node_mean(h_c, mask)
         assert out.ndim == 1 and out.shape[0] == F
 
     @pytest.mark.parametrize(

@@ -8,9 +8,14 @@ written before the split.  For every operator:
 - on a single graph, outputs, auxiliary losses and gradients
   (parameters, features and a differentiable adjacency) match the
   reference to <1e-6;
-- on a padded batch of graphs of different sizes, each graph's rows
-  match its single-graph reference, padding rows and columns are exactly
-  zero, and the batch's auxiliary loss is the mean of the per-graph ones.
+- on a batch of graphs of different sizes, each graph's rows match its
+  single-graph reference, padding rows and columns are exactly zero,
+  Top-K output masks keep each graph's own count, and the batch's
+  auxiliary loss is the mean of the per-graph ones.  The batch runs
+  twice: as a ``GraphBatch`` (block-diagonal CSR, ``(ΣN, F)`` rows and
+  ``Slots``), the layout the models run, and as that batch's slots view
+  (``(B, N_max, ·)`` stacks plus a mask), the layout a Top-K level hands
+  to the next.
 
 ``HeteroGraphCoarsening`` is checked against its reference the same way.
 """
@@ -19,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import GraphCoarsening
-from repro.data import pad_graphs
+from repro.data import batch_graphs
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.hetero import HeteroGraph, HeteroGraphCoarsening
@@ -45,6 +50,7 @@ from repro.pooling import (
     SumPool,
 )
 from repro.tensor import Tensor
+from tests.conftest import slots_view
 from tests.pooling_reference import (
     COARSENING_REFERENCES,
     READOUT_REFERENCES,
@@ -96,12 +102,20 @@ def graphs(rng):
 
 
 def _padded(graphs):
-    """A padded batch whose padding feature rows hold large garbage, as
-    an encoder's padding rows do: the operators must mask it out."""
-    batch = pad_graphs(graphs)
-    garbage = 100.0 * np.random.default_rng(9).normal(size=batch.features.shape)
-    features = batch.features + garbage * (1.0 - batch.mask)[..., None]
-    return batch.adjacency, Tensor(features), batch.mask
+    """The batch's slots view, whose padding feature rows hold large
+    garbage, as an encoder's padding rows do: the operators must mask it
+    out."""
+    adjacency, features, mask = slots_view(graphs)
+    garbage = 100.0 * np.random.default_rng(9).normal(size=features.shape)
+    features = features + garbage * (1.0 - mask)[..., None]
+    return adjacency, Tensor(features), mask
+
+
+def _ragged(graphs):
+    """The batch as the models run it: a ``GraphBatch``'s block-diagonal
+    CSR, ``(ΣN, F)`` rows and ``Slots``."""
+    batch = batch_graphs(graphs)
+    return batch.adjacency, Tensor(batch.features), batch.slots
 
 
 def _leaves(graph):
@@ -167,10 +181,18 @@ class TestCoarseningsMatchReference:
 
     @pytest.mark.parametrize("name", sorted(COARSENINGS))
     def test_padded_batch_rows_match_single_graph_reference(self, graphs, name):
+        self._assert_batch_matches_reference(graphs, name, _padded)
+
+    @pytest.mark.parametrize("name", sorted(COARSENINGS))
+    def test_graph_batch_rows_match_single_graph_reference(self, graphs, name):
+        self._assert_batch_matches_reference(graphs, name, _ragged)
+
+    @staticmethod
+    def _assert_batch_matches_reference(graphs, name, layout):
         op = COARSENINGS[name](np.random.default_rng(0))
         op.eval()
         reference = COARSENING_REFERENCES[name]
-        adj_b, h_b, mask_b = op(*_padded(graphs))
+        adj_b, h_b, mask_b = op(*layout(graphs))
         aux_b = op.auxiliary_loss()
         k_max = h_b.shape[1]
         assert adj_b.shape == (len(graphs), k_max, k_max)
@@ -221,10 +243,8 @@ class TestCoarseningsMatchReference:
         padded_attr = np.zeros((len(graphs), n_max, n_max, 2))
         for i, attr in enumerate(attrs):
             padded_attr[i, : len(attr), : len(attr)] = attr
-        batch = pad_graphs(graphs)
-        adj_b, h_b, _ = op(
-            batch.adjacency, Tensor(batch.features), batch.mask, edge_attr=padded_attr
-        )
+        adjacency, features, mask = slots_view(graphs)
+        adj_b, h_b, _ = op(adjacency, Tensor(features), mask, edge_attr=padded_attr)
         for i, (g, attr) in enumerate(zip(graphs, attrs)):
             adj_c, h_c, _ = op(g.adjacency, Tensor(g.features), edge_attr=attr)
             adj_ref, h_ref, _ = hap_coarsening(
@@ -260,9 +280,17 @@ class TestReadoutsMatchReference:
 
     @pytest.mark.parametrize("name", sorted(READOUTS))
     def test_padded_batch_rows_match_single_graph_reference(self, graphs, name):
+        self._assert_batch_matches_reference(graphs, name, _padded)
+
+    @pytest.mark.parametrize("name", sorted(READOUTS))
+    def test_graph_batch_rows_match_single_graph_reference(self, graphs, name):
+        self._assert_batch_matches_reference(graphs, name, _ragged)
+
+    @staticmethod
+    def _assert_batch_matches_reference(graphs, name, layout):
         op = READOUTS[name](np.random.default_rng(0))
         reference = READOUT_REFERENCES[name]
-        out_b = op(*_padded(graphs))
+        out_b = op(*layout(graphs))
         assert out_b.shape == (len(graphs), op.out_features)
         for i, g in enumerate(graphs):
             out_ref = reference(op, g.adjacency, Tensor(g.features))

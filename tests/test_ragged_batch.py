@@ -255,6 +255,12 @@ class TestLayout:
         with pytest.raises(ValueError, match="no node features"):
             batch_graphs([random_connected(4, 0.5, rng)])
 
+    def test_labels_only_when_all_present(self, rng):
+        g = random_connected(3, 0.6, rng).with_features(np.ones((3, 2)))
+        batch = batch_graphs([g.with_label(1), g.with_label(0)])
+        np.testing.assert_array_equal(batch.labels, [1, 0])
+        assert batch_graphs([g.with_label(1), g]).labels is None
+
 
 class TestFitWithoutBufferPool:
     def test_fit_steps_with_no_active_pool(self):

@@ -1,7 +1,10 @@
 """Repository self-consistency: docs, benchmarks and code agree."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -105,7 +108,7 @@ class TestBenchmarksAreSelfContained:
         for path in sorted((REPO / "benchmarks").glob("test_*.py")):
             source = path.read_text()
             assert "run_once" in source, path.name
-            assert "persist_rows" in source, path.name
+            assert re.search(r"persist_(bench_)?rows\(", source), path.name
 
     def test_no_benchmark_reaches_into_tools(self):
         """Benchmarks import the library, never a script under tools/:
@@ -147,7 +150,7 @@ class TestTutorialRuns:
     ):
         """The tutorial's operator definition, model-building block,
         usage block and invariant test run as written; one graph's
-        logits equal its row of the padded batch."""
+        logits equal its row of the batch."""
         import numpy as np
 
         text = (REPO / "docs" / "tutorial_custom_pooling.md").read_text()
@@ -165,3 +168,71 @@ class TestTutorialRuns:
         batch = model(graphs).data
         for i, graph in enumerate(graphs):
             assert np.abs(model(graph).data - batch[i]).max() < 1e-6, i
+
+
+def _names_used(statement: ast.AST, skip_imports: bool) -> set[str]:
+    """Identifiers a statement reads: names, attributes and, unless
+    ``skip_imports``, the names it imports."""
+    used = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not skip_imports:
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+class TestSrcHoldsNoTestOnlyCode:
+    """Every public top-level function or class in ``src/`` is named in
+    docs/api.md or used outside ``tests/``: by a ``src/`` statement other
+    than its own definition (a package ``__init__``'s re-export is not a
+    use), or by ``bench/``, ``benchmarks/``, ``examples/`` or ``tools/``.
+    Code only tests reach belongs in ``tests/`` or nowhere."""
+
+    USERS = ("bench", "benchmarks", "examples", "tools")
+
+    def test_every_public_definition_has_a_user_or_an_api_entry(self):
+        api = (REPO / "docs" / "api.md").read_text()
+        defined: list[tuple[str, str]] = []
+        users: set[str] = set()
+        for path in sorted((REPO / "src").rglob("*.py")):
+            reexports = path.name == "__init__.py"
+            for statement in ast.parse(path.read_text()).body:
+                own = getattr(statement, "name", None)
+                if isinstance(
+                    statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ) and not own.startswith("_"):
+                    defined.append((str(path.relative_to(REPO)), own))
+                users |= _names_used(statement, skip_imports=reexports) - {own}
+        for directory in self.USERS:
+            for path in sorted((REPO / directory).rglob("*.py")):
+                users |= _names_used(ast.parse(path.read_text()), False)
+        unused = [
+            f"{module}: {name}"
+            for module, name in defined
+            if name not in users and not re.search(rf"\b{name}\b", api)
+        ]
+        assert not unused, (
+            "public definitions no code outside tests/ uses and docs/api.md "
+            f"does not name: {unused}"
+        )
+
+
+class TestLayering:
+    def test_the_model_layers_import_no_data_module(self):
+        """``repro.tensor``, ``repro.gnn``, ``repro.pooling`` and
+        ``repro.core`` take arrays, CSR matrices and ``Slots``; building
+        batches from graphs is ``repro.data``'s job, above them."""
+        code = (
+            "import sys\n"
+            "import repro.tensor, repro.gnn, repro.pooling, repro.core\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.data')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]", result.stdout

@@ -29,11 +29,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GraphCoarsening, build_hap_embedder
-from repro.data import pad_graphs
 from repro.gnn import GNNEncoder
 from repro.graph import Graph, random_connected
 from repro.models.classifier import GraphClassifier
 from repro.tensor import CSRMatrix, Tensor, check_gradients, spmm
+from tests.conftest import slots_view
 from tests.gcn_reference import normalize_adjacency, normalize_adjacency_sparse
 
 pytestmark = pytest.mark.sparse
@@ -93,8 +93,8 @@ class TestLayerEquivalence:
     def test_sparse_matches_padded_batch_valid_rows(self, rng, conv):
         graphs = _ragged_batch(rng)
         encoder = GNNEncoder([6, 8, 8], np.random.default_rng(0), conv=conv)
-        batch = pad_graphs(graphs)
-        out_b = encoder(batch.adjacency, Tensor(batch.features))
+        adjacency, features, _ = slots_view(graphs)
+        out_b = encoder(adjacency, Tensor(features))
         for i, g in enumerate(graphs):
             out_s = encoder(g.to_csr(), Tensor(g.features))
             dev = np.abs(out_s.data - out_b.data[i, : g.num_nodes]).max()

@@ -1,25 +1,26 @@
 """Unified rank-generic API: one ``forward`` per module serves both the
-single-graph ``(N, F)`` path and the padded-batch ``(B, N, F)`` path.
+single-graph ``(N, F)`` path and the stacked ``(B, N, F)`` path.
 
 These tests pin down that
 
-- plain ``__call__`` on padded inputs reproduces the per-graph loop,
+- plain ``__call__`` on a ``GraphBatch``'s slots view (the padded
+  ``(B, N_max, ·)`` stacks) reproduces the per-graph loop,
 - the old ``forward_batched`` / ``*_batched`` aliases are gone,
-- batch-shaped containers (``PaddedBatch`` for the embedder,
-  ``GraphBatch`` and plain graph lists for the classifier) are accepted
-  directly by the model-level APIs.
+- ``GraphBatch`` and plain graph lists are accepted directly by the
+  classifier.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import MOA, GraphCoarsening, build_hap_embedder
-from repro.data import batch_graphs, pad_graphs
+from repro.data import batch_graphs
 from repro.core.gcont import GCont
 from repro.gnn import GATLayer, GCNLayer, GINLayer, GNNEncoder, SAGELayer
 from repro.graph import random_connected
 from repro.models.classifier import GraphClassifier
 from repro.tensor import Tensor
+from tests.conftest import slots_view
 
 pytestmark = pytest.mark.equivalence
 
@@ -55,8 +56,8 @@ class TestLayerDispatch:
     @pytest.mark.parametrize("conv", sorted(LAYERS))
     def test_call_dispatches_on_rank(self, rng, graphs, conv):
         layer = LAYERS[conv](np.random.default_rng(0))
-        batch = pad_graphs(graphs)
-        out_b = layer(batch.adjacency, Tensor(batch.features))
+        adjacency, features, _ = slots_view(graphs)
+        out_b = layer(adjacency, Tensor(features))
         assert out_b.ndim == 3
         _assert_valid_rows_match(
             graphs,
@@ -65,7 +66,7 @@ class TestLayerDispatch:
         )
 
     @pytest.mark.parametrize("conv", sorted(LAYERS))
-    def test_forward_batched_alias_warns_and_matches(self, conv):
+    def test_forward_batched_alias_is_gone(self, conv):
         """The alias is gone; ``__call__`` is the only entry point."""
         layer = LAYERS[conv](np.random.default_rng(0))
         assert not hasattr(layer, "forward_batched")
@@ -74,15 +75,15 @@ class TestLayerDispatch:
 class TestEncoderDispatch:
     def test_call_dispatches_on_rank(self, rng, graphs):
         encoder = GNNEncoder([F, 6, 6], np.random.default_rng(0))
-        batch = pad_graphs(graphs)
-        out_b = encoder(batch.adjacency, Tensor(batch.features))
+        adjacency, features, _ = slots_view(graphs)
+        out_b = encoder(adjacency, Tensor(features))
         _assert_valid_rows_match(
             graphs,
             lambda g: encoder(g.adjacency, Tensor(g.features)),
             out_b.data,
         )
 
-    def test_alias_warns(self):
+    def test_alias_is_gone(self):
         """The alias is gone; ``__call__`` is the only entry point."""
         encoder = GNNEncoder([F, 6], np.random.default_rng(0))
         assert not hasattr(encoder, "forward_batched")
@@ -108,10 +109,10 @@ class TestCoreModuleDispatch:
     def test_coarsening_returns_one_triple_on_both_ranks(self, rng, graphs):
         module = GraphCoarsening(F, 3, np.random.default_rng(0))
         module.eval()
-        batch = pad_graphs(graphs)
+        adjacency, features, mask = slots_view(graphs)
         single = module(graphs[0].adjacency, Tensor(graphs[0].features))
         assert len(single) == 3 and single[2] is None
-        batched = module(batch.adjacency, Tensor(batch.features), batch.mask)
+        batched = module(adjacency, Tensor(features), mask)
         adj_b, h_b, mask_b = batched
         assert adj_b.shape == (len(graphs), 3, 3)
         assert h_b.shape == (len(graphs), 3, F)
@@ -145,20 +146,11 @@ class TestEmbedderDispatch:
     def _embedder(self, seed=7):
         return build_hap_embedder(F, 6, [3, 2], np.random.default_rng(seed))
 
-    def test_embed_levels_accepts_padded_batch_object(self, rng, graphs):
-        emb = self._embedder()
-        emb.eval()
-        batch = pad_graphs(graphs)
-        levels_obj = emb.embed_levels(batch)
-        levels_args = emb.embed_levels(batch.adjacency, Tensor(batch.features), batch.mask)
-        assert len(levels_obj) == len(levels_args) == 2
-        for lo, la in zip(levels_obj, levels_args):
-            np.testing.assert_array_equal(lo.data, la.data)
-
     def test_padded_levels_match_loop(self, rng, graphs):
         emb = self._embedder()
         emb.eval()
-        levels_b = emb.embed_levels(pad_graphs(graphs))
+        adjacency, features, mask = slots_view(graphs)
+        levels_b = emb.embed_levels(adjacency, Tensor(features), mask)
         for i, g in enumerate(graphs):
             levels = emb.embed_levels(g.adjacency, Tensor(g.features))
             for lv, lv_b in zip(levels, levels_b):
@@ -167,8 +159,8 @@ class TestEmbedderDispatch:
     def test_forward_dispatches_and_aliases_warn(self, rng, graphs):
         emb = self._embedder()
         emb.eval()
-        batch = pad_graphs(graphs)
-        out = emb(batch.adjacency, Tensor(batch.features), batch.mask)
+        adjacency, features, mask = slots_view(graphs)
+        out = emb(adjacency, Tensor(features), mask)
         assert out.shape == (len(graphs), 6)
 
 

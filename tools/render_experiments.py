@@ -1,8 +1,9 @@
 """Render results/*.json into Markdown tables for EXPERIMENTS.md.
 
-Each benchmark persists its row dictionary to ``results/<name>.json``;
-this tool turns every file into a Markdown table so the measured side of
-EXPERIMENTS.md is regenerable:
+Each paper benchmark persists its row dictionary to
+``results/<name>.json`` (the ``bench``-marked floors write theirs to the
+git-ignored ``benchmarks/out/``); this tool turns every file into a
+Markdown table so the measured side of EXPERIMENTS.md is regenerable:
 
     python tools/render_experiments.py            # print all tables
     python tools/render_experiments.py table3     # one experiment
