@@ -9,6 +9,7 @@ from repro.data import batch_graphs
 from repro.graph import Graph, random_connected
 from repro.models.classifier import GraphClassifier
 from repro.observe import Callback
+from repro.tensor import Tensor
 
 
 @pytest.fixture
@@ -27,6 +28,13 @@ def small_graph(rng) -> Graph:
 def labelled_graph(rng) -> Graph:
     g = random_connected(7, 0.3, rng)
     return g.with_node_labels(rng.integers(0, 3, size=7))
+
+
+def ragged_inputs(graphs):
+    """``graphs`` as the models batch them: a ``GraphBatch``'s
+    block-diagonal CSR, ``(ΣN, F)`` feature rows and ``Slots``."""
+    batch = batch_graphs(graphs)
+    return batch.adjacency, Tensor(batch.features), batch.slots
 
 
 def slots_view(graphs):

@@ -32,7 +32,6 @@ import pytest
 from repro.core import GraphCoarsening, HierarchicalEmbedder, MOA, build_hap_embedder
 from repro.data import (
     attach_degree_features,
-    batch_graphs,
     attach_label_features,
     make_aids_like,
     make_imdb_b_like,
@@ -52,7 +51,7 @@ from repro.models.zoo import (
 )
 from repro.tensor import Tensor, softmax
 from repro.training import TrainConfig, fit
-from tests.conftest import slots_view
+from tests.conftest import ragged_inputs, slots_view
 from tests.moa_reference import moa_logits
 
 pytestmark = pytest.mark.equivalence
@@ -231,10 +230,7 @@ class TestFullModelEquivalence:
 
         loop, batched = embedder(), embedder()
         graphs = _ragged_batch(rng)
-        batch = batch_graphs(graphs)
-        levels_b = batched.embed_levels(
-            batch.adjacency, Tensor(batch.features), batch.slots
-        )
+        levels_b = batched.embed_levels(*ragged_inputs(graphs))
         for i, g in enumerate(graphs):
             levels = loop.embed_levels(g.adjacency, Tensor(g.features))
             for k, (lv, lv_b) in enumerate(zip(levels, levels_b)):

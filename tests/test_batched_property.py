@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GraphCoarsening, MOA, build_hap_embedder
-from repro.data import batch_graphs
 from repro.graph import random_connected
 from repro.tensor import Tensor
-from tests.conftest import slots_view
+from tests.conftest import ragged_inputs, slots_view
 
 pytestmark = pytest.mark.equivalence
 
@@ -35,11 +34,6 @@ def _graph(seed: int, n: int, feat_dim: int):
     rng = np.random.default_rng(seed)
     g = random_connected(n, 0.4, rng)
     return g.with_features(rng.normal(size=(n, feat_dim)))
-
-
-def _ragged(graphs):
-    batch = batch_graphs(graphs)
-    return batch.adjacency, Tensor(batch.features), batch.slots
 
 
 def _stacked(graphs):
@@ -74,7 +68,7 @@ def test_pooled_features_invariant_to_padding_amount(seed, n, extra, relaxation)
                              relaxation=relaxation)
     emb.eval()
     companion = _graph(seed + 2, n + extra, feat_dim=5)
-    for layout in (_ragged, _stacked):
+    for layout in (ragged_inputs, _stacked):
         alone = emb.embed_levels(*layout([g]))
         beside = emb.embed_levels(*layout([g, companion]))
         for la, lb in zip(alone, beside):

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core import GraphCoarsening
-from repro.data import batch_graphs
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.hetero import HeteroGraph, HeteroGraphCoarsening
@@ -50,7 +49,7 @@ from repro.pooling import (
     SumPool,
 )
 from repro.tensor import Tensor
-from tests.conftest import slots_view
+from tests.conftest import ragged_inputs, slots_view
 from tests.pooling_reference import (
     COARSENING_REFERENCES,
     READOUT_REFERENCES,
@@ -109,13 +108,6 @@ def _padded(graphs):
     garbage = 100.0 * np.random.default_rng(9).normal(size=features.shape)
     features = features + garbage * (1.0 - mask)[..., None]
     return adjacency, Tensor(features), mask
-
-
-def _ragged(graphs):
-    """The batch as the models run it: a ``GraphBatch``'s block-diagonal
-    CSR, ``(ΣN, F)`` rows and ``Slots``."""
-    batch = batch_graphs(graphs)
-    return batch.adjacency, Tensor(batch.features), batch.slots
 
 
 def _leaves(graph):
@@ -185,7 +177,7 @@ class TestCoarseningsMatchReference:
 
     @pytest.mark.parametrize("name", sorted(COARSENINGS))
     def test_graph_batch_rows_match_single_graph_reference(self, graphs, name):
-        self._assert_batch_matches_reference(graphs, name, _ragged)
+        self._assert_batch_matches_reference(graphs, name, ragged_inputs)
 
     @staticmethod
     def _assert_batch_matches_reference(graphs, name, layout):
@@ -284,7 +276,7 @@ class TestReadoutsMatchReference:
 
     @pytest.mark.parametrize("name", sorted(READOUTS))
     def test_graph_batch_rows_match_single_graph_reference(self, graphs, name):
-        self._assert_batch_matches_reference(graphs, name, _ragged)
+        self._assert_batch_matches_reference(graphs, name, ragged_inputs)
 
     @staticmethod
     def _assert_batch_matches_reference(graphs, name, layout):
