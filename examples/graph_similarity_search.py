@@ -63,9 +63,9 @@ def main() -> None:
 
     def rank_with_model(m):
         with no_grad():
-            query_emb = m.embedder(*graph_inputs(featured[0])).data
+            query_emb = m.embedder(*graph_inputs(featured[0])[:2]).data
             embs = [
-                m.embedder(*graph_inputs(featured[i])).data for i in candidates
+                m.embedder(*graph_inputs(featured[i])[:2]).data for i in candidates
             ]
         dists = [float(np.linalg.norm(query_emb - e)) for e in embs]
         return [c for _, c in sorted(zip(dists, candidates))]

@@ -57,7 +57,7 @@ def main() -> None:
     #    source nodes to target clusters (Eq. 14-15), and the coarsened
     #    graph follows Eq. 17-18.
     example = test[0]
-    adjacency, features = graph_inputs(example)
+    adjacency, features, _ = graph_inputs(example)  # the graph's CSR
     coarsening = embedder.coarsenings[0]
     with no_grad():
         h = embedder.encoders[0](adjacency, features)

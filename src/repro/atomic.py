@@ -11,8 +11,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-#: the rename that publishes every write; ``repro.testing.crash_on_replace``
-#: swaps it to simulate a crash between the write and the rename
+#: the rename that publishes every write; the tests' ``crash_on_replace``
+#: (tests/faults.py) swaps it to simulate a crash between the write and
+#: the rename
 _replace = os.replace
 
 

@@ -125,9 +125,10 @@ class GraphCoarsening(Coarsening):
     :class:`~repro.pooling.base.Coarsening` template then forms the
     clusters, ``H' = M^T H`` and ``A' = M^T (A M)`` (Eq. 17-18), and
     soft-samples ``A'`` (Eq. 19) unless ``soft_sampling=False``.  One
-    graph ``(N, ·)``, a stack ``(B, N, ·)`` with a ``(B, N)`` validity
-    mask, a CSR adjacency, or a ragged batch's ``(ΣN, ·)`` rows
-    with its block-diagonal CSR and slots run the same body.  ``M``'s
+    graph ``(N, ·)`` on its CSR (or a dense coarsened level), a stack
+    ``(B, N, ·)`` with a ``(B, N)`` validity mask, or a ragged batch's
+    ``(ΣN, ·)`` rows with its block-diagonal CSR and slots run the same
+    body; bond features come as ``(nnz, Fe)`` rows beside a CSR.  ``M``'s
     padding rows are exactly zero, so Eq. 17-18 contract only over each
     graph's real nodes and a batch matches the per-graph results; the
     coarsened outputs carry no padding (the output mask is ``None``),
@@ -181,8 +182,9 @@ class GraphCoarsening(Coarsening):
         """
         if edge_attr is None:
             return h
-        from repro.gnn.edges import incident_edge_sums
+        from repro.gnn.edges import check_edge_attr, incident_edge_sums
 
+        check_edge_attr(adjacency, edge_attr, self.edge_features)
         summary = incident_edge_sums(adjacency, edge_attr)
         return h + as_tensor(summary) @ self.edge_proj
 

@@ -50,11 +50,13 @@ class HierarchicalEmbedder(Module):
     def embed_levels(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> list[Tensor]:
         """Graph-level representation after every coarsening level.
 
-        Takes one graph — 2-D ``(N, N)`` adjacency (dense or CSR) and
-        ``(N, F)`` features — a ragged batch — the block-diagonal CSR,
+        Takes one graph — its ``(N, N)`` CSR, as every model passes it
+        (:func:`~repro.models.common.graph_inputs`), or a dense
+        adjacency without bonds, the coarsened levels' layout — and
+        ``(N, F)`` features; a ragged batch — the block-diagonal CSR,
         ``(ΣN, F)`` features and :class:`~repro.tensor.Slots` in
         place of the mask, as in a
-        :class:`~repro.data.batching.GraphBatch` — or a stack of dense
+        :class:`~repro.data.batching.GraphBatch`; or a stack of dense
         graphs — 3-D ``(B, N, N)`` / ``(B, N, F)`` arrays plus an
         optional ``(B, N)`` mask, such as a ragged batch's slots view.
         All run the same loop.  Each level hands its output mask to the
@@ -64,9 +66,9 @@ class HierarchicalEmbedder(Module):
         a Top-K level, whose readout is the mean over each graph's kept
         nodes.  Either way a batch matches the per-graph results.
 
-        ``edge_attr`` (per-edge attributes in the layout matching the
-        adjacency, docs/molecular.md) conditions level 0 only — the
-        coarsened levels are soft cluster graphs with no bond identity.
+        ``edge_attr`` (``(nnz, Fe)`` bond rows beside a CSR adjacency,
+        docs/molecular.md) conditions level 0 only — the coarsened
+        levels are soft cluster graphs with no bond identity.
 
         In training mode the levels' Gumbel noise (Eq. 19) is drawn up
         front in the per-graph loop's order (:func:`loop_order_noise`),

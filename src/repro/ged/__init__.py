@@ -9,14 +9,12 @@ implemented from scratch in :mod:`repro.ged.assignment`.
 
 from repro.ged.assignment import hungarian, jonker_volgenant
 from repro.ged.beam import beam_ged
-from repro.ged.hausdorff import hausdorff_ged
 from repro.ged.bipartite import bipartite_ged, hungarian_ged, vj_ged, mapping_edit_cost
 
 __all__ = [
     "hungarian",
     "jonker_volgenant",
     "beam_ged",
-    "hausdorff_ged",
     "bipartite_ged",
     "hungarian_ged",
     "vj_ged",

@@ -1,10 +1,13 @@
-"""Graph neural network layers on dense adjacency matrices.
+"""Graph neural network layers.
 
 Implements the two node/cluster-embedding components the paper plugs
-into HAP (Sec. 4.3): GCN (Eq. 12) and GAT (Eq. 11), plus a configurable
-``GNNEncoder`` stack.  Layers accept the adjacency either as a plain
-numpy array (fixed graph) or as a :class:`repro.tensor.Tensor` (the
-differentiable coarsened adjacency produced by graph coarsening).
+into HAP (Sec. 4.3): GCN (Eq. 12) and GAT (Eq. 11), plus GIN, SAGE and
+a configurable ``GNNEncoder`` stack.  Every layer takes level 0 as a
+constant :class:`repro.tensor.CSRMatrix` (a graph's ``to_csr()`` or a
+ragged batch's block-diagonal adjacency), with bond features as
+``(nnz, Fe)`` rows beside it, and a coarsened level as a dense
+adjacency: a :class:`repro.tensor.Tensor` (the differentiable
+coarsened adjacency produced by graph coarsening) or a numpy array.
 """
 
 from repro.gnn.layers import GCNLayer, GATLayer

@@ -11,19 +11,13 @@ an untrained ``w``, reproduce the unconditioned layer exactly) and
 bounded in ``(0, 2)``, which keeps gated aggregation numerically tame.
 
 Edge attributes are *constant* graph data; only the gate projection
-``w`` is learned.  The layouts mirror the adjacency conventions used
-everywhere else:
-
-- dense: ``(N, N, Fe)`` (symmetric, zero off-edges) for one graph,
-  ``(B, N, N, Fe)`` with all-zero padding rows beside a dense stack;
-- sparse CSR: ``(nnz, Fe)`` aligned with the CSR's stored entries
-  (:meth:`repro.graph.Graph.edge_feature_data`); a ragged batch's
-  block-diagonal CSR carries its graphs' arrays concatenated.
-
-Because the dense tensor is zero exactly where the adjacency is zero,
-``adjacency * gate`` and the CSR's ``data * gate_e`` agree entry for
-entry — the dense/sparse equivalence the molecular gate suite locks to
-<1e-6 (tests/test_molecular_equivalence.py).
+``w`` is learned.  They have one layout: ``(nnz, Fe)`` rows aligned
+with the stored entries of a CSR adjacency — a graph's
+:meth:`~repro.graph.Graph.edge_feature_data` beside its
+:meth:`~repro.graph.Graph.to_csr`, or a ragged batch's rows
+concatenated beside its block-diagonal CSR.  Bonds exist only at
+level 0, which every model runs on a CSR; the coarsened levels are
+soft dense graphs with no bond identity (Eq. 17-19).
 """
 
 from __future__ import annotations
@@ -37,45 +31,29 @@ from repro.tensor.ops import _scatter_add
 
 
 def check_edge_attr(adjacency, edge_attr, expected: int) -> None:
-    """Validate an ``edge_attr`` operand against its adjacency layout."""
-    attr = np.asarray(edge_attr.data if isinstance(edge_attr, Tensor) else edge_attr)
-    if attr.shape[-1] != expected:
+    """Validate ``edge_attr`` as the ``(nnz, Fe)`` rows of a CSR ``adjacency``."""
+    if not isinstance(adjacency, CSRMatrix):
         raise ValueError(
-            f"edge_attr has {attr.shape[-1]} features, layer expects {expected}"
+            "edge_attr needs a CSR adjacency: pass graph.to_csr() with the "
+            "(nnz, Fe) rows of graph.edge_feature_data()"
         )
-    if isinstance(adjacency, CSRMatrix):
-        if attr.ndim != 2 or attr.shape[0] != adjacency.nnz:
-            raise ValueError(
-                f"sparse edge_attr must be (nnz, Fe) = ({adjacency.nnz}, "
-                f"{expected}), got {attr.shape}"
-            )
-    else:
-        adj = np.asarray(
-            adjacency.data if isinstance(adjacency, Tensor) else adjacency
+    attr = np.asarray(edge_attr.data if isinstance(edge_attr, Tensor) else edge_attr)
+    if attr.shape != (adjacency.nnz, expected):
+        raise ValueError(
+            f"edge_attr must be (nnz, Fe) = ({adjacency.nnz}, {expected}), "
+            f"got {attr.shape}"
         )
-        if attr.shape[:-1] != adj.shape:
-            raise ValueError(
-                f"edge_attr node axes {attr.shape[:-1]} do not match "
-                f"adjacency shape {adj.shape}"
-            )
 
 
-def incident_edge_sums(adjacency, edge_attr) -> np.ndarray:
-    """Per-node sum of incident edge attributes — ``(N, Fe)``, or
-    ``(B, N, Fe)`` beside a dense stack.
-
-    Edge attributes are constant graph data, so the sums are plain
-    numpy; the dense and CSR layouts agree exactly (zero rows
-    off-edges, zero padding), which keeps the MOA edge conditioning
-    equivalence-locked across dense, sparse and batched execution.
-    """
+def incident_edge_sums(adjacency: CSRMatrix, edge_attr) -> np.ndarray:
+    """``(N, Fe)`` per-node sum of the attribute rows of a node's stored
+    entries.  Edge attributes are constant graph data, so the sums are
+    plain numpy."""
     attr = np.asarray(
         edge_attr.data if isinstance(edge_attr, Tensor) else edge_attr,
         dtype=np.float64,
     )
-    if isinstance(adjacency, CSRMatrix):
-        return _scatter_add(attr, adjacency.row_ids, adjacency.shape[0])
-    return attr.sum(axis=-2)
+    return _scatter_add(attr, adjacency.row_ids, adjacency.shape[0])
 
 
 class EdgeGate(Module):
@@ -92,16 +70,10 @@ class EdgeGate(Module):
         )
 
     def forward(self, edge_attr) -> Tensor:
-        """Gate values with the node axes of ``edge_attr``: ``(N, N)``,
-        ``(B, N, N)`` or ``(nnz,)`` for the three adjacency layouts."""
+        """``(nnz,)`` gate values, one per stored entry."""
         return tanh(as_tensor(edge_attr) @ self.weight) + 1.0
 
-    def gated_adjacency(self, adjacency, edge_attr) -> Tensor:
-        """Dense ``A ⊙ g`` — off-edge entries stay exactly zero because
-        their attribute rows are zero and ``A`` is zero there anyway."""
-        return as_tensor(adjacency) * self.forward(edge_attr)
-
     def gated_values(self, csr: CSRMatrix, edge_attr) -> Tensor:
-        """Sparse twin of :meth:`gated_adjacency`: per-entry weights
-        ``data_e * g_e`` for :func:`~repro.tensor.ops.spmm`."""
+        """Per-entry weights ``data_e * g_e`` for
+        :func:`~repro.tensor.ops.spmm`: the gated adjacency ``A ⊙ g``."""
         return Tensor(csr.data) * self.forward(edge_attr)

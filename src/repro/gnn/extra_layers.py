@@ -9,9 +9,10 @@ encoder-swap ablation benchmark.
 - ``SAGELayer`` (Hamilton et al., 2017): mean-aggregated neighbourhood
   concatenated with the self representation.
 
-Both layers accept an optional ``edge_attr`` operand (bond types on
-molecular graphs, docs/molecular.md) and aggregate over the *gated*
-adjacency ``A ⊙ (1 + tanh(e · w))`` from :class:`repro.gnn.edges.EdgeGate`
+Both layers accept an optional ``edge_attr`` operand beside a CSR
+adjacency (bond types on molecular graphs, ``(nnz, Fe)`` rows,
+docs/molecular.md) and aggregate over the *gated* adjacency
+``A ⊙ (1 + tanh(e · w))`` from :class:`repro.gnn.edges.EdgeGate`
 instead of ``A``; SAGE's mean uses the gated degree so the weighting
 stays a convex combination of neighbours.
 """
@@ -28,7 +29,7 @@ from repro.tensor import CSRMatrix, Tensor, as_tensor, concat, power, segment_su
 
 
 class GINLayer(Module):
-    """Graph Isomorphism Network layer with a 2-layer MLP."""
+    """Graph Isomorphism Network layer with a learned ε and a 2-layer MLP."""
 
     def __init__(
         self,
@@ -36,7 +37,6 @@ class GINLayer(Module):
         out_features: int,
         rng: np.random.Generator,
         activation: str = "leaky_relu",
-        train_eps: bool = True,
         edge_features: int = 0,
     ):
         super().__init__()
@@ -49,16 +49,14 @@ class GINLayer(Module):
         self.w2 = Parameter(glorot_uniform(rng, out_features, out_features))
         self.b2 = Parameter(zeros(out_features))
         self.edge_gate = EdgeGate(edge_features, rng) if edge_features > 0 else None
-        if train_eps:
-            self.eps = Parameter(np.zeros(1))
-        else:
-            self.eps = None
+        self.eps = Parameter(np.zeros(1))
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph and stacked ``(B, N, F)`` inputs share one body:
-        every op broadcasts over a leading batch axis, and padding rows
-        aggregate nothing (their adjacency rows are zero).  With ``edge_attr`` the
-        sum aggregation runs over the gated adjacency."""
+        """A CSR level 0 — one graph or a ragged batch — aggregates with
+        one spmm, over the gated adjacency when ``edge_attr`` is given; a
+        dense coarsened level ``(N, N)`` or ``(B, N, N)`` with one matmul
+        that broadcasts over the batch axis (a Top-K stack's padding rows
+        aggregate nothing).  The rest of the body is row-wise."""
         h = as_tensor(h)
         if edge_attr is not None:
             if self.edge_gate is None:
@@ -66,22 +64,13 @@ class GINLayer(Module):
                     "GINLayer got edge_attr but was built with edge_features=0"
                 )
             check_edge_attr(adjacency, edge_attr, self.edge_features)
-        if isinstance(adjacency, CSRMatrix):
-            # CSR adjacency: sum aggregation is a single spmm; the rest
-            # of the body is row-wise and shared with the dense path.
-            if edge_attr is not None:
-                values = self.edge_gate.gated_values(adjacency, edge_attr)
-                aggregated = spmm(adjacency, h, values=values)
-            else:
-                aggregated = spmm(adjacency, h)
-        elif edge_attr is not None:
-            aggregated = self.edge_gate.gated_adjacency(adjacency, edge_attr) @ h
+            values = self.edge_gate.gated_values(adjacency, edge_attr)
+            aggregated = spmm(adjacency, h, values=values)
+        elif isinstance(adjacency, CSRMatrix):
+            aggregated = spmm(adjacency, h)
         else:
             aggregated = as_tensor(adjacency) @ h
-        if self.eps is not None:
-            combined = h * (1.0 + self.eps[0]) + aggregated
-        else:
-            combined = h + aggregated
+        combined = h * (1.0 + self.eps[0]) + aggregated
         hidden = _activate(combined @ self.w1 + self.b1, self.activation)
         return _activate(hidden @ self.w2 + self.b2, self.activation)
 
@@ -107,21 +96,21 @@ class SAGELayer(Module):
         self.edge_gate = EdgeGate(edge_features, rng) if edge_features > 0 else None
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph ``(N, F)`` and stacked ``(B, N, F)`` inputs share
-        one body; padding rows aggregate nothing (their adjacency rows
-        are zero).  With ``edge_attr`` the mean becomes a
-        gate-weighted mean (gated sum over gated degree)."""
+        """A dense coarsened level ``(N, N)`` or ``(B, N, N)`` runs the
+        body below, which broadcasts over the batch axis (a Top-K
+        stack's padding rows aggregate nothing); a CSR level 0 runs
+        :meth:`_forward_sparse`, where ``edge_attr`` turns the mean into
+        a gate-weighted mean (gated sum over gated degree)."""
         h = as_tensor(h)
-        if edge_attr is not None and self.edge_gate is None:
-            raise ValueError(
-                "SAGELayer got edge_attr but was built with edge_features=0"
-            )
+        if edge_attr is not None:
+            if self.edge_gate is None:
+                raise ValueError(
+                    "SAGELayer got edge_attr but was built with edge_features=0"
+                )
+            check_edge_attr(adjacency, edge_attr, self.edge_features)
         if isinstance(adjacency, CSRMatrix):
             return self._forward_sparse(adjacency, h, edge_attr)
         adj = as_tensor(adjacency)
-        if edge_attr is not None:
-            check_edge_attr(adjacency, edge_attr, self.edge_features)
-            adj = self.edge_gate.gated_adjacency(adj, edge_attr)
         degree = adj.sum(axis=-1) + 1e-8  # (..., N)
         neighbour_mean = (adj @ h) * power(degree, -1.0).reshape(*degree.shape, 1)
         combined = concat([h, neighbour_mean], axis=-1)
@@ -134,7 +123,6 @@ class SAGELayer(Module):
         differentiable segment sum when edge attributes are present."""
         n = h.shape[0]
         if edge_attr is not None:
-            check_edge_attr(adjacency, edge_attr, self.edge_features)
             values = self.edge_gate.gated_values(adjacency, edge_attr)
             degree = segment_sum(values, adjacency.row_ids, n) + 1e-8
             neighbour_mean = spmm(adjacency, h, values=values) * power(

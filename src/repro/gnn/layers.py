@@ -1,25 +1,27 @@
 """GCN and GAT layers (paper Eq. 11-12).
 
-Both layers run on a dense ``(N, N)`` adjacency, which may be a numpy
-array (constant) or a Tensor (differentiable, e.g. the soft-sampled
-coarsened adjacency A' of Eq. 18-19 whose gradient must flow back into
-the MOA attention) — or, at level 0, a constant
-:class:`~repro.tensor.sparse.CSRMatrix` (one large sparse graph,
-docs/sparse.md, or the block-diagonal adjacency of a ragged batch,
-docs/batching.md), which replaces every dense ``(N, N)`` product with
-gather/scatter + segment-reduce kernels in O(E) memory.
+Both layers run level 0 on a constant
+:class:`~repro.tensor.sparse.CSRMatrix` — one graph's ``to_csr()``
+(docs/sparse.md) or the block-diagonal adjacency of a ragged batch
+(docs/batching.md) — with gather/scatter + segment-reduce kernels in
+O(E) memory, and the coarsened levels on a dense ``(N, N)`` adjacency:
+a Tensor (differentiable, the soft-sampled coarsened adjacency A' of
+Eq. 18-19 whose gradient must flow back into the MOA attention) or a
+numpy array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.gnn.edges import check_edge_attr
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.module import Module, Parameter
 from repro.tensor import (
     CSRMatrix,
     Tensor,
     as_tensor,
+    concat,
     gcn_propagate,
     leaky_relu,
     power,
@@ -113,9 +115,9 @@ class GATLayer(Module):
     Attention logits ``e_ij = LeakyReLU(a^T [W h_i || W h_j])`` are
     masked to the one-hop neighbourhood (plus self-loops) and
     softmax-normalised per row.  With ``edge_features > 0`` the logits
-    gain an additive edge term ``a_e^T e_ij`` (edge-typed adjacency in
-    the attention, docs/molecular.md); self-loops contribute zero edge
-    bias, matching the zero diagonal of the dense attribute tensor.
+    on a CSR level 0 gain an additive edge term ``a_e^T e_ij``
+    (edge-typed adjacency in the attention, docs/molecular.md);
+    self-loops carry no bond and contribute zero edge bias.
     """
 
     def __init__(
@@ -153,39 +155,37 @@ class GATLayer(Module):
         self.negative_slope = negative_slope
 
     def _edge_bias(self, adjacency, edge_attr):
-        """Additive logit term ``a_e^T e_ij`` (or ``None`` without edges)."""
+        """Additive logit term ``a_e^T e_ij``, one per stored entry of a
+        CSR adjacency (or ``None`` without edges)."""
         if edge_attr is None:
             return None
         if self.att_edge is None:
             raise ValueError(
                 "GATLayer got edge_attr but was built with edge_features=0"
             )
-        from repro.gnn.edges import check_edge_attr
-
         check_edge_attr(adjacency, edge_attr, self.edge_features)
         return as_tensor(edge_attr) @ self.att_edge
 
     def forward(self, adjacency, h: Tensor, edge_attr=None) -> Tensor:
-        """Single-graph ``(N, F)`` and stacked ``(B, N, F)`` inputs
-        share one body that broadcasts over the leading batch axis.
+        """A CSR level 0 runs :meth:`_forward_sparse`; a dense coarsened
+        level ``(N, N)`` or ``(B, N, N)`` runs the body below, which
+        broadcasts over the leading batch axis.
 
-        On a zero-padded stack the neighbourhood mask keeps the per-graph
-        semantics: padding columns carry zero adjacency, so their
-        ``-1e9`` logits underflow to exactly zero attention and valid
-        rows match the single-graph result.  Padding rows attend only to
-        their own self-loop.
+        On a zero-padded stack (a Top-K level) the neighbourhood mask
+        keeps the per-graph semantics: padding columns carry zero
+        adjacency, so their ``-1e9`` logits underflow to exactly zero
+        attention and valid rows match the single-graph result.  Padding
+        rows attend only to their own self-loop.
         """
         h = as_tensor(h)
+        edge_bias = self._edge_bias(adjacency, edge_attr)
         if isinstance(adjacency, CSRMatrix):
-            return self._forward_sparse(adjacency, h, edge_attr)
+            return self._forward_sparse(adjacency, h, edge_bias)
         lead, n = h.shape[:-2], h.shape[-2]
         transformed = h @ self.weight  # (..., N, F')
         score_src = transformed @ self.att_src  # (..., N)
         score_dst = transformed @ self.att_dst  # (..., N)
         raw = score_src.reshape(*lead, n, 1) + score_dst.reshape(*lead, 1, n)
-        edge_bias = self._edge_bias(adjacency, edge_attr)
-        if edge_bias is not None:
-            raw = raw + edge_bias  # (..., N, N), zero on diagonals and padding
         logits = leaky_relu(raw, self.negative_slope)
         adj_data = adjacency.data if isinstance(adjacency, Tensor) else adjacency
         neighbours = (np.asarray(adj_data) != 0) | np.eye(n, dtype=bool)
@@ -201,7 +201,7 @@ class GATLayer(Module):
         out = attention @ transformed + self.bias
         return _activate(out, self.activation)
 
-    def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor, edge_attr=None) -> Tensor:
+    def _forward_sparse(self, adjacency: CSRMatrix, h: Tensor, edge_bias=None) -> Tensor:
         """Attention over a constant CSR adjacency: one graph, or the
         block-diagonal adjacency of a ragged batch.
 
@@ -212,8 +212,8 @@ class GATLayer(Module):
         contribute nothing there either (the equivalence suite pins this
         down to 1e-6).  The CSR adjacency is a constant, so the dense
         path's differentiable-adjacency reweighting branch never applies
-        here.  Sparse ``edge_attr`` is ``(nnz, Fe)`` aligned with the
-        stored entries; self-loop positions get zero edge bias.
+        here.  ``edge_bias`` holds one logit term per stored entry;
+        self-loop positions get zero edge bias.
         """
         n = h.shape[0]
         transformed = h @ self.weight  # (N, F')
@@ -222,10 +222,7 @@ class GATLayer(Module):
         adj_tilde = adjacency.with_self_loops()
         row, col = adj_tilde.row_ids, adj_tilde.indices
         raw = scatter_gather(score_src, row) + scatter_gather(score_dst, col)
-        edge_bias = self._edge_bias(adjacency, edge_attr)
         if edge_bias is not None:
-            from repro.tensor import concat
-
             # Map every stored entry of Ã back to its original edge (or
             # to an appended zero slot for the self-loops Ã introduced).
             # with_self_loops keeps the relative order of off-diagonal

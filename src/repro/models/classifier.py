@@ -29,11 +29,10 @@ from repro.tensor import Tensor, no_grad, relu, softmax
 class GraphClassifier(Module):
     """Embedder + two fully-connected layers + task head.
 
-    One graph runs through the embedder on its dense ``(N, N)``
-    adjacency, a list of graphs as one ragged
+    One graph runs through the embedder on its cached CSR with its
+    ``(nnz, Fe)`` bond rows (:func:`~repro.models.common.graph_inputs`,
+    docs/sparse.md), a list of graphs as one ragged
     :class:`~repro.data.batching.GraphBatch` (docs/batching.md).
-    A large sparse graph enters at the embedder instead: its
-    ``embed_levels`` takes a CSR adjacency (docs/sparse.md).
 
     ``task`` selects the head: ``"classification"`` (default) ends in
     ``num_classes`` logits under cross-entropy; ``"regression"`` ends in
@@ -79,10 +78,8 @@ class GraphClassifier(Module):
         to the classification head.  Flat embedders contribute their
         single readout.
         """
-        adjacency, features = graph_inputs(graph)
-        levels = self.embedder.embed_levels(
-            adjacency, features, edge_attr=graph.edge_features
-        )
+        adjacency, features, edge_attr = graph_inputs(graph)
+        levels = self.embedder.embed_levels(adjacency, features, edge_attr=edge_attr)
         return self.fc2(relu(self.fc1(sum(levels[1:], levels[0]))))
 
     def forward(self, graph) -> Tensor:

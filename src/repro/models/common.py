@@ -90,11 +90,9 @@ def level_sum_vector(embedder, graph: Graph) -> np.ndarray:
     accumulation as :meth:`GraphClassifier.logits`, so the bytes match
     the training-path embedding bit for bit.
     """
-    adjacency, features = graph_inputs(graph)
+    adjacency, features, edge_attr = graph_inputs(graph)
     with no_grad():
-        levels = embedder.embed_levels(
-            adjacency, features, edge_attr=graph.edge_features
-        )
+        levels = embedder.embed_levels(adjacency, features, edge_attr=edge_attr)
         total = levels[0].data.copy()
         for level in levels[1:]:
             total += level.data
@@ -108,10 +106,15 @@ def euclidean_distance(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def graph_inputs(graph: Graph) -> tuple:
-    """Extract ``(adjacency, features)`` for a model, validating features."""
+    """A single graph's model inputs ``(adjacency, features, edge_attr)``:
+    its cached ``to_csr()``, its ``(N, F)`` features and, for a bonded
+    graph, the ``(nnz, Fe)`` rows of ``edge_feature_data()`` aligned
+    with that CSR (``None`` otherwise).  Raises when the graph has no
+    node features."""
     if graph.features is None:
         raise ValueError(
             "graph has no node features; attach an encoding from "
             "repro.data.encoding first"
         )
-    return graph.adjacency, Tensor(graph.features)
+    edge_attr = None if graph.edge_features is None else graph.edge_feature_data()
+    return graph.to_csr(), Tensor(graph.features), edge_attr

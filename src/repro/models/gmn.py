@@ -19,7 +19,7 @@ import numpy as np
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.pooling.universal import GatedAttPool
-from repro.tensor import Tensor, as_tensor, concat, relu, softmax
+from repro.tensor import Tensor, as_tensor, concat, relu, softmax, spmm
 
 
 class _PropagationLayer(Module):
@@ -33,8 +33,9 @@ class _PropagationLayer(Module):
     def forward(
         self, adj1, h1: Tensor, adj2, h2: Tensor
     ) -> tuple[Tensor, Tensor]:
-        msg1 = as_tensor(adj1) @ self.message(h1)
-        msg2 = as_tensor(adj2) @ self.message(h2)
+        """One step on the graphs' CSR adjacencies."""
+        msg1 = spmm(adj1, self.message(h1))
+        msg2 = spmm(adj2, self.message(h2))
         # Cross-graph attention in both directions.
         scores = h1 @ h2.T  # (N1, N2)
         attn_1to2 = softmax(scores, axis=1)
@@ -83,7 +84,9 @@ class GMN(Module):
     def embed_pair(
         self, adj1, feats1: Tensor, adj2, feats2: Tensor
     ) -> tuple[list[Tensor], list[Tensor]]:
-        """Hierarchical embeddings of both graphs, conditioned on each other."""
+        """Hierarchical embeddings of both graphs, conditioned on each
+        other; ``adj1`` and ``adj2`` are the graphs' CSRs
+        (:func:`~repro.models.common.graph_inputs`)."""
         h1 = relu(self.encode(as_tensor(feats1)))
         h2 = relu(self.encode(as_tensor(feats2)))
         for layer in self.layers:
@@ -111,7 +114,7 @@ class GMN(Module):
         from repro.models.common import embedding_result, graph_inputs
         from repro.tensor import no_grad
 
-        adjacency, features = graph_inputs(graph)
+        adjacency, features, _ = graph_inputs(graph)
         with no_grad():
             levels, _ = self.embed_pair(adjacency, features, adjacency, features)
             vector = levels[0].data.copy()

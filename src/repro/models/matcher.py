@@ -46,8 +46,8 @@ class MatchingModel(Module):
         pair-conditioned embedders (GMN exposes ``embed_pair``) see both
         graphs at once.
         """
-        adj1, feats1 = graph_inputs(pair.g1)
-        adj2, feats2 = graph_inputs(pair.g2)
+        adj1, feats1, _ = graph_inputs(pair.g1)
+        adj2, feats2, _ = graph_inputs(pair.g2)
         if hasattr(self.embedder, "embed_pair"):
             levels1, levels2 = self.embedder.embed_pair(adj1, feats1, adj2, feats2)
         else:

@@ -53,7 +53,7 @@ class SimGNN(Module):
         self.score_mlp = Linear(ntn_features, 1, rng)
 
     def graph_embedding(self, graph: Graph) -> Tensor:
-        adjacency, features = graph_inputs(graph)
+        adjacency, features, _ = graph_inputs(graph)
         if self.pooling is not None:
             return self.pooling.embed_levels(adjacency, features)[-1]
         h = self.encoder(adjacency, features)

@@ -27,9 +27,9 @@ class SimilarityModel(Module):
     def _level_distances(
         self, triplet: GraphTriplet
     ) -> tuple[list[Tensor], list[Tensor]]:
-        adj_a, feats_a = graph_inputs(triplet.anchor)
-        adj_l, feats_l = graph_inputs(triplet.left)
-        adj_r, feats_r = graph_inputs(triplet.right)
+        adj_a, feats_a, _ = graph_inputs(triplet.anchor)
+        adj_l, feats_l, _ = graph_inputs(triplet.left)
+        adj_r, feats_r, _ = graph_inputs(triplet.right)
         if hasattr(self.embedder, "embed_pair"):
             # Pair-conditioned embedders (GMN): embed each comparison
             # jointly with the anchor.

@@ -6,7 +6,7 @@ models of the HAP reproduction.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, MLP, Dropout, LSTMCell, Bilinear
+from repro.nn.layers import Linear, MLP, LSTMCell, Bilinear
 from repro.nn.init import glorot_uniform, zeros, uniform
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialization import save_module, load_module, module_fingerprint
@@ -24,7 +24,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "MLP",
-    "Dropout",
     "LSTMCell",
     "Bilinear",
     "glorot_uniform",

@@ -1,4 +1,4 @@
-"""Common layers: Linear, MLP, Dropout, LSTMCell, Bilinear.
+"""Common layers: Linear, MLP, LSTMCell, Bilinear.
 
 ``LSTMCell`` backs the Set2Set pooling baseline; ``Bilinear`` backs the
 Neural Tensor Network block of the SimGNN comparator.
@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, concat, dropout_mask, relu, sigmoid, tanh
+from repro.tensor import Tensor, concat, relu, sigmoid, tanh
 
 
 class Linear(Module):
@@ -39,22 +39,13 @@ class Linear(Module):
 
 
 class MLP(Module):
-    """Stack of Linear layers with ReLU between hidden layers.
+    """Stack of Linear layers with ReLU between them; the last layer is
+    not activated."""
 
-    ``activate_last`` applies ReLU after the final layer too (the paper's
-    Eq. 20 uses ReLU on f1 but softmax on f2, applied by the loss).
-    """
-
-    def __init__(
-        self,
-        sizes: list[int],
-        rng: np.random.Generator,
-        activate_last: bool = False,
-    ):
+    def __init__(self, sizes: list[int], rng: np.random.Generator):
         super().__init__()
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
-        self.activate_last = activate_last
         self.linears = [
             Linear(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)
         ]
@@ -65,24 +56,9 @@ class MLP(Module):
         last = len(self.linears) - 1
         for i, layer in enumerate(self.linears):
             x = layer(x)
-            if i < last or self.activate_last:
+            if i < last:
                 x = relu(x)
         return x
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        super().__init__()
-        self.rate = rate
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        mask = dropout_mask(x.shape, self.rate, self.rng)
-        return x * Tensor(mask)
 
 
 class LSTMCell(Module):

@@ -3,7 +3,7 @@
 Mirrors the familiar PyTorch ``nn.Module`` contract at the scale this
 reproduction needs: attribute assignment auto-registers parameters and
 submodules, ``parameters()`` walks the tree, and ``train()/eval()``
-toggle the training flag (used by dropout and Gumbel soft-sampling).
+toggle the training flag (used by Gumbel soft-sampling).
 """
 
 from __future__ import annotations

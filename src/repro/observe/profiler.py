@@ -58,10 +58,9 @@ class OpStat:
 class OpProfiler:
     """Records per-op forward/backward wall time and output bytes.
 
-    ``forward_self_s`` subtracts time spent in *nested* op calls (ops
-    like ``min_along`` are built from other ops), so the self-time
-    column sums to roughly the true tensor-engine time instead of
-    double counting.
+    ``forward_self_s`` subtracts time spent in *nested* op calls (an op
+    may be built from other ops), so the self-time column sums to
+    roughly the true tensor-engine time instead of double counting.
     """
 
     def __init__(self):

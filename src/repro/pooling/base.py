@@ -15,19 +15,24 @@ only :meth:`Coarsening.select`, which returns the assignment S; the base
 Uniform contract (enforced here, conformance-tested by
 ``tests/test_pooling_contract.py``):
 
-- Inputs: one graph — ``(N, N)`` adjacency and ``(N, F)`` features —
-  a ragged batch — its block-diagonal CSR adjacency, ``(ΣN, F)``
-  features and its :class:`~repro.tensor.Slots` in place of the mask
-  (docs/batching.md) — or a dense stack — ``(B, N, N)`` and
-  ``(B, N, F)`` plus an optional ``(B, N)`` validity mask (``None``
-  means every row is real), such as a Top-K level hands on.  The adjacency is a numpy array, a
-  ``Tensor``, a :class:`~repro.tensor.sparse.CSRMatrix` (coarsenings)
-  or ``None`` (readouts that ignore structure).
-- On a ragged batch, HAP's coarsening (``ragged = True``) selects on
-  the ``(ΣN, ·)`` rows.  Every other operator reads the batch's slots
-  view: ``(B, N_max, F)`` features, the ``(B, N_max)`` mask and, when
-  it ``reads_adjacency``, a dense ``(B, N_max, N_max)`` adjacency
-  stack.  Reduce and Connect then contract each graph's slots.
+- Inputs: one graph — its ``(N, N)`` CSR, as the models pass it, or a
+  dense ``(N, N)`` adjacency (a coarsened level), and ``(N, F)``
+  features — a ragged batch — its block-diagonal CSR adjacency,
+  ``(ΣN, F)`` features and its :class:`~repro.tensor.Slots` in place
+  of the mask (docs/batching.md) — or a dense stack — ``(B, N, N)``
+  and ``(B, N, F)`` plus an optional ``(B, N)`` validity mask
+  (``None`` means every row is real), such as a Top-K level hands on.
+  The adjacency is a :class:`~repro.tensor.sparse.CSRMatrix`, a
+  ``Tensor``, a numpy array or ``None`` (readouts that ignore
+  structure).
+- HAP's coarsening (``ragged = True``) selects on a CSR's rows, one
+  graph's or a ragged batch's.  Every other operator's ``select`` sees
+  a lone CSR as its dense ``(N, N)`` view when it ``reads_adjacency``
+  (``None`` otherwise), and a ragged batch as its slots view:
+  ``(B, N_max, F)`` features, the ``(B, N_max)`` mask and, when it
+  ``reads_adjacency``, a dense ``(B, N_max, N_max)`` adjacency stack.
+  Reduce and Connect keep a lone graph's CSR, and contract a batch's
+  slots.
 - ``Readout(adjacency, h, mask=None) -> (..., out_features)``.
 - ``Coarsening(adjacency, h, mask=None, edge_attr=None) -> (A', H',
   mask')`` with ``A'`` of shape ``(..., K, K)`` and ``H'`` of shape
@@ -211,7 +216,12 @@ class Coarsening(Module):
                     adjacency, h, mask, edge_attr
                 )
             else:
-                selection = self._select(adjacency, h, mask, edge_attr)
+                view = adjacency
+                if isinstance(adjacency, CSRMatrix) and not self.ragged:
+                    # a lone graph: a select that is not ragged sees it
+                    # as a batch's slots view shows it (Slots.dense)
+                    view = adjacency.to_dense() if self.reads_adjacency else None
+                selection = self._select(view, h, mask, edge_attr)
                 h_coarse = reduce(selection, h)
                 adj_coarse = coarsen_chain(selection.s, adjacency)  # Connect
             aux = selection.aux

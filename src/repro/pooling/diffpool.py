@@ -25,16 +25,13 @@ class DiffPool(Coarsening):
         in_features: int,
         num_clusters: int,
         rng: np.random.Generator,
-        use_embed_gnn: bool = True,
     ):
         super().__init__()
         if num_clusters < 1:
             raise ValueError("need at least one cluster")
         self.num_clusters = num_clusters
         self.assign_gnn = GCNLayer(in_features, num_clusters, rng, activation="none")
-        self.embed_gnn = (
-            GCNLayer(in_features, in_features, rng) if use_embed_gnn else None
-        )
+        self.embed_gnn = GCNLayer(in_features, in_features, rng)
 
     def assignment(self, adjacency, h: Tensor, mask=None) -> Tensor:
         """Soft assignment matrix S of shape (..., N, num_clusters)."""
@@ -42,7 +39,7 @@ class DiffPool(Coarsening):
 
     def select(self, adjacency, h: Tensor, mask=None, edge_attr=None) -> Selection:
         s = self.assignment(adjacency, h, mask)
-        z = self.embed_gnn(adjacency, h) if self.embed_gnn is not None else None
+        z = self.embed_gnn(adjacency, h)
         # Auxiliary objectives from the original paper, per graph; S and
         # A are zero on padding, so the sums cover only real nodes.
         n = np.asarray(node_counts(h, mask), dtype=np.float64)

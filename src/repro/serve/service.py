@@ -75,7 +75,7 @@ class InferenceService:
         :class:`~repro.models.classifier.GraphClassifier` surface);
         ``embed``/``top_k`` need the uniform ``embed`` contract.  The
         model is switched to ``eval()`` — serving must be deterministic
-        (no Gumbel noise, no dropout).
+        (no Gumbel noise).
     max_batch_size:
         Most requests one batch may coalesce.  ``1`` is the serial
         baseline: every request runs its own forward.

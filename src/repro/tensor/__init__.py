@@ -16,7 +16,7 @@ Public API
 Functional ops
     ``matmul, add, mul, concat, stack, softmax, log_softmax, relu,
     leaky_relu, sigmoid, tanh, exp, log, sqrt, power, maximum, where,
-    sum, mean, max, reshape, transpose, pad, dropout_mask`` and friends,
+    sum, mean, max, reshape, transpose`` and friends,
     re-exported from :mod:`repro.tensor.ops`.  ``to_slots`` (with
     ``Slots``, a ragged batch's per-graph offsets) backs the per-graph
     contractions of a ragged batch, and ``masked_softmax`` the softmax
@@ -40,19 +40,15 @@ Functional ops
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled, as_tensor
 from repro.tensor.sparse import CSRMatrix
 from repro.tensor.ops import (
-    absolute,
     add,
     clip,
     coarsen_chain,
     masked_softmax,
     masked_softmax_mean,
     matmul_tn,
-    min_along,
     norm,
     concat,
-    dropout_mask,
     exp,
-    gather_rows,
     gcn_propagate,
     leaky_relu,
     log,
@@ -62,7 +58,6 @@ from repro.tensor.ops import (
     maximum,
     mean,
     mul,
-    pad2d,
     power,
     relu,
     reshape,
@@ -90,19 +85,15 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "as_tensor",
-    "absolute",
     "add",
     "clip",
     "coarsen_chain",
     "masked_softmax",
     "masked_softmax_mean",
     "matmul_tn",
-    "min_along",
     "norm",
     "concat",
-    "dropout_mask",
     "exp",
-    "gather_rows",
     "gcn_propagate",
     "leaky_relu",
     "log",
@@ -112,7 +103,6 @@ __all__ = [
     "maximum",
     "mean",
     "mul",
-    "pad2d",
     "power",
     "relu",
     "reshape",

@@ -316,11 +316,6 @@ def getitem(a: Tensor, index) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows ``a[indices]`` (duplicate indices accumulate grads)."""
-    return getitem(a, np.asarray(indices, dtype=np.intp))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -346,25 +341,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
         return tuple(np.take(grad, i, axis=axis) for i in range(len(tensors)))
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def pad2d(a: Tensor, rows_after: int = 0, cols_after: int = 0) -> Tensor:
-    """Zero-pad a 2-D tensor at the bottom/right edges.
-
-    The literal zero-padding of the paper's attention-parameter
-    relaxation (Sec. 5.3, Claim 3), where column vectors are padded to a
-    fixed dimension.
-    """
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("pad2d expects a 2-D tensor")
-    out_data = np.pad(a.data, ((0, rows_after), (0, cols_after)))
-    n, m = a.shape
-
-    def backward(grad):
-        return (grad[:n, :m],)
-
-    return Tensor._make(out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +440,8 @@ def _scatter_add(values: np.ndarray, ids: np.ndarray, num: int) -> np.ndarray:
 def scatter_gather(a: Tensor, indices) -> Tensor:
     """Row gather ``a[indices]`` whose backward is a scatter-add.
 
-    The sparse twin of :func:`gather_rows`: duplicate indices accumulate
-    gradient, rows never gathered receive exactly zero gradient.  Used to
+    Duplicate indices accumulate gradient, rows never gathered receive
+    exactly zero gradient.  Used to
     expand per-node quantities to per-edge ones (``x[row]``, ``x[col]``)
     and per-graph ones to per-node ones.
     """
@@ -915,17 +891,6 @@ def max_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def absolute(a: Tensor) -> Tensor:
-    """Elementwise absolute value; gradient at 0 is 0."""
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-
-    def backward(grad):
-        return (grad * sign,)
-
-    return Tensor._make(np.abs(a.data), (a,), backward)
-
-
 def clip(a: Tensor, low: float, high: float) -> Tensor:
     """Clamp values into [low, high]; gradient is 1 inside, 0 outside."""
     a = as_tensor(a)
@@ -946,24 +911,6 @@ def norm(a: Tensor, eps: float = 1e-12) -> Tensor:
         return (grad * a.data / value,)
 
     return Tensor._make(np.asarray(value), (a,), backward)
-
-
-def min_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Min reduction (negated max; ties share gradient equally)."""
-    return neg(max_along(neg(a), axis=axis, keepdims=keepdims))
-
-
-# ---------------------------------------------------------------------------
-# Stochastic helpers
-# ---------------------------------------------------------------------------
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample an inverted-dropout mask (scaled keep mask) as a constant."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
 # ---------------------------------------------------------------------------
@@ -991,9 +938,8 @@ def _instrumented(name, fn):
     return wrapper
 
 
-#: Names wrapped by the profiling shim (``dropout_mask`` is excluded:
-#: it returns a constant numpy array, not a tape node; ``segment_softmax``
-#: is a composite of already-instrumented primitives).
+#: Names wrapped by the profiling shim (``segment_softmax`` is a
+#: composite of already-instrumented primitives).
 _INSTRUMENTED_OPS = (
     "add",
     "sub",
@@ -1016,10 +962,8 @@ _INSTRUMENTED_OPS = (
     "transpose",
     "reshape",
     "getitem",
-    "gather_rows",
     "concat",
     "stack",
-    "pad2d",
     "masked_softmax",
     "segment_sum",
     "scatter_gather",
@@ -1032,10 +976,8 @@ _INSTRUMENTED_OPS = (
     "sum_along",
     "mean",
     "max_along",
-    "absolute",
     "clip",
     "norm",
-    "min_along",
 )
 
 for _name in _INSTRUMENTED_OPS:

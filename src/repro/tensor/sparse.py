@@ -18,8 +18,9 @@ differentiable).  Gradients flow through the dense operands and the
 optional per-edge ``values`` of :func:`repro.tensor.ops.spmm`, never
 through ``CSRMatrix.data`` itself.
 
-``to_dense()`` exists for conversion and testing only — materialising
-an ``(N, N)`` array inside a sparse code path defeats its purpose, and
+``to_dense()`` exists for conversion, tests and the dense view of a
+lone graph that a dense-reading coarsening needs — materialising an
+``(N, N)`` array inside a sparse code path defeats its purpose, and
 ``tools/lint.py`` flags it (rule ``no-densify-in-sparse-path``).
 """
 
@@ -244,8 +245,10 @@ class CSRMatrix:
         return cls._unchecked(indptr, cols, values, (n_rows, n_cols))
 
     def to_dense(self) -> np.ndarray:
-        """Materialise the full ``(N, M)`` array — conversion/testing
-        only, never inside a sparse execution path (see module doc)."""
+        """Materialise the full ``(N, M)`` array — conversion, tests and
+        the dense view a dense-reading ``select`` gets of a lone graph
+        (:class:`~repro.pooling.base.Coarsening`); never inside a sparse
+        execution path (see module doc)."""
         out = np.zeros(self.shape, dtype=np.float64)
         out[self.row_ids, self.indices] = self.data
         return out

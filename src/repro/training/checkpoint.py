@@ -9,7 +9,7 @@ needs to continue a run bit-for-bit where it left off:
   slot arrays (Adam moments / SGD velocity) from
   :meth:`repro.nn.optim.Optimizer.state_dict`;
 - the numpy ``Generator`` bit-generator state, so every later random
-  draw (shuffling, dropout, Gumbel noise) replays identically;
+  draw (shuffling, Gumbel noise) replays identically;
 - trainer counters: epoch, step-within-epoch, global step, the running
   epoch-loss accumulator, the patience ``stale`` counter, the epoch's
   shuffle permutation (for mid-epoch checkpoints) and the full
@@ -17,7 +17,7 @@ needs to continue a run bit-for-bit where it left off:
 
 Writes are **atomic** (:func:`repro.atomic.atomic_write`), so a crash
 mid-write leaves the previous checkpoint untouched (see
-``tests/test_checkpoint_resume`` and :mod:`repro.testing.faults`).
+``tests/test_checkpoint_resume`` and ``tests/faults.py``).
 
 :class:`CheckpointManager` adds the retention policy used by
 :func:`repro.training.fit`: keep the last *N* step/epoch checkpoints

@@ -49,10 +49,10 @@ class TrainConfig:
     #: clip the global gradient norm (None disables)
     grad_clip: float | None = None
     #: train each mini-batch in one forward (docs/batching.md): ``fit``
-    #: calls ``batch_loss_fn`` or the model's ``batch_loss`` (one batched
-    #: forward and backward) where it can, and falls back to the mean of
-    #: per-example losses otherwise.  ``False`` always runs that
-    #: per-example loop, the reference the batched path is tested against
+    #: calls the model's ``batch_loss`` (one batched forward and
+    #: backward) where it can, and falls back to the mean of per-example
+    #: losses otherwise.  ``False`` always runs that per-example loop,
+    #: the reference the batched path is tested against
     batched: bool = True
     #: example source discipline (docs/streaming.md): ``"memory"`` treats
     #: ``examples`` as a plain in-RAM sequence; ``"streaming"`` expects an
@@ -114,7 +114,6 @@ def fit(
     config: TrainConfig | None = None,
     loss_fn: Callable | None = None,
     val_metric: Callable[[], float] | None = None,
-    batch_loss_fn: Callable | None = None,
     callbacks: Sequence[Callback] | None = None,
     resume: str | Path | None = None,
 ) -> TrainHistory:
@@ -122,31 +121,25 @@ def fit(
 
     Each mini-batch's loss follows one rule, first match wins:
 
-    1. ``batch_loss_fn(model, chunk)`` when the caller passed one;
-    2. ``model.batch_loss(chunk)`` when ``config.batched`` is set (the
+    1. ``model.batch_loss(chunk)`` when ``config.batched`` is set (the
        default), the caller passed no ``loss_fn`` and the model has a
        ``batch_loss``: one batched forward and backward per mini-batch;
-    3. the mean of ``loss_fn(model, example)`` over the mini-batch.
+    2. the mean of ``loss_fn(model, example)`` over the mini-batch.
 
-    Rules 1 and 2 optimise the same objective as rule 3 (see
+    Rule 1 optimises the same objective as rule 2 (see
     tests/test_batched_equivalence.py), Gumbel noise included.
     ``on_train_start`` receives a copy of ``config`` whose ``batched``
-    says whether rule 1 or 2 trains; checkpoints keep ``config`` as
-    passed.
+    says whether rule 1 trains; checkpoints keep ``config`` as passed.
 
     Parameters
     ----------
     loss_fn:
         ``loss_fn(model, example) -> Tensor``; defaults to
         ``model.loss(example)``.  Passing one trains on it, example by
-        example, unless a ``batch_loss_fn`` is passed too.
+        example.
     val_metric:
         Zero-argument callable evaluated after each epoch (higher is
         better); enables early stopping and best-weight restoration.
-    batch_loss_fn:
-        ``batch_loss_fn(model, examples_chunk) -> Tensor`` returning the
-        *mean* loss of a whole mini-batch.  Needs ``config.batched``;
-        with ``batched=False`` passing one raises ``ValueError``.
     callbacks:
         :class:`repro.observe.Callback` objects receiving the trainer's
         event stream (``on_train_start`` … ``on_train_end``); e.g.
@@ -157,7 +150,7 @@ def fit(
         optimizer state and the state of ``rng`` are restored in place
         and training continues from the recorded position.  For exact
         replay ``rng`` must be the same generator object the model was
-        built with (the harness convention), so dropout/Gumbel draws
+        built with (the harness convention), so Gumbel draws
         resume from the restored state too.
     """
     config = config or TrainConfig()
@@ -176,18 +169,7 @@ def fit(
             "docs/streaming.md); got "
             f"{type(examples).__name__}"
         )
-    if batch_loss_fn is not None and not config.batched:
-        raise ValueError(
-            "batch_loss_fn trains whole mini-batches; it needs "
-            "TrainConfig(batched=True)"
-        )
-    if (
-        batch_loss_fn is None
-        and config.batched
-        and loss_fn is None
-        and hasattr(model, "batch_loss")
-    ):
-        batch_loss_fn = lambda m, chunk: m.batch_loss(chunk)  # noqa: E731
+    batched = config.batched and loss_fn is None and hasattr(model, "batch_loss")
     if loss_fn is None:
         loss_fn = lambda m, ex: m.loss(ex)  # noqa: E731 - tiny default
     events = CallbackList(callbacks)
@@ -247,9 +229,7 @@ def fit(
         )
         events.on_checkpoint(epoch, step, global_step, path)
 
-    events.on_train_start(
-        model, replace(config, batched=batch_loss_fn is not None)
-    )
+    events.on_train_start(model, replace(config, batched=batched))
     if manager is not None and resume is None:
         save_checkpoint_now(0, 0, None, 0.0)
     for epoch in range(start_epoch, config.epochs):
@@ -293,9 +273,9 @@ def fit(
                 with span("step"):
                     optimizer.zero_grad()
                     with span("forward"):
-                        if batch_loss_fn is not None:
+                        if batched:
                             chunk = [examples[idx] for idx in batch]
-                            total = batch_loss_fn(model, chunk)
+                            total = model.batch_loss(chunk)
                         else:
                             total = None
                             for idx in batch:

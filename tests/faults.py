@@ -1,4 +1,4 @@
-"""Deterministic fault injection for crash-safety tests.
+"""Deterministic fault injection for the crash-safety and corruption tests.
 
 :class:`FaultInjector` is a trainer :class:`~repro.observe.Callback`
 that raises :class:`InjectedFault` at an exact, configured point of a
@@ -9,8 +9,8 @@ to the batch.  The file helpers (:func:`truncate_file`,
 :func:`crash_on_replace` makes the atomic rename every archive write
 ends with fail, simulating a crash *during* a write.
 
-All helpers are pure standard library + numpy; see
-docs/checkpointing.md for the testing recipe.
+All helpers are pure standard library; see docs/checkpointing.md for
+the testing recipe.
 """
 
 from __future__ import annotations

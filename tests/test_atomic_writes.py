@@ -2,7 +2,7 @@
 
 Checkpoints, model weights, dataset shards, shard manifests and the
 dataset cache all write through :func:`repro.atomic.atomic_write`.  A
-crash at its rename (:func:`repro.testing.crash_on_replace`) must
+crash at its rename (:func:`tests.faults.crash_on_replace`) must
 surface as :class:`InjectedFault`, keep the previous destination
 loadable (or absent, if there was none) and leave no temporary behind.
 
@@ -26,7 +26,7 @@ from repro.data.sharding import (
     write_shards,
 )
 from repro.nn import Adam, Linear, load_module, save_module
-from repro.testing import InjectedFault, crash_on_replace
+from tests.faults import InjectedFault, crash_on_replace
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 
 pytestmark = [pytest.mark.checkpoint, pytest.mark.faultinject]

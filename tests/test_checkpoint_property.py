@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, SGD
-from repro.testing import flip_bytes, truncate_file
+from tests.faults import flip_bytes, truncate_file
 from repro.training import checkpoint as ckpt
 from repro.training import load_checkpoint, read_checkpoint_header, save_checkpoint
 

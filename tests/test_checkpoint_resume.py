@@ -3,7 +3,7 @@
 Train-to-completion vs. crash-at-step-k-then-resume must agree
 **bitwise** — final parameters, optimizer moments, RNG state and the
 metric history, with no tolerance (docs/checkpointing.md).  Crashes
-are injected deterministically with :mod:`repro.testing.faults` at the
+are injected deterministically with :mod:`tests.faults` at the
 awkward spots: the first batch, mid-epoch, an epoch boundary, and
 inside an early-stopping patience countdown; both the per-example loop
 and the padded-batch path are covered.
@@ -24,7 +24,7 @@ from repro.observe import (
     validate_run_log,
     validate_stitched_steps,
 )
-from repro.testing import FaultInjector, InjectedFault, crash_on_replace
+from tests.faults import FaultInjector, InjectedFault, crash_on_replace
 from repro.training import CheckpointManager, TrainConfig, fit, load_checkpoint
 from repro.training.metrics import classification_accuracy
 

@@ -1,16 +1,13 @@
-"""Feature vectors and the Hausdorff GED lower bound."""
+"""Graph statistics and the feature-vector classifier."""
 
 import numpy as np
 import pytest
 
-from repro.ged import hausdorff_ged, hungarian_ged
 from repro.graph import (
     FeatureVectorClassifier,
     Graph,
     clustering_coefficient,
     complete_graph,
-    cycle_graph,
-    exact_ged,
     graph_feature_vector,
     path_graph,
     random_connected,
@@ -18,36 +15,6 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.features import FEATURE_VECTOR_DIM
-
-
-class TestHausdorffGED:
-    def test_lower_bounds_exact_on_random_pairs(self, rng):
-        for _ in range(15):
-            g1 = random_connected(int(rng.integers(3, 8)), 0.35, rng)
-            g2 = random_connected(int(rng.integers(3, 8)), 0.35, rng)
-            assert hausdorff_ged(g1, g2) <= exact_ged(g1, g2) + 1e-9
-
-    def test_bracket_with_upper_bound(self, rng):
-        g1 = random_connected(6, 0.4, rng)
-        g2 = random_connected(7, 0.4, rng)
-        lower = hausdorff_ged(g1, g2)
-        upper = hungarian_ged(g1, g2)
-        exact = exact_ged(g1, g2)
-        assert lower - 1e-9 <= exact <= upper + 1e-9
-
-    def test_symmetric(self, rng):
-        g1 = random_connected(5, 0.4, rng)
-        g2 = random_connected(6, 0.4, rng)
-        assert hausdorff_ged(g1, g2) == pytest.approx(hausdorff_ged(g2, g1))
-
-    def test_labelled_graphs(self, rng):
-        g1 = path_graph(4).with_node_labels([0, 0, 1, 1])
-        g2 = path_graph(4).with_node_labels([1, 1, 0, 0])
-        assert hausdorff_ged(g1, g2) <= exact_ged(g1, g2) + 1e-9
-
-    def test_empty_graph_cost(self):
-        g = cycle_graph(4)
-        assert hausdorff_ged(Graph.empty(0), g) == 8.0  # 4 nodes + 4 edges
 
 
 class TestGraphStatistics:

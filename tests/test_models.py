@@ -138,9 +138,11 @@ class TestSimilarityModel:
 class TestGMN:
     def test_pair_embeddings_are_pair_dependent(self, rng, pair):
         gmn = GMN(8, 8, rng, num_layers=2)
-        e1a, _ = gmn.embed_pair(*graph_inputs(pair.g1), *graph_inputs(pair.g2))
-        other = _featured_graph(rng, n=9)
-        e1b, _ = gmn.embed_pair(*graph_inputs(pair.g1), *graph_inputs(other))
+        g1, g2, other = (
+            graph_inputs(g)[:2] for g in (pair.g1, pair.g2, _featured_graph(rng, n=9))
+        )
+        e1a, _ = gmn.embed_pair(*g1, *g2)
+        e1b, _ = gmn.embed_pair(*g1, *other)
         # Embedding of g1 changes with its partner (cross-graph attention).
         assert not np.allclose(e1a[0].data, e1b[0].data)
 

@@ -3,12 +3,14 @@
 Three contracts:
 
 - **Edge-conditioned equivalence** — for every conv that supports bond
-  features (GIN, SAGE, GAT), the per-graph and padded-batch execution
-  paths produce the same predictions *and* the same parameter
-  gradients (< 1e-6) on ESOL-like molecular graphs, in eval mode with
-  Gumbel soft-sampling disabled (train-mode draws are pinned across
-  paths by ``tests/test_batched_equivalence.py``; a CSR level 0 with
-  CSR-aligned bond features by ``tests/test_sparse_equivalence.py``).
+  features (GIN, SAGE, GAT), the per-graph path (each graph's CSR with
+  its ``(nnz, Fe)`` bond rows) and the ragged batch (the block-diagonal
+  CSR with the concatenated rows) produce the same predictions *and*
+  the same parameter gradients (< 1e-6) on ESOL-like molecular graphs,
+  in eval mode with Gumbel soft-sampling disabled (train-mode draws are
+  pinned across paths by ``tests/test_ragged_batch.py``; the
+  conditioned layers against a dense oracle by
+  ``tests/test_edge_conditioning.py``).
 - **Regression workload** — the ESOL-like builder, scaffold split,
   regression head and metric_mode="min" best-checkpointing behave end
   to end, including resume, ``run_regression`` trains each mini-batch
@@ -75,15 +77,16 @@ def _max_dev(grads_a, grads_b):
 
 
 class TestEdgeConditionedEquivalence:
-    """A padded batch of bond-featured molecules matches the per-graph
-    loop, and bond features reach the forward."""
+    """A ragged batch of bond-featured molecules matches the per-graph
+    loop, and bond features reach the forward. (``test_padded_*`` keep
+    the names they had when the batch path padded its graphs.)"""
 
     @pytest.mark.parametrize("conv", CONVS)
     def test_padded_outputs_match(self, conv):
         graphs, model = _molecular_setup(conv)
         loop = np.array([model.predict(g) for g in graphs])
-        padded = np.asarray(model.predict(graphs))
-        assert np.abs(loop - padded).max() < 1e-6, conv
+        ragged = np.asarray(model.predict(graphs))
+        assert np.abs(loop - ragged).max() < 1e-6, conv
 
     @pytest.mark.parametrize("conv", CONVS)
     def test_padded_gradients_match(self, conv):
@@ -97,8 +100,8 @@ class TestEdgeConditionedEquivalence:
             return total * (1.0 / len(graphs))
 
         loop = _grads(model, loop_loss)
-        padded = _grads(model, lambda: model.batch_loss(graphs))
-        assert _max_dev(loop, padded) < 1e-6, conv
+        ragged = _grads(model, lambda: model.batch_loss(graphs))
+        assert _max_dev(loop, ragged) < 1e-6, conv
 
     @pytest.mark.parametrize("conv", CONVS)
     def test_edge_features_change_the_prediction(self, conv):

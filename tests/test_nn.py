@@ -6,7 +6,6 @@ import pytest
 from repro.nn import (
     Adam,
     Bilinear,
-    Dropout,
     Linear,
     LSTMCell,
     MLP,
@@ -92,19 +91,6 @@ class TestLayers:
         assert out.shape == (3, 2)
         with pytest.raises(ValueError):
             MLP([4], rng)
-
-    def test_dropout_train_vs_eval(self, rng):
-        drop = Dropout(0.5, rng)
-        x = Tensor(np.ones((100, 10)))
-        out_train = drop(x)
-        assert (out_train.data == 0).any()
-        drop.eval()
-        np.testing.assert_array_equal(drop(x).data, x.data)
-
-    def test_dropout_rate_validation(self, rng):
-        drop = Dropout(1.0, rng)
-        with pytest.raises(ValueError):
-            drop(Tensor(np.ones(3)))
 
     def test_lstm_cell_step(self, rng):
         cell = LSTMCell(4, 6, rng)

@@ -249,10 +249,15 @@ class TestOpProfiler:
         np.testing.assert_allclose(a.grad, np.full((2, 3), 2.0))
 
     def test_nested_ops_do_not_double_count_self_time(self):
+        def min_along(a, axis):  # a composite: neg + max_along + neg
+            return _ops.neg(_ops.max_along(_ops.neg(a), axis=axis))
+
+        composite = _ops._instrumented("min_along", min_along)
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with profile_ops() as prof:
-            _ops.min_along(a, axis=1)  # implemented via neg + max_along
+            composite(a, axis=1)
         stats = {row["name"]: row for row in prof.summary()}
+        assert stats["neg"]["calls"] == 2 and stats["max_along"]["calls"] == 1
         assert stats["min_along"]["forward_self_s"] <= stats["min_along"]["forward_s"]
         total_self = sum(r["forward_self_s"] for r in prof.summary())
         total_wall = stats["min_along"]["forward_s"]

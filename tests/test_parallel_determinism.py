@@ -49,7 +49,7 @@ from repro.parallel import (
     resolve_workers,
     spawn_task_seeds,
 )
-from repro.testing.faults import InjectedFault, truncate_file
+from tests.faults import InjectedFault, truncate_file
 
 pytestmark = pytest.mark.parallel
 

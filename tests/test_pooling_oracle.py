@@ -7,7 +7,7 @@ written before the split.  For every operator:
 
 - on a single graph, outputs, auxiliary losses and gradients
   (parameters, features and a differentiable adjacency) match the
-  reference to <1e-6;
+  reference to <1e-6, and so they do on the graph's ``to_csr()``;
 - on a batch of graphs of different sizes, each graph's rows match its
   single-graph reference, padding rows and columns are exactly zero,
   Top-K output masks keep each graph's own count, and the batch's
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import GraphCoarsening
+from repro.data import batch_graphs
 from repro.gnn import GNNEncoder
 from repro.graph import random_connected
 from repro.hetero import HeteroGraph, HeteroGraphCoarsening
@@ -145,13 +146,22 @@ def _assert_gradients_match(got, want):
 class TestCoarseningsMatchReference:
     @pytest.mark.parametrize("name", sorted(COARSENINGS))
     def test_single_graph_outputs_aux_and_gradients(self, graphs, name):
+        self._assert_single_graph_matches_reference(graphs[0], name, csr=False)
+
+    @pytest.mark.parametrize("name", sorted(COARSENINGS))
+    def test_lone_csr_outputs_aux_and_gradients(self, graphs, name):
+        """A graph's ``to_csr()``, the models' single-graph input: a
+        select that reads the adjacency densely sees its dense view."""
+        self._assert_single_graph_matches_reference(graphs[0], name, csr=True)
+
+    @staticmethod
+    def _assert_single_graph_matches_reference(graph, name, csr):
         op = COARSENINGS[name](np.random.default_rng(0))
         op.eval()
         reference = COARSENING_REFERENCES[name]
-        graph = graphs[0]
 
         adj, h = _leaves(graph)
-        adj_c, h_c, mask = op(adj, h)
+        adj_c, h_c, mask = op(graph.to_csr() if csr else adj, h)
         aux = op.auxiliary_loss()
         assert mask is None
         _objective([adj_c, h_c, aux]).backward()
@@ -159,6 +169,8 @@ class TestCoarseningsMatchReference:
         op.zero_grad()
 
         adj_r, h_r = _leaves(graph)
+        if csr:  # a CSR adjacency is a constant
+            adj_r = Tensor(graph.adjacency)
         adj_ref, h_ref, aux_ref = reference(op, adj_r, h_r)
         _objective([adj_ref, h_ref, aux_ref]).backward()
         want = _gradients(op, adj_r, h_r)
@@ -223,24 +235,29 @@ class TestCoarseningsMatchReference:
         assert np.abs(h_c.data - h_ref.data).max() < TOL
 
     def test_edge_conditioned_hap_matches_reference(self, graphs):
+        """Bond features reach HAP's coarsening as ``(nnz, Fe)`` rows
+        beside a CSR — one graph's, or a ragged batch's block-diagonal
+        one; the reference sums each graph's dense ``(N, N, Fe)``
+        attributes itself."""
         op = GraphCoarsening(F, 3, np.random.default_rng(0), edge_features=2)
         op.eval()
         rng = np.random.default_rng(3)
-        attrs = []
+        bonded = []
         for g in graphs:
             attr = rng.normal(size=(g.num_nodes, g.num_nodes, 2))
             attr = (attr + attr.transpose(1, 0, 2)) * (g.adjacency != 0)[..., None]
-            attrs.append(attr)
-        n_max = max(SIZES)
-        padded_attr = np.zeros((len(graphs), n_max, n_max, 2))
-        for i, attr in enumerate(attrs):
-            padded_attr[i, : len(attr), : len(attr)] = attr
-        adjacency, features, mask = slots_view(graphs)
-        adj_b, h_b, _ = op(adjacency, Tensor(features), mask, edge_attr=padded_attr)
-        for i, (g, attr) in enumerate(zip(graphs, attrs)):
-            adj_c, h_c, _ = op(g.adjacency, Tensor(g.features), edge_attr=attr)
+            bonded.append(g.with_edge_features(attr))
+        batch = batch_graphs(bonded)
+        adj_b, h_b, _ = op(
+            batch.adjacency, Tensor(batch.features), batch.slots,
+            edge_attr=batch.edge_features,
+        )
+        for i, g in enumerate(bonded):
+            adj_c, h_c, _ = op(
+                g.to_csr(), Tensor(g.features), edge_attr=g.edge_feature_data()
+            )
             adj_ref, h_ref, _ = hap_coarsening(
-                op, g.adjacency, Tensor(g.features), edge_attr=attr
+                op, g.adjacency, Tensor(g.features), edge_attr=g.edge_features
             )
             assert np.abs(adj_c.data - adj_ref.data).max() < TOL
             assert np.abs(h_c.data - h_ref.data).max() < TOL

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.ged import hausdorff_ged, hungarian_ged
+from repro.ged import hungarian_ged
 from repro.graph import (
     exact_ged,
     graph_feature_vector,
@@ -35,14 +35,11 @@ def _hetero(seed: int, n: int) -> HeteroGraph:
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds, n=st.integers(min_value=2, max_value=7))
 def test_ged_bracket_property(seed, n):
-    """hausdorff <= exact <= hungarian on arbitrary pairs."""
+    """The Hungarian approximation bounds the exact GED from above on
+    arbitrary pairs."""
     g1 = _graph(seed, n)
     g2 = _graph(seed + 17, max(2, n - 1))
-    lower = hausdorff_ged(g1, g2)
-    exact = exact_ged(g1, g2)
-    upper = hungarian_ged(g1, g2)
-    assert lower <= exact + 1e-9
-    assert exact <= upper + 1e-9
+    assert exact_ged(g1, g2) <= hungarian_ged(g1, g2) + 1e-9
 
 
 @settings(max_examples=15, deadline=None)

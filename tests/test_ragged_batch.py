@@ -267,13 +267,15 @@ class TestFitWithoutBufferPool:
         graphs = _degenerate_graphs(np.random.default_rng(6), False, False)
         model = _model("gcn", False, False)
         seen = []
+        batch_loss = model.batch_loss
 
-        def batch_loss(m, chunk):
+        def recording_batch_loss(chunk):
             seen.append(get_buffer_pool())
-            return m.batch_loss(chunk)
+            return batch_loss(chunk)
 
+        model.batch_loss = recording_batch_loss
         fit(model, graphs, np.random.default_rng(0),
-            TrainConfig(epochs=2, batch_size=2), batch_loss_fn=batch_loss)
+            TrainConfig(epochs=2, batch_size=2))
         assert len(seen) == 6 and all(pool is None for pool in seen)
 
 

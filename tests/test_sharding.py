@@ -48,7 +48,7 @@ from repro.data.sharding import (
 from repro.data.streaming import StreamingDataset
 from repro.graph.graph import Graph
 from repro.observe.metrics import MetricsRegistry, set_registry
-from repro.testing.faults import (
+from tests.faults import (
     InjectedFault,
     crash_on_replace,
     flip_bytes,

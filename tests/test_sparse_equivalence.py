@@ -13,8 +13,8 @@ per-graph path within 1e-6 (observed deviations are ~1e-16) for:
 - the full coarsening module (GCont + MOA + Eq. 17-19, including the
   sparse ``M^T (A M)`` formation),
 - the whole ``HierarchicalEmbedder`` — level outputs, every parameter
-  gradient and the Gumbel draws, in eval and train mode, with edge
-  attributes, on ragged and degenerate graphs,
+  gradient and the Gumbel draws, in eval and train mode, on ragged and
+  degenerate graphs,
 - the padded-batch path (sparse per-example outputs equal the valid
   rows of the dense padded batch).
 
@@ -147,9 +147,6 @@ class TestCoarseningEquivalence:
 # ---------------------------------------------------------------------------
 # Full model equivalence: the hierarchical embedder, where CSR enters
 # ---------------------------------------------------------------------------
-#: edge-attribute width of the edge-conditioned cases
-FE = 3
-
 CONVS = ["gcn", "gat", "gin", "sage"]
 
 
@@ -171,18 +168,6 @@ def _degenerate_graphs(rng, feat_dim=6):
     ]
 
 
-def _with_bonds(graph, rng, identical=False):
-    """``graph`` with symmetric one-hot edge attributes on its edges:
-    random bond types, or one type everywhere."""
-    n = graph.num_nodes
-    types = np.zeros((n, n), dtype=np.int64)
-    if not identical:
-        types = np.triu(rng.integers(0, FE, size=(n, n)), 1)
-        types = types + types.T
-    on_edges = (graph.adjacency != 0)[..., None]
-    return graph.with_edge_features(np.eye(FE)[types] * on_edges)
-
-
 class _RecordedDraws:
     """Stands in for the embedder's generator, keeping every draw."""
 
@@ -202,27 +187,20 @@ class TestFullModelEquivalence:
 
     One embedder per conv runs both layouts from the same generator
     state, in eval mode and in train mode, on ragged and degenerate
-    graphs.  GAT, GIN and SAGE also condition on edge attributes, given
-    in the matching layout: dense ``(N, N, Fe)`` or the CSR-aligned
-    ``(nnz, Fe)`` rows of ``edge_feature_data()``.  The level outputs
-    and every parameter gradient must agree, and in train mode both
-    runs must draw the same Gumbel noise (Eq. 19) and leave the
-    generator in the same state."""
+    graphs without bond features (bonds come only as a CSR's
+    ``(nnz, Fe)`` rows; tests/test_edge_conditioning.py checks them
+    against a dense oracle).  The level outputs and every parameter
+    gradient must agree, and in train mode both runs must draw the same
+    Gumbel noise (Eq. 19) and leave the generator in the same state."""
 
     @staticmethod
-    def _graphs(rng, conv):
-        graphs = _ragged_batch(rng) + _degenerate_graphs(rng)
-        if conv == "gcn":  # GCN takes no edge attributes
-            return graphs
-        bonded = [_with_bonds(g, rng) for g in graphs]
-        return bonded + [_with_bonds(graphs[-1], rng, identical=True)]
+    def _graphs(rng):
+        return _ragged_batch(rng) + _degenerate_graphs(rng)
 
     @staticmethod
     def _embedder(conv):
         rng = np.random.default_rng(11)
-        embedder = build_hap_embedder(
-            6, 8, [4, 2], rng, conv=conv, edge_features=0 if conv == "gcn" else FE
-        )
+        embedder = build_hap_embedder(6, 8, [4, 2], rng, conv=conv)
         recorder = _RecordedDraws(rng)
         for coarsening in embedder.coarsenings:
             coarsening.rng = recorder
@@ -234,17 +212,9 @@ class TestFullModelEquivalence:
         state after one forward and backward from ``state``."""
         recorder.rng.bit_generator.state = state
         recorder.draws = []
-        if layout == "csr":
-            adjacency = graph.to_csr()
-            edge_attr = None
-            if graph.edge_features is not None:
-                edge_attr = graph.edge_feature_data()
-        else:
-            adjacency, edge_attr = graph.adjacency, graph.edge_features
+        adjacency = graph.to_csr() if layout == "csr" else graph.adjacency
         embedder.zero_grad()
-        levels = embedder.embed_levels(
-            adjacency, Tensor(graph.features), edge_attr=edge_attr
-        )
+        levels = embedder.embed_levels(adjacency, Tensor(graph.features))
         weights = np.random.default_rng(5).normal(size=(len(levels), 8))
         loss = sum((level * Tensor(w)).sum() for level, w in zip(levels, weights))
         aux = embedder.auxiliary_loss()
@@ -265,7 +235,7 @@ class TestFullModelEquivalence:
         embedder, recorder = self._embedder(conv)
         embedder.train(training)
         state = recorder.rng.bit_generator.state
-        for g in self._graphs(np.random.default_rng(3), conv):
+        for g in self._graphs(np.random.default_rng(3)):
             yield g, (
                 self._run(embedder, recorder, state, g, "dense"),
                 self._run(embedder, recorder, state, g, "csr"),

@@ -31,7 +31,7 @@ from repro.data.streaming import StreamingDataset
 from repro.evaluation.crossval import cross_validate_classification
 from repro.models import zoo
 from repro.observe import Callback, JSONLLogger, read_run_log
-from repro.testing.faults import FaultInjector, InjectedFault, truncate_file
+from tests.faults import FaultInjector, InjectedFault, truncate_file
 from repro.training import CheckpointManager, TrainConfig, fit
 from repro.training.metrics import classification_accuracy
 

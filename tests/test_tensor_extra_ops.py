@@ -1,32 +1,9 @@
-"""Gradient checks for the convenience ops (abs, clip, norm, min)."""
+"""Gradient checks for the convenience ops (clip, norm)."""
 
 import numpy as np
 import pytest
 
-from repro.tensor import (
-    Tensor,
-    absolute,
-    check_gradients,
-    clip,
-    min_along,
-    norm,
-)
-
-
-class TestAbsolute:
-    def test_values(self):
-        out = absolute(Tensor([-2.0, 3.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [2.0, 3.0, 0.0])
-
-    def test_gradcheck_away_from_zero(self, rng):
-        a = Tensor(rng.normal(size=(4, 3)) + np.sign(rng.normal(size=(4, 3))) * 0.1,
-                   requires_grad=True)
-        check_gradients(lambda: absolute(a).sum(), [a])
-
-    def test_gradient_at_zero_is_zero(self):
-        a = Tensor([0.0], requires_grad=True)
-        absolute(a).sum().backward()
-        np.testing.assert_array_equal(a.grad, [0.0])
+from repro.tensor import Tensor, check_gradients, clip, norm
 
 
 class TestClip:
@@ -60,17 +37,3 @@ class TestNorm:
         norm(a).backward()
         assert np.all(np.isfinite(a.grad))
 
-
-class TestMinAlong:
-    def test_values(self, rng):
-        data = rng.normal(size=(4, 5))
-        out = min_along(Tensor(data), axis=1)
-        np.testing.assert_allclose(out.data, data.min(axis=1))
-
-    def test_gradcheck(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        check_gradients(lambda: min_along(a, axis=0).sum(), [a])
-
-    def test_global_min(self):
-        out = min_along(Tensor([[3.0, -1.0], [2.0, 7.0]]))
-        assert float(out.data) == -1.0

@@ -8,14 +8,12 @@ from repro.tensor import (
     check_gradients,
     concat,
     exp,
-    gather_rows,
     leaky_relu,
     log,
     log_softmax,
     max_along,
     maximum,
     mean,
-    pad2d,
     power,
     relu,
     sigmoid,
@@ -222,13 +220,6 @@ class TestShapeOps:
         a = _param(rng, (4, 3))
         check_gradients(lambda: a[1].sum() + a[2:4].mean(), [a])
 
-    def test_gather_rows_accumulates_duplicates(self):
-        a = Tensor(np.eye(3), requires_grad=True)
-        out = gather_rows(a, [0, 0, 2])
-        out.sum().backward()
-        # Row 0 was selected twice, row 1 never, row 2 once.
-        np.testing.assert_array_equal(a.grad, [[2.0] * 3, [0.0] * 3, [1.0] * 3])
-
     def test_concat_axis0_and_1(self, rng):
         a = _param(rng, (2, 3))
         b = _param(rng, (4, 3))
@@ -242,17 +233,6 @@ class TestShapeOps:
         out = stack([a, b], axis=0)
         assert out.shape == (2, 3)
         check_gradients(lambda: stack([a, b]).sum(), [a, b])
-
-    def test_pad2d_values_and_grad(self, rng):
-        a = _param(rng, (2, 3))
-        out = pad2d(a, rows_after=1, cols_after=2)
-        assert out.shape == (3, 5)
-        assert np.all(out.data[2, :] == 0) and np.all(out.data[:, 3:] == 0)
-        check_gradients(lambda: (pad2d(a, 1, 2) ** 2.0).sum(), [a])
-
-    def test_pad2d_rejects_non_2d(self, rng):
-        with pytest.raises(ValueError):
-            pad2d(Tensor(rng.normal(size=3)), 1, 1)
 
 
 class TestReductions:

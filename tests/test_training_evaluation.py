@@ -95,15 +95,6 @@ class TestFit:
         fit(model, graphs, rng, TrainConfig(epochs=1, batched=True), loss_fn=loss_fn)
         assert len(calls) == len(graphs)
 
-    def test_batch_loss_fn_needs_batched(self, rng):
-        graphs = _toy_dataset(rng)
-        model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
-        with pytest.raises(ValueError, match="batched=True"):
-            fit(
-                model, graphs, rng, TrainConfig(epochs=1, batched=False),
-                batch_loss_fn=lambda m, chunk: m.batch_loss(chunk),
-            )
-
 
 class TestRunLogLossRule:
     """A run log's ``batched`` says whether ``fit`` trained whole
