@@ -125,7 +125,6 @@ def build_hap_embedder(
     cluster_sizes: list[int],
     rng: np.random.Generator,
     conv: str = "gcn",
-    layers_per_level: int = 2,
     tau: float = 0.1,
     soft_sampling: bool = True,
     relaxation: str = "project",
@@ -135,9 +134,10 @@ def build_hap_embedder(
     """Construct the paper's default HAP architecture.
 
     ``cluster_sizes`` gives the target size N' of each coarsening module
-    (the paper uses two modules; sizes are per-dataset).  The first
-    encoder maps ``in_features -> hidden``; later levels stay at
-    ``hidden``.  ``edge_features > 0`` makes the level-0 encoder and
+    (the paper uses two modules; sizes are per-dataset), each after an
+    encoder of two GNN layers (Sec. 6.1.3).  The first encoder maps
+    ``in_features -> hidden``; later levels stay at ``hidden``.
+    ``edge_features > 0`` makes the level-0 encoder and
     coarsening condition on per-edge attributes (docs/molecular.md);
     coarsened levels have no edges to attribute, so deeper modules are
     built unconditioned.
@@ -149,7 +149,7 @@ def build_hap_embedder(
     feat = in_features
     for level, n_prime in enumerate(cluster_sizes):
         level_edge_features = edge_features if level == 0 else 0
-        sizes = [feat] + [hidden] * layers_per_level
+        sizes = [feat, hidden, hidden]
         encoders.append(
             GNNEncoder(sizes, rng, conv=conv, edge_features=level_edge_features)
         )

@@ -50,12 +50,14 @@ class MOA(Module):
     Eq. 15's normalisation is preserved.
     """
 
+    #: LeakyReLU slope of the attention logits (Eq. 14)
+    negative_slope = 0.2
+
     def __init__(
         self,
         num_clusters: int,
         rng: np.random.Generator,
         relaxation: str = "project",
-        negative_slope: float = 0.2,
         num_heads: int = 1,
     ):
         super().__init__()
@@ -65,7 +67,6 @@ class MOA(Module):
             raise ValueError("need at least one attention head")
         self.num_clusters = num_clusters
         self.relaxation = relaxation
-        self.negative_slope = negative_slope
         self.num_heads = num_heads
         # a^T [x || y] decomposes into a_row^T x + a_col^T y, one pair
         # of vectors per head.

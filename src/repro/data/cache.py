@@ -6,7 +6,7 @@ pure waste — COLLAB-sized builders dominate small training runs.  This
 module caches the *raw* builder output on disk under that key; feature
 encodings are attached after load (they are deterministic and cheap).
 
-Each entry is a one-shard ``repro.shard/v2`` directory, written as
+Each entry is a one-shard ``repro.shard/v3`` directory, written as
 ``shard_dataset(name, num_graphs, seed, entry, shard_size=num_graphs)``
 writes it, so the shard store's guarantees are the cache's: atomic
 writes, a checksum verified on every disk hit, and an entry that also

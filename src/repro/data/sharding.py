@@ -1,4 +1,4 @@
-"""On-disk sharded dataset storage (schema ``repro.shard/v2``).
+"""On-disk sharded dataset storage (schema ``repro.shard/v3``).
 
 Million-graph corpora cannot live in one monolithic ``.npz``, let
 alone in RAM.  This module splits any graph collection into
@@ -24,8 +24,8 @@ Guarantees:
   no store rather than an old manifest over new shards.
 - **Content checksums.**  The manifest records one SHA-256 per shard
   computed over the *decoded graph content* (adjacency, labels,
-  features, edge features, graph label), not the compressed file
-  bytes, so a checksum is reproducible across rewrites and verifies
+  features, edge features, graph label, ``meta``), not the compressed
+  file bytes, so a checksum is reproducible across rewrites and verifies
   exactly the invariant the reader cares about.  A shard that fails to
   decode or decodes to different content surfaces as a typed
   :class:`ShardCorruptionError` naming the shard.
@@ -61,9 +61,10 @@ from repro.atomic import atomic_write
 from repro.data.io import load_graphs, save_graphs
 from repro.graph.graph import Graph
 
-#: v2 checksums cover edge features; a v1 store fails ``load_manifest``,
+#: v2 checksums added edge features and v3 ``meta`` (the scaffold keys
+#: ``scaffold_split`` groups by); an older store fails ``load_manifest``,
 #: so ``shard_dataset`` and the dataset cache rebuild it
-SHARD_SCHEMA = "repro.shard/v2"
+SHARD_SCHEMA = "repro.shard/v3"
 MANIFEST_NAME = "manifest.json"
 
 #: entropy tag mixed into the user seed for per-shard generation streams
@@ -117,6 +118,9 @@ def content_checksum(graphs: list[Graph]) -> str:
         if graph.edge_features is not None:
             digest.update(b"E")
             digest.update(np.ascontiguousarray(graph.edge_features).tobytes())
+        if graph.meta:
+            digest.update(b"M")
+            digest.update(json.dumps(graph.meta, sort_keys=True).encode("utf-8"))
         digest.update(f"y={graph.label}".encode("utf-8"))
     return digest.hexdigest()
 

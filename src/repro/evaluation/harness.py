@@ -115,9 +115,6 @@ def run_classification(
         method, dim, num_classes, rng,
         hidden=hidden, cluster_sizes=cluster_sizes, **model_kwargs,
     )
-    # No early stopping: several datasets (notably MUTAG-like) sit on a
-    # long loss plateau before the structural signal is picked up.  Best
-    # validation weights are still restored after the final epoch.
     config = TrainConfig(
         epochs=epochs, lr=lr,
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,

@@ -1,8 +1,8 @@
 """Stacked GNN encoder used as the node & cluster embedding module.
 
 The paper uses two GAT or GCN layers before every coarsening module
-(Sec. 6.1.3); ``GNNEncoder`` builds that stack for either convolution
-type.
+(Sec. 6.1.3); ``GNNEncoder`` builds that stack from GCN, GAT, GIN or
+SAGE layers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.tensor import Tensor
 
 
 class GNNEncoder(Module):
-    """A stack of GCN or GAT layers.
+    """A stack of GCN, GAT, GIN or SAGE layers.
 
     Parameters
     ----------

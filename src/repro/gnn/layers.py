@@ -120,13 +120,15 @@ class GATLayer(Module):
     self-loops carry no bond and contribute zero edge bias.
     """
 
+    #: LeakyReLU slope of the attention logits
+    negative_slope = 0.2
+
     def __init__(
         self,
         in_features: int,
         out_features: int,
         rng: np.random.Generator,
         activation: str = "relu",
-        negative_slope: float = 0.2,
         edge_features: int = 0,
     ):
         super().__init__()
@@ -152,7 +154,6 @@ class GATLayer(Module):
             self.att_edge = None
         self.bias = Parameter(zeros(out_features), name="bias")
         self.activation = activation
-        self.negative_slope = negative_slope
 
     def _edge_bias(self, adjacency, edge_attr):
         """Additive logit term ``a_e^T e_ij``, one per stored entry of a

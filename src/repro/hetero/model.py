@@ -14,7 +14,9 @@ from repro.tensor import Tensor, no_grad, relu, softmax
 
 
 class HeteroHAPEmbedder(Module):
-    """K levels of (RGCN encode -> heterogeneous HAP coarsening)."""
+    """K levels of (RGCN encode -> heterogeneous HAP coarsening), with
+    two RGCN layers before every coarsening module as in the paper's
+    homogeneous HAP."""
 
     def __init__(
         self,
@@ -23,7 +25,6 @@ class HeteroHAPEmbedder(Module):
         hidden: int,
         cluster_sizes: list[int],
         rng: np.random.Generator,
-        layers_per_level: int = 2,
     ):
         super().__init__()
         if not cluster_sizes:
@@ -33,9 +34,7 @@ class HeteroHAPEmbedder(Module):
         self.coarsenings: list[HeteroGraphCoarsening] = []
         feat = in_features
         for i, n_prime in enumerate(cluster_sizes):
-            encoder = HeteroEncoder(
-                self.relations, [feat] + [hidden] * layers_per_level, rng
-            )
+            encoder = HeteroEncoder(self.relations, [feat, hidden, hidden], rng)
             coarsening = HeteroGraphCoarsening(self.relations, hidden, n_prime, rng)
             setattr(self, f"encoder{i}", encoder)
             setattr(self, f"coarsening{i}", coarsening)

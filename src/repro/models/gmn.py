@@ -58,19 +58,19 @@ class GMN(Module):
         attention readout; a HAP hierarchy yields GMN-HAP.
     """
 
+    #: propagation layers before the readout
+    num_layers = 3
+
     def __init__(
         self,
         in_features: int,
         hidden: int,
         rng: np.random.Generator,
-        num_layers: int = 3,
         pooling: Module | None = None,
     ):
         super().__init__()
-        if num_layers < 1:
-            raise ValueError("need at least one propagation layer")
         self.encode = Linear(in_features, hidden, rng)
-        self.layers = [_PropagationLayer(hidden, rng) for _ in range(num_layers)]
+        self.layers = [_PropagationLayer(hidden, rng) for _ in range(self.num_layers)]
         for i, layer in enumerate(self.layers):
             setattr(self, f"prop{i}", layer)
         self.pooling = pooling

@@ -34,12 +34,14 @@ from repro.graph.graph import Graph
 class SimGNN(Module):
     """Pair similarity scorer with NTN interaction."""
 
+    #: slices of the NTN's bilinear tensor, the scorer's input width
+    ntn_features = 8
+
     def __init__(
         self,
         in_features: int,
         hidden: int,
         rng: np.random.Generator,
-        ntn_features: int = 8,
         pooling: Module | None = None,
     ):
         super().__init__()
@@ -49,8 +51,8 @@ class SimGNN(Module):
             MeanAttPool(hidden, rng) if pooling is None else None
         )
         embed_dim = pooling.out_features if pooling is not None else hidden
-        self.ntn = Bilinear(embed_dim, ntn_features, rng)
-        self.score_mlp = Linear(ntn_features, 1, rng)
+        self.ntn = Bilinear(embed_dim, self.ntn_features, rng)
+        self.score_mlp = Linear(self.ntn_features, 1, rng)
 
     def graph_embedding(self, graph: Graph) -> Tensor:
         adjacency, features, _ = graph_inputs(graph)

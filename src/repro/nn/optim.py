@@ -1,7 +1,8 @@
-"""Gradient-descent optimisers: SGD (with momentum) and Adam.
+"""The Adam optimiser (Kingma & Ba, 2015).
 
-The paper trains all models with Adam (Sec. 6.1.3); SGD is provided for
-tests and ablations.
+The paper trains every model with Adam (Sec. 6.1.3), and so does
+:func:`repro.training.fit`: one learning rate, fixed for the whole run,
+the usual moment decay rates and epsilon, and no weight decay.
 """
 
 from __future__ import annotations
@@ -10,42 +11,73 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
+#: decay rates of the first and second moment estimates
+BETA1, BETA2 = 0.9, 0.999
+#: added to the root of the second moment so a step never divides by 0
+EPS = 1e-8
 
-class Optimizer:
-    """Base class holding the parameter list."""
 
-    def __init__(self, parameters):
+class Adam:
+    """Adam over a fixed parameter list at learning rate ``lr``."""
+
+    def __init__(self, parameters, lr: float = 0.01):
         self.parameters: list[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
+        self.lr = lr
+        self._step = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
+        self._step += 1
+        bias1 = 1.0 - BETA1**self._step
+        bias2 = 1.0 - BETA2**self._step
+        for param, m, v in zip(self.parameters, self._m, self._v):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     # -- persistence ---------------------------------------------------
-    # ``state_dict()`` returns {"type", "hyper", "slots"}: ``hyper`` is a
-    # JSON-able dict of scalar hyper-parameters and counters, ``slots``
-    # maps slot names (momentum buffers, Adam moments, ...) to lists of
-    # arrays aligned with ``self.parameters``.  The layout is consumed
-    # by :mod:`repro.training.checkpoint`.
+    # ``state_dict()`` is {"type", "hyper": {"lr", "step"}, "slots":
+    # {"m", "v"}}, each slot a list of arrays aligned with
+    # ``self.parameters``: the layout :mod:`repro.training.checkpoint` keeps.
 
     def state_dict(self) -> dict:
-        raise NotImplementedError
+        return {
+            "type": "Adam",
+            "hyper": {"lr": self.lr, "step": self._step},
+            "slots": {
+                "m": [m.copy() for m in self._m],
+                "v": [v.copy() for v in self._v],
+            },
+        }
 
     def load_state_dict(self, state: dict) -> None:
-        raise NotImplementedError
+        """Restore a :meth:`state_dict`, ignoring other ``hyper`` keys."""
+        self._check_state(state)
+        self.lr = float(state["hyper"]["lr"])
+        self._step = int(state["hyper"]["step"])
+        self._m = [m.copy() for m in state["slots"]["m"]]
+        self._v = [v.copy() for v in state["slots"]["v"]]
 
     def _check_state(self, state: dict) -> None:
-        """Shared validation for :meth:`load_state_dict`."""
-        kind = type(self).__name__
-        if state.get("type") != kind:
+        """Reject a loaded state for another optimizer or other parameters."""
+        if state.get("type") != "Adam":
             raise ValueError(
                 f"optimizer state is for {state.get('type')!r}, "
-                f"cannot load into {kind}"
+                "cannot load into Adam"
             )
         for name, arrays in state.get("slots", {}).items():
             if len(arrays) != len(self.parameters):
@@ -59,104 +91,3 @@ class Optimizer:
                         f"slot {name!r} shape {array.shape} does not match "
                         f"parameter shape {param.data.shape}"
                     )
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, vel in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                vel *= self.momentum
-                vel += param.grad
-                update = vel
-            else:
-                update = param.grad
-            param.data = param.data - self.lr * update
-
-    def state_dict(self) -> dict:
-        return {
-            "type": "SGD",
-            "hyper": {"lr": self.lr, "momentum": self.momentum},
-            "slots": {"velocity": [v.copy() for v in self._velocity]},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._check_state(state)
-        self.lr = float(state["hyper"]["lr"])
-        self.momentum = float(state["hyper"]["momentum"])
-        self._velocity = [v.copy() for v in state["slots"]["velocity"]]
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        parameters,
-        lr: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        self._step += 1
-        bias1 = 1.0 - self.beta1**self._step
-        bias2 = 1.0 - self.beta2**self._step
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "type": "Adam",
-            "hyper": {
-                "lr": self.lr,
-                "betas": [self.beta1, self.beta2],
-                "eps": self.eps,
-                "weight_decay": self.weight_decay,
-                "step": self._step,
-            },
-            "slots": {
-                "m": [m.copy() for m in self._m],
-                "v": [v.copy() for v in self._v],
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._check_state(state)
-        hyper = state["hyper"]
-        self.lr = float(hyper["lr"])
-        self.beta1, self.beta2 = (float(b) for b in hyper["betas"])
-        self.eps = float(hyper["eps"])
-        self.weight_decay = float(hyper["weight_decay"])
-        self._step = int(hyper["step"])
-        self._m = [m.copy() for m in state["slots"]["m"]]
-        self._v = [v.copy() for v in state["slots"]["v"]]

@@ -68,14 +68,13 @@ _NULL = _NullSpan()
 class _ActiveSpan:
     __slots__ = ("span",)
 
-    def __init__(self, name: str):
-        self.span = Span(name)
+    def __init__(self, name: str, start: float):
+        self.span = Span(name, start)
 
     def __enter__(self) -> Span:
         stack = _STATE.stack
         stack[-1].children.append(self.span)
         stack.append(self.span)
-        self.span.start = time.perf_counter()
         return self.span
 
     def __exit__(self, *exc):
@@ -113,10 +112,13 @@ def trace(name: str = "trace") -> _TraceContext:
 
 
 def span(name: str):
-    """A child span of whatever is currently open (no-op when inactive)."""
+    """A child span of whatever is currently open (no-op when inactive).
+
+    Its clock starts before its record is built, so the record's cost
+    counts inside it, not as time its parent cannot account for."""
     if not getattr(_STATE, "stack", None):
         return _NULL
-    return _ActiveSpan(name)
+    return _ActiveSpan(name, time.perf_counter())
 
 
 class Timer:

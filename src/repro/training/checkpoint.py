@@ -3,16 +3,15 @@
 A checkpoint is one ``.npz`` archive capturing *everything* the trainer
 needs to continue a run bit-for-bit where it left off:
 
-- model parameters (``model/<name>`` arrays) and, when early stopping
-  is active, the best-so-far parameters (``best/<name>``);
-- optimizer state — hyper-parameters, step counter and per-parameter
-  slot arrays (Adam moments / SGD velocity) from
-  :meth:`repro.nn.optim.Optimizer.state_dict`;
+- model parameters (``model/<name>`` arrays) and, when a validation
+  metric is tracked, the best-so-far parameters (``best/<name>``);
+- optimizer state — learning rate, step counter and the Adam moment
+  arrays from :meth:`repro.nn.optim.Adam.state_dict`;
 - the numpy ``Generator`` bit-generator state, so every later random
   draw (shuffling, Gumbel noise) replays identically;
 - trainer counters: epoch, step-within-epoch, global step, the running
-  epoch-loss accumulator, the patience ``stale`` counter, the epoch's
-  shuffle permutation (for mid-epoch checkpoints) and the full
+  epoch-loss accumulator, the epoch's shuffle permutation (for
+  mid-epoch checkpoints) and the full
   :class:`~repro.training.trainer.TrainHistory` so far.
 
 Writes are **atomic** (:func:`repro.atomic.atomic_write`), so a crash
@@ -20,8 +19,9 @@ mid-write leaves the previous checkpoint untouched (see
 ``tests/test_checkpoint_resume`` and ``tests/faults.py``).
 
 :class:`CheckpointManager` adds the retention policy used by
-:func:`repro.training.fit`: keep the last *N* step/epoch checkpoints
-plus ``best.npz`` (best validation metric so far), never pruning best.
+:func:`repro.training.fit`: keep the last :data:`KEEP_LAST` step/epoch
+checkpoints plus ``best.npz`` (best validation metric so far), never
+pruning best.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ import numpy as np
 from repro.atomic import atomic_write
 
 SCHEMA = "repro.ckpt/v1"
-#: bumped when the on-disk layout changes
-FORMAT_VERSION = 1
+#: bumped when the on-disk layout changes; format 1 (read, its extra keys
+#: ignored) also held ``stale`` and Adam's constants (docs/checkpointing.md)
+FORMAT_VERSION = 2
+#: rolling checkpoints a :class:`CheckpointManager` keeps
+KEEP_LAST = 3
 
 _HEADER_KEY = "__repro_ckpt_header__"
 _MODEL_PREFIX = "model/"
@@ -55,7 +58,6 @@ class ResumeState:
     step: int
     global_step: int
     epoch_loss: float
-    stale: int
     order: np.ndarray | None
     losses: list[float] = field(default_factory=list)
     val_metrics: list[float] = field(default_factory=list)
@@ -81,7 +83,6 @@ def save_checkpoint(
     step: int = 0,
     global_step: int = 0,
     epoch_loss: float = 0.0,
-    stale: int = 0,
     order: np.ndarray | None = None,
     losses: list[float] | None = None,
     val_metrics: list[float] | None = None,
@@ -105,7 +106,6 @@ def save_checkpoint(
         "step": int(step),
         "global_step": int(global_step),
         "epoch_loss": float(epoch_loss),
-        "stale": int(stale),
         "history": {
             "losses": [float(x) for x in (losses or [])],
             "val_metrics": [float(x) for x in (val_metrics or [])],
@@ -238,7 +238,6 @@ def load_checkpoint(
         step=header["step"],
         global_step=header["global_step"],
         epoch_loss=header["epoch_loss"],
-        stale=header["stale"],
         order=order,
         losses=list(history["losses"]),
         val_metrics=list(history["val_metrics"]),
@@ -268,20 +267,17 @@ class CheckpointManager:
     Checkpoints are named ``ckpt-e{epoch:04d}-s{step:06d}.npz`` after
     their resume position, so lexicographic order is chronological and
     a resumed run deterministically overwrites the files its crashed
-    predecessor would have written.  ``keep_last`` bounds the number of
-    rolling checkpoints (``None`` keeps all); ``best.npz`` tracks the
-    best validation metric and is never pruned.
+    predecessor would have written.  The last :data:`KEEP_LAST` rolling
+    checkpoints are kept; ``best.npz`` tracks the best validation metric
+    and is never pruned.
     """
 
     _PATTERN = re.compile(r"^ckpt-e(\d+)-s(\d+)\.npz$")
     BEST_NAME = "best.npz"
 
-    def __init__(self, directory: str | Path, keep_last: int | None = 3):
-        if keep_last is not None and keep_last < 1:
-            raise ValueError(f"keep_last must be >= 1 or None, got {keep_last}")
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep_last = keep_last
 
     # -- discovery -----------------------------------------------------
     def checkpoint_paths(self) -> list[Path]:
@@ -316,7 +312,5 @@ class CheckpointManager:
         return path
 
     def _prune(self) -> None:
-        if self.keep_last is None:
-            return
-        for stale_path in self.checkpoint_paths()[: -self.keep_last]:
-            stale_path.unlink(missing_ok=True)
+        for old in self.checkpoint_paths()[:-KEEP_LAST]:
+            old.unlink(missing_ok=True)

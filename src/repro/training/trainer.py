@@ -1,18 +1,19 @@
 """Generic training loop.
 
 All three tasks train the same way: shuffle examples, take one loss
-per mini-batch, Adam step, optionally track a validation metric with
-early stopping and best-weight restoration (the paper's Adam + 8:1:1
-protocol, Sec. 6.1.3).  A mini-batch's loss is one batched forward
-(``model.batch_loss``) for every model that has one, and the mean of
-the per-example losses otherwise (see :func:`fit`).  Steps run without
-a gradient :class:`~repro.tensor.pool.BufferPool`: the pool keys free
-buffers by exact shape, and a ragged batch has a new node count at
-every step (docs/performance.md).
+per mini-batch, take an Adam step at a fixed learning rate, and
+optionally track a validation metric whose best epoch's weights are
+restored at the end (the paper's Adam + 8:1:1 protocol, Sec. 6.1.3).
+A mini-batch's loss is one batched forward (``model.batch_loss``) for
+every model that has one, and the mean of the per-example losses
+otherwise (see :func:`fit`).  Steps run without a gradient
+:class:`~repro.tensor.pool.BufferPool`: the pool keys free buffers by
+exact shape, and a ragged batch has a new node count at every step
+(docs/performance.md).
 
 Runs are fault tolerant: with ``TrainConfig(checkpoint_dir=...)`` the
 loop snapshots its complete state (model, optimizer moments, RNG,
-shuffle order, loss accumulator, patience counters) through
+shuffle order, loss accumulator, metric history) through
 :mod:`repro.training.checkpoint`, and ``fit(..., resume=path)``
 continues an interrupted run bit-for-bit — the resumed run's final
 parameters, optimizer state and metric history match an uninterrupted
@@ -42,12 +43,6 @@ class TrainConfig:
     epochs: int = 30
     lr: float = 0.01
     batch_size: int = 8
-    patience: int | None = None  # early stopping on the validation metric
-    #: multiply the learning rate by ``lr_decay`` every ``lr_step`` epochs
-    lr_decay: float = 1.0
-    lr_step: int = 10
-    #: clip the global gradient norm (None disables)
-    grad_clip: float | None = None
     #: train each mini-batch in one forward (docs/batching.md): ``fit``
     #: calls the model's ``batch_loss`` (one batched forward and
     #: backward) where it can, and falls back to the mean of per-example
@@ -70,31 +65,11 @@ class TrainConfig:
     #: additionally checkpoint every N optimizer steps (mid-epoch
     #: snapshots); 0 checkpoints only at epoch boundaries
     checkpoint_every: int = 0
-    #: rolling checkpoints to retain (``best.npz`` is always kept);
-    #: None keeps every checkpoint
-    checkpoint_keep: int | None = 3
     #: direction of the validation metric: ``"max"`` (accuracy-like,
     #: the default) or ``"min"`` (error-like — val RMSE/MAE for the
-    #: regression task, docs/molecular.md).  Early stopping, best-weight
-    #: restoration and ``best.npz`` checkpoints all follow this mode.
+    #: regression task, docs/molecular.md).  Best-weight restoration
+    #: and ``best.npz`` checkpoints both follow this mode.
     metric_mode: str = "max"
-
-
-def clip_gradients(parameters, max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm.
-    """
-    total = 0.0
-    grads = [p.grad for p in parameters if p.grad is not None]
-    for grad in grads:
-        total += float((grad**2).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for grad in grads:
-            grad *= scale
-    return norm
 
 
 @dataclass
@@ -138,8 +113,13 @@ def fit(
         ``model.loss(example)``.  Passing one trains on it, example by
         example.
     val_metric:
-        Zero-argument callable evaluated after each epoch (higher is
-        better); enables early stopping and best-weight restoration.
+        Zero-argument callable evaluated after each epoch, better when
+        higher (``metric_mode="max"``) or lower (``"min"``).  The
+        weights of the best epoch are restored when training ends.
+        Every epoch runs whatever the metric does: several datasets
+        (notably MUTAG-like) sit on a long loss plateau before the
+        structural signal is picked up, so stopping at the first
+        stretch without improvement would end such runs too early.
     callbacks:
         :class:`repro.observe.Callback` objects receiving the trainer's
         event stream (``on_train_start`` … ``on_train_end``); e.g.
@@ -178,7 +158,6 @@ def fit(
     if config.metric_mode == "min":
         history.best_metric = np.inf
     best_state = None
-    stale = 0
     start_epoch = 0
     resume_step = 0
     resume_order: np.ndarray | None = None
@@ -192,7 +171,6 @@ def fit(
         history.best_epoch = state.best_epoch
         history.best_metric = state.best_metric
         best_state = state.best_state
-        stale = state.stale
         start_epoch = state.epoch
         resume_step = state.step
         resume_order = state.order
@@ -201,9 +179,7 @@ def fit(
 
     manager = None
     if config.checkpoint_dir is not None:
-        manager = CheckpointManager(
-            config.checkpoint_dir, keep_last=config.checkpoint_keep
-        )
+        manager = CheckpointManager(config.checkpoint_dir)
 
     def save_checkpoint_now(
         epoch: int, step: int, order: np.ndarray | None, epoch_loss: float,
@@ -219,7 +195,6 @@ def fit(
             config=config,
             global_step=global_step,
             epoch_loss=epoch_loss,
-            stale=stale,
             order=order,
             losses=history.losses,
             val_metrics=history.val_metrics,
@@ -233,22 +208,7 @@ def fit(
     if manager is not None and resume is None:
         save_checkpoint_now(0, 0, None, 0.0)
     for epoch in range(start_epoch, config.epochs):
-        # only a resumed-from-a-finished-run checkpoint can start a
-        # loop iteration with early stopping already triggered
-        if (
-            val_metric is not None
-            and config.patience is not None
-            and stale > config.patience
-        ):
-            break
         mid_epoch = epoch == start_epoch and resume_order is not None
-        if (
-            not mid_epoch  # a mid-epoch resume already applied this decay
-            and config.lr_decay != 1.0
-            and epoch > 0
-            and epoch % config.lr_step == 0
-        ):
-            optimizer.lr *= config.lr_decay
         events.on_epoch_start(epoch)
         epoch_start = time.perf_counter()
         model.train()
@@ -290,8 +250,6 @@ def fit(
                     with span("backward"):
                         total.backward()
                     with span("optimizer"):
-                        if config.grad_clip is not None:
-                            clip_gradients(optimizer.parameters, config.grad_clip)
                         optimizer.step()
                 batch_loss = float(total.data)
                 epoch_loss += batch_loss * len(batch)
@@ -313,17 +271,13 @@ def fit(
                 metric = float(val_metric())
             history.val_metrics.append(metric)
             if config.metric_mode == "min":
-                better = metric < history.best_metric
+                improved = metric < history.best_metric
             else:
-                better = metric > history.best_metric
-            if better:
+                improved = metric > history.best_metric
+            if improved:
                 history.best_metric = metric
                 history.best_epoch = epoch
                 best_state = model.state_dict()
-                stale = 0
-                improved = True
-            else:
-                stale += 1
         events.on_epoch_end(
             epoch,
             {
@@ -334,15 +288,9 @@ def fit(
             },
         )
         if manager is not None:
-            # resume position "start of epoch+1": decay and shuffle for
-            # the next epoch replay from the restored rng/lr on resume
+            # resume position "start of epoch+1": the next epoch's
+            # shuffle replays from the restored rng on resume
             save_checkpoint_now(epoch + 1, 0, None, 0.0, is_best=improved)
-        if (
-            val_metric is not None
-            and config.patience is not None
-            and stale > config.patience
-        ):
-            break
 
     if best_state is not None:
         model.load_state_dict(best_state)

@@ -2,13 +2,14 @@
 
 Arbitrary module/optimizer states must survive save→load *exactly*
 (values, dtypes, shapes, scalar counters), and ``load_checkpoint`` must
-reject damaged archives — truncated, byte-flipped, or written by a
-future format version — with clear errors instead of silently loading
-partial state.
+reject damaged archives — truncated, byte-flipped, written by a future
+format version or for another optimizer — with clear errors instead of
+silently loading partial state.
 """
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import Adam, SGD
+from repro.nn.optim import Adam
 from tests.faults import flip_bytes, truncate_file
 from repro.training import checkpoint as ckpt
 from repro.training import load_checkpoint, read_checkpoint_header, save_checkpoint
@@ -105,18 +106,17 @@ class TestRoundTrip:
         epoch=st.integers(0, 10_000),
         step=st.integers(0, 10_000),
         global_step=st.integers(0, 10**9),
-        stale=st.integers(0, 100),
         epoch_loss=finite_or_inf,
         best_metric=finite_or_inf,
         losses=st.lists(finite_or_inf, max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_scalar_counters_survive_exactly(
-        self, epoch, step, global_step, stale, epoch_loss, best_metric, losses, seed
+        self, epoch, step, global_step, epoch_loss, best_metric, losses, seed
     ):
         rng = np.random.default_rng(seed)
         model = ArbitraryModule([np.ones(2)])
-        optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+        optimizer = Adam(model.parameters(), lr=0.1)
         rng.normal(size=7)  # advance past the seed state
         rng_state_before = rng.bit_generator.state
         with tempfile.TemporaryDirectory() as tmp:
@@ -129,7 +129,6 @@ class TestRoundTrip:
                 epoch=epoch,
                 step=step,
                 global_step=global_step,
-                stale=stale,
                 epoch_loss=epoch_loss,
                 best_metric=best_metric,
                 losses=losses,
@@ -138,7 +137,6 @@ class TestRoundTrip:
             state = load_checkpoint(path, rng=rng)
         assert (state.epoch, state.step) == (epoch, step)
         assert state.global_step == global_step
-        assert state.stale == stale
         # floats round-trip bitwise through the JSON header (repr-exact)
         assert np.float64(state.epoch_loss).tobytes() == np.float64(
             epoch_loss
@@ -151,7 +149,7 @@ class TestRoundTrip:
 
     def test_order_and_best_state_roundtrip(self, rng, tmp_path):
         model = ArbitraryModule([np.arange(6, dtype=np.float64)])
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         order = rng.permutation(17)
         best = {"p0": rng.normal(size=6)}
         path = tmp_path / "state.npz"
@@ -205,7 +203,7 @@ class TestRejection:
     def test_future_format_version_rejected(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
         model = ArbitraryModule([np.ones(3)])
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         path = tmp_path / "future.npz"
         monkeypatch.setattr(ckpt, "FORMAT_VERSION", 99)
         save_checkpoint(path, model=model, optimizer=optimizer, rng=rng)
@@ -213,6 +211,20 @@ class TestRejection:
         with pytest.raises(ValueError, match="newer than this library"):
             read_checkpoint_header(path)
         with pytest.raises(ValueError, match="newer than this library"):
+            load_checkpoint(path)
+
+    def test_a_format_1_reader_refuses_this_format(self, tmp_path, monkeypatch):
+        """Format 2 dropped keys a format-1 reader needs: such a reader
+        names the newer format instead of failing on a missing key."""
+        rng = np.random.default_rng(3)
+        model = ArbitraryModule([np.ones(3)])
+        path = tmp_path / "v2.npz"
+        save_checkpoint(
+            path, model=model, optimizer=Adam(model.parameters()), rng=rng
+        )
+        assert read_checkpoint_header(path)["format_version"] == 2
+        monkeypatch.setattr(ckpt, "FORMAT_VERSION", 1)
+        with pytest.raises(ValueError, match="format 2 is newer than this library"):
             load_checkpoint(path)
 
     def test_non_checkpoint_archive_rejected(self, tmp_path):
@@ -224,7 +236,7 @@ class TestRejection:
     def test_wrong_schema_rejected(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
         model = ArbitraryModule([np.ones(3)])
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         path = tmp_path / "other.npz"
         monkeypatch.setattr(ckpt, "SCHEMA", "other.ckpt/v9")
         save_checkpoint(path, model=model, optimizer=optimizer, rng=rng)
@@ -235,9 +247,13 @@ class TestRejection:
     def test_optimizer_type_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
         model = ArbitraryModule([np.ones(3)])
-        path = tmp_path / "adam.npz"
-        save_checkpoint(
-            path, model=model, optimizer=Adam(model.parameters()), rng=rng
-        )
-        with pytest.raises(ValueError, match="cannot load into SGD"):
-            load_checkpoint(path, optimizer=SGD(model.parameters()))
+        path = tmp_path / "sgd.npz"
+        # another optimizer's state, as an older library's SGD saved it
+        sgd = SimpleNamespace(state_dict=lambda: {
+            "type": "SGD",
+            "hyper": {"lr": 0.1, "momentum": 0.9},
+            "slots": {"velocity": [np.zeros(3)]},
+        })
+        save_checkpoint(path, model=model, optimizer=sgd, rng=rng)
+        with pytest.raises(ValueError, match="'SGD', cannot load into Adam"):
+            load_checkpoint(path, optimizer=Adam(model.parameters()))

@@ -4,9 +4,10 @@ Train-to-completion vs. crash-at-step-k-then-resume must agree
 **bitwise** — final parameters, optimizer moments, RNG state and the
 metric history, with no tolerance (docs/checkpointing.md).  Crashes
 are injected deterministically with :mod:`tests.faults` at the
-awkward spots: the first batch, mid-epoch, an epoch boundary, and
-inside an early-stopping patience countdown; both the per-example loop
-and the padded-batch path are covered.
+awkward spots: the first batch, mid-epoch, an epoch boundary, epoch
+finalisation and right after a checkpoint write; both the per-example
+loop and the batched path are covered, and so is resuming from a
+format-1 checkpoint.
 """
 
 import json
@@ -48,27 +49,24 @@ def _setup(seed=0):
     return rng, model, graphs, graphs[:3]
 
 
-def _config(checkpoint_dir, batched=False, patience=None):
+def _config(checkpoint_dir, batched=False):
     return TrainConfig(
         epochs=EPOCHS,
         lr=0.02,
         batch_size=BATCH_SIZE,
         batched=batched,
-        patience=patience,
-        lr_decay=0.5,
-        lr_step=2,
         checkpoint_dir=str(checkpoint_dir),
         checkpoint_every=CHECKPOINT_EVERY,
     )
 
 
-def _run_uninterrupted(checkpoint_dir, log_path, batched=False, patience=None):
+def _run_uninterrupted(checkpoint_dir, log_path, batched=False):
     rng, model, train, val = _setup()
     history = fit(
         model,
         train,
         rng,
-        _config(checkpoint_dir, batched, patience),
+        _config(checkpoint_dir, batched),
         val_metric=lambda: classification_accuracy(model, val),
         callbacks=[JSONLLogger(log_path, log_batches=True)],
     )
@@ -80,7 +78,7 @@ def _run_crash_then_resume(
     crash_log,
     resume_log,
     batched=False,
-    patience=None,
+    rewrite_latest=None,
     **fault_kwargs,
 ):
     rng, model, train, val = _setup()
@@ -89,7 +87,7 @@ def _run_crash_then_resume(
             model,
             train,
             rng,
-            _config(checkpoint_dir, batched, patience),
+            _config(checkpoint_dir, batched),
             val_metric=lambda: classification_accuracy(model, val),
             callbacks=[
                 JSONLLogger(crash_log, log_batches=True),
@@ -98,13 +96,15 @@ def _run_crash_then_resume(
         )
     latest = CheckpointManager(checkpoint_dir).latest()
     assert latest is not None, "crash left no checkpoint to resume from"
+    if rewrite_latest is not None:
+        rewrite_latest(latest)
     # a fresh process: rebuild model and rng from the seed, then resume
     rng, model, train, val = _setup()
     history = fit(
         model,
         train,
         rng,
-        _config(checkpoint_dir, batched, patience),
+        _config(checkpoint_dir, batched),
         val_metric=lambda: classification_accuracy(model, val),
         callbacks=[JSONLLogger(resume_log, log_batches=True)],
         resume=latest,
@@ -183,19 +183,12 @@ class TestResumeEquivalence:
     def test_batched_path(self, tmp_path, fault):
         self._check(tmp_path, fault, batched=True)
 
-    def test_crash_inside_patience_countdown(self, tmp_path):
-        # patience=1 with a plateauing metric: by epoch 2 the stale
-        # counter is ticking; crash while it is mid-countdown
-        self._check(tmp_path, {"at_epoch": 2}, batched=False, patience=1)
-
     def test_crash_right_after_a_checkpoint_write(self, tmp_path):
         self._check(tmp_path, {"at_checkpoint": 3}, batched=False)
 
-    def _check(self, tmp_path, fault, batched, patience=None):
+    def _check(self, tmp_path, fault, batched):
         log_a = tmp_path / "run_a.jsonl"
-        model_a, history_a = _run_uninterrupted(
-            tmp_path / "ckpt_a", log_a, batched, patience
-        )
+        model_a, history_a = _run_uninterrupted(tmp_path / "ckpt_a", log_a, batched)
         crash_log = tmp_path / "run_b_crash.jsonl"
         resume_log = tmp_path / "run_b_resume.jsonl"
         model_b, history_b = _run_crash_then_resume(
@@ -203,7 +196,6 @@ class TestResumeEquivalence:
             crash_log,
             resume_log,
             batched,
-            patience,
             **fault,
         )
         _assert_identical_runs(
@@ -234,7 +226,7 @@ class TestBufferPoolResume:
     """
 
     def test_mid_epoch_crash_resumes_bitwise_with_pool_enabled(self, tmp_path):
-        config_kwargs = dict(batched=False, patience=None)
+        config_kwargs = dict(batched=False)
         log_a = tmp_path / "run_a.jsonl"
         rng, model_a, train, val = _setup()
         history_a = fit(
@@ -281,7 +273,7 @@ class TestResumeState:
 
     def test_resuming_a_finished_run_is_a_no_op(self, tmp_path):
         log = tmp_path / "run.jsonl"
-        model, history = _run_uninterrupted(tmp_path / "ckpt", log, patience=None)
+        model, history = _run_uninterrupted(tmp_path / "ckpt", log)
         latest = CheckpointManager(tmp_path / "ckpt").latest()
         rng, model2, train, val = _setup()
         resumed = fit(
@@ -325,6 +317,7 @@ class TestAtomicWrites:
 
 class TestRetention:
     def test_keep_last_prunes_but_never_best(self, tmp_path):
+        """A run keeps its last three rolling checkpoints and ``best.npz``."""
         rng, model, train, val = _setup()
         config = TrainConfig(
             epochs=EPOCHS,
@@ -332,7 +325,6 @@ class TestRetention:
             batch_size=BATCH_SIZE,
             checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_every=1,
-            checkpoint_keep=2,
         )
         fit(
             model,
@@ -341,22 +333,68 @@ class TestRetention:
             config,
             val_metric=lambda: classification_accuracy(model, val),
         )
-        manager = CheckpointManager(tmp_path / "ckpt", keep_last=2)
-        assert len(manager.checkpoint_paths()) == 2
+        manager = CheckpointManager(tmp_path / "ckpt")
+        # 21 written: the initial one, one per step and one per epoch end
+        assert [p.name for p in manager.checkpoint_paths()] == [
+            "ckpt-e0003-s000003.npz",
+            "ckpt-e0003-s000004.npz",
+            "ckpt-e0004-s000000.npz",
+        ]
         assert manager.best() is not None
         load_checkpoint(manager.best())  # still a valid archive
 
-    def test_keep_all_when_none(self, tmp_path):
-        rng, model, train, val = _setup()
-        config = TrainConfig(
-            epochs=2,
-            lr=0.02,
-            batch_size=BATCH_SIZE,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            checkpoint_every=1,
-            checkpoint_keep=None,
+
+def _as_format_1(path):
+    """Rewrite a checkpoint's header into the format-1 layout: the
+    early-stopping counter ``stale``, Adam's moment constants and weight
+    decay in the optimizer record, and the five training options format
+    1 configs carried, all at the values every format-1 run used."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header = json.loads(bytes(arrays["__repro_ckpt_header__"]).decode("utf-8"))
+    assert header["format_version"] == 2
+    hyper = header["optimizer"]["hyper"]
+    header["format_version"] = 1
+    header["stale"] = 0
+    header["optimizer"]["hyper"] = {
+        "lr": hyper["lr"],
+        "betas": [0.9, 0.999],
+        "eps": 1e-8,
+        "weight_decay": 0.0,
+        "step": hyper["step"],
+    }
+    header["config"].update(
+        patience=None, lr_decay=1.0, lr_step=10, grad_clip=None,
+        checkpoint_keep=3,
+    )
+    arrays["__repro_ckpt_header__"] = np.frombuffer(
+        json.dumps(header).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez(path, **arrays)
+
+
+class TestFormat1Checkpoints:
+    def test_a_format_1_checkpoint_resumes_bitwise(self, tmp_path):
+        """A mid-epoch checkpoint rewritten into format 1 loads, and the
+        run it resumes matches an uninterrupted run bit for bit."""
+        model_a, history_a = _run_uninterrupted(
+            tmp_path / "ckpt_a", tmp_path / "run_a.jsonl"
         )
-        fit(model, train, rng, config)
-        manager = CheckpointManager(tmp_path / "ckpt", keep_last=None)
-        # initial + 4 per epoch x 2 epochs + 2 epoch boundaries
-        assert len(manager.checkpoint_paths()) == 11
+        rewritten = []
+
+        def rewrite(path):
+            _as_format_1(path)
+            rewritten.append(load_checkpoint(path))
+
+        model_b, history_b = _run_crash_then_resume(
+            tmp_path / "ckpt_b",
+            tmp_path / "run_b_crash.jsonl",
+            tmp_path / "run_b_resume.jsonl",
+            rewrite_latest=rewrite,
+            at_step=7,  # the latest checkpoint is two steps into epoch 1
+        )
+        assert (rewritten[0].epoch, rewritten[0].step) == (1, 2)
+        _assert_identical_runs(
+            (model_a, history_a, tmp_path / "ckpt_a"),
+            (model_b, history_b, tmp_path / "ckpt_b"),
+        )

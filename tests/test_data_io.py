@@ -16,6 +16,7 @@ the archive format (docs/streaming.md § Shard file layout):
 
 import json
 import zipfile
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,12 @@ import pytest
 import repro.graph.graph as graph_module
 from repro.data import load_graphs, save_graphs
 from repro.data.cache import DatasetCache, clear_memory_cache, load_dataset_cached
-from repro.data.datasets import make_aids_like, make_esol_like, make_imdb_b_like
+from repro.data.datasets import (
+    NUM_ATOM_TYPES,
+    make_aids_like,
+    make_esol_like,
+    make_imdb_b_like,
+)
 from repro.data.encoding import attach_degree_features
 from repro.data.sharding import (
     ShardCorruptionError,
@@ -322,9 +328,45 @@ def _swap_first_bond(path):
     return first, load_graphs(path)[0][0]
 
 
+def _reweigh_first_edge(graph):
+    adjacency = graph.adjacency.copy()
+    i, j = graph.edge_list()[0]
+    adjacency[i, j] = adjacency[j, i] = 2.0
+    return replace(graph, adjacency=adjacency)
+
+
+def _relabel_first_node(graph):
+    labels = graph.node_labels.copy()
+    labels[0] = (labels[0] + 1) % NUM_ATOM_TYPES
+    return replace(graph, node_labels=labels)
+
+
+#: one change per field a ``repro.data.io`` record stores besides bond
+#: types, each leaving a valid graph that differs only in that field
+FIELD_CHANGES = {
+    "adjacency-weight": _reweigh_first_edge,
+    "node-label": _relabel_first_node,
+    # raw builder output has no features: this sets or replaces them
+    "features": lambda g: replace(g, features=np.full((g.num_nodes, 2), 0.5)),
+    "graph-label": lambda g: replace(g, label=g.label + 1.0),
+    "meta": lambda g: replace(g, meta={**g.meta, "scaffold": "other"}),
+}
+
+
+def _change_first_graph(path, change):
+    """Re-save an archive with its first graph changed by ``change``."""
+    graphs, name = load_graphs(path)
+    graphs[0] = change(graphs[0])
+    save_graphs(graphs, path, name=name)
+    return graphs[0]
+
+
 class TestEdgeFeatureChecksums:
-    """Shard checksums cover bond features, so a bond whose type changed
-    on disk is corruption, not content."""
+    """Shard checksums cover every field an archive stores: a graph whose
+    adjacency weights, node labels, features, bond types, label or
+    ``meta`` changed on disk is corruption, not content.  The bond-type
+    case has its own two tests; the other fields share two
+    parametrised ones."""
 
     ESOL = ("ESOL", 8, 2)
 
@@ -359,24 +401,65 @@ class TestEdgeFeatureChecksums:
         self, tmp_path, fresh_registry
     ):
         """A ``repro.shard/v1`` manifest's checksums ignore bond
-        features: the cache rebuilds such an entry and ``shard_dataset``
-        rewrites such a store, instead of trusting either."""
+        features and a ``v2`` one's ignore ``meta``: the cache rebuilds
+        such an entry and ``shard_dataset`` rewrites such a store,
+        instead of trusting either."""
         clear_memory_cache()
         built, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
         entry = DatasetCache(tmp_path).path_for(*self.ESOL)
         stores = [entry, tmp_path / "shards"]
         shard_dataset(*self.ESOL, stores[1], shard_size=4)
-        for store in stores:
-            manifest = store / "manifest.json"
-            header = json.loads(manifest.read_text())
-            manifest.write_text(json.dumps({**header, "schema": "repro.shard/v1"}))
+        for rebuilds, old in enumerate(("repro.shard/v1", "repro.shard/v2"), 1):
+            for store in stores:
+                manifest = store / "manifest.json"
+                header = json.loads(manifest.read_text())
+                manifest.write_text(json.dumps({**header, "schema": old}))
+            clear_memory_cache()
+            rebuilt, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
+            counters = fresh_registry.snapshot()["counters"]
+            assert counters["data_cache/corrupt"] == rebuilds
+            assert [_fingerprint(g) for g in rebuilt] == [
+                _fingerprint(g) for g in built
+            ]
+            assert shard_dataset(*self.ESOL, stores[1], shard_size=4).num_shards == 2
+            for store in stores:
+                assert load_manifest(store).schema == "repro.shard/v3"
+
+    @pytest.mark.parametrize("field", FIELD_CHANGES)
+    def test_read_shard_rejects_a_changed_field(self, tmp_path, field):
+        graphs = [
+            attach_degree_features(g, 4)
+            for g in DatasetCache().get_or_build(*self.ESOL)
+        ]
+        write_shards(iter(graphs), tmp_path / "shards", shard_size=4, name="ESOL")
+        path = shard_path(tmp_path / "shards", 0)
+        changed = _change_first_graph(path, FIELD_CHANGES[field])
+        assert _fingerprint(load_graphs(path)[0][0]) == _fingerprint(changed)
+        assert _fingerprint(changed) != _fingerprint(graphs[0])
+        with pytest.raises(ShardCorruptionError, match="checksum") as excinfo:
+            read_shard(tmp_path / "shards", 0)
+        assert excinfo.value.shard == 0
+        assert len(read_shard(tmp_path / "shards", 1)) == 4
+
+    @pytest.mark.parametrize("field", FIELD_CHANGES)
+    def test_dataset_cache_rebuilds_a_changed_field(
+        self, tmp_path, fresh_registry, field
+    ):
+        clear_memory_cache()
+        built, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
+        path = shard_path(DatasetCache(tmp_path).path_for(*self.ESOL), 0)
+        raw = load_graphs(path)[0]
+        _change_first_graph(path, FIELD_CHANGES[field])
         clear_memory_cache()
         rebuilt, _, _ = load_dataset_cached(*self.ESOL, tmp_path)
-        assert fresh_registry.snapshot()["counters"]["data_cache/corrupt"] == 1
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["data_cache/corrupt"] == 1
+        assert counters["data_cache/miss"] == 2
+        assert "data_cache/hit_disk" not in counters
         assert [_fingerprint(g) for g in rebuilt] == [_fingerprint(g) for g in built]
-        assert shard_dataset(*self.ESOL, stores[1], shard_size=4).num_shards == 2
-        for store in stores:
-            assert load_manifest(store).schema == "repro.shard/v2"
+        assert [_fingerprint(g) for g in load_graphs(path)[0]] == [
+            _fingerprint(g) for g in raw
+        ]  # rewritten with the builder's graphs
 
 
 class TestFormat1Archives:

@@ -137,7 +137,7 @@ class TestSimilarityModel:
 
 class TestGMN:
     def test_pair_embeddings_are_pair_dependent(self, rng, pair):
-        gmn = GMN(8, 8, rng, num_layers=2)
+        gmn = GMN(8, 8, rng)
         g1, g2, other = (
             graph_inputs(g)[:2] for g in (pair.g1, pair.g2, _featured_graph(rng, n=9))
         )
@@ -158,10 +158,6 @@ class TestGMN:
     def test_similarity_head_on_gmn(self, rng, triplet):
         model = zoo.make_similarity("GMN", 8, rng, hidden=8)
         assert isinstance(model.relative_distance(triplet), float)
-
-    def test_layer_validation(self, rng):
-        with pytest.raises(ValueError):
-            GMN(8, 8, rng, num_layers=0)
 
 
 class TestSimGNN:

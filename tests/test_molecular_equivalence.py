@@ -190,8 +190,8 @@ class TestEsolWorkload:
 
 @pytest.mark.checkpoint
 class TestRegressionBestCheckpoint:
-    """metric_mode='min' drives early stopping, best-weight restoration
-    and ``best.npz`` — the regression counterpart of accuracy-max."""
+    """metric_mode='min' drives best-weight restoration and
+    ``best.npz`` — the regression counterpart of accuracy-max."""
 
     def _fit_scripted(self, tmp_path, metrics, epochs, metric_mode,
                       model=None, rng=None, resume=None):

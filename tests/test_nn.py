@@ -11,7 +11,6 @@ from repro.nn import (
     MLP,
     Module,
     Parameter,
-    SGD,
     binary_cross_entropy,
     cross_entropy,
     mse_loss,
@@ -182,27 +181,6 @@ class TestSparseOps:
 
 
 class TestOptimizers:
-    def test_sgd_minimises_quadratic(self):
-        w = Parameter(np.array(5.0))
-        opt = SGD([w], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            (w * w).backward()
-            opt.step()
-        assert abs(float(w.data)) < 1e-3
-
-    def test_sgd_momentum_faster_than_plain(self):
-        def run(momentum):
-            w = Parameter(np.array(5.0))
-            opt = SGD([w], lr=0.02, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                (w * w).backward()
-                opt.step()
-            return abs(float(w.data))
-
-        assert run(0.9) < run(0.0)
-
     def test_adam_minimises_rosenbrock_ish(self):
         w = Parameter(np.array([2.0, -2.0]))
         opt = Adam([w], lr=0.05)
@@ -213,18 +191,9 @@ class TestOptimizers:
             opt.step()
         np.testing.assert_allclose(w.data, [1.0, 3.0], atol=1e-2)
 
-    def test_adam_weight_decay_shrinks(self):
-        w = Parameter(np.array(1.0))
-        opt = Adam([w], lr=0.01, weight_decay=1.0)
-        for _ in range(50):
-            opt.zero_grad()
-            (w * 0.0).sum().backward()
-            opt.step()
-        assert abs(float(w.data)) < 1.0
-
     def test_empty_parameters_rejected(self):
         with pytest.raises(ValueError):
-            SGD([])
+            Adam([])
 
     def test_step_skips_gradless_params(self):
         w = Parameter(np.array(1.0))
@@ -236,7 +205,7 @@ class TestOptimizers:
 class TestOptimizerStateDict:
     def _trained_adam(self):
         w = Parameter(np.array([2.0, -1.0]))
-        opt = Adam([w], lr=0.05, betas=(0.8, 0.95), eps=1e-9, weight_decay=0.1)
+        opt = Adam([w], lr=0.05)
         for _ in range(3):
             opt.zero_grad()
             (w * w).sum().backward()
@@ -246,12 +215,12 @@ class TestOptimizerStateDict:
     def test_adam_roundtrip_continues_identically(self):
         w, opt = self._trained_adam()
         state = opt.state_dict()
+        assert state["hyper"] == {"lr": 0.05, "step": 3}
 
         w2 = Parameter(w.data.copy())
-        opt2 = Adam([w2], lr=0.9)  # different hyper-params, all overwritten
+        opt2 = Adam([w2], lr=0.9)  # another rate, overwritten
         opt2.load_state_dict(state)
-        assert (opt2.lr, opt2.beta1, opt2.beta2) == (0.05, 0.8, 0.95)
-        assert (opt2.eps, opt2.weight_decay, opt2._step) == (1e-9, 0.1, 3)
+        assert (opt2.lr, opt2._step) == (0.05, 3)
 
         for optimizer, param in ((opt, w), (opt2, w2)):
             optimizer.zero_grad()
@@ -268,24 +237,15 @@ class TestOptimizerStateDict:
         opt.step()
         np.testing.assert_array_equal(state["slots"]["m"][0], moment_before)
 
-    def test_sgd_roundtrip_preserves_velocity(self):
-        w = Parameter(np.array(5.0))
-        opt = SGD([w], lr=0.02, momentum=0.9)
-        for _ in range(4):
-            opt.zero_grad()
-            (w * w).backward()
-            opt.step()
-        w2 = Parameter(w.data.copy())
-        opt2 = SGD([w2], lr=0.5)
-        opt2.load_state_dict(opt.state_dict())
-        assert opt2.momentum == 0.9 and opt2.lr == 0.02
-        assert opt2._velocity[0].tobytes() == opt._velocity[0].tobytes()
-
     def test_cross_optimizer_state_rejected(self):
         w, opt = self._trained_adam()
-        sgd = SGD([Parameter(w.data.copy())], lr=0.1)
-        with pytest.raises(ValueError, match="cannot load into SGD"):
-            sgd.load_state_dict(opt.state_dict())
+        state = {
+            "type": "SGD",
+            "hyper": {"lr": 0.1, "momentum": 0.9},
+            "slots": {"velocity": [np.zeros_like(w.data)]},
+        }
+        with pytest.raises(ValueError, match="'SGD', cannot load into Adam"):
+            opt.load_state_dict(state)
 
     def test_mismatched_slot_shapes_rejected(self):
         w, opt = self._trained_adam()

@@ -28,6 +28,7 @@ from repro.observe import (
     trace,
     validate_run_log,
 )
+from repro.observe import tracing
 from repro.observe.callbacks import RUN_LOG_SCHEMA, SCHEMA_VERSION
 from repro.tensor import Tensor
 from repro.tensor import ops as _ops
@@ -35,7 +36,7 @@ from repro.training import TrainConfig, fit
 
 
 class _Quadratic:
-    """Minimal trainable model (mirrors test_trainer_extras_reports)."""
+    """Minimal trainable model."""
 
     def __init__(self, start=5.0):
         self.w = Parameter(np.array(start))
@@ -186,6 +187,27 @@ class TestTracing:
         with trace("t") as root:
             pass
         assert coverage(root, "step")["fraction"] == 1.0
+
+    def test_a_span_counts_the_cost_of_its_own_record(self, monkeypatch):
+        """Building a span's record (and any garbage collection that
+        allocation triggers) is the span's time, not time its parent
+        cannot account for: here each record costs one clock tick."""
+        clock = [0.0]
+
+        class CostlySpan(Span):
+            def __init__(self, *args, **kwargs):
+                clock[0] += 1.0
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tracing, "Span", CostlySpan)
+        monkeypatch.setattr(tracing.time, "perf_counter", lambda: clock[0])
+        with trace("t") as root:
+            with span("step"):
+                with span("child"):
+                    pass
+        step = root.children[0]
+        assert (step.duration_s, step.children[0].duration_s) == (2.0, 1.0)
+        assert coverage(root, "step")["fraction"] == 0.5
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-example"])
     def test_a_traced_fit_accounts_for_its_steps(self, batched):

@@ -220,6 +220,38 @@ class TestSrcHoldsNoTestOnlyCode:
         )
 
 
+class TestTrainConfigFieldsHaveCallers:
+    """Every ``TrainConfig`` field is passed by keyword to a
+    ``TrainConfig(...)`` call in ``src/`` or one of
+    :attr:`TestSrcHoldsNoTestOnlyCode.USERS`.  A training option no
+    caller sets changes neither results nor measured speed; it only
+    keeps a code path in ``fit`` that tests alone reach."""
+
+    def test_every_field_is_set_outside_tests(self):
+        trainer = REPO / "src" / "repro" / "training" / "trainer.py"
+        (config,) = (
+            node
+            for node in ast.parse(trainer.read_text()).body
+            if isinstance(node, ast.ClassDef) and node.name == "TrainConfig"
+        )
+        fields = {
+            node.target.id
+            for node in config.body
+            if isinstance(node, ast.AnnAssign)
+        }
+        passed = set()
+        for directory in ("src",) + TestSrcHoldsNoTestOnlyCode.USERS:
+            for path in sorted((REPO / directory).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call) and "TrainConfig" in _names_used(
+                        node.func, skip_imports=True
+                    ):
+                        passed.update(kw.arg for kw in node.keywords)
+        assert fields, "found no TrainConfig fields"
+        unset = sorted(fields - passed)
+        assert not unset, f"TrainConfig fields no caller outside tests/ sets: {unset}"
+
+
 class TestLayering:
     def test_the_model_layers_import_no_data_module(self):
         """``repro.tensor``, ``repro.gnn``, ``repro.pooling`` and

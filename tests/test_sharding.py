@@ -1,6 +1,6 @@
 """Shard store + streaming loader unit suite (marker: ``streaming``).
 
-Locks down the ``repro.shard/v2`` contract of docs/streaming.md:
+Locks down the ``repro.shard/v3`` contract of docs/streaming.md:
 
 - manifests and content checksums round-trip bitwise through
   ``write_shards`` / ``read_shard`` at any (corpus, shard_size)
@@ -109,7 +109,7 @@ def shard_dir(tmp_path):
 class TestShardRoundTrip:
     def test_manifest_records_layout_and_provenance(self, shard_dir):
         manifest = load_manifest(shard_dir)
-        assert manifest.schema == "repro.shard/v2"
+        assert manifest.schema == "repro.shard/v3"
         assert manifest.name == NAME
         assert manifest.counts == [7, 7, 7, 3]
         assert manifest.num_graphs == N

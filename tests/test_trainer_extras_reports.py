@@ -1,80 +1,6 @@
-"""Trainer extras (lr decay, grad clipping) and report helpers."""
-
-import numpy as np
-import pytest
+"""Report helpers: result rows saved, loaded and rendered as markdown."""
 
 from repro.evaluation.reports import load_rows, save_rows, to_markdown
-from repro.nn import Adam, Parameter
-from repro.tensor import Tensor
-from repro.training import TrainConfig, fit
-from repro.training.trainer import clip_gradients
-
-
-class _Quadratic:
-    """Minimal trainable model for optimiser-behaviour tests."""
-
-    def __init__(self, start=5.0):
-        self.w = Parameter(np.array(start))
-
-    def parameters(self):
-        return [self.w]
-
-    def named_parameters(self):
-        return [("w", self.w)]
-
-    def state_dict(self):
-        return {"w": self.w.data.copy()}
-
-    def load_state_dict(self, state):
-        self.w.data = state["w"].copy()
-
-    def zero_grad(self):
-        self.w.zero_grad()
-
-    def train(self, mode=True):
-        return self
-
-    def eval(self):
-        return self
-
-    def loss(self, example):
-        return self.w * self.w * float(example)
-
-
-class TestClipGradients:
-    def test_scales_large_gradients(self):
-        p = Parameter(np.zeros(4))
-        p.grad = np.full(4, 10.0)
-        norm_before = clip_gradients([p], max_norm=1.0)
-        assert norm_before == pytest.approx(20.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-
-    def test_leaves_small_gradients(self):
-        p = Parameter(np.zeros(2))
-        p.grad = np.array([0.1, 0.1])
-        clip_gradients([p], max_norm=5.0)
-        np.testing.assert_allclose(p.grad, [0.1, 0.1])
-
-    def test_skips_none_gradients(self):
-        p = Parameter(np.zeros(2))
-        assert clip_gradients([p], max_norm=1.0) == 0.0
-
-
-class TestLrSchedule:
-    def test_lr_decays_during_fit(self, rng):
-        model = _Quadratic()
-        config = TrainConfig(epochs=60, lr=0.5, lr_decay=0.5, lr_step=20,
-                             batch_size=1)
-        fit(model, [1.0], rng, config)
-        # Adam moves ~lr per step: 20*0.5 + 20*0.25 + 20*0.125 covers the
-        # distance from 5.0 with decayed steps settling near the optimum.
-        assert abs(float(model.w.data)) < 0.5
-
-    def test_grad_clip_in_fit_keeps_training_stable(self, rng):
-        model = _Quadratic(start=50.0)
-        config = TrainConfig(epochs=30, lr=0.5, grad_clip=1.0, batch_size=1)
-        fit(model, [1.0], rng, config)
-        assert abs(float(model.w.data)) < 50.0
 
 
 class TestReports:

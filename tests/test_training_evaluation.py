@@ -52,18 +52,30 @@ class TestFit:
         assert history.best_epoch >= 0
         assert history.best_metric == max(history.val_metrics)
 
-    def test_early_stopping_halts(self, rng):
+    def test_a_plateau_runs_every_epoch(self, rng):
+        """``fit`` has no early stopping: a metric that never improves
+        after epoch 0 still gets every epoch, and epoch 0's weights come
+        back at the end."""
         graphs = _toy_dataset(rng)
         model = zoo.make_classifier("SumPool", 8, 2, rng, hidden=8)
-        constant_metric = lambda: 0.5  # never improves after epoch 0
+        snapshots = []
+
+        def constant_metric():
+            snapshots.append(model.state_dict())
+            return 0.5
+
         history = fit(
-            model,
-            graphs,
-            rng,
-            TrainConfig(epochs=50, lr=0.01, patience=2),
+            model, graphs, rng, TrainConfig(epochs=5, lr=0.01),
             val_metric=constant_metric,
         )
-        assert len(history.val_metrics) < 50
+        assert history.val_metrics == [0.5] * 5
+        assert history.best_epoch == 0
+        final = model.state_dict()
+        assert any(
+            not np.array_equal(snapshots[-1][name], final[name]) for name in final
+        )
+        for name, value in final.items():
+            assert value.tobytes() == snapshots[0][name].tobytes(), name
 
     def test_model_left_in_eval_mode(self, rng):
         graphs = _toy_dataset(rng)
