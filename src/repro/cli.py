@@ -210,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--clients", type=int, default=4)
     serve.add_argument("--requests", type=int, default=100, help="total request count")
     serve.add_argument("--batch-size", type=int, default=16)
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="how long a batch is held open for companions",
-    )
     serve.add_argument("--cache-size", type=int, default=1024)
     serve.add_argument("--k", type=int, default=5, help="neighbours per top_k request")
 
@@ -415,7 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         with InferenceService(
             model,
             max_batch_size=args.batch_size,
-            max_wait_s=args.max_wait_ms / 1000.0,
             cache_size=args.cache_size,
         ) as service:
             if args.kind == "top_k":

@@ -2,9 +2,9 @@
 
 ``InferenceService`` owns one worker thread and a request queue.
 Callers submit classify / embed / similarity requests from any number
-of threads; the worker coalesces whatever is waiting — up to
-``max_batch_size`` requests, waiting at most ``max_wait_s`` after the
-first one arrives — and executes the whole batch at once:
+of threads; whenever the worker is free it takes whatever is waiting —
+up to ``max_batch_size`` requests, without waiting for more — and
+executes the whole batch at once:
 
 - **classify** misses run through the unified
   :meth:`~repro.models.classifier.GraphClassifier.predict` batch path,
@@ -78,11 +78,8 @@ class InferenceService:
         (no Gumbel noise).
     max_batch_size:
         Most requests one batch may coalesce.  ``1`` is the serial
-        baseline: every request runs its own forward.
-    max_wait_s:
-        Deadline: how long the worker holds the first request of a
-        batch waiting for companions.  The latency/throughput knob —
-        raise it for throughput under load, lower it for idle latency.
+        baseline: every request runs its own forward.  The worker never
+        idles while a request waits, so batches grow with load.
     cache_size:
         LRU capacity of the embedding cache (``cache`` overrides).
     index:
@@ -95,19 +92,15 @@ class InferenceService:
         model,
         *,
         max_batch_size: int = 16,
-        max_wait_s: float = 0.002,
         cache_size: int = 1024,
         cache: EmbeddingCache | None = None,
         index: EmbeddingIndex | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s cannot be negative")
         self.model = model
         model.eval()
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self.cache = cache if cache is not None else EmbeddingCache(cache_size)
         self.index = index
         self._fingerprint: str | None = None
@@ -209,7 +202,6 @@ class InferenceService:
             "queue_depth": depth,
             "batches": self._batches,
             "max_batch_size": self.max_batch_size,
-            "max_wait_s": self.max_wait_s,
             "cache": self.cache.stats(),
             "index_size": len(self.index) if self.index is not None else 0,
             "model_fingerprint": self._fingerprint,
@@ -229,16 +221,8 @@ class InferenceService:
                     self._cond.wait()
                 if not self._queue:
                     return  # closed and drained
-                # Micro-batching: hold the batch open until it is full
-                # or the oldest request has waited max_wait_s.
-                deadline = self._queue[0].enqueued + self.max_wait_s
-                while (
-                    len(self._queue) < self.max_batch_size and not self._closed
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
+                # Work-conserving: take what is queued now, never wait
+                # for a fuller batch.
                 batch = [
                     self._queue.popleft()
                     for _ in range(min(len(self._queue), self.max_batch_size))

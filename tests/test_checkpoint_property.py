@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.module import Module, Parameter
@@ -57,17 +57,6 @@ def parameter_arrays(draw):
         )
         arrays.append(np.array(flat, dtype=np.float64).reshape(shape))
     return arrays
-
-
-def _roundtrip(**kwargs):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.npz"
-        save_checkpoint(path, **kwargs)
-        return load_checkpoint(
-            path,
-            model=kwargs.get("reload_model"),
-            optimizer=kwargs.get("reload_optimizer"),
-        )
 
 
 class TestRoundTrip:

@@ -67,6 +67,20 @@ class TestCommands:
         assert code == 0
         assert "triplet accuracy" in capsys.readouterr().out
 
+    def test_serve_runs(self, capsys):
+        code = main(["serve", "--num-graphs", "8", "--requests", "8", "--clients", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "(0 errors)" in out
+        assert "batches " in out and "mean size" in out
+
+    def test_query_runs(self, capsys):
+        code = main(
+            ["query", "--mode", "classify", "--num-graphs", "8", "--index", "3"]
+        )
+        assert code == 0
+        assert "graph 3: predicted class" in capsys.readouterr().out
+
     @pytest.mark.checkpoint
     def test_classify_checkpoints_and_resumes(self, capsys, tmp_path):
         ckpt_dir = tmp_path / "ckpt"

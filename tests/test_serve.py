@@ -5,8 +5,8 @@ The contract under test (docs/serving.md):
 - every response is **bitwise identical** to what the offline
   ``predict()`` / ``embed()`` surface returns — on the cache-miss path
   *and* the cache-hit path;
-- concurrent requests are coalesced into micro-batches (fewer batches
-  than requests under load);
+- requests that queue while the worker is busy run as one batch; the
+  worker never holds a request back to wait for a fuller batch;
 - ``top_k`` retrieval is deterministic and self-nearest;
 - one bad request fails its own future, never the batch;
 - per-request metrics and spans land in the observe registry.
@@ -14,11 +14,14 @@ The contract under test (docs/serving.md):
 
 from __future__ import annotations
 
+import itertools
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.serve.service as service_mod
 from repro.evaluation.harness import prepare_dataset
 from repro.models.zoo import make_classifier
 from repro.observe import MetricsRegistry, set_registry
@@ -40,6 +43,28 @@ def registry():
     previous = set_registry(fresh)
     yield fresh
     set_registry(previous)
+
+
+@pytest.fixture()
+def gate(monkeypatch):
+    """Hold the worker inside its first batch until ``gate.release`` is set.
+
+    Every batch calls ``module_fingerprint`` first, so while the first
+    batch waits there, the requests submitted meanwhile queue up and the
+    next batch takes them all: tests force batching instead of timing it.
+    """
+    real_fingerprint = service_mod.module_fingerprint
+    gate = SimpleNamespace(entered=threading.Event(), release=threading.Event())
+
+    def gated_fingerprint(module):
+        if not gate.entered.is_set():
+            gate.entered.set()
+            gate.release.wait(timeout=30.0)
+        return real_fingerprint(module)
+
+    monkeypatch.setattr(service_mod, "module_fingerprint", gated_fingerprint)
+    yield gate
+    gate.release.set()
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +114,7 @@ class TestFaithfulness:
     def test_regression_model_serves_its_offline_target(self, registry):
         """A regression head serves ``predict``'s float target, not a
         class index: exactly on one-graph misses and on cache hits, and
-        to float round-off on a coalesced padded batch."""
+        to float round-off on a coalesced ragged batch."""
         graphs, dim, _ = prepare_dataset("ESOL", 6, np.random.default_rng(5))
         model = make_classifier(
             "HAP", dim, 0, np.random.default_rng(3), hidden=8,
@@ -156,38 +181,61 @@ class TestFaithfulness:
 
 
 class TestMicroBatching:
-    def test_concurrent_requests_coalesce(self, registry, model, corpus):
+    def test_concurrent_requests_coalesce(self, registry, model, corpus, gate):
         graphs = corpus[0]
-        with InferenceService(model, max_batch_size=8, max_wait_s=0.01) as service:
-            barrier = threading.Barrier(8)
-            results = [None] * 8
+        with InferenceService(model, max_batch_size=8) as service:
+            first = service.submit("classify", graphs[8])
+            assert gate.entered.wait(timeout=5.0)
+            barrier = threading.Barrier(8, timeout=5.0)
+            futures = [None] * 8
 
             def client(i):
                 barrier.wait()
-                results[i] = service.classify(graphs[i % len(graphs)])
+                futures[i] = service.submit("classify", graphs[i])
 
             threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+            gate.release.set()
+            results = [f.result(timeout=5.0) for f in futures]
+            assert first.result(timeout=5.0) == model.predict(graphs[8])
             stats = service.stats()
-        assert all(r is not None for r in results)
-        assert stats["batches"] < 8  # strictly fewer batches than requests
-        assert stats["counters"]["serve/requests_classify"] == 8
+        assert results == [model.predict(g) for g in graphs[:8]]
+        # the gated batch, then all eight queued requests in one batch
+        assert stats["batches"] == 2
+        assert stats["batch_size"]["max"] == 8
+        assert stats["counters"]["serve/requests_classify"] == 9
 
     def test_serial_service_runs_one_request_per_batch(self, registry, model, corpus):
         graphs = corpus[0]
-        with InferenceService(model, max_batch_size=1, max_wait_s=0.0) as service:
+        with InferenceService(model, max_batch_size=1) as service:
             for graph in graphs[:5]:
                 service.classify(graph)
             stats = service.stats()
         assert stats["batches"] == 5
         assert stats["batch_size"]["max"] == 1
 
-    def test_loadgen_reports_percentiles_and_batching(self, registry, model, corpus):
+    def test_loadgen_reports_percentiles_and_batching(
+        self, registry, model, corpus, gate
+    ):
         graphs = corpus[0]
-        with InferenceService(model, max_batch_size=8, max_wait_s=0.002) as service:
+        with InferenceService(model, max_batch_size=8) as service:
+            # Open the gate once every client has a request in: none can
+            # send a second before its first is answered, so the first
+            # four requests share at most two batches.
+            submitted = itertools.count(1)
+            real_submit = service.submit
+
+            def submit(*args, **kwargs):
+                future = real_submit(*args, **kwargs)
+                if next(submitted) == 4:
+                    gate.release.set()
+                return future
+
+            service.submit = submit
             report = run_closed_loop(
                 service, graphs[:8], kind="classify", clients=4, requests_per_client=4
             )
@@ -198,12 +246,16 @@ class TestMicroBatching:
         payload = report.to_dict()
         assert payload["kind"] == "classify" and payload["clients"] == 4
 
-    def test_max_wait_deadline_flushes_a_lone_request(self, registry, model, corpus):
+    def test_a_lone_request_is_served_with_the_clock_frozen(
+        self, registry, model, corpus, monkeypatch
+    ):
+        """The worker serves what is queued without waiting for company:
+        with the service's clock stopped, no timer can ever expire, and a
+        lone request far below ``max_batch_size`` is still answered."""
         graphs = corpus[0]
-        with InferenceService(model, max_batch_size=64, max_wait_s=0.001) as service:
-            # far fewer requests than max_batch_size: only the deadline
-            # can flush them.
-            assert service.classify(graphs[0]) == model.predict(graphs[0])
+        monkeypatch.setattr(service_mod, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        with InferenceService(model, max_batch_size=64) as service:
+            assert service.classify(graphs[0], timeout=1.0) == model.predict(graphs[0])
 
 
 class TestTopK:
@@ -265,7 +317,7 @@ class TestErrorHandling:
 
     def test_close_drains_outstanding_requests(self, registry, model, corpus):
         graphs = corpus[0]
-        service = InferenceService(model, max_batch_size=4, max_wait_s=0.05).start()
+        service = InferenceService(model, max_batch_size=4).start()
         futures = [service.submit("classify", g) for g in graphs[:4]]
         service.close()  # must answer everything already queued
         assert [f.result(0) for f in futures] == [model.predict(g) for g in graphs[:4]]
@@ -273,8 +325,6 @@ class TestErrorHandling:
     def test_worker_failure_fails_the_batch_and_keeps_serving(
         self, registry, model, corpus, monkeypatch
     ):
-        import repro.serve.service as service_mod
-
         graphs = corpus[0]
         real_fingerprint = service_mod.module_fingerprint
         calls = []
@@ -286,7 +336,7 @@ class TestErrorHandling:
             return real_fingerprint(module)
 
         monkeypatch.setattr(service_mod, "module_fingerprint", fingerprint_failing_once)
-        with InferenceService(model, max_wait_s=0.0) as service:
+        with InferenceService(model) as service:
             first = service.submit("classify", graphs[0])
             with pytest.raises(RuntimeError, match="injected fingerprint failure"):
                 first.result(timeout=1.0)
@@ -296,8 +346,6 @@ class TestErrorHandling:
     def test_constructor_validation(self, model):
         with pytest.raises(ValueError, match="max_batch_size"):
             InferenceService(model, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_s"):
-            InferenceService(model, max_wait_s=-1.0)
 
 
 class TestObservability:
