@@ -2,10 +2,10 @@
 
 Three probes, each in a fresh interpreter so its peak RSS belongs to
 one loading strategy (docs/streaming.md): an import-only interpreter
-baseline, the in-memory loader at 10k graphs, and one full shuffled
-epoch over a sharded 50k-graph corpus — generation included, since
-bounded writer memory (chunked per-shard generation) is part of the
-out-of-core contract.  The acceptance bars:
+baseline, the in-memory loader at 10k graphs, and one full planned
+epoch (the dataset's own iteration) over a sharded 50k-graph corpus —
+generation included, since bounded writer memory (chunked per-shard
+generation) is part of the out-of-core contract.  The acceptance bars:
 
 - the 5x-larger streamed corpus peaks *below* the in-memory loader's
   RSS;
@@ -90,7 +90,7 @@ shard_dir, shard_size, window = (
 shard_dataset(name, n, seed, shard_dir, shard_size, chunked=True)
 nodes = count = 0
 with StreamingDataset(shard_dir, max_cached_shards=window) as stream:
-    for graph in stream.iter_shuffled(seed):
+    for graph in stream:
         nodes += graph.num_nodes
         count += 1
 assert count == n and nodes > 0

@@ -29,6 +29,7 @@ import math
 import os
 import zipfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,34 +191,31 @@ def _read_member(
     return arrays
 
 
-def _load_flat(archive: zipfile.ZipFile, records: list[dict]) -> list[Graph]:
-    """Decode a format-2 archive, one pass over each field's member."""
-    shapes = [_shapes(record) for record in records]
-    fields = {
-        field: _read_member(
-            archive, field, dtype, [shape.get(field) for shape in shapes]
-        )
-        for field, dtype in _FIELDS
-    }
-    return [
-        Graph(
-            fields["adjacency"][i],
-            node_labels=fields["node_labels"][i],
-            features=fields["features"][i],
-            label=record["label"],
-            meta=record.get("meta", {}),
-            edge_features=fields["edge_features"][i],
-        )
-        for i, record in enumerate(records)
-    ]
+class _GraphArrays(NamedTuple):
+    """One archived graph's decoded fields, before :class:`Graph` checks them.
+
+    The fields carry :class:`Graph`'s names, so
+    :func:`repro.data.sharding.content_checksum` hashes a decoded graph
+    and a built one alike.
+    """
+
+    adjacency: np.ndarray
+    node_labels: np.ndarray | None
+    features: np.ndarray | None
+    edge_features: np.ndarray | None
+    label: int | float | None
+    meta: dict
+
+    def build(self) -> Graph:
+        return Graph(**self._asdict())
 
 
-def load_graphs(path: str | Path) -> tuple[list[Graph], str]:
-    """Load graphs saved by :func:`save_graphs`; returns (graphs, name).
+def _read_arrays(path: str | Path) -> tuple[list[_GraphArrays], str]:
+    """Decode an archive's graphs as arrays, one pass over each member.
 
-    Raises ``ValueError`` for an archive that is not a repro dataset,
-    is in another format than :data:`FORMAT_VERSION`, or whose members
-    do not match its records.
+    Builds no :class:`Graph`, so a reader that needs a few graphs of an
+    archive validates only those.  Raises ``ValueError`` like
+    :func:`load_graphs`.
     """
     path = Path(path)
     with np.load(path if path.suffix else path.with_suffix(".npz")) as archive:
@@ -227,5 +225,31 @@ def load_graphs(path: str | Path) -> tuple[list[Graph], str]:
                 f"{path} is a format-{header['format_version']} archive; "
                 f"this library reads format {FORMAT_VERSION}"
             )
-        graphs = _load_flat(archive.zip, header["records"])
+        records = header["records"]
+        shapes = [_shapes(record) for record in records]
+        fields = {
+            field: _read_member(
+                archive.zip, field, dtype, [shape.get(field) for shape in shapes]
+            )
+            for field, dtype in _FIELDS
+        }
+    graphs = [
+        _GraphArrays(
+            **{field: fields[field][i] for field, _ in _FIELDS},
+            label=record["label"],
+            meta=record.get("meta", {}),
+        )
+        for i, record in enumerate(records)
+    ]
     return graphs, header.get("name", "")
+
+
+def load_graphs(path: str | Path) -> tuple[list[Graph], str]:
+    """Load graphs saved by :func:`save_graphs`; returns (graphs, name).
+
+    Raises ``ValueError`` for an archive that is not a repro dataset,
+    is in another format than :data:`FORMAT_VERSION`, or whose members
+    do not match its records.
+    """
+    graphs, name = _read_arrays(path)
+    return [graph.build() for graph in graphs], name

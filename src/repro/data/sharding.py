@@ -58,7 +58,7 @@ import numpy as np
 
 import repro.data.datasets as _datasets
 from repro.atomic import atomic_write
-from repro.data.io import load_graphs, save_graphs
+from repro.data.io import _GraphArrays, _read_arrays, save_graphs
 from repro.graph.graph import Graph
 
 #: v2 checksums added edge features and v3 ``meta`` (the scaffold keys
@@ -99,12 +99,14 @@ def shard_path(shard_dir: str | Path, index: int) -> Path:
     return Path(shard_dir) / f"shard_{index:05d}.npz"
 
 
-def content_checksum(graphs: list[Graph]) -> str:
+def content_checksum(graphs: list[Graph] | list[_GraphArrays]) -> str:
     """SHA-256 over the decoded content of a shard's graphs.
 
     Stable across archive rewrites (unlike file-byte hashes, which see
     zip timestamps) and across load/save round trips, so a rebuilt
-    shard can be verified against the original manifest entry.
+    shard can be verified against the original manifest entry.  A
+    shard's decoded arrays hash like the graphs built from them, so a
+    reader verifies a whole shard before it builds any graph.
     """
     digest = hashlib.sha256()
     for graph in graphs:
@@ -284,24 +286,19 @@ def write_shards(
     return manifest
 
 
-def read_shard(
-    shard_dir: str | Path,
-    index: int,
-    manifest: ShardManifest | None = None,
-) -> list[Graph]:
-    """Load one shard's raw graphs, verifying its manifest checksum.
+def _decode_shard(manifest: ShardManifest, index: int) -> list[_GraphArrays]:
+    """One shard's decoded arrays, verified against its manifest entry.
 
     Raises :class:`ShardCorruptionError` (naming the shard) when the
     file is missing, fails to decode, holds the wrong graph count, or
-    its content hash differs from the manifest.
+    its content hash differs from the manifest.  Builds no
+    :class:`Graph`: the caller builds the graphs it needs.
     """
-    if manifest is None:
-        manifest = load_manifest(shard_dir)
     path = manifest.shard_path(index)
     if not path.exists():
         raise ShardCorruptionError(index, str(path), "file is missing")
     try:
-        graphs, _ = load_graphs(path)
+        graphs, _ = _read_arrays(path)
     except Exception as exc:
         raise ShardCorruptionError(
             index, str(path), f"unreadable archive ({type(exc).__name__}: {exc})"
@@ -317,6 +314,22 @@ def read_shard(
             index, str(path), "content checksum mismatch"
         )
     return graphs
+
+
+def read_shard(
+    shard_dir: str | Path,
+    index: int,
+    manifest: ShardManifest | None = None,
+) -> list[Graph]:
+    """Load one shard's raw graphs, verifying its manifest checksum.
+
+    Raises :class:`ShardCorruptionError` (naming the shard) when the
+    file is missing, fails to decode, holds the wrong graph count, or
+    its content hash differs from the manifest.
+    """
+    if manifest is None:
+        manifest = load_manifest(shard_dir)
+    return [graph.build() for graph in _decode_shard(manifest, index)]
 
 
 def _shard_seeds(seed: int, num_shards: int) -> list[np.random.SeedSequence]:

@@ -4,7 +4,8 @@
 :mod:`repro.data.sharding` as a random-access sequence of featured
 :class:`~repro.graph.graph.Graph` objects without holding the corpus.
 Every read returns bitwise the graph the in-memory loader returns; the
-pieces below only decide how often a shard is decoded:
+pieces below only decide how often a shard is decoded and which of its
+graphs are built:
 
 - **Planned reads: a graph window.**  :meth:`plan_epoch` announces the
   order the caller is about to read (``fit`` announces its flat
@@ -16,20 +17,15 @@ pieces below only decide how often a shard is decoded:
   max_cached_shards · shard_size`` is the memory budget.  A flat order
   over ``N`` graphs then loads each shard about ``⌈N / H⌉`` times
   instead of about once per read.
-- **Off-plan reads: an LRU shard window.**  ``dataset[i]`` with no
-  plan, or a read other than the next planned one, goes through a
-  small ``OrderedDict`` of at most ``max_cached_shards`` decoded
-  shards and leaves the plan as it is.
-- **Loads on the reading thread.**  A load reads, verifies and
-  feature-encodes its shard in the call that needs it, so *which*
-  graph comes back for an index never depends on timing or window
-  size.
-- **Shard-aware deterministic shuffling.**  :meth:`shuffled_order`
-  derives a permutation from ``SeedSequence([seed, _SHUFFLE_STREAM])``
-  in two levels — shard visit order, then an intra-shard permutation
-  per shard keyed by shard id — so an epoch at any corpus scale loads
-  every shard exactly once, and the order is a pure function of the
-  seed: identical regardless of ``n_workers`` or ``max_cached_shards``.
+- **Off-plan reads load.**  ``dataset[i]`` with no plan, or a read
+  other than the next planned one, loads its shard for that one graph
+  and leaves the plan as it is; an order that is planned (or iterated)
+  shares its loads.
+- **Loads build what they serve.**  A load decodes its shard and
+  verifies the whole shard's graph count and checksum, then builds and
+  feature-encodes only the graphs its reads need, in the call that
+  needs them, so *which* graph comes back for an index never depends
+  on timing or window size.
 
 A planned epoch holds fewer than ``H`` decoded graphs, plus the shard
 being decoded — the bound ``benchmarks/test_streaming_memory.py``
@@ -44,19 +40,15 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.data.cache import attach_dataset_features, encoding_dim
-from repro.data.sharding import load_manifest, read_shard
+from repro.data.sharding import _decode_shard, load_manifest
 from repro.graph.graph import Graph
 from repro.observe.metrics import get_registry
-
-#: entropy tag mixed into the user seed for epoch shuffling
-_SHUFFLE_STREAM = 12
 
 
 def _bounds(groups: np.ndarray, count: int) -> np.ndarray:
@@ -132,12 +124,12 @@ class StreamingDataset(Sequence):
         by :func:`repro.data.sharding.write_shards` or
         :func:`~repro.data.sharding.shard_dataset`).
     max_cached_shards:
-        Memory budget in shards (>= 1): the LRU window holds this many
-        decoded shards, the planned-read window fewer than this many
-        shards' worth of graphs.
+        Memory budget in shards (>= 1): the planned-read window holds
+        fewer than this many shards' worth of graphs.
 
-    Every load checks the shard's content checksum against the manifest,
-    so corruption surfaces as
+    Every load checks the whole shard's graph count and content
+    checksum against the manifest, whichever graphs it builds, so
+    corruption surfaces as
     :class:`~repro.data.sharding.ShardCorruptionError`.
     """
 
@@ -153,7 +145,6 @@ class StreamingDataset(Sequence):
         self._offsets = np.concatenate(
             ([0], np.cumsum(self.manifest.counts))
         ).astype(int)
-        self._cache: OrderedDict[int, list[Graph]] = OrderedDict()
         self._plan: _EpochPlan | None = None
         #: planned graphs the window holds, keyed by plan position
         self._held: dict[int, Graph] = {}
@@ -203,31 +194,18 @@ class StreamingDataset(Sequence):
 
     # -- shard loads -------------------------------------------------------
 
-    def _load(self, shard: int) -> list[Graph]:
-        """Read, verify and feature-encode one shard."""
+    def _load(self, shard: int, rows: Sequence[int]) -> list[Graph]:
+        """Decode and verify one shard, then build and feature-encode the
+        graphs at its local ``rows`` alone, in that order."""
         registry = get_registry()
         start = time.perf_counter()
-        graphs = read_shard(self.shard_dir, shard, manifest=self.manifest)
+        decoded = _decode_shard(self.manifest, shard)
+        graphs = [decoded[row].build() for row in rows]
         if self.manifest.encoding is not None:
             graphs, _ = attach_dataset_features(graphs, self.manifest.encoding)
         registry.counter("streaming/load_wait_s").inc(time.perf_counter() - start)
         registry.counter("streaming/shard_loads").inc()
         return graphs
-
-    def _shard(self, shard: int) -> list[Graph]:
-        """The decoded, featured graphs of one shard (LRU-cached)."""
-        registry = get_registry()
-        cached = self._cache.get(shard)
-        if cached is not None:
-            registry.counter("streaming/cache_hit").inc()
-            self._cache.move_to_end(shard)
-            return cached
-        cached = self._load(shard)
-        self._cache[shard] = cached
-        while len(self._cache) > self.max_cached_shards:
-            self._cache.popitem(last=False)
-            registry.counter("streaming/evictions").inc()
-        return cached
 
     def _planned_read(self, plan: _EpochPlan) -> Graph:
         """Serve the plan's next position from the window or its load."""
@@ -240,11 +218,9 @@ class StreamingDataset(Sequence):
         shard = int(plan.loads[plan.next_load])
         served = plan.served_by(plan.next_load)
         plan.next_load += 1
-        graphs = self._load(shard)
-        first = self._offsets[shard]
-        for later in served[1:].tolist():
-            self._held[later] = graphs[plan.order[later] - first]
-        return graphs[plan.order[position] - first]
+        graphs = self._load(shard, plan.order[served] - self._offsets[shard])
+        self._held.update(zip(served[1:].tolist(), graphs[1:]))
+        return graphs[0]
 
     def __getitem__(self, index: int) -> Graph:
         index = int(index)
@@ -262,18 +238,19 @@ class StreamingDataset(Sequence):
         ):
             return self._planned_read(plan)
         shard = self.shard_of(index)
-        return self._shard(shard)[index - self._offsets[shard]]
+        (graph,) = self._load(shard, [index - self._offsets[shard]])
+        return graph
 
     # -- epoch planning and iteration --------------------------------------
 
     def plan_epoch(self, order: Sequence[int]) -> None:
         """Declare the global-index read order the caller will follow.
 
-        Replaces any earlier plan and drops every graph held for it (and
-        the LRU window), then schedules the loads of the new order.
-        Reads that follow the plan are served by the graph window; a
-        read that departs from it still works, through the LRU window,
-        and leaves the plan as it is.
+        Replaces any earlier plan and drops every graph held for it,
+        then schedules the loads of the new order.  Reads that follow
+        the plan are served by the graph window; a read that departs
+        from it still works, loading its shard for that one graph, and
+        leaves the plan as it is.
         """
         order = np.asarray(order, dtype=int)
         if len(order) and not (0 <= order.min() and order.max() < len(self)):
@@ -281,41 +258,11 @@ class StreamingDataset(Sequence):
                 f"plan indices out of range for {len(self)} graphs"
             )
         self._held.clear()
-        self._cache.clear()
         self._plan = _EpochPlan(
             order,
             self._offsets,
             self.max_cached_shards * self.manifest.shard_size - 1,
         )
-
-    def shuffled_order(self, seed: int) -> np.ndarray:
-        """Deterministic shard-aware epoch permutation of global indices.
-
-        Two-level: the shard visit order comes from
-        ``SeedSequence([seed, _SHUFFLE_STREAM])`` and each shard's
-        internal order from that sequence's spawned child keyed by
-        shard id.  Every shard appears exactly once (single load per
-        epoch through either window) and the result is a pure function
-        of ``seed`` and the manifest — independent of workers and cache
-        state.
-        """
-        root = np.random.SeedSequence([int(seed), _SHUFFLE_STREAM])
-        shard_order = np.random.default_rng(root).permutation(self.num_shards)
-        children = root.spawn(self.num_shards)
-        parts = []
-        for shard in shard_order:
-            intra = np.random.default_rng(children[shard]).permutation(
-                self.manifest.counts[shard]
-            )
-            parts.append(self._offsets[shard] + intra)
-        return np.concatenate(parts)
-
-    def iter_shuffled(self, seed: int) -> Iterator[Graph]:
-        """Stream one shuffled epoch, loading each shard exactly once."""
-        order = self.shuffled_order(seed)
-        self.plan_epoch(order)
-        for index in order:
-            yield self[int(index)]
 
     def __iter__(self) -> Iterator[Graph]:
         self.plan_epoch(np.arange(len(self)))
@@ -329,8 +276,7 @@ class StreamingDataset(Sequence):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Drop both windows and the plan."""
-        self._cache.clear()
+        """Drop the plan and the graphs held for it."""
         self._held.clear()
         self._plan = None
 
@@ -343,7 +289,6 @@ class StreamingDataset(Sequence):
     def __getstate__(self) -> dict:
         """Pickle only the configuration — workers reopen the shards."""
         state = self.__dict__.copy()
-        state["_cache"] = OrderedDict()
         state["_plan"] = None
         state["_held"] = {}
         return state
@@ -352,10 +297,9 @@ class StreamingDataset(Sequence):
 class StreamingView(Sequence):
     """Subset of a :class:`StreamingDataset` by global indices.
 
-    The fold-task unit: ``view[i]`` maps through to the parent's
-    windows, ``plan_epoch`` translates local orders to global ones, and
-    nothing is materialised — two views over one dataset share its
-    windows.
+    The fold-task unit: ``view[i]`` maps through to the parent,
+    ``plan_epoch`` translates local orders to global ones, and nothing
+    is materialised — two views over one dataset share its window.
     """
 
     def __init__(self, parent: StreamingDataset, indices: Sequence[int]):

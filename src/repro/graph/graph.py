@@ -316,36 +316,6 @@ class Graph:
             efeats[:n, :n] = self.edge_features
         return Graph(adj, node_labels=labels, label=self.label, edge_features=efeats)
 
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Convert to a networkx.Graph (used only by the test-suite)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_nodes))
-        if self.node_labels is not None:
-            for i, lab in enumerate(self.node_labels):
-                g.nodes[i]["label"] = int(lab)
-        for i, j in self.edge_list():
-            g.add_edge(i, j, weight=float(self.adjacency[i, j]))
-        return g
-
-    @staticmethod
-    def from_networkx(g) -> "Graph":
-        """Build from a networkx.Graph with integer nodes 0..N-1."""
-        nodes = sorted(g.nodes())
-        index = {v: i for i, v in enumerate(nodes)}
-        adj = np.zeros((len(nodes), len(nodes)))
-        for u, v, data in g.edges(data=True):
-            w = float(data.get("weight", 1.0))
-            adj[index[u], index[v]] = adj[index[v], index[u]] = w
-        labels = None
-        if nodes and all("label" in g.nodes[v] for v in nodes):
-            labels = np.array([g.nodes[v]["label"] for v in nodes], dtype=np.int64)
-        return Graph(adj, node_labels=labels)
-
     def __repr__(self) -> str:
         return (
             f"Graph(n={self.num_nodes}, m={self.num_edges}, "

@@ -1,13 +1,17 @@
-"""The CI workflow and its local mirror stay in lock-step.
+"""The CI workflow runs the stages tools/ci.sh defines.
 
-``.github/workflows/ci.yml`` runs in GitHub Actions; ``tools/ci.sh``
-is the network-free local mirror.  Both declare the same named stages
-(``lint``, ``tier-1``, ``bench-compare``); this suite parses the two
-files and fails when they drift — a stage added to one side only, or a
-command that differs between them.
+``.github/workflows/ci.yml`` runs in GitHub Actions; each of its
+``stage: <x>`` steps runs ``tools/ci.sh <x>``, so the commands of a
+stage are written once, in ci.sh, and a local ``tools/ci.sh`` runs
+exactly what CI runs.  This suite checks the wiring: the workflow's
+stage steps are the canonical stages in order and each calls ci.sh
+with its own name, ci.sh declares the same stages, and its
+``bench-compare`` stage runs the bench tests and then the benchmark's
+self-tests.
 
 Parsing is textual (no YAML dependency): workflow stages are the
-``name: "stage: <x>"`` steps, ci.sh stages the ``runs <x>`` guards.
+``name: "stage: <x>"`` steps and their ``run:`` lines, ci.sh stages
+the ``runs <x>`` guards.
 """
 
 import os
@@ -30,9 +34,12 @@ BENCH_COMMANDS = [
 ]
 
 
-def workflow_stages() -> list[str]:
+def workflow_stage_steps() -> list[tuple[str, str]]:
+    """``(stage, run command)`` of each ``stage: <x>`` workflow step."""
     text = WORKFLOW.read_text()
-    return re.findall(r'name:\s*"stage:\s*([\w-]+)"', text)
+    return re.findall(
+        r'name:\s*"stage:\s*([\w-]+)"\n\s*run:\s*(.*)', text
+    )
 
 
 def ci_sh_stages() -> list[str]:
@@ -40,56 +47,38 @@ def ci_sh_stages() -> list[str]:
     return re.findall(r"^if runs ([\w-]+); then$", text, flags=re.MULTILINE)
 
 
-def _commands(text: str, prefix: str = "python") -> list[str]:
-    """Normalised ``python ...`` commands found in a blob of text."""
+def ci_sh_stage_commands(stage: str) -> list[str]:
+    """Normalised commands inside ci.sh's ``if runs <stage>`` block."""
+    text = CI_SH.read_text()
+    match = re.search(
+        rf"^if runs {re.escape(stage)}; then\n(.*?)^fi$",
+        text, flags=re.MULTILINE | re.DOTALL,
+    )
+    assert match, f"tools/ci.sh has no {stage} stage"
     commands = []
-    for line in text.splitlines():
+    for line in match.group(1).splitlines():
         line = line.strip()
-        if line.startswith("run: "):
-            line = line[len("run: "):]
-        if line.startswith(prefix + " "):
+        if line and not line.startswith("stage "):
             commands.append(re.sub(r"\s+", " ", line))
     return commands
 
 
 class TestStagesMatch:
     def test_workflow_declares_the_canonical_stages_in_order(self):
-        assert workflow_stages() == EXPECTED_STAGES
+        stages = re.findall(r'name:\s*"stage:\s*([\w-]+)"', WORKFLOW.read_text())
+        assert stages == EXPECTED_STAGES
+        # each stage's name line is followed by its run line
+        assert [stage for stage, _ in workflow_stage_steps()] == stages
+
+    def test_each_workflow_stage_runs_its_ci_sh_stage(self):
+        for stage, command in workflow_stage_steps():
+            assert command.strip() == f"tools/ci.sh {stage}", stage
 
     def test_ci_sh_declares_the_canonical_stages_in_order(self):
         assert ci_sh_stages() == EXPECTED_STAGES
 
-    def test_every_workflow_command_runs_locally(self):
-        """Each python command a workflow stage runs appears in ci.sh."""
-        workflow_commands = set(_commands(WORKFLOW.read_text()))
-        # installation is the runner's job, not a pipeline stage
-        workflow_commands = {
-            c for c in workflow_commands if "pip install" not in c
-        }
-        local_commands = set(_commands(CI_SH.read_text()))
-        missing = workflow_commands - local_commands
-        assert not missing, (
-            f"workflow commands missing from tools/ci.sh: {sorted(missing)}"
-        )
-
-    def test_every_local_gate_runs_in_the_workflow(self):
-        """Each pytest/tool command in ci.sh appears in the workflow."""
-        local_commands = {
-            c for c in _commands(CI_SH.read_text())
-            if "pytest" in c or "tools/" in c
-        }
-        workflow_commands = set(_commands(WORKFLOW.read_text()))
-        missing = local_commands - workflow_commands
-        assert not missing, (
-            f"ci.sh commands missing from the workflow: {sorted(missing)}"
-        )
-
     def test_bench_compare_runs_the_bench_tests_then_the_benchmark(self):
-        for path in (WORKFLOW, CI_SH):
-            commands = _commands(path.read_text())
-            assert [c for c in commands if c in BENCH_COMMANDS] == (
-                BENCH_COMMANDS
-            ), path.name
+        assert ci_sh_stage_commands("bench-compare") == BENCH_COMMANDS
 
 
 class TestWorkflowShape:

@@ -13,6 +13,7 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.edit_distance import MAX_EXACT_NODES, completion_cost
+from tests.networkx_interop import to_networkx
 
 
 class TestExactGED:
@@ -35,7 +36,7 @@ class TestExactGED:
         for _ in range(8):
             g1 = random_connected(int(rng.integers(3, 6)), 0.3, rng)
             g2 = random_connected(int(rng.integers(3, 6)), 0.3, rng)
-            ref = nx.graph_edit_distance(g1.to_networkx(), g2.to_networkx())
+            ref = nx.graph_edit_distance(to_networkx(g1), to_networkx(g2))
             assert exact_ged(g1, g2) == pytest.approx(ref)
 
     def test_matches_networkx_labelled(self, rng):
@@ -48,8 +49,8 @@ class TestExactGED:
                 rng.integers(0, 2, size=n2)
             )
             ref = nx.graph_edit_distance(
-                g1.to_networkx(),
-                g2.to_networkx(),
+                to_networkx(g1),
+                to_networkx(g2),
                 node_match=lambda a, b: a["label"] == b["label"],
             )
             assert exact_ged(g1, g2) == pytest.approx(ref)

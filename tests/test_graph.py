@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import Graph
+from tests.networkx_interop import from_networkx, to_networkx
 
 
 class TestConstruction:
@@ -191,11 +192,11 @@ class TestNetworkxInterop:
         from repro.graph import random_connected
 
         g = random_connected(6, 0.4, rng).with_node_labels([0, 1, 2, 0, 1, 2])
-        back = Graph.from_networkx(g.to_networkx())
+        back = from_networkx(to_networkx(g))
         np.testing.assert_array_equal(back.adjacency, g.adjacency)
         np.testing.assert_array_equal(back.node_labels, g.node_labels)
 
     def test_weights_roundtrip(self):
         adj = np.array([[0.0, 0.5], [0.5, 0.0]])
-        back = Graph.from_networkx(Graph(adj).to_networkx())
+        back = from_networkx(to_networkx(Graph(adj)))
         np.testing.assert_allclose(back.adjacency, adj)

@@ -17,6 +17,7 @@ from repro.graph import (
     star_graph,
     wl_colors,
 )
+from tests.networkx_interop import to_networkx
 
 
 class TestConnectivity:
@@ -37,7 +38,7 @@ class TestDistances:
         for _ in range(5):
             g = random_connected(10, 0.25, rng)
             ours = shortest_path_lengths(g, 0)
-            ref = nx.single_source_shortest_path_length(g.to_networkx(), 0)
+            ref = nx.single_source_shortest_path_length(to_networkx(g), 0)
             for v in range(10):
                 assert ours[v] == ref[v]
 

@@ -252,6 +252,36 @@ class TestTrainConfigFieldsHaveCallers:
         assert not unset, f"TrainConfig fields no caller outside tests/ sets: {unset}"
 
 
+class TestRuntimeDependencies:
+    """The library runs on numpy and scipy alone.  networkx is a
+    ``dev`` extra: the suite cross-checks against it through
+    ``tests/networkx_interop.py``, and no module under ``src/`` imports
+    it."""
+
+    def test_no_src_module_imports_networkx(self):
+        importers = []
+        for path in sorted((REPO / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "networkx" for name in names):
+                    importers.append(f"{path.relative_to(REPO)}:{node.lineno}")
+        assert not importers, importers
+
+    def test_runtime_dependencies_are_numpy_and_scipy(self):
+        with (REPO / "pyproject.toml").open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+        names = [
+            re.match(r"[A-Za-z0-9_.-]+", requirement)[0]
+            for requirement in project["dependencies"]
+        ]
+        assert names == ["numpy", "scipy"]
+
+
 class TestLayering:
     def test_the_model_layers_import_no_data_module(self):
         """``repro.tensor``, ``repro.gnn``, ``repro.pooling`` and

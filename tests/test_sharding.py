@@ -12,15 +12,15 @@ Locks down the ``repro.shard/v3`` contract of docs/streaming.md:
 - shard writes are atomic — a crash between the tmp write and the
   rename never leaves a manifest pointing at half-written files;
 - :class:`StreamingDataset` serves graphs bitwise-identical to the
-  in-memory loader while holding at most ``max_cached_shards`` decoded
-  shards, loads them on the reading thread, and its shard-aware
-  shuffle is a pure function of the seed that loads every shard
-  exactly once per epoch;
+  in-memory loader and loads shards on the reading thread;
 - a planned epoch (``plan_epoch``) loads exactly the shards a short
   reference model of the graph window predicts while holding fewer
   than ``max_cached_shards · shard_size`` decoded graphs, and a flat
-  permutation never loads more than the LRU window would (hypothesis
-  property tests).
+  permutation never loads more than an LRU window of whole shards
+  would (hypothesis property tests);
+- every load builds only the graphs its reads need, one per read, yet
+  verifies the whole shard: a damaged graph no read asks for still
+  fails the load.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.data.datasets as datasets_module
 from repro.data.cache import load_dataset_cached
+from repro.data.io import load_graphs
 from repro.data.sharding import (
     ShardCorruptionError,
     content_checksum,
@@ -94,6 +95,20 @@ def fresh_registry():
     previous = set_registry(fresh)
     yield fresh
     set_registry(previous)
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """Every ``Graph`` constructed from here on, in order."""
+    graphs: list[Graph] = []
+    original = Graph.__post_init__
+
+    def counting(graph):
+        original(graph)
+        graphs.append(graph)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    return graphs
 
 
 @pytest.fixture()
@@ -247,21 +262,6 @@ class TestRaggedBoundaries:
             _graph_fingerprint(graphs[i]) for i in order
         ]
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        count=st.integers(min_value=1, max_value=23),
-        shard_size=st.integers(min_value=1, max_value=9),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    def test_shuffled_order_is_a_permutation_at_any_layout(
-        self, tmp_path_factory, count, shard_size, seed
-    ):
-        tmp = tmp_path_factory.mktemp("ragged_shuffle")
-        write_shards(_tiny_graphs(count), tmp, shard_size, name="tiny")
-        stream = StreamingDataset(tmp)
-        order = stream.shuffled_order(seed)
-        assert sorted(order.tolist()) == list(range(count))
-
 
 # ---------------------------------------------------------------------------
 # corruption -> typed error -> single-shard rebuild
@@ -364,7 +364,7 @@ class TestAtomicWrites:
 
 
 # ---------------------------------------------------------------------------
-# streaming window, planning and shuffle determinism
+# streaming dataset: sequence protocol, metadata, lifecycle
 # ---------------------------------------------------------------------------
 
 class TestStreamingDataset:
@@ -390,17 +390,6 @@ class TestStreamingDataset:
             _graph_fingerprint(g) for g in reference
         ]
 
-    def test_window_never_holds_more_than_max_cached_shards(
-        self, shard_dir, fresh_registry
-    ):
-        stream = StreamingDataset(shard_dir, max_cached_shards=2)
-        for i in range(N):
-            stream[i]
-        assert len(stream._cache) <= 2
-        counters = fresh_registry.snapshot()["counters"]
-        assert counters["streaming/shard_loads"] == 4
-        assert counters["streaming/evictions"] == 2
-
     def test_sequential_epoch_loads_each_shard_once(
         self, shard_dir, fresh_registry
     ):
@@ -408,25 +397,6 @@ class TestStreamingDataset:
         assert sum(1 for _ in stream) == N
         counters = fresh_registry.snapshot()["counters"]
         assert counters["streaming/shard_loads"] == 4
-
-    def test_shuffled_epoch_loads_each_shard_once(
-        self, shard_dir, fresh_registry
-    ):
-        stream = StreamingDataset(shard_dir, max_cached_shards=1)
-        labels = [g.label for g in stream.iter_shuffled(3)]
-        assert len(labels) == N
-        counters = fresh_registry.snapshot()["counters"]
-        assert counters["streaming/shard_loads"] == 4
-
-    def test_shuffle_is_a_pure_function_of_the_seed(self, shard_dir):
-        orders = []
-        for window in (1, 2, 3):
-            stream = StreamingDataset(shard_dir, max_cached_shards=window)
-            orders.append(stream.shuffled_order(11).tolist())
-            stream.close()
-        assert all(order == orders[0] for order in orders)
-        other = StreamingDataset(shard_dir)
-        assert other.shuffled_order(12).tolist() != orders[0]
 
     def test_subset_view_maps_through_to_parent(self, shard_dir):
         reference, _, _ = load_dataset_cached(NAME, N, SEED)
@@ -445,10 +415,12 @@ class TestStreamingDataset:
 
     def test_pickled_dataset_reopens_cleanly(self, shard_dir):
         stream = StreamingDataset(shard_dir)
-        stream[0]  # warm the cache
+        iterator = iter(stream)
+        next(iterator)  # plan the sequential order and hold shard 0's rest
+        assert stream._held
         clone = pickle.loads(pickle.dumps(stream))
         stream.close()
-        assert len(clone._cache) == 0
+        assert _resident(clone) == 0
         assert _graph_fingerprint(clone[5]) == _graph_fingerprint(
             StreamingDataset(shard_dir)[5]
         )
@@ -456,8 +428,8 @@ class TestStreamingDataset:
 
     def test_fetch_key_is_stable(self, shard_dir):
         stream = StreamingDataset(shard_dir)
-        first = stream._load(0)
-        second = stream._load(0)
+        first = stream._load(0, range(SHARD))
+        second = stream._load(0, range(SHARD))
         assert first is not second
         assert [_graph_fingerprint(g) for g in first] == [
             _graph_fingerprint(g) for g in second
@@ -509,8 +481,8 @@ def _lru_loads(shards: list[int], window: int) -> int:
 
 
 def _resident(stream: StreamingDataset) -> int:
-    """Decoded graphs the dataset holds in either window."""
-    return len(stream._held) + sum(len(g) for g in stream._cache.values())
+    """Decoded graphs the dataset holds for its plan."""
+    return len(stream._held)
 
 
 def _shard_loads(registry: MetricsRegistry) -> float:
@@ -596,7 +568,6 @@ class TestPlannedWindow:
             reference[stray]
         )
         assert stream._held == held
-        assert len(stream._cache) == 1
         got = [_graph_fingerprint(stream[int(i)]) for i in order[10:]]
         assert got == [_graph_fingerprint(reference[i]) for i in order[10:]]
         shards = (order // SHARD).tolist()
@@ -611,8 +582,8 @@ class TestPlannedWindow:
         stream.plan_epoch(first)
         for index in first[:5]:
             stream[int(index)]
-        stream[int(first[0])]  # an off-plan read fills the LRU window
-        assert stream._held and stream._cache
+        stream[int(first[0])]  # an off-plan read keeps the old plan
+        assert stream._held
         loads_before = _shard_loads(fresh_registry)
         second = np.random.default_rng(6).permutation(N)
         stream.plan_epoch(second)
@@ -654,7 +625,7 @@ class TestPlannedWindow:
     def test_load_wait_counts_blocked_seconds(self, shard_dir, fresh_registry):
         stream = StreamingDataset(shard_dir)
         start = time.perf_counter()
-        for _ in stream.iter_shuffled(2):
+        for _ in stream:
             pass
         elapsed = time.perf_counter() - start
         stream.close()
@@ -666,7 +637,12 @@ class TestPlannedWindow:
     def test_planned_epoch_starts_no_thread(self, shard_dir, fresh_registry):
         before = set(threading.enumerate())
         stream = StreamingDataset(shard_dir, max_cached_shards=1)
-        order = stream.shuffled_order(6)
+        rng = np.random.default_rng(6)
+        # shard by shard, each shuffled: one load per shard
+        order = np.concatenate([
+            stream._offsets[shard] + rng.permutation(stream.manifest.counts[shard])
+            for shard in rng.permutation(stream.num_shards)
+        ])
         stream.plan_epoch(order)
         for index in order:
             stream[int(index)]
@@ -678,6 +654,86 @@ class TestPlannedWindow:
         stream = StreamingDataset(shard_dir)
         with pytest.raises(IndexError, match="plan"):
             stream.plan_epoch([0, N])
+
+
+def _relabel_last_node(path) -> None:
+    """Re-save a shard with its last graph's last node label changed.
+
+    Every graph still decodes and validates; only the checksum tells.
+    """
+    with np.load(path) as archive:
+        members = {key: archive[key] for key in archive.files}
+    labels = members["node_labels"]
+    labels[-1] = (labels[-1] + 1) % datasets_module.NUM_ATOM_TYPES
+    np.savez_compressed(path, **members)
+
+
+class TestLoadsBuildWhatTheyServe:
+    """A load verifies its whole shard but builds only the graphs its
+    reads need: one ``Graph`` per read, none for the rest of the shard."""
+
+    def test_flat_epoch_builds_one_graph_per_read(self, tmp_path, built):
+        # fit's layout in miniature: a flat permutation over 8 shards
+        shard_dataset(NAME, 48, SEED, tmp_path / "sh", shard_size=6)
+        reference, _, _ = load_dataset_cached(NAME, 48, SEED)
+        stream = StreamingDataset(tmp_path / "sh", max_cached_shards=2)
+        order = np.random.default_rng(0).permutation(48)
+        stream.plan_epoch(order)
+        built.clear()
+        got = [_graph_fingerprint(stream[int(i)]) for i in order]
+        assert len(built) == 48
+        assert got == [_graph_fingerprint(reference[i]) for i in order]
+
+    def test_view_plan_with_repeated_indices_builds_one_graph_per_read(
+        self, shard_dir, built
+    ):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(shard_dir, max_cached_shards=1)
+        picks = np.array([3, 3, 9, 20, 3, 9, 0, 20, 20])
+        view = stream.subset(picks)
+        local = np.array([0, 1, 4, 2, 5, 3, 7, 8, 6, 0, 0])
+        view.plan_epoch(local)
+        built.clear()
+        got = [_graph_fingerprint(view[int(i)]) for i in local]
+        assert len(built) == len(local)
+        assert got == [_graph_fingerprint(reference[picks[i]]) for i in local]
+
+    @pytest.mark.parametrize("planned", [True, False], ids=["planned", "off-plan"])
+    def test_a_damaged_graph_no_read_asks_for_fails_the_load(
+        self, shard_dir, built, planned
+    ):
+        path = shard_path(shard_dir, 1)  # graphs 7-13
+        _relabel_last_node(path)  # graph 13
+        assert len(load_graphs(path)[0]) == 7  # decodes and validates
+        stream = StreamingDataset(shard_dir)
+        if planned:
+            stream.plan_epoch([7, 8])
+        built.clear()
+        with pytest.raises(ShardCorruptionError, match="checksum") as excinfo:
+            stream[7]
+        assert excinfo.value.shard == 1
+        assert "shard_00001.npz" in str(excinfo.value)
+        assert built == []
+
+    def test_off_plan_read_builds_only_its_graph(
+        self, shard_dir, built, fresh_registry
+    ):
+        reference, _, _ = load_dataset_cached(NAME, N, SEED)
+        stream = StreamingDataset(shard_dir, max_cached_shards=2)
+        order = np.random.default_rng(4).permutation(N)
+        stream.plan_epoch(order)
+        for index in order[:10]:
+            stream[int(index)]
+        held = dict(stream._held)
+        loads = _shard_loads(fresh_registry)
+        built.clear()
+        stray = int(order[3])  # already read: not the next planned index
+        assert _graph_fingerprint(stream[stray]) == _graph_fingerprint(
+            reference[stray]
+        )
+        assert len(built) == 1
+        assert stream._held == held
+        assert _shard_loads(fresh_registry) == loads + 1
 
 
 class TestMaterializeLint:

@@ -8,7 +8,7 @@ fields) — for every shard layout {1, 3, 7, 64} and worker count {1, 2}.
 At 3 graphs per shard the 24-graph corpus spans 8 shards against a
 2-shard window, so shards reload mid-epoch through the planned-read
 window.
-Shard size, LRU window and worker scheduling are pure performance
+Shard size, window size and worker scheduling are pure performance
 knobs; results are a function of the config alone.
 
 Also covers the fault-injection satellite: a crash mid-run resumes
@@ -257,7 +257,6 @@ class TestStreamingFaults:
             def on_epoch_end(self, epoch, logs):
                 if epoch == 0:
                     truncate_file(shard_path(tmp_path / "sh", 2), 64)
-                    stream._cache.pop(2, None)  # force a disk reload
 
         with pytest.raises(ShardCorruptionError) as excinfo:
             fit(

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Local CI pipeline — the network-free mirror of .github/workflows/ci.yml.
+# CI pipeline stages, defined once: each `stage: X` step of
+# .github/workflows/ci.yml runs `tools/ci.sh X`, and a local run with no
+# arguments runs them all (tests/test_ci_consistency.py checks the wiring).
 #
-# Stages (kept in lock-step with the workflow by tests/test_ci_consistency.py):
+# Stages:
 #
-#   lint          tools/lint.py AST checks (bare except, mutable defaults,
-#                 global numpy RNG)
+#   lint          tools/lint.py's seven AST rules (bare except, mutable
+#                 defaults, global numpy RNG, densifying in sparse paths,
+#                 unfused attention, materialising in streaming paths,
+#                 a dropped edge_attr)
 #   tier-1        the full unit/integration/property suite (every marker
 #                 suite included; select one locally with pytest -m <marker>)
 #   bench-compare the performance floors of the benchmark tests marked

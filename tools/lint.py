@@ -39,7 +39,7 @@ to design around:
   and benchmarks are exempt (the fused-gate suites build the unfused
   composition on purpose to compare against).
 - **no-materialize-in-streaming-path** — the out-of-core pipeline
-  (docs/streaming.md) holds a bounded LRU window of shards; one stray
+  (docs/streaming.md) holds a bounded window of decoded graphs; one stray
   ``list(dataset)`` / ``sorted(examples)`` inside a streaming code
   path pulls the whole corpus into RAM and silently cancels the memory
   contract the memory benchmark checks — while every functional result
